@@ -354,11 +354,10 @@ def nordsieck_gains(result: SolveResult, dim: int = 0) -> np.ndarray:
     """
     model = result.path.model
     q1 = model.block_size
-    sl = slice(dim * q1, (dim + 1) * q1)
     scales = np.array([1.0 / factorial(i) for i in range(q1)])
     out = np.empty((len(result.path.step_sizes), q1))
     for n, h in enumerate(result.path.step_sizes):
-        c_pred = result.path.predictions[n + 1].cov[sl, sl]
+        c_pred = result.path.predictions[n + 1].cov[dim]
         k_nat = c_pred[:, 1] / c_pred[1, 1]
         out[n] = k_nat * scales * h ** (np.arange(q1) - 1)
     return out

@@ -145,7 +145,7 @@ def _cmd_solve(args) -> int:
         row = {"t": result.path.knots[n]}
         for k in range(problem.dim):
             m = state.mean[k * q1]
-            s = band * np.sqrt(max(state.cov[k * q1, k * q1], 0.0))
+            s = band * np.sqrt(max(state.cov[k, 0, 0], 0.0))
             row[f"mean_{k}"] = m
             row[f"lo_{k}"] = m - 2.0 * s
             row[f"hi_{k}"] = m + 2.0 * s

@@ -1,9 +1,13 @@
 """Kalman prediction/update, RTS smoothing, posterior sampling, dense output.
 
-States stack ``d`` independent blocks of ``q+1`` entries each, one block per
-ODE dimension, laid out contiguously: ``(y_k, y_k', ..., y_k^(q))`` for
-dimension ``k``.  Covariances are stored as full matrices of that order and
-stay block-diagonal under every operation here.
+A state stacks ``d`` independent blocks of ``q+1`` entries, one block per
+ODE dimension.  The mean is the flat vector ``(y_0, y_0', ..., y_0^(q),
+y_1, ...)`` of length d(q+1).  The covariance is stored as its d diagonal
+blocks, an array of shape ``(d, q+1, q+1)``: under the IWP prior the
+dimensions never couple, so the off-diagonal blocks are zero and are never
+formed.  Every operation here acts on all blocks at once through batched
+small-matrix products, so a step costs O(d (q+1)^3) and a state takes
+O(d (q+1)^2) memory.
 
 Update uses the Joseph form internally, which stays PSD even with exact
 (zero-noise) observations; the plain form is kept for cross-checks.
@@ -38,7 +42,12 @@ class SingularUpdateError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class GaussState:
-    """Gaussian state at one time point: mean vector and covariance matrix."""
+    """Gaussian state at one time point.
+
+    ``mean`` is the flat block-interleaved vector of length d(q+1); ``cov``
+    is the stack of the d per-dimension covariance blocks, shape
+    ``(d, q+1, q+1)``.
+    """
 
     t: float
     mean: np.ndarray
@@ -49,13 +58,16 @@ class GaussState:
         cov = np.asarray(self.cov, dtype=float)
         if mean.ndim != 1:
             raise ValueError("mean must be a vector")
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError(f"cov shape {cov.shape} does not match mean size {mean.size}")
+        if cov.ndim != 3 or cov.shape[1] != cov.shape[2] or cov.shape[0] * cov.shape[1] != mean.size:
+            raise ValueError(
+                f"cov shape {cov.shape} is not a (d, q+1, q+1) block stack for mean size {mean.size}"
+            )
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
     def std(self) -> np.ndarray:
-        return np.sqrt(np.clip(np.diag(self.cov), 0.0, None))
+        """Marginal standard deviations, flat like ``mean``."""
+        return np.sqrt(np.clip(np.diagonal(self.cov, axis1=1, axis2=2), 0.0, None)).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -78,51 +90,49 @@ class ObservationModel:
             raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
 
 
+def _transpose(M: np.ndarray) -> np.ndarray:
+    return np.swapaxes(M, -1, -2)
+
+
 def _symmetrize(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+    return 0.5 * (M + _transpose(M))
 
 
-def _as_blocks(transition, d: int) -> list[DiscreteTransition]:
-    if isinstance(transition, DiscreteTransition):
-        return [transition] * d
-    blocks = list(transition)
-    if len(blocks) != d:
-        raise ValueError(f"expected {d} per-dimension transitions, got {len(blocks)}")
-    return blocks
+def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Apply one block (or a stack of d blocks) to flat block vectors.
+
+    ``x`` has trailing axis d(q+1); the result has the shape of ``x``.
+    """
+    q1 = M.shape[-1]
+    return np.matmul(M, x.reshape(x.shape[:-1] + (-1, q1, 1))).reshape(x.shape)
 
 
-def _infer_layout(state: GaussState, block: int) -> int:
-    n = state.mean.size
-    if n % block != 0:
-        raise ValueError(f"state of size {n} is not a stack of blocks of size {block}")
-    return n // block
+def predict_mean(state: GaussState, transition: DiscreteTransition) -> np.ndarray:
+    """Predicted mean A m, the same numbers :func:`predict` produces."""
+    return _matvec(transition.A, state.mean)
 
 
-def predict(state: GaussState, transition) -> GaussState:
+def predict(state: GaussState, transition: DiscreteTransition, sigma2=None) -> GaussState:
     """Propagate a state through one step: m -> A m, C -> A C A^T + Q.
 
-    ``transition`` is a single block applied to every dimension, or a
-    sequence with one (sigma2-scaled) block per dimension.  The output
-    covariance is re-symmetrized.
+    ``transition`` is one unit block shared by every dimension.  ``sigma2``,
+    if given, holds one diffusion scale per dimension and replaces ``Q`` by
+    ``sigma2[k] * Q`` in block ``k``.  The output covariance is
+    re-symmetrized.
     """
-    block = (
-        transition.A.shape[0]
-        if isinstance(transition, DiscreteTransition)
-        else transition[0].A.shape[0]
-    )
-    d = _infer_layout(state, block)
-    blocks = _as_blocks(transition, d)
-    A = blocks[0].A
-    A_full = np.kron(np.eye(d), A) if d > 1 else A
-    Q_full = np.zeros((d * block, d * block))
-    for k, tr in enumerate(blocks):
-        if tr.A.shape != (block, block):
-            raise ValueError("mixed block sizes in transition sequence")
-        sl = slice(k * block, (k + 1) * block)
-        Q_full[sl, sl] = tr.Q
-    mean = A_full @ state.mean
-    cov = _symmetrize(A_full @ state.cov @ A_full.T + Q_full)
-    return GaussState(t=state.t + blocks[0].h, mean=mean, cov=cov)
+    A, Q = transition.A, transition.Q
+    if sigma2 is not None:
+        sigma2 = np.asarray(sigma2, dtype=float)
+        if sigma2.shape != state.cov.shape[:1]:
+            raise ValueError(
+                f"expected {state.cov.shape[0]} diffusion scales, got shape {sigma2.shape}"
+            )
+        if not (sigma2.min() >= 0.0 and sigma2.max() < np.inf):
+            raise ValueError(f"diffusion scales must be finite and >= 0, got {sigma2}")
+        Q = sigma2[:, None, None] * Q
+    mean = _matvec(A, state.mean)
+    cov = _symmetrize(A @ state.cov @ A.T + Q)
+    return GaussState(t=state.t + transition.h, mean=mean, cov=cov)
 
 
 def update(
@@ -135,54 +145,48 @@ def update(
 
     Returns the updated state and the pre-update residual ``z - H m``.
     With zero observation noise the updated state satisfies ``H m = z``
-    exactly and ``H C H^T = 0`` to round-off.
+    exactly and ``H C H^T = 0`` to round-off.  All blocks are conditioned
+    at once; each is a rank-1 update of its own (q+1)-square.
 
-    A dimension whose innovation variance is at round-off scale carries no
-    new information (that slot is already exactly known) and is skipped
-    rather than divided by ~0.  A negative innovation variance means the
-    covariance was invalid and raises :class:`SingularUpdateError`.
+    A block whose innovation variance is at round-off scale of its own
+    diagonal carries no new information (that slot is already exactly
+    known) and is skipped rather than divided by ~0.  A negative innovation
+    variance means the covariance was invalid and raises
+    :class:`SingularUpdateError`.
     """
     if form not in ("joseph", "plain"):
         raise ValueError(f"unknown update form {form!r}")
+    d, q1, _ = state.cov.shape
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    d = z.size
-    n = state.mean.size
-    if n % d != 0:
-        raise ValueError(f"observation of size {d} does not match state of size {n}")
-    block = n // d
+    if z.shape != (d,):
+        raise ValueError(f"observation of shape {z.shape} does not match {d} state blocks")
     i = obs.derivative_index
-    if i >= block:
-        raise ValueError(f"derivative_index {i} outside state order {block - 1}")
+    if i >= q1:
+        raise ValueError(f"derivative_index {i} outside state order {q1 - 1}")
     r2 = obs.noise
 
-    mean = state.mean.copy()
-    cov = state.cov.copy()
-    residual = np.empty(d)
-    for k in range(d):
-        idx = k * block + i
-        residual[k] = z[k] - state.mean[idx]
-        s = cov[idx, idx] + r2
-        sl = slice(k * block, (k + 1) * block)
-        scale = max(1.0, float(np.max(np.abs(np.diag(cov[sl, sl])))))
-        if s < -_EPS * scale:
-            raise SingularUpdateError(
-                f"negative innovation variance {s} in dimension {k}"
-            )
-        if s <= _EPS * scale:
-            # Degenerate: the observed slot is already exactly determined.
-            continue
-        gain = cov[:, idx] / s
-        mean = mean + gain * (z[k] - mean[idx])
-        if form == "joseph":
-            # (I - K H) C (I - K H)^T + R^2 K K^T, one rank-1 factor at a time.
-            c1 = cov - np.outer(gain, cov[idx, :])
-            cov = c1 - np.outer(c1[:, idx], gain)
-            if r2 > 0:
-                cov = cov + r2 * np.outer(gain, gain)
-        else:
-            cov = cov - np.outer(gain, gain) * s
-        cov = _symmetrize(cov)
-    return GaussState(t=state.t, mean=mean, cov=cov), residual
+    cov = state.cov
+    mean = state.mean.reshape(d, q1)
+    residual = z - mean[:, i]
+    s = cov[:, i, i] + r2
+    tol = _EPS * np.max(np.abs(np.diagonal(cov, axis1=1, axis2=2)), axis=1)
+    negative = s < -tol
+    if negative.any():
+        k = int(np.argmax(negative))
+        raise SingularUpdateError(f"negative innovation variance {s[k]} in dimension {k}")
+    # Degenerate blocks (observed slot already exactly determined) get zero gain.
+    live = s > tol
+    gain = np.divide(cov[:, :, i], s[:, None], out=np.zeros((d, q1)), where=live[:, None])
+    mean = mean + gain * np.where(live, residual, 0.0)[:, None]
+    if form == "joseph":
+        # (I - K H) C (I - K H)^T + R^2 K K^T, one rank-1 factor at a time.
+        c1 = cov - gain[:, :, None] * cov[:, None, i, :]
+        cov = c1 - c1[:, :, i, None] * gain[:, None, :]
+        if r2 > 0:
+            cov = cov + r2 * (gain[:, :, None] * gain[:, None, :])
+    else:
+        cov = cov - (gain[:, :, None] * gain[:, None, :]) * s[:, None, None]
+    return GaussState(t=state.t, mean=mean.reshape(-1), cov=_symmetrize(cov)), residual
 
 
 @dataclass(eq=False)
@@ -191,8 +195,8 @@ class SolutionPath:
 
     The path is append-only while filtering and written once by smoothing.
     Per-interval step sizes and diffusion scales are stored instead of the
-    full transition matrices; transitions are rebuilt on demand, which keeps
-    long paths compact.
+    transition matrices, which smoothing and interpolation rebuild on
+    demand; this keeps long paths compact.
     """
 
     model: IwpModel
@@ -221,26 +225,14 @@ class SolutionPath:
         self.predictions.append(prediction)
         self.filtered.append(filtered)
 
-    def transitions_at(self, i: int) -> tuple[DiscreteTransition, ...]:
-        """Per-dimension transitions of interval ``i`` (knots[i] -> knots[i+1])."""
-        base = discrete_transition(self.model, self.step_sizes[i], sigma2=1.0)
-        return tuple(base.scaled(float(s)) for s in self.step_sigma2[i])
 
-    @property
-    def transitions(self) -> list[tuple[DiscreteTransition, ...]]:
-        return [self.transitions_at(i) for i in range(len(self.step_sizes))]
+def _unit_a(path: SolutionPath, h: float) -> np.ndarray:
+    return discrete_transition(path.model, h, sigma2=1.0).A
 
 
-def _full_transition_matrix(path: SolutionPath, i: int) -> np.ndarray:
-    A = discrete_transition(path.model, path.step_sizes[i], sigma2=1.0).A
-    if path.model.dim == 1:
-        return A
-    return np.kron(np.eye(path.model.dim), A)
-
-
-def _smoother_gain(c_filt: np.ndarray, a_full: np.ndarray, c_pred_next: np.ndarray) -> np.ndarray:
+def _smoother_gain(c_filt: np.ndarray, a: np.ndarray, c_pred_next: np.ndarray) -> np.ndarray:
     # pinv handles exactly-known (rank-deficient) slots: no information, zero gain.
-    return c_filt @ a_full.T @ np.linalg.pinv(c_pred_next, hermitian=True)
+    return c_filt @ a.T @ np.linalg.pinv(c_pred_next, hermitian=True)
 
 
 def smooth(path: SolutionPath) -> SolutionPath:
@@ -257,24 +249,22 @@ def smooth(path: SolutionPath) -> SolutionPath:
     out: list[GaussState | None] = [None] * n
     out[-1] = path.filtered[-1]
     for i in range(n - 2, -1, -1):
-        a_full = _full_transition_matrix(path, i)
         filt = path.filtered[i]
         pred_next = path.predictions[i + 1]
         nxt = out[i + 1]
-        G = _smoother_gain(filt.cov, a_full, pred_next.cov)
-        mean = filt.mean + G @ (nxt.mean - pred_next.mean)
-        cov = _symmetrize(filt.cov + G @ (nxt.cov - pred_next.cov) @ G.T)
+        G = _smoother_gain(filt.cov, _unit_a(path, path.step_sizes[i]), pred_next.cov)
+        mean = filt.mean + _matvec(G, nxt.mean - pred_next.mean)
+        cov = _symmetrize(filt.cov + G @ (nxt.cov - pred_next.cov) @ _transpose(G))
         out[i] = GaussState(t=filt.t, mean=mean, cov=cov)
     path.smoothed = out  # type: ignore[assignment]
     return path
 
 
 def _draw_gaussian(rng: np.random.Generator, mean: np.ndarray, cov: np.ndarray, count: int) -> np.ndarray:
-    """Draw ``count`` samples of N(mean, cov); tolerates rank-deficient cov."""
+    """Draw ``count`` samples of N(mean, blocks); tolerates rank-deficient blocks."""
     w, V = np.linalg.eigh(_symmetrize(cov))
-    w = np.clip(w, 0.0, None)
-    root = V * np.sqrt(w)
-    return mean + rng.standard_normal((count, mean.size)) @ root.T
+    root = V * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
+    return mean + _matvec(root, rng.standard_normal((count, mean.size)))
 
 
 def sample_posterior(path: SolutionPath, seed: int, count: int) -> np.ndarray:
@@ -293,12 +283,11 @@ def sample_posterior(path: SolutionPath, seed: int, count: int) -> np.ndarray:
     last = path.smoothed[-1]
     out[:, -1, :] = _draw_gaussian(rng, last.mean, last.cov, count)
     for i in range(n - 2, -1, -1):
-        a_full = _full_transition_matrix(path, i)
         filt = path.filtered[i]
         pred_next = path.predictions[i + 1]
-        G = _smoother_gain(filt.cov, a_full, pred_next.cov)
-        cond_mean = filt.mean + (out[:, i + 1, :] - pred_next.mean) @ G.T
-        cond_cov = _symmetrize(filt.cov - G @ pred_next.cov @ G.T)
+        G = _smoother_gain(filt.cov, _unit_a(path, path.step_sizes[i]), pred_next.cov)
+        cond_mean = filt.mean + _matvec(G, out[:, i + 1, :] - pred_next.mean)
+        cond_cov = _symmetrize(filt.cov - G @ pred_next.cov @ _transpose(G))
         out[:, i, :] = cond_mean + _draw_gaussian(rng, np.zeros(filt.mean.size), cond_cov, count)
     return out
 
@@ -330,22 +319,16 @@ def interpolate(path: SolutionPath, t: float, allow_extrapolation: bool = False)
                 f"t={t} is past the last knot {knots[-1]}; "
                 "pass allow_extrapolation=True to predict forward"
             )
-        delta = t - knots[-1]
-        base = discrete_transition(path.model, delta, sigma2=1.0)
+        base = discrete_transition(path.model, t - knots[-1], sigma2=1.0)
         sig = path.step_sigma2[-1] if path.step_sigma2 else path.model.sigma2
-        return predict(path.smoothed[-1], [base.scaled(float(s)) for s in sig])
+        return predict(path.smoothed[-1], base, sig)
 
     i = int(np.searchsorted(knots, t)) - 1
-    delta = t - knots[i]
-    remainder = knots[i + 1] - t
-    sig = path.step_sigma2[i]
-    fwd = discrete_transition(path.model, delta, sigma2=1.0)
-    pred_t = predict(path.filtered[i], [fwd.scaled(float(s)) for s in sig])
-    back = discrete_transition(path.model, remainder, sigma2=1.0)
-    a_back = back.A if path.model.dim == 1 else np.kron(np.eye(path.model.dim), back.A)
+    fwd = discrete_transition(path.model, t - knots[i], sigma2=1.0)
+    pred_t = predict(path.filtered[i], fwd, path.step_sigma2[i])
     pred_next = path.predictions[i + 1]
     nxt = path.smoothed[i + 1]
-    G = pred_t.cov @ a_back.T @ np.linalg.pinv(pred_next.cov, hermitian=True)
-    mean = pred_t.mean + G @ (nxt.mean - pred_next.mean)
-    cov = _symmetrize(pred_t.cov + G @ (nxt.cov - pred_next.cov) @ G.T)
+    G = _smoother_gain(pred_t.cov, _unit_a(path, knots[i + 1] - t), pred_next.cov)
+    mean = pred_t.mean + _matvec(G, nxt.mean - pred_next.mean)
+    cov = _symmetrize(pred_t.cov + G @ (nxt.cov - pred_next.cov) @ _transpose(G))
     return GaussState(t=t, mean=mean, cov=cov)

@@ -21,6 +21,7 @@ from .filtering import (
     ObservationModel,
     SolutionPath,
     predict,
+    predict_mean,
     update,
 )
 from .priors import IwpModel, discrete_transition, make_iwp
@@ -99,10 +100,13 @@ class SolverConfig:
 
     ``eps`` is the error-test tolerance; ``per_unit_step`` selects whether
     the test bound is eps*h (True, error per unit step) or eps (False, error
-    per step, the default).  The per-step convention is the one under which
-    shrinking h always shrinks the tested quantity, so it is the robust
-    controller choice; per-unit-step testing divides that h factor away and
-    can reject forever when a derivative slot is stale.  ``fixed_step``
+    per step, the default).  Shrinking h does not always shrink the tested
+    quantity: D equals |residual| * w, and as h -> 0 it tends to
+    |f(t, y) - y'| * w, the mismatch between the vector field and the
+    state's derivative slot, not to 0.  Only an update can repair that slot,
+    so after ``max_rejections`` rejections in a row the step is forced
+    through.  The per-unit-step bound also shrinks with h and stalls sooner,
+    which is why the per-step bound is the default.  ``fixed_step``
     disables adaptivity.  ``sigma_mode`` chooses between a per-step
     diffusion estimate (``local_ml``) and a constant diffusion with a single
     whole-run estimate applied to the reported covariances afterwards
@@ -191,10 +195,6 @@ def _unit_transition(model: IwpModel, h: float):
     return discrete_transition(model, h, sigma2=1.0)
 
 
-def _scaled_blocks(base, sigma2: np.ndarray):
-    return [base.scaled(float(s)) for s in sigma2]
-
-
 def observe(
     problem: IvpProblem,
     pred: GaussState,
@@ -211,15 +211,13 @@ def observe(
     perturbed-evaluation solvers; it degenerates to ``mean`` when the
     predictive variance is zero.
     """
-    q1 = pred.mean.size // problem.dim
-    y_idx = np.arange(problem.dim) * q1
-    y_pred = pred.mean[y_idx]
+    y_pred = pred.mean[0::pred.cov.shape[1]]
     if strategy == "mean":
         loc = y_pred
     elif strategy == "sampled":
         if rng is None:
             raise ValueError("sampled observation strategy needs the run's generator")
-        var = np.clip(pred.cov[y_idx, y_idx], 0.0, None)
+        var = np.clip(pred.cov[:, 0, 0], 0.0, None)
         loc = y_pred + np.sqrt(var) * rng.standard_normal(problem.dim)
     else:
         raise ValueError(f"unknown observation strategy {strategy!r}")
@@ -243,10 +241,10 @@ def _diffuse_segment(
         raise ValueError(f"diffuse start supports q in 1..4, got {q}")
     h0 = config.resolve_h_init(problem)
     fractions = _STARTER_KNOTS[q]
-    d = problem.dim
-    n = model.state_size
     prior = GaussState(
-        t=problem.t0, mean=np.zeros(n), cov=variance * np.eye(n)
+        t=problem.t0,
+        mean=np.zeros(model.state_size),
+        cov=np.full((problem.dim, 1, 1), variance) * np.eye(model.block_size),
     )
     value_obs = ObservationModel(derivative_index=0, noise=0.0)
     deriv_obs = ObservationModel(derivative_index=1, noise=0.0)
@@ -262,8 +260,7 @@ def _diffuse_segment(
     for frac in fractions[1:]:
         t_next = problem.t0 + frac * h0
         h = t_next - times[-1]
-        base = _unit_transition(model, h)
-        pred = predict(segment[-1][1], _scaled_blocks(base, model.sigma2))
+        pred = predict(segment[-1][1], _unit_transition(model, h), model.sigma2)
         z = observe(problem, pred, t_next, config.obs_strategy, rng=rng)
         state, _ = update(pred, z, deriv_obs)
         segment.append((pred, state, h))
@@ -273,10 +270,10 @@ def _diffuse_segment(
 
 
 def _clean_cov(state: GaussState) -> GaussState:
-    """Clip round-off negativity out of a covariance (diffuse starts)."""
-    w, V = np.linalg.eigh(0.5 * (state.cov + state.cov.T))
+    """Clip round-off negativity out of each covariance block (diffuse starts)."""
+    w, V = np.linalg.eigh(0.5 * (state.cov + state.cov.transpose(0, 2, 1)))
     w = np.clip(w, 0.0, None)
-    return GaussState(t=state.t, mean=state.mean, cov=(V * w) @ V.T)
+    return GaussState(t=state.t, mean=state.mean, cov=(V * w[:, None, :]) @ V.transpose(0, 2, 1))
 
 
 def _initial_segment(
@@ -288,13 +285,10 @@ def _initial_segment(
     """Initialization knots as (prediction, filtered, incoming h) triples."""
     if config.init_mode == "exact":
         h0 = config.resolve_h_init(problem)
-        q = model.q
-        n = model.state_size
-        diag = np.empty(n)
-        for k in range(problem.dim):
-            for i in range(q + 1):
-                diag[k * (q + 1) + i] = model.sigma2[k] * h0 ** (2 * (q - i) + 1)
-        prior = GaussState(t=problem.t0, mean=np.zeros(n), cov=np.diag(diag))
+        slots = np.arange(model.block_size)
+        cov = np.zeros((problem.dim, model.block_size, model.block_size))
+        cov[:, slots, slots] = model.sigma2[:, None] * h0 ** (2 * (model.q - slots) + 1)
+        prior = GaussState(t=problem.t0, mean=np.zeros(model.state_size), cov=cov)
         state, _ = update(prior, problem.y0, ObservationModel(derivative_index=0))
         z0 = observe(problem, state, problem.t0, config.obs_strategy, rng=rng)
         if not np.all(np.isfinite(z0)):
@@ -319,12 +313,7 @@ def _initial_segment(
             m_k, c_k = rk_starter_q4(u, v, h0, float(model.sigma2[k]), z_k, float(problem.y0[k]))
             means.append(m_k)
             covs.append(c_k)
-        n = model.state_size
-        cov = np.zeros((n, n))
-        for k in range(problem.dim):
-            sl = slice(k * 5, (k + 1) * 5)
-            cov[sl, sl] = covs[k]
-        final = GaussState(t=state_last.t, mean=np.concatenate(means), cov=cov)
+        final = GaussState(t=state_last.t, mean=np.concatenate(means), cov=np.stack(covs))
         segment[-1] = (pred_last, final, h_last)
         return segment
     # Diffuse arithmetic leaves round-off scale indefiniteness behind.
@@ -411,12 +400,11 @@ def solve(
 
         base = _unit_transition(model, h)
         q1 = model.block_size
-        a_full = base.A if model.dim == 1 else np.kron(np.eye(model.dim), base.A)
-        pred_mean = a_full @ state.mean
+        pred_mean = predict_mean(state, base)
         if config.obs_strategy == "sampled":
             # The draw needs the predictive variance; size it with the most
             # recently accepted diffusion estimate.
-            pred_state = predict(state, _scaled_blocks(base, current_sigma2))
+            pred_state = predict(state, base, current_sigma2)
             z = observe(problem, pred_state, t_next, "sampled", rng=rng)
         else:
             z = problem.eval_rhs(t_next, pred_mean[0::q1])
@@ -463,8 +451,7 @@ def solve(
                            accepted=True, h_next=h_next)
             )
 
-        blocks = _scaled_blocks(base, sigma2_step)
-        prediction = predict(state, blocks)
+        prediction = predict(state, base, sigma2_step)
         state, _ = update(prediction, z, deriv_obs)
         path.append(prediction, state, h, sigma2_step)
         sigma2_trace.append(np.asarray(sigma2_step, dtype=float))
@@ -495,17 +482,11 @@ def _apply_global_sigma2(result: SolveResult, model: IwpModel, sigma2_global: np
     the Kalman gains do not depend on its value.
     """
     factors = sigma2_global / model.sigma2
-    q1 = model.block_size
-    scale = np.repeat(factors, q1)
-    outer = np.sqrt(np.outer(scale, scale))
+    scale = factors[:, None, None]
 
     path = result.path
-    path.filtered = [
-        GaussState(s.t, s.mean, s.cov * outer) for s in path.filtered
-    ]
-    path.predictions = [
-        GaussState(s.t, s.mean, s.cov * outer) for s in path.predictions
-    ]
+    path.filtered = [GaussState(s.t, s.mean, s.cov * scale) for s in path.filtered]
+    path.predictions = [GaussState(s.t, s.mean, s.cov * scale) for s in path.predictions]
     path.step_sigma2 = [sig * factors for sig in path.step_sigma2]
     path.smoothed = None
     result.sigma2_trace = result.sigma2_trace * factors

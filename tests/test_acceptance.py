@@ -66,7 +66,7 @@ def test_criterion_2_trapezoid_equivalence():
         rel = np.abs(means[2:] - oracle[2:, 0]) / np.abs(oracle[2:, 0])
         assert np.max(rel) <= 1e-12
         # variance of the solution slot after the first full step
-        c00 = res.path.filtered[1].cov[0, 0]
+        c00 = res.path.filtered[1].cov[0, 0, 0]
         sigma2_first = res.sigma2_trace[0, 0]
         assert c00 == pytest.approx(sigma2_first * h**3 / 12, rel=1e-12)
 

@@ -137,7 +137,7 @@ class TestStarter:
 
         def diffuse_run(var):
             prob = get_problem("logistic")
-            state = GaussState(0.0, np.zeros(5), var * np.eye(5))
+            state = GaussState(0.0, np.zeros(5), var * np.eye(5)[None])
             state, _ = update(state, [0.1], ObservationModel(0, 0.0))
             zs, t_prev = [], 0.0
             for tk in (0.0, u * h, v * h, h):
@@ -147,7 +147,7 @@ class TestStarter:
                 state, _ = update(state, z, ObservationModel(1, 0.0))
                 zs.append(float(np.atleast_1d(z)[0]))
                 t_prev = tk
-            return state.mean, state.cov, np.array(zs)
+            return state.mean, state.cov[0], np.array(zs)
 
         v1, v2 = 1e5, 1e7
         m1, c1, z1 = diffuse_run(v1)

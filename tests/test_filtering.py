@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from odefilter import (
     GaussState,
+    IvpProblem,
     ObservationModel,
     SolverConfig,
     discrete_transition,
@@ -23,24 +25,29 @@ def _rand_psd(rng, n, rank=None):
     return m @ m.T + 1e-10 * np.eye(n)
 
 
+def _diag(blocks):
+    """Diagonal of a block-stacked covariance, flat like the mean."""
+    return np.diagonal(blocks, axis1=1, axis2=2).reshape(-1)
+
+
 class TestPredict:
     def test_zero_state_gets_q(self):
         m = make_iwp(2, [1.0], 1)
         tr = discrete_transition(m, 0.4)
-        out = predict(GaussState(0.0, np.zeros(3), np.zeros((3, 3))), tr)
+        out = predict(GaussState(0.0, np.zeros(3), np.zeros((1, 3, 3))), tr)
         assert np.array_equal(out.mean, np.zeros(3))
-        np.testing.assert_allclose(out.cov, tr.Q, atol=1e-16)
+        np.testing.assert_allclose(out.cov[0], tr.Q, atol=1e-16)
         assert out.t == 0.4
 
     def test_hand_mean_product(self):
         tr = discrete_transition(make_iwp(1, [1.0], 1), 0.3)
-        out = predict(GaussState(0.0, np.array([0.1, 0.27]), np.zeros((2, 2))), tr)
+        out = predict(GaussState(0.0, np.array([0.1, 0.27]), np.zeros((1, 2, 2))), tr)
         np.testing.assert_allclose(out.mean, [0.181, 0.27], rtol=1e-15)
 
     def test_two_small_steps_equal_one_big(self):
         m = make_iwp(2, [1.0], 1)
         rng = np.random.default_rng(3)
-        state = GaussState(0.0, rng.standard_normal(3), _rand_psd(rng, 3))
+        state = GaussState(0.0, rng.standard_normal(3), _rand_psd(rng, 3)[None])
         via_two = predict(predict(state, discrete_transition(m, 0.2)), discrete_transition(m, 0.2))
         via_one = predict(state, discrete_transition(m, 0.4))
         np.testing.assert_allclose(via_two.mean, via_one.mean, atol=1e-12)
@@ -51,25 +58,30 @@ class TestPredict:
         from odefilter import transition_blocks
 
         blocks = transition_blocks(m, 0.5)
-        state = GaussState(0.0, np.array([1.0, 0.0, 2.0, 0.0]), np.zeros((4, 4)))
-        out = predict(state, blocks)
-        np.testing.assert_allclose(out.cov[:2, :2], blocks[0].Q)
-        np.testing.assert_allclose(out.cov[2:, 2:], blocks[1].Q)
-        assert np.all(out.cov[:2, 2:] == 0.0)
+        state = GaussState(0.0, np.array([1.0, 0.0, 2.0, 0.0]), np.zeros((2, 2, 2)))
+        out = predict(state, discrete_transition(m, 0.5, sigma2=1.0), m.sigma2)
+        np.testing.assert_allclose(out.cov[0], blocks[0].Q)
+        np.testing.assert_allclose(out.cov[1], blocks[1].Q)
+
+    @pytest.mark.parametrize("sigma2", [[1.0], [1.0, -1.0], [1.0, np.inf], [1.0, np.nan]])
+    def test_diffusion_scales_validated(self, sigma2):
+        state = GaussState(0.0, np.zeros(4), np.zeros((2, 2, 2)))
+        with pytest.raises(ValueError):
+            predict(state, discrete_transition(make_iwp(1, [1.0], 1), 0.5), sigma2)
 
 
 class TestUpdate:
     def _predicted(self, h=0.3):
         m = make_iwp(1, [1.0], 1)
         tr = discrete_transition(m, h)
-        return predict(GaussState(0.0, np.array([0.1, 0.27]), np.zeros((2, 2))), tr)
+        return predict(GaussState(0.0, np.array([0.1, 0.27]), np.zeros((1, 2, 2))), tr)
 
     def test_zero_residual_keeps_mean_shrinks_cov(self):
         pred = self._predicted()
         out, resid = update(pred, [0.27], ObservationModel(1, 0.0))
         assert resid[0] == 0.0
         np.testing.assert_allclose(out.mean, pred.mean, atol=1e-16)
-        assert out.cov[1, 1] < pred.cov[1, 1]
+        assert out.cov[0, 1, 1] < pred.cov[0, 1, 1]
 
     def test_logistic_hand_value(self):
         # One step of size 0.3 from the exactly-known start of the logistic
@@ -80,18 +92,18 @@ class TestUpdate:
         assert z == pytest.approx(0.444717, abs=1e-9)
         out, _ = update(pred, [z], ObservationModel(1, 0.0))
         assert out.mean[0] == pytest.approx(0.20720755, abs=1e-10)
-        assert out.cov[0, 0] == pytest.approx(0.3**3 / 12, rel=1e-12)
+        assert out.cov[0, 0, 0] == pytest.approx(0.3**3 / 12, rel=1e-12)
 
     def test_exact_observation_is_interpolated(self):
         rng = np.random.default_rng(7)
-        state = GaussState(0.0, rng.standard_normal(3), _rand_psd(rng, 3))
+        state = GaussState(0.0, rng.standard_normal(3), _rand_psd(rng, 3)[None])
         out, _ = update(state, [1.23], ObservationModel(1, 0.0))
         assert out.mean[1] == pytest.approx(1.23, abs=1e-14)
-        assert abs(out.cov[1, 1]) <= 1e-12 * np.max(np.abs(state.cov))
+        assert abs(out.cov[0, 1, 1]) <= 1e-12 * np.max(np.abs(state.cov))
 
     def test_repeated_update_idempotent(self):
         rng = np.random.default_rng(11)
-        state = GaussState(0.0, rng.standard_normal(3), _rand_psd(rng, 3))
+        state = GaussState(0.0, rng.standard_normal(3), _rand_psd(rng, 3)[None])
         once, _ = update(state, [0.5], ObservationModel(1, 0.0))
         twice, _ = update(once, [0.5], ObservationModel(1, 0.0))
         np.testing.assert_allclose(twice.mean, once.mean, atol=1e-12)
@@ -100,7 +112,8 @@ class TestUpdate:
     def test_joseph_matches_plain_form(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            state = GaussState(0.0, rng.standard_normal(4), _rand_psd(rng, 4))
+            cov = np.stack([_rand_psd(rng, 2), _rand_psd(rng, 2)])
+            state = GaussState(0.0, rng.standard_normal(4), cov)
             for noise in (0.0, 0.3):
                 a, _ = update(state, [0.2, -0.4], ObservationModel(1, noise), form="joseph")
                 b, _ = update(state, [0.2, -0.4], ObservationModel(1, noise), form="plain")
@@ -110,18 +123,27 @@ class TestUpdate:
 
     def test_degenerate_direction_skipped(self):
         # Fully-known state: no innovation variance, update is a no-op.
-        state = GaussState(0.0, np.array([1.0, 2.0]), np.zeros((2, 2)))
+        state = GaussState(0.0, np.array([1.0, 2.0]), np.zeros((1, 2, 2)))
         out, resid = update(state, [5.0], ObservationModel(1, 0.0))
         np.testing.assert_array_equal(out.mean, state.mean)
         assert resid[0] == 3.0
 
+    def test_tiny_scale_block_is_not_degenerate(self):
+        # Degeneracy is judged against the block's own diagonal, so a block
+        # whose variances all sit far below 1 is still conditioned.
+        cov = np.array([[[4e-17, 0.0], [0.0, 1e-18]], [[1.0, 0.0], [0.0, 1.0]]])
+        state = GaussState(0.0, np.zeros(4), cov)
+        out, _ = update(state, [0.1, 0.2], ObservationModel(0, 0.0))
+        np.testing.assert_array_equal(out.mean, [0.1, 0.0, 0.2, 0.0])
+        assert out.cov[0, 0, 0] == 0.0 and out.cov[0, 1, 1] == 1e-18
+
     def test_negative_innovation_raises(self):
-        bad = GaussState(0.0, np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
+        bad = GaussState(0.0, np.zeros(2), np.array([[[1.0, 0.0], [0.0, -1.0]]]))
         with pytest.raises(SingularUpdateError):
             update(bad, [0.1], ObservationModel(1, 0.0))
 
     def test_dimension_checks(self):
-        state = GaussState(0.0, np.zeros(3), np.zeros((3, 3)))
+        state = GaussState(0.0, np.zeros(3), np.zeros((1, 3, 3)))
         with pytest.raises(ValueError):
             update(state, [1.0, 2.0], ObservationModel(1, 0.0))
         with pytest.raises(ValueError):
@@ -138,7 +160,7 @@ class TestSmooth:
     def test_single_knot_path(self):
         m = make_iwp(1, [1.0], 1)
         path = SolutionPath(model=m)
-        state = GaussState(0.0, np.array([1.0, 0.0]), np.eye(2))
+        state = GaussState(0.0, np.array([1.0, 0.0]), np.eye(2)[None])
         path.append(state, state, None)
         smooth(path)
         assert path.smoothed[0] is state
@@ -151,10 +173,10 @@ class TestSmooth:
         m = make_iwp(1, [1.0], 1)
         tr = discrete_transition(m, 0.5)
         path = SolutionPath(model=m)
-        s0 = GaussState(0.0, np.array([1.0, 2.0]), np.zeros((2, 2)))
+        s0 = GaussState(0.0, np.array([1.0, 2.0]), np.zeros((1, 2, 2)))
         path.append(s0, s0, None)
         pred = predict(s0, tr)
-        s1 = GaussState(0.5, np.array([2.5, 3.0]), np.zeros((2, 2)))
+        s1 = GaussState(0.5, np.array([2.5, 3.0]), np.zeros((1, 2, 2)))
         path.append(pred, s1, 0.5, m.sigma2)
         smooth(path)
         np.testing.assert_array_equal(path.smoothed[0].mean, s0.mean)
@@ -173,7 +195,7 @@ class TestSmooth:
         for filt, sm in zip(path.filtered, path.smoothed):
             scale = max(np.max(np.abs(filt.cov)), 1e-30)
             assert np.linalg.eigvalsh(sm.cov).min() >= -1e-10 * scale
-            assert np.all(np.diag(sm.cov) <= np.diag(filt.cov) + 1e-10 * scale)
+            assert np.all(_diag(sm.cov) <= _diag(filt.cov) + 1e-10 * scale)
 
     def test_smoothed_interpolant_continuous_across_knots(self):
         path = smooth(_logistic_path())
@@ -199,7 +221,7 @@ class TestSmooth:
         h = 0.25
         tr = discrete_transition(m, h)
         path = SolutionPath(model=m)
-        state = GaussState(0.0, taylor(0.0), np.zeros((q + 1, q + 1)))
+        state = GaussState(0.0, taylor(0.0), np.zeros((1, q + 1, q + 1)))
         path.append(state, state, None)
         for n in range(1, 7):
             pred = predict(state, tr)
@@ -216,10 +238,10 @@ class TestSamplePosterior:
     def test_zero_covariance_samples_equal_mean(self):
         m = make_iwp(1, [1.0], 1)
         path = SolutionPath(model=m)
-        s0 = GaussState(0.0, np.array([1.0, 2.0]), np.zeros((2, 2)))
+        s0 = GaussState(0.0, np.array([1.0, 2.0]), np.zeros((1, 2, 2)))
         path.append(s0, s0, None)
         pred = predict(s0, discrete_transition(m, 0.5))
-        s1 = GaussState(0.5, np.array([2.0, 2.0]), np.zeros((2, 2)))
+        s1 = GaussState(0.5, np.array([2.0, 2.0]), np.zeros((1, 2, 2)))
         path.append(pred, s1, 0.5, m.sigma2)
         smooth(path)
         draws = sample_posterior(path, seed=0, count=4)
@@ -237,7 +259,7 @@ class TestSamplePosterior:
         m = make_iwp(1, [1.0], 1)
         path = SolutionPath(model=m)
         cov = np.array([[2.0, 0.3], [0.3, 0.5]])
-        state = GaussState(0.0, np.array([1.0, -1.0]), cov)
+        state = GaussState(0.0, np.array([1.0, -1.0]), cov[None])
         path.append(state, state, None)
         smooth(path)
         draws = sample_posterior(path, seed=2024, count=10_000)[:, 0, :]
@@ -256,7 +278,7 @@ class TestSamplePosterior:
         path = smooth(_logistic_path())
         draws = sample_posterior(path, seed=5, count=4000)
         sm = np.array([s.mean for s in path.smoothed])
-        stds = np.array([np.sqrt(np.clip(np.diag(s.cov), 1e-30, None)) for s in path.smoothed])
+        stds = np.array([np.sqrt(np.clip(_diag(s.cov), 1e-30, None)) for s in path.smoothed])
         err = np.abs(draws.mean(axis=0) - sm)
         assert np.all(err <= 5 * stds / np.sqrt(4000) + 1e-12)
 
@@ -287,10 +309,10 @@ class TestInterpolate:
         x0 = np.array([1.0, -0.5, 0.2])
         x1 = np.array([0.7, 0.1, -0.3])
         path = SolutionPath(model=m)
-        s0 = GaussState(0.0, x0, np.zeros((3, 3)))
+        s0 = GaussState(0.0, x0, np.zeros((1, 3, 3)))
         path.append(s0, s0, None)
         pred = predict(s0, tr)
-        path.append(pred, GaussState(h, x1, np.zeros((3, 3))), h, m.sigma2)
+        path.append(pred, GaussState(h, x1, np.zeros((1, 3, 3))), h, m.sigma2)
         smooth(path)
 
         t = 0.3
@@ -305,7 +327,7 @@ class TestInterpolate:
         want_mean = mid_mean + gain @ (x1 - a2.A @ mid_mean)
         want_cov = mid_cov - gain @ cross.T
         np.testing.assert_allclose(got.mean, want_mean, atol=1e-10)
-        np.testing.assert_allclose(got.cov, want_cov, atol=1e-10)
+        np.testing.assert_allclose(got.cov[0], want_cov, atol=1e-10)
 
     def test_mean_continuous_in_time(self):
         path = smooth(_logistic_path())
@@ -314,3 +336,85 @@ class TestInterpolate:
         for delta in (1e-6, 1e-8):
             drift = np.max(np.abs(interpolate(path, t + delta).mean - base))
             assert drift <= 50.0 * delta + 1e-12
+
+
+# Dense reference: the d(q+1)-square representation, with kron-built
+# transitions, a per-dimension loop of rank-1 Joseph updates and a dense
+# pseudo-inverse.  The block path must reproduce it to round-off.
+def _dense_predict(mean, cov, A, Q, sigma2):
+    A_full = np.kron(np.eye(sigma2.size), A)
+    return A_full @ mean, A_full @ cov @ A_full.T + np.kron(np.diag(sigma2), Q)
+
+
+def _dense_update(mean, cov, z, q1):
+    mean, cov = mean.copy(), cov.copy()
+    for k, z_k in enumerate(z):
+        idx, sl = k * q1 + 1, slice(k * q1, (k + 1) * q1)
+        s = cov[idx, idx]
+        if s <= np.finfo(float).eps * np.max(np.abs(np.diag(cov[sl, sl]))):
+            continue
+        gain = cov[:, idx] / s
+        mean = mean + gain * (z_k - mean[idx])
+        c1 = cov - np.outer(gain, cov[idx, :])
+        cov = c1 - np.outer(c1[:, idx], gain)
+        cov = 0.5 * (cov + cov.T)
+    return mean, cov
+
+
+def _dense_smooth_step(filt, pred_next, smoothed_next, A, d):
+    # The pseudo-inverse is numpy's, taken per block: a dense eigh of the
+    # whole predicted covariance (condition numbers reach 1e20 at tight
+    # tolerances) mixes near-equal eigenvalues across blocks and is off by
+    # far more than round-off.
+    A_full = np.kron(np.eye(d), A)
+    c_filt, c_pred = block_diag(*filt.cov), block_diag(*pred_next.cov)
+    G = c_filt @ A_full.T @ block_diag(*np.linalg.pinv(pred_next.cov, hermitian=True))
+    mean = filt.mean + G @ (smoothed_next.mean - pred_next.mean)
+    return mean, c_filt + G @ (block_diag(*smoothed_next.cov) - c_pred) @ G.T
+
+
+def _seeded_linear(d=8, seed=20161017):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d))
+    M = (g - g.T) / np.sqrt(2 * d) - np.diag(rng.uniform(0.5, 1.5, d))
+    return IvpProblem(name=f"linear{d}", dim=d, t0=0.0, T=1.0,
+                      y0=rng.standard_normal(d), rhs=lambda t, y: M @ y)
+
+
+def _assert_rel(got, want, rel=1e-12):
+    assert np.max(np.abs(got - want)) <= rel * max(np.max(np.abs(want)), 1e-300)
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("case", ["brusselator", "vdp", "linear8"])
+    def test_block_steps_match_dense(self, case):
+        if case == "linear8":
+            problem, cfg = _seeded_linear(), SolverConfig(q=2, fixed_step=0.02)
+        else:
+            problem, cfg = get_problem(case), SolverConfig(q=2, eps=1e-4, weighting_tau=0.1)
+        path = smooth(solve(problem, cfg).path)
+        d, q1 = problem.dim, cfg.q + 1
+        for i in range(0, len(path.step_sizes), max(1, len(path.step_sizes) // 40)):
+            filt, sigma2 = path.filtered[i], path.step_sigma2[i]
+            tr = discrete_transition(path.model, path.step_sizes[i], sigma2=1.0)
+            pred = predict(filt, tr, sigma2)
+            m_ref, c_ref = _dense_predict(filt.mean, block_diag(*filt.cov), tr.A, tr.Q, sigma2)
+            _assert_rel(pred.mean, m_ref)
+            _assert_rel(block_diag(*pred.cov), c_ref)
+
+            z = problem.rhs(pred.t, pred.mean[0::q1])
+            upd, _ = update(pred, z, ObservationModel(1, 0.0))
+            m_ref, c_ref = _dense_update(pred.mean, block_diag(*pred.cov), z, q1)
+            _assert_rel(upd.mean, m_ref)
+            _assert_rel(block_diag(*upd.cov), c_ref)
+
+            sm = path.smoothed[i]
+            m_ref, c_ref = _dense_smooth_step(filt, path.predictions[i + 1],
+                                              path.smoothed[i + 1], tr.A, d)
+            _assert_rel(sm.mean, m_ref)
+            _assert_rel(block_diag(*sm.cov), c_ref)
+
+    @pytest.mark.parametrize("cov_shape", [(3, 3), (2, 3, 3), (1, 3, 2), (3,)])
+    def test_cov_shape_must_match_mean(self, cov_shape):
+        with pytest.raises(ValueError, match="cov shape"):
+            GaussState(0.0, np.zeros(3), np.zeros(cov_shape))

@@ -48,16 +48,26 @@ class TestInitialize:
         model = make_iwp(2, [1.0], 1)
         st = initialize(p, SolverConfig(q=2), model)
         np.testing.assert_allclose(st.mean, [0.1, 0.27, 0.0], atol=1e-15)
-        assert np.max(np.abs(st.cov[[0, 1], :])) == 0.0
-        assert np.max(np.abs(st.cov[:, [0, 1]])) == 0.0
-        assert st.cov[2, 2] > 0.0
+        assert np.max(np.abs(st.cov[0, [0, 1], :])) == 0.0
+        assert np.max(np.abs(st.cov[0, :, [0, 1]])) == 0.0
+        assert st.cov[0, 2, 2] > 0.0
 
     def test_exact_conditions_value_for_any_problem(self):
         p = get_problem("brusselator")
         model = make_iwp(2, [1.0, 1.0], 2)
         st = initialize(p, SolverConfig(q=2), model)
         np.testing.assert_allclose(st.mean[0::3], p.y0, atol=1e-15)
-        assert st.cov[0, 0] == 0.0 and st.cov[3, 3] == 0.0
+        assert st.cov[0, 0, 0] == 0.0 and st.cov[1, 0, 0] == 0.0
+
+    def test_exact_q4_conditions_tiny_prior_variance(self):
+        # The y slot's prior variance is h_init^9 ~ 4e-17 at q = 4; an update
+        # that judged degeneracy on an absolute scale skipped the y0
+        # observation and started from the zero solution.
+        p = get_problem("logistic")
+        st = initialize(p, SolverConfig(q=4), make_iwp(4, [1.0], 1))
+        assert st.mean[0] == 0.1
+        assert st.mean[1] == pytest.approx(0.27, rel=1e-14)
+        assert st.cov[0, 0, 0] == 0.0
 
     def test_diffuse_variance_insensitive_means(self):
         model = make_iwp(2, [1.0], 1)
@@ -84,26 +94,26 @@ class TestInitialize:
 class TestObserve:
     def test_logistic_at_start(self):
         p = get_problem("logistic")
-        pred = GaussState(0.0, np.array([0.1, 0.0, 0.0]), np.zeros((3, 3)))
+        pred = GaussState(0.0, np.array([0.1, 0.0, 0.0]), np.zeros((1, 3, 3)))
         z = observe(p, pred, 0.0)
         assert z[0] == pytest.approx(0.27, rel=1e-14)
         assert p.nfev == 1
 
     def test_brusselator_value(self):
         p = get_problem("brusselator")
-        pred = GaussState(0.0, np.array([1.5, 0, 0, 3.0, 0, 0]), np.zeros((6, 6)))
+        pred = GaussState(0.0, np.array([1.5, 0, 0, 3.0, 0, 0]), np.zeros((2, 3, 3)))
         np.testing.assert_allclose(observe(p, pred, 0.0), [1.75, -2.25], rtol=1e-14)
 
     def test_sampled_degenerates_to_mean(self):
         p1, p2 = get_problem("logistic"), get_problem("logistic")
-        pred = GaussState(0.0, np.array([0.1, 0.0, 0.0]), np.zeros((3, 3)))
+        pred = GaussState(0.0, np.array([0.1, 0.0, 0.0]), np.zeros((1, 3, 3)))
         z_mean = observe(p1, pred, 0.0, "mean")
         z_samp = observe(p2, pred, 0.0, "sampled", rng=np.random.default_rng(0))
         assert np.array_equal(z_mean, z_samp)
 
     def test_sampled_needs_rng(self):
         p = get_problem("logistic")
-        pred = GaussState(0.0, np.zeros(3), np.eye(3))
+        pred = GaussState(0.0, np.zeros(3), np.eye(3)[None])
         with pytest.raises(ValueError):
             observe(p, pred, 0.0, "sampled")
 
@@ -280,7 +290,7 @@ class TestStarterModes:
         # last starter knot carries the closed-form covariance structure
         start_idx = 3  # knots of the start: 0, h/3, h/2, h
         cov = res.path.filtered[start_idx].cov
-        assert np.max(np.abs(cov[1, :])) == 0.0
+        assert np.max(np.abs(cov[0, 1, :])) == 0.0
         err = abs(res.solution_means()[-1][0] - p.exact(p.T)[0])
         assert err < 1e-5
 
