@@ -42,12 +42,10 @@ from .filtering import (
 from .priors import (
     DiscreteTransition,
     IwpModel,
-    NordsieckScaling,
     discrete_transition,
     make_iwp,
+    nordsieck_qbar,
     pascal_matrix,
-    rescale_nordsieck,
-    transition_blocks,
 )
 from .problems import (
     ReferenceOracle,

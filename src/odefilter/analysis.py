@@ -4,6 +4,9 @@ Everything here works in the Nordsieck scaling, where covariances carry a
 common factor sigma2 * h^(2q+1) and the filter's gain sequence has an
 h-independent limit.  That limit defines an equivalent constant-weight
 multistep method whose stability and order can be analyzed classically.
+The constant matrices of this scaling, the Pascal transition and the
+diffusion ``Qbar``, come from :func:`priors.pascal_matrix` and
+:func:`priors.nordsieck_qbar`, the table the solver's transitions use.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from math import factorial
 
 import numpy as np
 
-from .priors import IwpModel, pascal_matrix
+from .priors import IwpModel, nordsieck_qbar, pascal_matrix
 from .solver import IvpProblem, SolveResult, SolverConfig, solve
 
 __all__ = [
@@ -49,15 +52,6 @@ class SteadyState:
     iterations: int
 
 
-def _nordsieck_qbar(q: int) -> np.ndarray:
-    Qb = np.zeros((q + 1, q + 1))
-    for i in range(q + 1):
-        for j in range(q + 1):
-            p = 2 * q + 1 - i - j
-            Qb[i, j] = 1.0 / (p * factorial(q - i) * factorial(q - j) * factorial(i) * factorial(j))
-    return Qb
-
-
 def steady_state(model: IwpModel, h: float = 1.0, tol: float = 1e-12, max_iter: int = 10_000) -> SteadyState:
     """Iterate predict/update on the dimensionless covariance until fixed.
 
@@ -74,7 +68,7 @@ def steady_state(model: IwpModel, h: float = 1.0, tol: float = 1e-12, max_iter: 
     if np.ptp(model.sigma2) != 0.0:
         raise ValueError("steady-state analysis needs a constant sigma2")
     P = pascal_matrix(q)
-    Qb = _nordsieck_qbar(q)
+    Qb = nordsieck_qbar(q)
     mask = np.ones((q + 1, q + 1), dtype=bool)
     mask[0, 0] = False
     c = np.zeros((q + 1, q + 1))

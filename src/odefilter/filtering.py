@@ -15,6 +15,7 @@ Update uses the Joseph form internally, which stays PSD even with exact
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,13 +227,10 @@ class SolutionPath:
         self.filtered.append(filtered)
 
 
-def _unit_a(path: SolutionPath, h: float) -> np.ndarray:
-    return discrete_transition(path.model, h, sigma2=1.0).A
-
-
-def _smoother_gain(c_filt: np.ndarray, a: np.ndarray, c_pred_next: np.ndarray) -> np.ndarray:
+def _smoother_gain(c_filt: np.ndarray, model: IwpModel, h: float, c_pred: np.ndarray) -> np.ndarray:
+    a = discrete_transition(model, h, sigma2=1.0).A
     # pinv handles exactly-known (rank-deficient) slots: no information, zero gain.
-    return c_filt @ a.T @ np.linalg.pinv(c_pred_next, hermitian=True)
+    return c_filt @ a.T @ np.linalg.pinv(c_pred, hermitian=True)
 
 
 def smooth(path: SolutionPath) -> SolutionPath:
@@ -252,7 +250,7 @@ def smooth(path: SolutionPath) -> SolutionPath:
         filt = path.filtered[i]
         pred_next = path.predictions[i + 1]
         nxt = out[i + 1]
-        G = _smoother_gain(filt.cov, _unit_a(path, path.step_sizes[i]), pred_next.cov)
+        G = _smoother_gain(filt.cov, path.model, path.step_sizes[i], pred_next.cov)
         mean = filt.mean + _matvec(G, nxt.mean - pred_next.mean)
         cov = _symmetrize(filt.cov + G @ (nxt.cov - pred_next.cov) @ _transpose(G))
         out[i] = GaussState(t=filt.t, mean=mean, cov=cov)
@@ -285,7 +283,7 @@ def sample_posterior(path: SolutionPath, seed: int, count: int) -> np.ndarray:
     for i in range(n - 2, -1, -1):
         filt = path.filtered[i]
         pred_next = path.predictions[i + 1]
-        G = _smoother_gain(filt.cov, _unit_a(path, path.step_sizes[i]), pred_next.cov)
+        G = _smoother_gain(filt.cov, path.model, path.step_sizes[i], pred_next.cov)
         cond_mean = filt.mean + _matvec(G, out[:, i + 1, :] - pred_next.mean)
         cond_cov = _symmetrize(filt.cov - G @ pred_next.cov @ _transpose(G))
         out[:, i, :] = cond_mean + _draw_gaussian(rng, np.zeros(filt.mean.size), cond_cov, count)
@@ -305,12 +303,13 @@ def interpolate(path: SolutionPath, t: float, allow_extrapolation: bool = False)
     if not path.knots:
         raise ValueError("cannot interpolate an empty path")
     smooth(path)
-    knots = np.asarray(path.knots)
+    knots = path.knots
     t = float(t)
     tol = 4.0 * _EPS * max(1.0, abs(t))
-    hit = np.nonzero(np.abs(knots - t) <= tol)[0]
-    if hit.size:
-        return path.smoothed[int(hit[0])]
+    right = bisect_left(knots, t)
+    for k in (right - 1, right):
+        if 0 <= k < len(knots) and abs(knots[k] - t) <= tol:
+            return path.smoothed[k]
     if t < knots[0]:
         raise ValueError(f"t={t} precedes the first knot {knots[0]}")
     if t > knots[-1]:
@@ -323,12 +322,12 @@ def interpolate(path: SolutionPath, t: float, allow_extrapolation: bool = False)
         sig = path.step_sigma2[-1] if path.step_sigma2 else path.model.sigma2
         return predict(path.smoothed[-1], base, sig)
 
-    i = int(np.searchsorted(knots, t)) - 1
+    i = right - 1
     fwd = discrete_transition(path.model, t - knots[i], sigma2=1.0)
     pred_t = predict(path.filtered[i], fwd, path.step_sigma2[i])
     pred_next = path.predictions[i + 1]
     nxt = path.smoothed[i + 1]
-    G = _smoother_gain(pred_t.cov, _unit_a(path, knots[i + 1] - t), pred_next.cov)
+    G = _smoother_gain(pred_t.cov, path.model, knots[i + 1] - t, pred_next.cov)
     mean = pred_t.mean + _matvec(G, nxt.mean - pred_next.mean)
     cov = _symmetrize(pred_t.cov + G @ (nxt.cov - pred_next.cov) @ _transpose(G))
     return GaussState(t=t, mean=mean, cov=cov)

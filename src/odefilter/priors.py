@@ -13,6 +13,14 @@ process.  Over a step ``h`` the state propagates exactly through the pair
 matrix-fraction decomposition of a block matrix exponential; the two routes
 cross-validate each other.
 
+Everything about ``(A(h), Q(h))`` that does not depend on ``h`` lives in one
+cached table per q: the power of h and the integer denominator of every
+entry of A and Q.  In Nordsieck scaling, ``B = diag(h^i / i!)``, the same
+table gives constant matrices: ``B A(h) B^-1`` is the Pascal matrix
+(:func:`pascal_matrix`) and ``B Q(h) B = sigma2 h^(2q+1) Qbar``
+(:func:`nordsieck_qbar`).  The closed-form transitions of the solver and
+the dimensionless recursions of ``analysis`` both read this table.
+
 Multivariate problems use ``d`` independent copies of the scalar model that
 share the mesh, so all matrices in this module are single-block
 ``(q+1) x (q+1)`` arrays.
@@ -21,19 +29,19 @@ share the mesh, so all matrices in this module are single-block
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
+from scipy.linalg import expm
 
 __all__ = [
     "IwpModel",
     "DiscreteTransition",
-    "NordsieckScaling",
     "make_iwp",
     "discrete_transition",
-    "transition_blocks",
-    "rescale_nordsieck",
     "pascal_matrix",
+    "nordsieck_qbar",
 ]
 
 
@@ -80,50 +88,13 @@ class IwpModel:
 class DiscreteTransition:
     """Exact discretization of one IWP block over a step ``h``.
 
-    ``A`` is upper triangular with unit diagonal, ``Q`` is symmetric PSD and
-    scales linearly in sigma2, and ``Phi12`` is the off-diagonal block of the
-    matrix-fraction exponential satisfying ``Q = Phi12 @ A.T``.  ``Phi12`` is
-    what the Nordsieck-form covariance update consumes.
+    ``A`` is upper triangular with unit diagonal; ``Q`` is symmetric PSD and
+    scales linearly in sigma2.
     """
 
     h: float
     A: np.ndarray
     Q: np.ndarray
-    Phi12: np.ndarray
-
-    def scaled(self, factor: float) -> "DiscreteTransition":
-        """Same transition with the diffusion rescaled by ``factor``.
-
-        ``Q`` (and ``Phi12``) are linear in sigma2, so rescaling after the
-        fact is exact.
-        """
-        if not np.isfinite(factor) or factor < 0:
-            raise ValueError(f"diffusion scale must be finite and >= 0, got {factor}")
-        return DiscreteTransition(self.h, self.A, factor * self.Q, factor * self.Phi12)
-
-
-@dataclass(frozen=True, eq=False)
-class NordsieckScaling:
-    """Diagonal change of basis x -> B x with B = diag(h^i / i!).
-
-    In the rescaled coordinates the state is the Nordsieck vector
-    ``(y, h y', h^2 y''/2!, ...)`` and the transition matrix becomes the
-    Pascal triangle matrix, independent of ``h``.
-    """
-
-    h: float
-    B: np.ndarray
-
-    @classmethod
-    def for_order(cls, q: int, h: float) -> "NordsieckScaling":
-        if h <= 0 or not np.isfinite(h):
-            raise ValueError(f"step size must be positive and finite, got {h}")
-        diag = np.array([h**i / factorial(i) for i in range(q + 1)])
-        return cls(h=float(h), B=np.diag(diag))
-
-    @property
-    def inverse(self) -> np.ndarray:
-        return np.diag(1.0 / np.diag(self.B))
 
 
 def make_iwp(q: int, sigma2, dim: int | None = None) -> IwpModel:
@@ -160,57 +131,61 @@ def make_iwp(q: int, sigma2, dim: int | None = None) -> IwpModel:
     return IwpModel(q=int(q), sigma2=sig, dim=dim)
 
 
-def pascal_matrix(q: int) -> np.ndarray:
-    """Upper triangular Pascal matrix with entries binom(j, i) for i <= j."""
-    P = np.zeros((q + 1, q + 1))
-    for i in range(q + 1):
-        for j in range(i, q + 1):
-            P[i, j] = comb(j, i)
-    return P
+@dataclass(frozen=True, eq=False)
+class _IwpConstants:
+    """Step-independent parts of the IWP(q) transition; all arrays read-only.
 
-
-def _closed_form_a(q: int, h: float) -> np.ndarray:
-    A = np.zeros((q + 1, q + 1))
-    for i in range(q + 1):
-        for j in range(i, q + 1):
-            A[i, j] = h ** (j - i) / factorial(j - i)
-    return A
-
-
-def _closed_form_q(q: int, h: float, sigma2: float) -> np.ndarray:
-    Q = np.zeros((q + 1, q + 1))
-    for i in range(q + 1):
-        for j in range(q + 1):
-            p = 2 * q + 1 - i - j
-            Q[i, j] = sigma2 * h**p / (p * factorial(q - i) * factorial(q - j))
-    return Q
-
-
-def _expm_taylor(M: np.ndarray, tol: float = 1e-13) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a truncated series.
-
-    Verification-oracle accuracy (relative ~tol); not built for speed.
+    ``A(h)_ij = h^a_lag_ij / a_den_ij`` and
+    ``Q(h)_ij = sigma2 h^q_exp_ij / q_den_ij``, with ``h^k`` taken from a
+    list of powers whose last entry is 0 (``a_lag`` points there below the
+    diagonal).
     """
-    n = M.shape[0]
-    norm = np.linalg.norm(M, 1)
-    s = 0
-    if norm > 0.5:
-        s = int(np.ceil(np.log2(norm / 0.5)))
-    T = M / (2.0**s)
-    out = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, 60):
-        term = term @ T / k
-        out = out + term
-        if np.linalg.norm(term, 1) <= tol * np.linalg.norm(out, 1):
-            break
-    for _ in range(s):
-        out = out @ out
-    return out
+
+    a_lag: np.ndarray
+    a_den: np.ndarray
+    q_exp: np.ndarray
+    q_den: np.ndarray
+    pascal: np.ndarray
+    qbar: np.ndarray
 
 
-def _symmetrize(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + M.T)
+@lru_cache(maxsize=None)
+def _constants(q: int) -> _IwpConstants:
+    i, j = np.indices((q + 1, q + 1))
+    lag = j - i
+    fact = np.array([float(factorial(k)) for k in range(q + 1)])
+    q_exp = 2 * q + 1 - i - j
+    # Products of integer-valued floats, exact while below 2^53 (q <= 10).
+    q_den = q_exp * fact[q - i] * fact[q - j]
+    tables = _IwpConstants(
+        a_lag=np.where(lag >= 0, lag, 2 * q + 2),
+        a_den=fact[np.maximum(lag, 0)],
+        q_exp=q_exp,
+        q_den=q_den,
+        pascal=np.vectorize(comb)(j, i).astype(float),
+        qbar=1.0 / (q_den * fact[i] * fact[j]),
+    )
+    for arr in vars(tables).values():
+        arr.setflags(write=False)
+    return tables
+
+
+def pascal_matrix(q: int) -> np.ndarray:
+    """Upper triangular Pascal matrix with entries binom(j, i) for i <= j.
+
+    This is ``A(h)`` in Nordsieck scaling.  The array is read-only and shared
+    between calls.
+    """
+    return _constants(q).pascal
+
+
+def nordsieck_qbar(q: int) -> np.ndarray:
+    """Constant ``Qbar`` with ``B Q(h) B = sigma2 h^(2q+1) Qbar``, B = diag(h^i / i!).
+
+    ``Qbar_ij = 1 / ((2q+1-i-j) (q-i)! (q-j)! i! j!)``.  The array is
+    read-only and shared between calls.
+    """
+    return _constants(q).qbar
 
 
 def discrete_transition(
@@ -224,18 +199,19 @@ def discrete_transition(
 
     ``method="closed_form"`` evaluates the analytic expressions
     ``A_ij = 1{i<=j} h^(j-i)/(j-i)!`` and
-    ``Q_ij = sigma2 h^(2q+1-i-j) / ((2q+1-i-j)(q-i)!(q-j)!)``.
-    ``method="matrix_fraction"`` instead exponentiates the block matrix
-    ``[[F, sigma2 L L^T], [0, -F^T]] * h`` and forms ``Q = Phi12 @ A.T``;
-    it serves as an independent check of the closed form.
+    ``Q_ij = sigma2 h^(2q+1-i-j) / ((2q+1-i-j)(q-i)!(q-j)!)`` from the
+    per-q constant table.  ``method="matrix_fraction"`` instead
+    exponentiates the block matrix ``[[F, sigma2 L L^T], [0, -F^T]] * h``
+    and forms ``Q = Phi12 @ A.T`` from its off-diagonal block ``Phi12``; it
+    serves as an independent check of the closed form.
 
     Parameters
     ----------
     sigma2 : float, optional
-        Override the model's diffusion intensity (e.g. 1.0 for a normalized
-        matrix).  Required when the model is anisotropic, since a single
-        block cannot represent several diffusion scales; use
-        :func:`transition_blocks` or :meth:`DiscreteTransition.scaled` then.
+        Override the model's diffusion intensity (e.g. 1.0 for a unit
+        block).  Required when the model is anisotropic, since a single
+        block cannot represent several diffusion scales; pass 1.0 and let
+        ``filtering.predict`` apply the per-dimension scales then.
     """
     if not np.isfinite(h):
         raise ValueError(f"step size must be finite, got {h}")
@@ -243,17 +219,17 @@ def discrete_transition(
         raise ValueError(f"step size must be positive, got {h}")
     if sigma2 is None:
         if np.ptp(model.sigma2) != 0.0:
-            raise ValueError(
-                "model has anisotropic sigma2; pass sigma2=... explicitly or "
-                "use transition_blocks()"
-            )
+            raise ValueError("model has anisotropic sigma2; pass sigma2=... explicitly")
         sigma2 = float(model.sigma2[0])
     q = model.q
     if method == "closed_form":
-        A = _closed_form_a(q, h)
-        Q = _closed_form_q(q, h, sigma2)
-        # Phi12 = Q A(h)^-T and A(h)^-1 = A(-h) by the semigroup property.
-        Phi12 = Q @ _closed_form_a(q, -h).T
+        c = _constants(q)
+        # Python's ** per power, not np.power, whose vectorized loop can
+        # differ from it in the last bit.  The trailing 0 fills A below the
+        # diagonal.
+        powers = np.array([h**k for k in range(2 * q + 2)] + [0.0])
+        A = powers[c.a_lag] / c.a_den
+        Q = sigma2 * powers[c.q_exp] / c.q_den
     elif method == "matrix_fraction":
         F = model.drift_matrix()
         L = model.dispersion_vector()
@@ -262,38 +238,10 @@ def discrete_transition(
         blk[:n, :n] = F
         blk[:n, n:] = sigma2 * np.outer(L, L)
         blk[n:, n:] = -F.T
-        Phi = _expm_taylor(blk * h)
+        Phi = expm(blk * h)
         A = Phi[:n, :n]
-        Phi12 = Phi[:n, n:]
-        Q = _symmetrize(Phi12 @ A.T)
+        Q = Phi[:n, n:] @ A.T
+        Q = 0.5 * (Q + Q.T)
     else:
         raise ValueError(f"unknown method {method!r}; use 'closed_form' or 'matrix_fraction'")
-    return DiscreteTransition(h=float(h), A=A, Q=Q, Phi12=Phi12)
-
-
-def transition_blocks(
-    model: IwpModel, h: float, method: str = "closed_form"
-) -> tuple[DiscreteTransition, ...]:
-    """Per-dimension transitions of an anisotropic model (shared A, scaled Q)."""
-    base = discrete_transition(model, h, method, sigma2=1.0)
-    return tuple(base.scaled(float(s)) for s in model.sigma2)
-
-
-def rescale_nordsieck(transition: DiscreteTransition, q: int, h: float) -> DiscreteTransition:
-    """Transition pair in Nordsieck coordinates.
-
-    The rescaled matrix ``B A(h) B^-1`` is the Pascal triangle matrix and
-    ``(B Q B^T)_ij = sigma2 h^(2q+1) / ((2q+1-i-j)(q-i)!(q-j)! i! j!)``.
-    """
-    if transition.A.shape != (q + 1, q + 1):
-        raise ValueError("transition block size does not match q")
-    if not np.isclose(h, transition.h, rtol=1e-12, atol=0.0):
-        raise ValueError(f"transition was built for h={transition.h}, not h={h}")
-    scaling = NordsieckScaling.for_order(q, h)
-    B, Binv = scaling.B, scaling.inverse
-    return DiscreteTransition(
-        h=transition.h,
-        A=B @ transition.A @ Binv,
-        Q=B @ transition.Q @ B.T,
-        Phi12=B @ transition.Phi12 @ B.T,
-    )
+    return DiscreteTransition(h=float(h), A=A, Q=Q)

@@ -140,7 +140,7 @@ class SolverConfig:
             raise ValueError(f"rho must be in (0, 1), got {self.rho}")
         if not 0.0 < self.eta_min < 1.0 < self.eta_max:
             raise ValueError("need 0 < eta_min < 1 < eta_max")
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
         if self.weighting_tau <= 0:
             raise ValueError(f"weighting_tau must be positive, got {self.weighting_tau}")
@@ -150,8 +150,10 @@ class SolverConfig:
             raise ValueError(f"unknown obs_strategy {self.obs_strategy!r}")
         if self.sigma_mode not in ("local_ml", "global_ml"):
             raise ValueError(f"unknown sigma_mode {self.sigma_mode!r}")
-        if self.fixed_step is not None and self.fixed_step <= 0:
-            raise ValueError("fixed_step must be positive")
+        for name in ("h_init", "fixed_step", "diffuse_variance"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.sigma_mode == "global_ml" and self.fixed_step is None:
             raise ValueError(
                 "sigma_mode='global_ml' needs fixed_step: the adaptive error "
@@ -191,10 +193,6 @@ class SolveResult:
         return np.asarray([s.std()[0::q1] for s in self.path.filtered])
 
 
-def _unit_transition(model: IwpModel, h: float):
-    return discrete_transition(model, h, sigma2=1.0)
-
-
 def observe(
     problem: IvpProblem,
     pred: GaussState,
@@ -224,51 +222,6 @@ def observe(
     return problem.eval_rhs(t, loc)
 
 
-def _diffuse_segment(
-    problem: IvpProblem,
-    config: SolverConfig,
-    model: IwpModel,
-    variance: float,
-    rng: np.random.Generator | None,
-) -> tuple[list, list[np.ndarray], list[float]]:
-    """Filter the starter knots from a large-variance prior.
-
-    Returns (segment, z_values, knot_times); the segment holds
-    (prediction, filtered, h_in) triples, one per starter knot.
-    """
-    q = model.q
-    if q not in _STARTER_KNOTS:
-        raise ValueError(f"diffuse start supports q in 1..4, got {q}")
-    h0 = config.resolve_h_init(problem)
-    fractions = _STARTER_KNOTS[q]
-    prior = GaussState(
-        t=problem.t0,
-        mean=np.zeros(model.state_size),
-        cov=np.full((problem.dim, 1, 1), variance) * np.eye(model.block_size),
-    )
-    value_obs = ObservationModel(derivative_index=0, noise=0.0)
-    deriv_obs = ObservationModel(derivative_index=1, noise=0.0)
-
-    state, _ = update(prior, problem.y0, value_obs)
-    z0 = observe(problem, state, problem.t0, config.obs_strategy, rng=rng)
-    if not np.all(np.isfinite(z0)):
-        raise ValueError(f"right-hand side returned non-finite values at t0 = {problem.t0}")
-    state, _ = update(state, z0, deriv_obs)
-    segment = [(prior, state, None)]
-    zs = [z0]
-    times = [problem.t0]
-    for frac in fractions[1:]:
-        t_next = problem.t0 + frac * h0
-        h = t_next - times[-1]
-        pred = predict(segment[-1][1], _unit_transition(model, h), model.sigma2)
-        z = observe(problem, pred, t_next, config.obs_strategy, rng=rng)
-        state, _ = update(pred, z, deriv_obs)
-        segment.append((pred, state, h))
-        zs.append(z)
-        times.append(t_next)
-    return segment, zs, times
-
-
 def _clean_cov(state: GaussState) -> GaussState:
     """Clip round-off negativity out of each covariance block (diffuse starts)."""
     w, V = np.linalg.eigh(0.5 * (state.cov + state.cov.transpose(0, 2, 1)))
@@ -282,39 +235,60 @@ def _initial_segment(
     model: IwpModel,
     rng: np.random.Generator | None,
 ) -> list[tuple[GaussState, GaussState, float | None]]:
-    """Initialization knots as (prediction, filtered, incoming h) triples."""
-    if config.init_mode == "exact":
-        h0 = config.resolve_h_init(problem)
+    """Initialization knots as (prediction, filtered, incoming h) triples.
+
+    ``init_mode`` picks only the prior covariance.  Every mode conditions
+    it on y(t0) = y0 and y'(t0) = f(t0, y0); the non-exact modes then
+    filter one derivative reading at each further starter knot.
+    """
+    q = model.q
+    exact = config.init_mode == "exact"
+    if not exact and q not in _STARTER_KNOTS:
+        raise ValueError(f"diffuse start supports q in 1..4, got {q}")
+    h0 = config.resolve_h_init(problem)
+    if exact:
         slots = np.arange(model.block_size)
         cov = np.zeros((problem.dim, model.block_size, model.block_size))
-        cov[:, slots, slots] = model.sigma2[:, None] * h0 ** (2 * (model.q - slots) + 1)
-        prior = GaussState(t=problem.t0, mean=np.zeros(model.state_size), cov=cov)
-        state, _ = update(prior, problem.y0, ObservationModel(derivative_index=0))
-        z0 = observe(problem, state, problem.t0, config.obs_strategy, rng=rng)
-        if not np.all(np.isfinite(z0)):
-            raise ValueError(f"right-hand side returned non-finite values at t0 = {problem.t0}")
-        state, _ = update(state, z0, ObservationModel(derivative_index=1))
-        return [(prior, state, None)]
+        cov[:, slots, slots] = model.sigma2[:, None] * h0 ** (2 * (q - slots) + 1)
+    else:
+        cov = np.full((problem.dim, 1, 1), config.diffuse_variance) * np.eye(model.block_size)
+    prior = GaussState(t=problem.t0, mean=np.zeros(model.state_size), cov=cov)
+    deriv_obs = ObservationModel(derivative_index=1)
+    state, _ = update(prior, problem.y0, ObservationModel(derivative_index=0))
+    z = observe(problem, state, problem.t0, config.obs_strategy, rng=rng)
+    if not np.all(np.isfinite(z)):
+        raise ValueError(f"right-hand side returned non-finite values at t0 = {problem.t0}")
+    state, _ = update(state, z, deriv_obs)
+    segment = [(prior, state, None)]
+    if exact:
+        return segment
 
-    segment, zs, times = _diffuse_segment(
-        problem, config, model, config.diffuse_variance, rng
-    )
-    if config.init_mode == "rk_starter" and model.q == 4:
+    fractions = _STARTER_KNOTS[q]
+    zs = [z]
+    for prev, frac in zip(fractions, fractions[1:]):
+        t_next = problem.t0 + frac * h0
+        # The step between knot times, not from state.t, which carries the
+        # round-off of the summed steps.
+        h = t_next - (problem.t0 + prev * h0)
+        pred = predict(state, discrete_transition(model, h, sigma2=1.0), model.sigma2)
+        z = observe(problem, pred, t_next, config.obs_strategy, rng=rng)
+        state, _ = update(pred, z, deriv_obs)
+        segment.append((pred, state, h))
+        zs.append(z)
+    if config.init_mode == "rk_starter" and q == 4:
         # Replace the numerically-diffuse terminal state with the exact
         # diffuse-limit closed forms evaluated at the gathered observations.
         from .analysis import rk_starter_q4
 
-        h0 = config.resolve_h_init(problem)
-        u, v = _STARTER_KNOTS[4][1], _STARTER_KNOTS[4][2]
-        pred_last, state_last, h_last = segment[-1]
+        u, v = fractions[1], fractions[2]
         means, covs = [], []
         for k in range(problem.dim):
             z_k = [z[k] for z in zs]
             m_k, c_k = rk_starter_q4(u, v, h0, float(model.sigma2[k]), z_k, float(problem.y0[k]))
             means.append(m_k)
             covs.append(c_k)
-        final = GaussState(t=state_last.t, mean=np.concatenate(means), cov=np.stack(covs))
-        segment[-1] = (pred_last, final, h_last)
+        final = GaussState(t=state.t, mean=np.concatenate(means), cov=np.stack(covs))
+        segment[-1] = (pred, final, h)
         return segment
     # Diffuse arithmetic leaves round-off scale indefiniteness behind.
     return [(p, _clean_cov(s), h) for (p, s, h) in segment]
@@ -398,7 +372,7 @@ def solve(
             h = t_end - t  # clamp the final step onto T
         t_next = t + h
 
-        base = _unit_transition(model, h)
+        base = discrete_transition(model, h, sigma2=1.0)
         q1 = model.block_size
         pred_mean = predict_mean(state, base)
         if config.obs_strategy == "sampled":

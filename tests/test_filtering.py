@@ -55,13 +55,10 @@ class TestPredict:
 
     def test_multidimensional_blocks(self):
         m = make_iwp(1, [1.0, 4.0], 2)
-        from odefilter import transition_blocks
-
-        blocks = transition_blocks(m, 0.5)
         state = GaussState(0.0, np.array([1.0, 0.0, 2.0, 0.0]), np.zeros((2, 2, 2)))
         out = predict(state, discrete_transition(m, 0.5, sigma2=1.0), m.sigma2)
-        np.testing.assert_allclose(out.cov[0], blocks[0].Q)
-        np.testing.assert_allclose(out.cov[1], blocks[1].Q)
+        np.testing.assert_allclose(out.cov[0], discrete_transition(m, 0.5, sigma2=1.0).Q)
+        np.testing.assert_allclose(out.cov[1], discrete_transition(m, 0.5, sigma2=4.0).Q)
 
     @pytest.mark.parametrize("sigma2", [[1.0], [1.0, -1.0], [1.0, np.inf], [1.0, np.nan]])
     def test_diffusion_scales_validated(self, sigma2):
@@ -288,6 +285,10 @@ class TestInterpolate:
         path = smooth(_logistic_path())
         for i, t in enumerate(path.knots):
             assert interpolate(path, t) is path.smoothed[i]
+            # Within the hit tolerance on either side, but not equal.
+            for near in (np.nextafter(t, -np.inf), np.nextafter(t, np.inf)):
+                assert near != t
+                assert interpolate(path, near) is path.smoothed[i]
 
     def test_outside_domain(self):
         path = smooth(_logistic_path())

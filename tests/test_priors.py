@@ -1,16 +1,34 @@
+from math import factorial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odefilter import (
-    NordsieckScaling,
-    discrete_transition,
-    make_iwp,
-    pascal_matrix,
-    rescale_nordsieck,
-    transition_blocks,
-)
+from odefilter import discrete_transition, make_iwp, nordsieck_qbar, pascal_matrix
+
+
+def _loop_a(q, h):
+    """Entry-by-entry closed form of A(h), the reference for the table."""
+    A = np.zeros((q + 1, q + 1))
+    for i in range(q + 1):
+        for j in range(i, q + 1):
+            A[i, j] = h ** (j - i) / factorial(j - i)
+    return A
+
+
+def _loop_q(q, h, sigma2):
+    """Entry-by-entry closed form of Q(h), the reference for the table."""
+    Q = np.zeros((q + 1, q + 1))
+    for i in range(q + 1):
+        for j in range(q + 1):
+            p = 2 * q + 1 - i - j
+            Q[i, j] = sigma2 * h**p / (p * factorial(q - i) * factorial(q - j))
+    return Q
+
+
+def _nordsieck_diag(q, h):
+    return np.array([h**i / factorial(i) for i in range(q + 1)])
 
 
 class TestMakeIwp:
@@ -82,10 +100,15 @@ class TestDiscreteTransition:
         eigs = np.linalg.eigvalsh(tr.Q)
         assert eigs.min() >= -1e-12 * np.max(np.abs(tr.Q))
 
-    def test_phi12_identity(self):
-        for method in ("closed_form", "matrix_fraction"):
-            tr = discrete_transition(make_iwp(3, [1.3], 1), 0.37, method)
-            np.testing.assert_allclose(tr.Phi12 @ tr.A.T, tr.Q, atol=1e-14 * np.max(np.abs(tr.Q)))
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_table_bit_identical_to_loop_formulas(self, q):
+        m = make_iwp(q, [1.0], 1)
+        steps = np.concatenate([10.0 ** np.arange(-12, 2), [0.37, 1.9, 0.015, 3.3e-7]])
+        for h in steps:
+            for s in (1.0, 0.37, 2.5e4):
+                tr = discrete_transition(m, h, sigma2=s)
+                np.testing.assert_allclose(tr.A, _loop_a(q, h), rtol=0, atol=0)
+                np.testing.assert_allclose(tr.Q, _loop_q(q, h, s), rtol=0, atol=0)
 
     def test_a_unit_upper_triangular(self):
         tr = discrete_transition(make_iwp(3, [1.0], 1), 0.42)
@@ -101,8 +124,10 @@ class TestDiscreteTransition:
         m = make_iwp(1, [1.0, 4.0], 2)
         with pytest.raises(ValueError):
             discrete_transition(m, 0.5)
-        blocks = transition_blocks(m, 0.5)
-        np.testing.assert_allclose(blocks[1].Q, 4.0 * blocks[0].Q, rtol=1e-15)
+        unit = discrete_transition(m, 0.5, sigma2=1.0)
+        np.testing.assert_allclose(
+            discrete_transition(m, 0.5, sigma2=4.0).Q, 4.0 * unit.Q, rtol=1e-15
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -129,25 +154,39 @@ class TestDiscreteTransition:
 
 
 class TestNordsieck:
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_scaled_transition_is_pascal_and_qbar(self, q):
+        m = make_iwp(q, [1.0], 1)
+        for h in (0.05, 0.73, 2.0):
+            tr = discrete_transition(m, h)
+            b = _nordsieck_diag(q, h)
+            np.testing.assert_allclose(
+                b[:, None] * tr.A / b[None, :], pascal_matrix(q), rtol=1e-13, atol=1e-15
+            )
+            np.testing.assert_allclose(
+                b[:, None] * tr.Q * b[None, :], h ** (2 * q + 1) * nordsieck_qbar(q), rtol=1e-13
+            )
+
     def test_rescaled_a_is_pascal(self):
         m = make_iwp(2, [1.0], 1)
         for h in (0.05, 0.73, 2.0):
-            nt = rescale_nordsieck(discrete_transition(m, h), 2, h)
-            np.testing.assert_allclose(nt.A, [[1, 1, 1], [0, 1, 2], [0, 0, 1]], atol=1e-12)
+            b = _nordsieck_diag(2, h)
+            nA = b[:, None] * discrete_transition(m, h).A / b[None, :]
+            np.testing.assert_allclose(nA, [[1, 1, 1], [0, 1, 2], [0, 0, 1]], atol=1e-12)
 
     def test_rescaled_q_at_unit_step_unchanged(self):
         tr = discrete_transition(make_iwp(1, [1.0], 1), 1.0)
-        nt = rescale_nordsieck(tr, 1, 1.0)
-        np.testing.assert_allclose(nt.Q, [[1 / 3, 1 / 2], [1 / 2, 1.0]], rtol=1e-14)
+        b = _nordsieck_diag(1, 1.0)
+        np.testing.assert_allclose(
+            b[:, None] * tr.Q * b[None, :], [[1 / 3, 1 / 2], [1 / 2, 1.0]], rtol=1e-14
+        )
+        np.testing.assert_allclose(nordsieck_qbar(1), [[1 / 3, 1 / 2], [1 / 2, 1.0]], rtol=1e-14)
 
     def test_rescaled_q00_value(self):
         tr = discrete_transition(make_iwp(2, [1.0], 1), 2.0)
-        nt = rescale_nordsieck(tr, 2, 2.0)
-        assert nt.Q[0, 0] == pytest.approx(2**5 / 20, rel=1e-13)
-
-    def test_scaling_matrix_invertible(self):
-        sc = NordsieckScaling.for_order(3, 0.25)
-        np.testing.assert_allclose(sc.B @ sc.inverse, np.eye(4), atol=1e-15)
+        b = _nordsieck_diag(2, 2.0)
+        assert (b[0] * tr.Q[0, 0] * b[0]) == pytest.approx(2**5 / 20, rel=1e-13)
+        assert nordsieck_qbar(2)[0, 0] == pytest.approx(1 / 20, rel=1e-15)
 
     def test_pascal_matrix(self):
         P = pascal_matrix(3)
@@ -155,7 +194,8 @@ class TestNordsieck:
             P, [[1, 1, 1, 1], [0, 1, 2, 3], [0, 0, 1, 3], [0, 0, 0, 1]]
         )
 
-    def test_mismatched_h_rejected(self):
-        tr = discrete_transition(make_iwp(2, [1.0], 1), 0.5)
+    def test_tables_are_read_only(self):
         with pytest.raises(ValueError):
-            rescale_nordsieck(tr, 2, 0.7)
+            pascal_matrix(2)[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            nordsieck_qbar(2)[0, 0] = 5.0

@@ -27,6 +27,16 @@ class TestConfig:
             {"obs_strategy": "oracle"},
             {"fixed_step": -0.1},
             {"sigma_mode": "global_ml"},  # needs fixed_step
+            {"h_init": np.inf},
+            {"h_init": 0.0},
+            {"h_init": -1.0},
+            {"h_init": np.nan},
+            {"fixed_step": np.inf},
+            {"fixed_step": np.nan},
+            {"eps": np.nan},
+            {"diffuse_variance": -1.0},
+            {"diffuse_variance": 0.0},
+            {"diffuse_variance": np.inf},
         ],
     )
     def test_validation(self, kwargs):
