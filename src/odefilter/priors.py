@@ -202,8 +202,8 @@ def discrete_transition(
     ``Q_ij = sigma2 h^(2q+1-i-j) / ((2q+1-i-j)(q-i)!(q-j)!)`` from the
     per-q constant table.  ``method="matrix_fraction"`` instead
     exponentiates the block matrix ``[[F, sigma2 L L^T], [0, -F^T]] * h``
-    and forms ``Q = Phi12 @ A.T`` from its off-diagonal block ``Phi12``; it
-    serves as an independent check of the closed form.
+    and forms Q as its upper-right block times ``A.T``; it serves as an
+    independent check of the closed form.
 
     Parameters
     ----------
