@@ -31,7 +31,6 @@ from .bench import (
 from .filtering import (
     GaussState,
     ObservationModel,
-    SingularUpdateError,
     SolutionPath,
     interpolate,
     predict,

@@ -16,7 +16,8 @@ from math import factorial
 
 import numpy as np
 
-from .priors import IwpModel, nordsieck_qbar, pascal_matrix
+from .filtering import GaussState, ObservationModel, predict, update
+from .priors import DiscreteTransition, IwpModel, nordsieck_qbar, pascal_matrix
 from .solver import IvpProblem, SolveResult, SolverConfig, solve
 
 __all__ = [
@@ -67,24 +68,18 @@ def steady_state(model: IwpModel, h: float = 1.0, tol: float = 1e-12, max_iter: 
         raise ValueError(f"h must be positive, got {h}")
     if np.ptp(model.sigma2) != 0.0:
         raise ValueError("steady-state analysis needs a constant sigma2")
-    P = pascal_matrix(q)
-    Qb = nordsieck_qbar(q)
+    qbar = nordsieck_qbar(q)
+    unit = DiscreteTransition(h=1.0, A=pascal_matrix(q), Q=qbar, Q_sqrt=np.linalg.cholesky(qbar))
     mask = np.ones((q + 1, q + 1), dtype=bool)
     mask[0, 0] = False
-    c = np.zeros((q + 1, q + 1))
-    gain = np.zeros(q + 1)
+    factor = c = np.zeros((q + 1, q + 1))
     for it in range(1, max_iter + 1):
-        c_pred = P @ c @ P.T + Qb
-        c_pred = 0.5 * (c_pred + c_pred.T)
-        gain = c_pred[:, 1] / c_pred[1, 1]
-        gain[1] = 1.0
-        c_new = c_pred - np.outer(gain, gain) * c_pred[1, 1]
-        c_new = 0.5 * (c_new + c_new.T)
-        # The derivative slot is exactly known after a noise-free update.
-        c_new[1, :] = 0.0
-        c_new[:, 1] = 0.0
+        # The filter's own recursion: from mean 0, a unit residual leaves the gain.
+        pred = predict(GaussState(0.0, np.zeros(q + 1), factor[None]), unit)
+        state, _ = update(pred, [1.0], ObservationModel(1))
+        factor, c_new = state.factor[0], state.cov[0]
         if np.max(np.abs((c_new - c)[mask])) < tol:
-            return SteadyState(gain=gain, cov_coeffs=c_new, iterations=it)
+            return SteadyState(gain=state.mean, cov_coeffs=c_new, iterations=it)
         c = c_new
     raise RuntimeError(f"covariance recursion did not settle within {max_iter} iterations")
 

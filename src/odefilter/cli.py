@@ -124,6 +124,9 @@ def _cmd_solve(args) -> int:
     if (args.problem is None) == (args.problem_file is None):
         print("solve: give exactly one of --problem / --problem-file", file=sys.stderr)
         return 2
+    if args.samples < 0:
+        print(f"solve: --samples must be >= 0, got {args.samples}", file=sys.stderr)
+        return 2
     problem = _load_problem(args)
     config = _config_from(args)
     model = make_iwp(config.q, np.ones(problem.dim), problem.dim)
@@ -143,9 +146,10 @@ def _cmd_solve(args) -> int:
         samples = sample_posterior(result.path, seed=args.seed, count=args.samples)
     for n, state in enumerate(result.path.smoothed):
         row = {"t": result.path.knots[n]}
+        std = state.std()
         for k in range(problem.dim):
             m = state.mean[k * q1]
-            s = band * np.sqrt(max(state.cov[k, 0, 0], 0.0))
+            s = band * std[k * q1]
             row[f"mean_{k}"] = m
             row[f"lo_{k}"] = m - 2.0 * s
             row[f"hi_{k}"] = m + 2.0 * s
@@ -180,6 +184,9 @@ def _cmd_stability(args) -> int:
         print("stability: --grid needs RE0,RE1,IM0,IM1,N", file=sys.stderr)
         return 2
     re0, re1, im0, im1, n = parts
+    if not (n >= 1 and n == int(n)):
+        print(f"stability: --grid N must be a positive integer, got {n:g}", file=sys.stderr)
+        return 2
     n = int(n)
     model = make_iwp(args.q, [1.0], 1)
     gain = analysis.steady_state(model).gain

@@ -2,21 +2,28 @@
 
 A state stacks ``d`` independent blocks of ``q+1`` entries, one block per
 ODE dimension.  The mean is the flat vector ``(y_0, y_0', ..., y_0^(q),
-y_1, ...)`` of length d(q+1).  The covariance is stored as its d diagonal
-blocks, an array of shape ``(d, q+1, q+1)``: under the IWP prior the
+y_1, ...)`` of length d(q+1).  The covariance is stored as square-root
+factors of its d diagonal blocks, an array ``F`` of shape ``(d, q+1, q+1)``
+whose block ``k`` has covariance ``F[k] @ F[k].T``: under the IWP prior the
 dimensions never couple, so the off-diagonal blocks are zero and are never
 formed.  Every operation here acts on all blocks at once through batched
-small-matrix products, so a step costs O(d (q+1)^3) and a state takes
-O(d (q+1)^2) memory.
+small-matrix products and QR decompositions, so a step costs
+O(d (q+1)^3) and a state takes O(d (q+1)^2) memory.
 
-Update uses the Joseph form internally, which stays PSD even with exact
-(zero-noise) observations; the plain form is kept for cross-checks.
+No operation forms a covariance and factors it again, so every covariance
+is positive semidefinite by construction (Krämer & Hennig, *Stable
+implementation of probabilistic ODE solvers*, JMLR 2024): predict
+re-triangularizes ``[A F, Q^(1/2)]`` by QR, update subtracts the rank-1
+term ``K (H F)`` of an exact observation, and smoothing, sampling and
+interpolation read the gain and the backward-conditional factor off one QR
+of the joint factor ``[[A F, Q^(1/2)], [F, 0]]``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,7 +33,6 @@ __all__ = [
     "GaussState",
     "ObservationModel",
     "SolutionPath",
-    "SingularUpdateError",
     "predict",
     "update",
     "smooth",
@@ -37,66 +43,76 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 
 
-class SingularUpdateError(ValueError):
-    """Observation would divide by a vanishing innovation variance."""
-
-
 @dataclass(frozen=True, eq=False)
 class GaussState:
     """Gaussian state at one time point.
 
-    ``mean`` is the flat block-interleaved vector of length d(q+1); ``cov``
-    is the stack of the d per-dimension covariance blocks, shape
-    ``(d, q+1, q+1)``.
+    ``mean`` is the flat block-interleaved vector of length d(q+1);
+    ``factor`` is the stack of the d per-dimension square-root factors,
+    shape ``(d, q+1, q+1)``, of the covariance blocks ``factor @ factor^T``.
+    A factor need not be triangular; ``np.zeros`` and ``np.eye`` are their
+    own factors.
     """
 
     t: float
     mean: np.ndarray
-    cov: np.ndarray
+    factor: np.ndarray
 
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
+        factor = np.asarray(self.factor, dtype=float)
         if mean.ndim != 1:
             raise ValueError("mean must be a vector")
-        if cov.ndim != 3 or cov.shape[1] != cov.shape[2] or cov.shape[0] * cov.shape[1] != mean.size:
-            raise ValueError(
-                f"cov shape {cov.shape} is not a (d, q+1, q+1) block stack for mean size {mean.size}"
-            )
+        if (factor.ndim != 3 or factor.shape[1] != factor.shape[2]
+                or factor.shape[0] * factor.shape[1] != mean.size):
+            raise ValueError(f"factor shape {factor.shape} is not a (d, q+1, q+1) "
+                             f"block stack for mean size {mean.size}")
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        object.__setattr__(self, "factor", factor)
+
+    @property
+    def cov(self) -> np.ndarray:
+        """Covariance blocks ``factor @ factor^T``, computed on each access."""
+        return self.factor @ _transpose(self.factor)
 
     def std(self) -> np.ndarray:
-        """Marginal standard deviations, flat like ``mean``."""
-        return np.sqrt(np.clip(np.diagonal(self.cov, axis1=1, axis2=2), 0.0, None)).reshape(-1)
+        """Marginal standard deviations (row norms of the factor), flat like ``mean``."""
+        return np.linalg.norm(self.factor, axis=2).reshape(-1)
 
 
 @dataclass(frozen=True)
 class ObservationModel:
-    """Scalar observation of one derivative per dimension.
+    """Exact (noise-free) observation of one derivative per dimension.
 
     ``derivative_index`` selects which state slot is observed (0 for the
-    solution itself, 1 for its derivative); ``noise`` is the observation
-    variance R^2, zero by default for exact conditioning.  No selection rule
-    for a nonzero R^2 is built in; it is exposed as a plain knob.
+    solution itself, 1 for its derivative).
     """
 
     derivative_index: int = 1
-    noise: float = 0.0
 
     def __post_init__(self):
         if self.derivative_index < 0:
             raise ValueError("derivative_index must be >= 0")
-        if not np.isfinite(self.noise) or self.noise < 0:
-            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
 
 
 def _transpose(M: np.ndarray) -> np.ndarray:
     return np.swapaxes(M, -1, -2)
 
 
-def _symmetrize(M: np.ndarray) -> np.ndarray:
-    return 0.5 * (M + _transpose(M))
+@lru_cache(maxsize=None)
+def _lower_mask(n: int) -> np.ndarray:
+    return np.tri(n)
+
+
+def _triangularize(M: np.ndarray) -> np.ndarray:
+    """Lower triangular ``L`` with ``L L^T = M M^T`` for each block of ``M``.
+
+    ``L = R^T`` from the QR decomposition of ``M^T``.  numpy's "raw" mode,
+    cheaper than "r", returns LAPACK's output transposed: ``R^T`` below the
+    diagonal, reflector data above.
+    """
+    n = M.shape[-2]
+    return np.linalg.qr(_transpose(M), mode="raw")[0][..., :n] * _lower_mask(n)
 
 
 def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -118,76 +134,52 @@ def predict(state: GaussState, transition: DiscreteTransition, sigma2=None) -> G
 
     ``transition`` is one unit block shared by every dimension.  ``sigma2``,
     if given, holds one diffusion scale per dimension and replaces ``Q`` by
-    ``sigma2[k] * Q`` in block ``k``.  The output covariance is
-    re-symmetrized.
+    ``sigma2[k] * Q`` in block ``k``.  The predicted factor is the lower
+    triangular factor of ``[A F, Q^(1/2)]`` from one batched QR.
     """
-    A, Q = transition.A, transition.Q
-    if sigma2 is not None:
-        sigma2 = np.asarray(sigma2, dtype=float)
-        if sigma2.shape != state.cov.shape[:1]:
-            raise ValueError(
-                f"expected {state.cov.shape[0]} diffusion scales, got shape {sigma2.shape}"
-            )
-        if not (sigma2.min() >= 0.0 and sigma2.max() < np.inf):
-            raise ValueError(f"diffusion scales must be finite and >= 0, got {sigma2}")
-        Q = sigma2[:, None, None] * Q
-    mean = _matvec(A, state.mean)
-    cov = _symmetrize(A @ state.cov @ A.T + Q)
-    return GaussState(t=state.t + transition.h, mean=mean, cov=cov)
+    d = state.factor.shape[0]
+    sigma2 = np.ones(d) if sigma2 is None else np.asarray(sigma2, dtype=float)
+    if sigma2.shape != (d,):
+        raise ValueError(f"expected {d} diffusion scales, got shape {sigma2.shape}")
+    if not (sigma2.min() >= 0.0 and sigma2.max() < np.inf):
+        raise ValueError(f"diffusion scales must be finite and >= 0, got {sigma2}")
+    q_sqrt = np.sqrt(sigma2)[:, None, None] * transition.Q_sqrt
+    mean = _matvec(transition.A, state.mean)
+    factor = _triangularize(np.concatenate([transition.A @ state.factor, q_sqrt], axis=2))
+    return GaussState(t=state.t + transition.h, mean=mean, factor=factor)
 
 
-def update(
-    state: GaussState,
-    z,
-    obs: ObservationModel,
-    form: str = "joseph",
-) -> tuple[GaussState, np.ndarray]:
-    """Condition a predicted state on one observed derivative per dimension.
+def update(state: GaussState, z, obs: ObservationModel) -> tuple[GaussState, np.ndarray]:
+    """Condition a predicted state on one exactly observed derivative per dimension.
 
     Returns the updated state and the pre-update residual ``z - H m``.
-    With zero observation noise the updated state satisfies ``H m = z``
-    exactly and ``H C H^T = 0`` to round-off.  All blocks are conditioned
-    at once; each is a rank-1 update of its own (q+1)-square.
-
-    A block whose innovation variance is at round-off scale of its own
-    diagonal carries no new information (that slot is already exactly
-    known) and is skipped rather than divided by ~0.  A negative innovation
-    variance means the covariance was invalid and raises
-    :class:`SingularUpdateError`.
+    Each block takes the rank-1 correction ``F <- F - K (H F)`` with gain
+    ``K = F (H F)^T / s`` and ``s = |H F|^2``, the innovation variance.
+    The observed slot's gain is exactly 1, so its row of ``F`` (and with
+    it ``H C H^T``) becomes exactly 0 and ``H m = z`` to one rounding.  A
+    block with ``s == 0`` already knows that slot exactly and is left as
+    it is.
     """
-    if form not in ("joseph", "plain"):
-        raise ValueError(f"unknown update form {form!r}")
-    d, q1, _ = state.cov.shape
+    d, q1, _ = state.factor.shape
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.shape != (d,):
         raise ValueError(f"observation of shape {z.shape} does not match {d} state blocks")
     i = obs.derivative_index
     if i >= q1:
         raise ValueError(f"derivative_index {i} outside state order {q1 - 1}")
-    r2 = obs.noise
 
-    cov = state.cov
+    F = state.factor
     mean = state.mean.reshape(d, q1)
     residual = z - mean[:, i]
-    s = cov[:, i, i] + r2
-    tol = _EPS * np.max(np.abs(np.diagonal(cov, axis1=1, axis2=2)), axis=1)
-    negative = s < -tol
-    if negative.any():
-        k = int(np.argmax(negative))
-        raise SingularUpdateError(f"negative innovation variance {s[k]} in dimension {k}")
-    # Degenerate blocks (observed slot already exactly determined) get zero gain.
-    live = s > tol
-    gain = np.divide(cov[:, :, i], s[:, None], out=np.zeros((d, q1)), where=live[:, None])
+    hf = F[:, i, :]
+    s = np.sum(hf * hf, axis=1)
+    live = s > 0.0
+    # A dead block has H F = 0, so its gain is 0 without dividing by s.
+    gain = (F @ hf[:, :, None])[:, :, 0] / np.where(live, s, 1.0)[:, None]
+    gain[:, i] = live
     mean = mean + gain * np.where(live, residual, 0.0)[:, None]
-    if form == "joseph":
-        # (I - K H) C (I - K H)^T + R^2 K K^T, one rank-1 factor at a time.
-        c1 = cov - gain[:, :, None] * cov[:, None, i, :]
-        cov = c1 - c1[:, :, i, None] * gain[:, None, :]
-        if r2 > 0:
-            cov = cov + r2 * (gain[:, :, None] * gain[:, None, :])
-    else:
-        cov = cov - (gain[:, :, None] * gain[:, None, :]) * s[:, None, None]
-    return GaussState(t=state.t, mean=mean.reshape(-1), cov=_symmetrize(cov)), residual
+    factor = F - gain[:, :, None] * hf[:, None, :]
+    return GaussState(t=state.t, mean=mean.reshape(-1), factor=factor), residual
 
 
 @dataclass(eq=False)
@@ -227,10 +219,40 @@ class SolutionPath:
         self.filtered.append(filtered)
 
 
-def _smoother_gain(c_filt: np.ndarray, model: IwpModel, h: float, c_pred: np.ndarray) -> np.ndarray:
-    a = discrete_transition(model, h, sigma2=1.0).A
-    # pinv handles exactly-known (rank-deficient) slots: no information, zero gain.
-    return c_filt @ a.T @ np.linalg.pinv(c_pred, hermitian=True)
+def _backward(factor: np.ndarray, model: IwpModel, h: float, sigma2) -> tuple[np.ndarray, np.ndarray]:
+    """Gain and conditional factor of x_k (factor ``F``) given x_{k+1}, ``h`` later.
+
+    One QR of the joint factor ``[[A F, Q^(1/2)], [F, 0]]`` of (x_{k+1}, x_k)
+    gives lower triangular blocks ``[[L11, 0], [L21, L22]]``: the gain is
+    ``L21 L11^+`` and ``L22`` factors the covariance of x_k given x_{k+1}.
+    ``L11`` is singular without diffusion.  Its rows are scaled to unit norm
+    first: unscaled, its condition number reaches 1e12 at tight tolerances,
+    and the SVD behind ``pinv`` loses that much accuracy.
+    """
+    transition = discrete_transition(model, h, sigma2=1.0)
+    d, n, _ = factor.shape
+    joint = np.zeros((d, 2 * n, 2 * n))
+    joint[:, :n, :n] = transition.A @ factor
+    joint[:, :n, n:] = np.sqrt(sigma2)[:, None, None] * transition.Q_sqrt
+    joint[:, n:, :n] = factor
+    L = _triangularize(joint)
+    L11 = L[:, :n, :n]
+    # Zero rows stay zero under any scale; the floor only avoids 1/0.
+    scale = 1.0 / np.maximum(np.sqrt(np.sum(L11 * L11, axis=2, keepdims=True)), 1e-300)
+    T = scale * L11
+    # pinv is inv, which is cheaper, unless a (triangular) T is singular to round-off.
+    singular = np.min(np.abs(np.diagonal(T, axis1=1, axis2=2))) <= 1e-12
+    inv = np.linalg.pinv(T) if singular else np.linalg.inv(T)
+    return L[:, n:, :n] @ inv * _transpose(scale), L[:, n:, n:]
+
+
+def _rts_step(t: float, state: GaussState, model: IwpModel, h: float, sigma2,
+              pred_next: GaussState, smoothed_next: GaussState) -> GaussState:
+    """Smoothed state at ``t`` from ``state`` there and the smoothed state ``h`` later."""
+    G, cond = _backward(state.factor, model, h, sigma2)
+    mean = state.mean + _matvec(G, smoothed_next.mean - pred_next.mean)
+    factor = _triangularize(np.concatenate([G @ smoothed_next.factor, cond], axis=2))
+    return GaussState(t=t, mean=mean, factor=factor)
 
 
 def smooth(path: SolutionPath) -> SolutionPath:
@@ -248,21 +270,10 @@ def smooth(path: SolutionPath) -> SolutionPath:
     out[-1] = path.filtered[-1]
     for i in range(n - 2, -1, -1):
         filt = path.filtered[i]
-        pred_next = path.predictions[i + 1]
-        nxt = out[i + 1]
-        G = _smoother_gain(filt.cov, path.model, path.step_sizes[i], pred_next.cov)
-        mean = filt.mean + _matvec(G, nxt.mean - pred_next.mean)
-        cov = _symmetrize(filt.cov + G @ (nxt.cov - pred_next.cov) @ _transpose(G))
-        out[i] = GaussState(t=filt.t, mean=mean, cov=cov)
+        out[i] = _rts_step(filt.t, filt, path.model, path.step_sizes[i], path.step_sigma2[i],
+                           path.predictions[i + 1], out[i + 1])
     path.smoothed = out  # type: ignore[assignment]
     return path
-
-
-def _draw_gaussian(rng: np.random.Generator, mean: np.ndarray, cov: np.ndarray, count: int) -> np.ndarray:
-    """Draw ``count`` samples of N(mean, blocks); tolerates rank-deficient blocks."""
-    w, V = np.linalg.eigh(_symmetrize(cov))
-    root = V * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
-    return mean + _matvec(root, rng.standard_normal((count, mean.size)))
 
 
 def sample_posterior(path: SolutionPath, seed: int, count: int) -> np.ndarray:
@@ -276,17 +287,15 @@ def sample_posterior(path: SolutionPath, seed: int, count: int) -> np.ndarray:
     if path.smoothed is None:
         raise ValueError("smooth the path before sampling")
     rng = np.random.default_rng(seed)
-    n = len(path.knots)
-    out = np.empty((count, n, path.model.state_size))
+    n, size = len(path.knots), path.model.state_size
+    out = np.empty((count, n, size))
     last = path.smoothed[-1]
-    out[:, -1, :] = _draw_gaussian(rng, last.mean, last.cov, count)
+    out[:, -1, :] = last.mean + _matvec(last.factor, rng.standard_normal((count, size)))
     for i in range(n - 2, -1, -1):
         filt = path.filtered[i]
-        pred_next = path.predictions[i + 1]
-        G = _smoother_gain(filt.cov, path.model, path.step_sizes[i], pred_next.cov)
-        cond_mean = filt.mean + _matvec(G, out[:, i + 1, :] - pred_next.mean)
-        cond_cov = _symmetrize(filt.cov - G @ pred_next.cov @ _transpose(G))
-        out[:, i, :] = cond_mean + _draw_gaussian(rng, np.zeros(filt.mean.size), cond_cov, count)
+        G, cond = _backward(filt.factor, path.model, path.step_sizes[i], path.step_sigma2[i])
+        cond_mean = filt.mean + _matvec(G, out[:, i + 1, :] - path.predictions[i + 1].mean)
+        out[:, i, :] = cond_mean + _matvec(cond, rng.standard_normal((count, size)))
     return out
 
 
@@ -325,9 +334,5 @@ def interpolate(path: SolutionPath, t: float, allow_extrapolation: bool = False)
     i = right - 1
     fwd = discrete_transition(path.model, t - knots[i], sigma2=1.0)
     pred_t = predict(path.filtered[i], fwd, path.step_sigma2[i])
-    pred_next = path.predictions[i + 1]
-    nxt = path.smoothed[i + 1]
-    G = _smoother_gain(pred_t.cov, path.model, knots[i + 1] - t, pred_next.cov)
-    mean = pred_t.mean + _matvec(G, nxt.mean - pred_next.mean)
-    cov = _symmetrize(pred_t.cov + G @ (nxt.cov - pred_next.cov) @ _transpose(G))
-    return GaussState(t=t, mean=mean, cov=cov)
+    return _rts_step(t, pred_t, path.model, knots[i + 1] - t, path.step_sigma2[i],
+                     path.predictions[i + 1], path.smoothed[i + 1])

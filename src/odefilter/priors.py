@@ -18,8 +18,9 @@ cached table per q: the power of h and the integer denominator of every
 entry of A and Q.  In Nordsieck scaling, ``B = diag(h^i / i!)``, the same
 table gives constant matrices: ``B A(h) B^-1`` is the Pascal matrix
 (:func:`pascal_matrix`) and ``B Q(h) B = sigma2 h^(2q+1) Qbar``
-(:func:`nordsieck_qbar`).  The closed-form transitions of the solver and
-the dimensionless recursions of ``analysis`` both read this table.
+(:func:`nordsieck_qbar`), whose Cholesky factor rescales to the factor
+``Q(h)^(1/2)`` the square-root filter uses.  The closed-form transitions of
+the solver and the dimensionless recursions of ``analysis`` read this table.
 
 Multivariate problems use ``d`` independent copies of the scalar model that
 share the mesh, so all matrices in this module are single-block
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, sqrt
 
 import numpy as np
 from scipy.linalg import expm
@@ -89,12 +90,14 @@ class DiscreteTransition:
     """Exact discretization of one IWP block over a step ``h``.
 
     ``A`` is upper triangular with unit diagonal; ``Q`` is symmetric PSD and
-    scales linearly in sigma2.
+    scales linearly in sigma2.  ``Q_sqrt`` is a lower triangular factor with
+    ``Q_sqrt @ Q_sqrt.T == Q`` up to round-off.
     """
 
     h: float
     A: np.ndarray
     Q: np.ndarray
+    Q_sqrt: np.ndarray
 
 
 def make_iwp(q: int, sigma2, dim: int | None = None) -> IwpModel:
@@ -138,7 +141,8 @@ class _IwpConstants:
     ``A(h)_ij = h^a_lag_ij / a_den_ij`` and
     ``Q(h)_ij = sigma2 h^q_exp_ij / q_den_ij``, with ``h^k`` taken from a
     list of powers whose last entry is 0 (``a_lag`` points there below the
-    diagonal).
+    diagonal).  ``Q(h)^(1/2) = sqrt(sigma2 h) diag(h^(q-i)) qbar_sqrt``, where
+    ``qbar_sqrt`` is ``diag(i!)`` times the Cholesky factor of ``qbar``.
     """
 
     a_lag: np.ndarray
@@ -147,6 +151,7 @@ class _IwpConstants:
     q_den: np.ndarray
     pascal: np.ndarray
     qbar: np.ndarray
+    qbar_sqrt: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -157,13 +162,15 @@ def _constants(q: int) -> _IwpConstants:
     q_exp = 2 * q + 1 - i - j
     # Products of integer-valued floats, exact while below 2^53 (q <= 10).
     q_den = q_exp * fact[q - i] * fact[q - j]
+    qbar = 1.0 / (q_den * fact[i] * fact[j])
     tables = _IwpConstants(
         a_lag=np.where(lag >= 0, lag, 2 * q + 2),
         a_den=fact[np.maximum(lag, 0)],
         q_exp=q_exp,
         q_den=q_den,
         pascal=np.vectorize(comb)(j, i).astype(float),
-        qbar=1.0 / (q_den * fact[i] * fact[j]),
+        qbar=qbar,
+        qbar_sqrt=fact[:, None] * np.linalg.cholesky(qbar),
     )
     for arr in vars(tables).values():
         arr.setflags(write=False)
@@ -203,7 +210,8 @@ def discrete_transition(
     per-q constant table.  ``method="matrix_fraction"`` instead
     exponentiates the block matrix ``[[F, sigma2 L L^T], [0, -F^T]] * h``
     and forms Q as its upper-right block times ``A.T``; it serves as an
-    independent check of the closed form.
+    independent check of the closed form.  Both take ``Q_sqrt``, the factor
+    of Q, from the table's Cholesky factor of ``Qbar``.
 
     Parameters
     ----------
@@ -222,12 +230,12 @@ def discrete_transition(
             raise ValueError("model has anisotropic sigma2; pass sigma2=... explicitly")
         sigma2 = float(model.sigma2[0])
     q = model.q
+    c = _constants(q)
+    # Python's ** per power, not np.power, whose vectorized loop can differ
+    # from it in the last bit.  The trailing 0 fills A below the diagonal.
+    powers = np.array([h**k for k in range(2 * q + 2)] + [0.0])
+    Q_sqrt = (sqrt(sigma2 * h) * powers[q::-1])[:, None] * c.qbar_sqrt
     if method == "closed_form":
-        c = _constants(q)
-        # Python's ** per power, not np.power, whose vectorized loop can
-        # differ from it in the last bit.  The trailing 0 fills A below the
-        # diagonal.
-        powers = np.array([h**k for k in range(2 * q + 2)] + [0.0])
         A = powers[c.a_lag] / c.a_den
         Q = sigma2 * powers[c.q_exp] / c.q_den
     elif method == "matrix_fraction":
@@ -244,4 +252,4 @@ def discrete_transition(
         Q = 0.5 * (Q + Q.T)
     else:
         raise ValueError(f"unknown method {method!r}; use 'closed_form' or 'matrix_fraction'")
-    return DiscreteTransition(h=float(h), A=A, Q=Q)
+    return DiscreteTransition(h=float(h), A=A, Q=Q, Q_sqrt=Q_sqrt)

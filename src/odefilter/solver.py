@@ -209,24 +209,15 @@ def observe(
     perturbed-evaluation solvers; it degenerates to ``mean`` when the
     predictive variance is zero.
     """
-    y_pred = pred.mean[0::pred.cov.shape[1]]
-    if strategy == "mean":
-        loc = y_pred
-    elif strategy == "sampled":
+    q1 = pred.factor.shape[1]
+    loc = pred.mean[0::q1]
+    if strategy == "sampled":
         if rng is None:
             raise ValueError("sampled observation strategy needs the run's generator")
-        var = np.clip(pred.cov[:, 0, 0], 0.0, None)
-        loc = y_pred + np.sqrt(var) * rng.standard_normal(problem.dim)
-    else:
+        loc = loc + pred.std()[0::q1] * rng.standard_normal(problem.dim)
+    elif strategy != "mean":
         raise ValueError(f"unknown observation strategy {strategy!r}")
     return problem.eval_rhs(t, loc)
-
-
-def _clean_cov(state: GaussState) -> GaussState:
-    """Clip round-off negativity out of each covariance block (diffuse starts)."""
-    w, V = np.linalg.eigh(0.5 * (state.cov + state.cov.transpose(0, 2, 1)))
-    w = np.clip(w, 0.0, None)
-    return GaussState(t=state.t, mean=state.mean, cov=(V * w[:, None, :]) @ V.transpose(0, 2, 1))
 
 
 def _initial_segment(
@@ -248,11 +239,11 @@ def _initial_segment(
     h0 = config.resolve_h_init(problem)
     if exact:
         slots = np.arange(model.block_size)
-        cov = np.zeros((problem.dim, model.block_size, model.block_size))
-        cov[:, slots, slots] = model.sigma2[:, None] * h0 ** (2 * (q - slots) + 1)
+        factor = np.zeros((problem.dim, model.block_size, model.block_size))
+        factor[:, slots, slots] = np.sqrt(model.sigma2[:, None] * h0 ** (2 * (q - slots) + 1))
     else:
-        cov = np.full((problem.dim, 1, 1), config.diffuse_variance) * np.eye(model.block_size)
-    prior = GaussState(t=problem.t0, mean=np.zeros(model.state_size), cov=cov)
+        factor = np.full((problem.dim, 1, 1), np.sqrt(config.diffuse_variance)) * np.eye(q + 1)
+    prior = GaussState(t=problem.t0, mean=np.zeros(model.state_size), factor=factor)
     deriv_obs = ObservationModel(derivative_index=1)
     state, _ = update(prior, problem.y0, ObservationModel(derivative_index=0))
     z = observe(problem, state, problem.t0, config.obs_strategy, rng=rng)
@@ -281,17 +272,16 @@ def _initial_segment(
         from .analysis import rk_starter_q4
 
         u, v = fractions[1], fractions[2]
-        means, covs = [], []
+        # Slot 1 is known exactly (row and column 1 vanish); factor the rest.
+        free = np.ix_([0, 2, 3, 4], [0, 2, 3, 4])
+        means, factors = [], np.zeros((problem.dim, 5, 5))
         for k in range(problem.dim):
             z_k = [z[k] for z in zs]
             m_k, c_k = rk_starter_q4(u, v, h0, float(model.sigma2[k]), z_k, float(problem.y0[k]))
             means.append(m_k)
-            covs.append(c_k)
-        final = GaussState(t=state.t, mean=np.concatenate(means), cov=np.stack(covs))
-        segment[-1] = (pred, final, h)
-        return segment
-    # Diffuse arithmetic leaves round-off scale indefiniteness behind.
-    return [(p, _clean_cov(s), h) for (p, s, h) in segment]
+            factors[k][free] = np.linalg.cholesky(c_k[free])
+        segment[-1] = (pred, GaussState(t=state.t, mean=np.concatenate(means), factor=factors), h)
+    return segment
 
 
 def initialize(problem: IvpProblem, config: SolverConfig, model: IwpModel) -> GaussState:
@@ -323,8 +313,10 @@ def solve(
 ) -> SolveResult:
     """Solve the IVP, returning the filtered path and step diagnostics.
 
-    Fixed-step mode walks the mesh t0 + n*h (last step clamped to T) and
-    accepts every step; adaptive mode sizes steps from the local error test.
+    Fixed-step mode walks the mesh t0 + n*h and accepts every step; the
+    last step is clamped to T, and stretched onto T when it would leave a
+    remainder below the resolvable step.  Adaptive mode sizes steps from
+    the local error test.
     Execution is deterministic: rerunning with identical inputs reproduces
     the result bit for bit, including the sampled observation strategy under
     a fixed seed.
@@ -346,7 +338,7 @@ def solve(
 
     state = path.filtered[-1]
     t = state.t
-    deriv_obs = ObservationModel(derivative_index=1, noise=0.0)
+    deriv_obs = ObservationModel(derivative_index=1)
     fixed = config.fixed_step is not None
     h = config.fixed_step if fixed else config.resolve_h_init(problem)
 
@@ -355,21 +347,20 @@ def solve(
     resid_sq_sum = np.zeros(problem.dim)
     n_accepted = 0
     n_rejected = 0
-    attempts = 0
     consecutive_rejections = 0
     current_sigma2 = model.sigma2.copy()
 
     t_end = problem.T
     while t < t_end - _EPS * max(abs(t_end), 1.0):
-        attempts += 1
-        if attempts > config.max_steps:
+        if n_accepted + n_rejected >= config.max_steps:
             raise RuntimeError(
                 f"exceeded max_steps = {config.max_steps}; tolerance or "
                 "controller settings force an unreasonably fine mesh"
             )
         _check_underflow(h, t, span)
-        if t + h >= t_end:
-            h = t_end - t  # clamp the final step onto T
+        if t + h >= t_end - 1e3 * _EPS * max(abs(t_end), span):
+            # Clamp onto T, absorbing a remainder too short to step over.
+            h = t_end - t
         t_next = t + h
 
         base = discrete_transition(model, h, sigma2=1.0)
@@ -397,7 +388,9 @@ def solve(
         sigma2_local = estimate_sigma2(residual, qbar11)
         sigma2_step = sigma2_local if config.sigma_mode == "local_ml" else model.sigma2
 
-        if not fixed:
+        if fixed:
+            D, accepted, h_next = np.sqrt(sigma2_local * qbar11), True, h
+        else:
             y_now = pred_mean[0::q1]
             D, accepted = local_error_test(sigma2_local, base.Q, y_now, config, h)
             if not accepted and consecutive_rejections >= config.max_rejections:
@@ -407,23 +400,15 @@ def solve(
                 accepted = True
             ebar = config.eps * h / (1.0 if config.per_unit_step else h)
             h_next = next_step_size(float(np.max(D)), ebar, h, model.q, config)
-            reports.append(
-                StepReport(t=t, h=h, sigma2_hat=sigma2_local, D=D,
-                           accepted=accepted, h_next=h_next)
-            )
-            if not accepted:
-                n_rejected += 1
-                consecutive_rejections += 1
-                h = h_next
-                continue
-            consecutive_rejections = 0
-        else:
-            D = np.sqrt(sigma2_local * qbar11)
-            h_next = h
-            reports.append(
-                StepReport(t=t, h=h, sigma2_hat=sigma2_local, D=D,
-                           accepted=True, h_next=h_next)
-            )
+        reports.append(
+            StepReport(t=t, h=h, sigma2_hat=sigma2_local, D=D, accepted=accepted, h_next=h_next)
+        )
+        if not accepted:
+            n_rejected += 1
+            consecutive_rejections += 1
+            h = h_next
+            continue
+        consecutive_rejections = 0
 
         prediction = predict(state, base, sigma2_step)
         state, _ = update(prediction, z, deriv_obs)
@@ -456,11 +441,11 @@ def _apply_global_sigma2(result: SolveResult, model: IwpModel, sigma2_global: np
     the Kalman gains do not depend on its value.
     """
     factors = sigma2_global / model.sigma2
-    scale = factors[:, None, None]
+    scale = np.sqrt(factors)[:, None, None]
 
     path = result.path
-    path.filtered = [GaussState(s.t, s.mean, s.cov * scale) for s in path.filtered]
-    path.predictions = [GaussState(s.t, s.mean, s.cov * scale) for s in path.predictions]
+    path.filtered = [GaussState(s.t, s.mean, s.factor * scale) for s in path.filtered]
+    path.predictions = [GaussState(s.t, s.mean, s.factor * scale) for s in path.predictions]
     path.step_sigma2 = [sig * factors for sig in path.step_sigma2]
     path.smoothed = None
     result.sigma2_trace = result.sigma2_trace * factors

@@ -137,14 +137,14 @@ class TestStarter:
 
         def diffuse_run(var):
             prob = get_problem("logistic")
-            state = GaussState(0.0, np.zeros(5), var * np.eye(5)[None])
-            state, _ = update(state, [0.1], ObservationModel(0, 0.0))
+            state = GaussState(0.0, np.zeros(5), np.sqrt(var) * np.eye(5)[None])
+            state, _ = update(state, [0.1], ObservationModel(0))
             zs, t_prev = [], 0.0
             for tk in (0.0, u * h, v * h, h):
                 if tk > 0.0:
                     state = predict(state, discrete_transition(model, tk - t_prev, sigma2=1.0))
                 z = prob.rhs(tk, state.mean[[0]])
-                state, _ = update(state, z, ObservationModel(1, 0.0))
+                state, _ = update(state, z, ObservationModel(1))
                 zs.append(float(np.atleast_1d(z)[0]))
                 t_prev = tk
             return state.mean, state.cov[0], np.array(zs)

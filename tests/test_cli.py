@@ -55,6 +55,14 @@ class TestSolveCommand:
         assert code == 2
         assert "available" in capsys.readouterr().err
 
+    def test_negative_samples_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = run(["solve", "--problem", "logistic", "--eps", "0.01", "--samples", "-2",
+                    "--out", str(out)])
+        assert code == 2
+        assert "--samples" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_required_argument(self, tmp_path):
         assert run(["solve", "--problem", "logistic", "--out", str(tmp_path / "x.csv")]) == 2
 
@@ -88,6 +96,14 @@ class TestOtherCommands:
         assert len(rows) == 101
         radii = np.array([float(r.split(",")[2]) for r in rows[1:]])
         assert radii.min() < 1.0 < radii.max()
+
+    @pytest.mark.parametrize("n", ["0", "-3", "2.5"])
+    def test_stability_grid_count_must_be_positive_integer(self, tmp_path, capsys, n):
+        out = tmp_path / "stab.csv"
+        code = run(["stability", f"--grid=-4,0.5,0,3,{n}", "--out", str(out)])
+        assert code == 2
+        assert "positive integer" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_stability_bad_grid(self, tmp_path, capsys):
         assert run(["stability", "--grid", "1,2,3", "--out", str(tmp_path / "x.csv")]) == 2

@@ -110,6 +110,19 @@ class TestDiscreteTransition:
                 np.testing.assert_allclose(tr.A, _loop_a(q, h), rtol=0, atol=0)
                 np.testing.assert_allclose(tr.Q, _loop_q(q, h, s), rtol=0, atol=0)
 
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_q_sqrt_is_lower_factor_of_q(self, q):
+        m = make_iwp(q, [0.7], 1)
+        for h in 10.0 ** np.arange(-8.0, 2.0):
+            tr = discrete_transition(m, h)
+            assert np.array_equal(tr.Q_sqrt, np.tril(tr.Q_sqrt))
+            # Entrywise, so the tiny entries of Q are checked too.
+            np.testing.assert_allclose(tr.Q_sqrt @ tr.Q_sqrt.T, tr.Q, rtol=1e-14, atol=0)
+        for h in (1e-3, 0.1, 1.0, 10.0):
+            oracle = discrete_transition(m, h, "matrix_fraction")
+            Q = oracle.Q_sqrt @ oracle.Q_sqrt.T
+            assert np.max(np.abs(Q - oracle.Q)) <= 1e-10 * np.max(np.abs(oracle.Q))
+
     def test_a_unit_upper_triangular(self):
         tr = discrete_transition(make_iwp(3, [1.0], 1), 0.42)
         assert np.allclose(np.tril(tr.A, -1), 0.0)

@@ -10,6 +10,7 @@ from odefilter import (
     initialize,
     make_iwp,
     observe,
+    reference_solution,
     solve,
 )
 
@@ -78,6 +79,16 @@ class TestInitialize:
         assert st.mean[0] == 0.1
         assert st.mean[1] == pytest.approx(0.27, rel=1e-14)
         assert st.cov[0, 0, 0] == 0.0
+
+    def test_exact_q4_conditions_prior_variances_below_eps(self):
+        # At h_init = 7.5e-4 the prior variances h^(2(q-i)+1) span 26 orders
+        # of magnitude; an update that judged degeneracy relative to the
+        # block's largest variance skipped both y0 and f(y0).
+        p = get_problem("logistic")
+        st = initialize(p, SolverConfig(q=4, h_init=0.00075), make_iwp(4, [1.0], 1))
+        assert st.mean[0] == 0.1
+        assert st.mean[1] == pytest.approx(0.27, rel=1e-14)
+        assert np.max(np.abs(st.factor[0, :2])) == 0.0
 
     def test_diffuse_variance_insensitive_means(self):
         model = make_iwp(2, [1.0], 1)
@@ -158,6 +169,24 @@ class TestSolveFixedStep:
         res = solve(p, SolverConfig(q=2, fixed_step=0.0834))
         assert res.knots[-1] == p.T
         assert res.steps_accepted == 120
+
+    def test_final_sliver_absorbed(self):
+        # 60 steps of 0.025 sum to 1.5 - 1.3e-15; the remainder is stretched
+        # into the last step instead of being stepped over on its own.
+        res = solve(get_problem("logistic"), SolverConfig(q=2, fixed_step=0.025))
+        assert res.steps_accepted == 60 and res.knots[-1] == 1.5
+        assert min(res.path.step_sizes) > 0.024
+
+    @pytest.mark.parametrize("name", ["logistic", "vdp"])
+    def test_q4_small_steps_stay_accurate(self, name):
+        # The covariance form lost PSD here: the 20th logistic step saw a
+        # negative innovation variance.
+        p = get_problem(name)
+        h = 0.00075 if name == "logistic" else (p.T - p.t0) / 2000
+        res = solve(p, SolverConfig(q=4, fixed_step=h))
+        ref = np.atleast_1d(reference_solution(get_problem(name), p.T))
+        err = np.max(np.abs(res.solution_means()[-1] - ref))
+        assert err <= 1e-5 * np.max(np.abs(ref))
 
     def test_linear_problem_error_bound(self):
         # terminal error consistent with an accumulated local error of
