@@ -21,14 +21,10 @@ from odefilter import (
 from odefilter.filtering import SolutionPath
 
 
-def _rand_psd(rng, n, rank=None):
-    m = rng.standard_normal((n, rank or n))
-    return m @ m.T + 1e-10 * np.eye(n)
-
-
 def _rand_factor(rng, n):
-    """Factor stack of one random PSD block."""
-    return np.linalg.cholesky(_rand_psd(rng, n))[None]
+    """Factor stack of one random positive definite block."""
+    m = rng.standard_normal((n, n))
+    return np.linalg.cholesky(m @ m.T + 1e-10 * np.eye(n))[None]
 
 
 def _diag(blocks):
@@ -120,7 +116,7 @@ class TestUpdate:
         assert resid[0] == 3.0
 
     def test_tiny_scale_block_is_not_degenerate(self):
-        # Degeneracy is judged against the block's own diagonal, so a block
+        # Only an exactly zero innovation variance is degenerate, so a block
         # whose variances all sit far below 1 is still conditioned.
         cov = np.array([[[4e-17, 0.0], [0.0, 1e-18]], [[1.0, 0.0], [0.0, 1.0]]])
         state = GaussState(0.0, np.zeros(4), np.sqrt(cov))
