@@ -49,7 +49,7 @@ def _config_from(args) -> SolverConfig:
         init_mode=init_mode,
         obs_strategy=args.obs,
         seed=args.seed,
-        sigma_mode="global_ml" if (args.fixed_step and args.global_sigma) else "local_ml",
+        sigma_mode="global_ml" if args.global_sigma else "local_ml",
     )
 
 

@@ -5,7 +5,8 @@ mean to the trial time, evaluates the right-hand side there to manufacture a
 derivative observation, estimates the local diffusion intensity from the
 residual, runs the error test (in adaptive mode), and only then completes
 the covariance prediction and the Kalman update.  Rejected steps re-estimate
-everything at the shrunken step; the final step is clamped to land exactly
+everything at the shrunken step, and an observation that is not finite is
+a rejection at half the step; the final step is clamped to land exactly
 on T.
 """
 
@@ -38,6 +39,7 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
+_DERIV_OBS = ObservationModel(derivative_index=1)
 
 # Derivative-observation knots (fractions of h_init) used by the diffuse
 # start; q derivative readings plus the initial value give q+1 conditions.
@@ -195,77 +197,80 @@ class SolveResult:
 
 def observe(
     problem: IvpProblem,
-    pred: GaussState,
     t: float,
-    strategy: str = "mean",
+    loc: np.ndarray,
+    std: np.ndarray | None = None,
     *,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
-    """Manufacture the derivative observation at a trial time.
+    """The derivative observation f(t, y) at a predicted solution value.
 
-    ``mean``: evaluate the right-hand side at the predicted solution mean
-    (one evaluation).  ``sampled``: evaluate at a draw from the predicted
-    solution marginal instead, a comparison mode mimicking
-    perturbed-evaluation solvers; it degenerates to ``mean`` when the
-    predictive variance is zero.
+    ``loc`` holds the predicted solution means (slot 0 of each block).
+    Without a generator ``y = loc``, the ``mean`` strategy.  Given the run's
+    generator and the predicted standard deviations ``std``, ``y`` is the
+    draw ``loc + std * xi`` from the predicted solution marginal instead,
+    the ``sampled`` comparison mode mimicking perturbed-evaluation solvers;
+    it degenerates to ``mean`` when ``std`` is zero.  Either way this is
+    one evaluation.
     """
-    q1 = pred.factor.shape[1]
-    loc = pred.mean[0::q1]
-    if strategy == "sampled":
-        if rng is None:
-            raise ValueError("sampled observation strategy needs the run's generator")
-        loc = loc + pred.std()[0::q1] * rng.standard_normal(problem.dim)
-    elif strategy != "mean":
-        raise ValueError(f"unknown observation strategy {strategy!r}")
+    if (std is None) != (rng is None):
+        raise ValueError("a sampled observation needs both the predicted std and the run's generator")
+    if rng is not None:
+        loc = loc + std * rng.standard_normal(problem.dim)
     return problem.eval_rhs(t, loc)
 
 
-def _initial_segment(
+def _starter_path(
     problem: IvpProblem,
     config: SolverConfig,
     model: IwpModel,
     rng: np.random.Generator | None,
-) -> list[tuple[GaussState, GaussState, float | None]]:
-    """Initialization knots as (prediction, filtered, incoming h) triples.
+) -> SolutionPath:
+    """The initialization knots, as the path the solve loop extends.
 
     ``init_mode`` picks only the prior covariance.  Every mode conditions
     it on y(t0) = y0 and y'(t0) = f(t0, y0); the non-exact modes then
-    filter one derivative reading at each further starter knot.
+    filter one derivative reading at each further starter knot.  A
+    non-finite reading at any knot raises: the start cannot step around it.
     """
-    q = model.q
+    q, q1 = model.q, model.block_size
     exact = config.init_mode == "exact"
     if not exact and q not in _STARTER_KNOTS:
         raise ValueError(f"diffuse start supports q in 1..4, got {q}")
     h0 = config.resolve_h_init(problem)
     if exact:
-        slots = np.arange(model.block_size)
-        factor = np.zeros((problem.dim, model.block_size, model.block_size))
+        slots = np.arange(q1)
+        factor = np.zeros((problem.dim, q1, q1))
         factor[:, slots, slots] = np.sqrt(model.sigma2[:, None] * h0 ** (2 * (q - slots) + 1))
     else:
-        factor = np.full((problem.dim, 1, 1), np.sqrt(config.diffuse_variance)) * np.eye(q + 1)
+        factor = np.full((problem.dim, 1, 1), np.sqrt(config.diffuse_variance)) * np.eye(q1)
     prior = GaussState(t=problem.t0, mean=np.zeros(model.state_size), factor=factor)
-    deriv_obs = ObservationModel(derivative_index=1)
+
+    def reading(state: GaussState, t: float) -> np.ndarray:
+        std = state.std()[0::q1] if rng is not None else None
+        z = observe(problem, t, state.mean[0::q1], std, rng=rng)
+        if not np.all(np.isfinite(z)):
+            raise ValueError(f"right-hand side returned non-finite values at starter knot t = {t}")
+        return z
+
     state, _ = update(prior, problem.y0, ObservationModel(derivative_index=0))
-    z = observe(problem, state, problem.t0, config.obs_strategy, rng=rng)
-    if not np.all(np.isfinite(z)):
-        raise ValueError(f"right-hand side returned non-finite values at t0 = {problem.t0}")
-    state, _ = update(state, z, deriv_obs)
-    segment = [(prior, state, None)]
+    zs = [reading(state, problem.t0)]
+    state, _ = update(state, zs[0], _DERIV_OBS)
+    path = SolutionPath(model=model)
+    path.append(prior, state, None)
     if exact:
-        return segment
+        return path
 
     fractions = _STARTER_KNOTS[q]
-    zs = [z]
     for prev, frac in zip(fractions, fractions[1:]):
         t_next = problem.t0 + frac * h0
         # The step between knot times, not from state.t, which carries the
         # round-off of the summed steps.
         h = t_next - (problem.t0 + prev * h0)
         pred = predict(state, discrete_transition(model, h, sigma2=1.0), model.sigma2)
-        z = observe(problem, pred, t_next, config.obs_strategy, rng=rng)
-        state, _ = update(pred, z, deriv_obs)
-        segment.append((pred, state, h))
-        zs.append(z)
+        zs.append(reading(pred, t_next))
+        state, _ = update(pred, zs[-1], _DERIV_OBS)
+        path.append(pred, state, h, model.sigma2)
     if config.init_mode == "rk_starter" and q == 4:
         # Replace the numerically-diffuse terminal state with the exact
         # diffuse-limit closed forms evaluated at the gathered observations.
@@ -280,8 +285,8 @@ def _initial_segment(
             m_k, c_k = rk_starter_q4(u, v, h0, float(model.sigma2[k]), z_k, float(problem.y0[k]))
             means.append(m_k)
             factors[k][free] = np.linalg.cholesky(c_k[free])
-        segment[-1] = (pred, GaussState(t=state.t, mean=np.concatenate(means), factor=factors), h)
-    return segment
+        path.filtered[-1] = GaussState(t=state.t, mean=np.concatenate(means), factor=factors)
+    return path
 
 
 def initialize(problem: IvpProblem, config: SolverConfig, model: IwpModel) -> GaussState:
@@ -297,8 +302,7 @@ def initialize(problem: IvpProblem, config: SolverConfig, model: IwpModel) -> Ga
     if config.q != model.q:
         raise ValueError(f"config.q = {config.q} but model.q = {model.q}")
     rng = np.random.default_rng(config.seed) if config.obs_strategy == "sampled" else None
-    segment = _initial_segment(problem, config, model, rng)
-    return segment[-1][1]
+    return _starter_path(problem, config, model, rng).filtered[-1]
 
 
 def _check_underflow(h: float, t: float, span: float):
@@ -331,28 +335,20 @@ def solve(
     rng = np.random.default_rng(config.seed) if config.obs_strategy == "sampled" else None
     nfev_start = problem.nfev
     span = problem.T - problem.t0
-
-    path = SolutionPath(model=model)
-    for pred, filt, h_in in _initial_segment(problem, config, model, rng):
-        path.append(pred, filt, h_in, model.sigma2 if h_in is not None else None)
+    path = _starter_path(problem, config, model, rng)
+    n_start = len(path.step_sigma2)
 
     state = path.filtered[-1]
     t = state.t
-    deriv_obs = ObservationModel(derivative_index=1)
+    q1 = model.block_size
     fixed = config.fixed_step is not None
     h = config.fixed_step if fixed else config.resolve_h_init(problem)
-
     reports: list[StepReport] = []
-    sigma2_trace: list[np.ndarray] = []
-    resid_sq_sum = np.zeros(problem.dim)
-    n_accepted = 0
-    n_rejected = 0
-    consecutive_rejections = 0
-    current_sigma2 = model.sigma2.copy()
+    streak = 0  # error-test rejections since the last accepted step
 
     t_end = problem.T
     while t < t_end - _EPS * max(abs(t_end), 1.0):
-        if n_accepted + n_rejected >= config.max_steps:
+        if len(reports) >= config.max_steps:
             raise RuntimeError(
                 f"exceeded max_steps = {config.max_steps}; tolerance or "
                 "controller settings force an unreasonably fine mesh"
@@ -361,91 +357,69 @@ def solve(
         if t + h >= t_end - 1e3 * _EPS * max(abs(t_end), span):
             # Clamp onto T, absorbing a remainder too short to step over.
             h = t_end - t
-        t_next = t + h
 
         base = discrete_transition(model, h, sigma2=1.0)
-        q1 = model.block_size
         pred_mean = predict_mean(state, base)
-        if config.obs_strategy == "sampled":
+        std = None
+        if rng is not None:
             # The draw needs the predictive variance; size it with the most
             # recently accepted diffusion estimate.
-            pred_state = predict(state, base, current_sigma2)
-            z = observe(problem, pred_state, t_next, "sampled", rng=rng)
+            sigma2_last = path.step_sigma2[-1] if path.step_sigma2 else model.sigma2
+            std = predict(state, base, sigma2_last).std()[0::q1]
+        z = observe(problem, t + h, pred_mean[0::q1], std, rng=rng)
+
+        if np.all(np.isfinite(z)):
+            qbar11 = base.Q[1, 1]
+            sigma2_local = estimate_sigma2(z - pred_mean[1::q1], qbar11)
+            if fixed:
+                D, passed, h_next = np.sqrt(sigma2_local * qbar11), True, h
+            else:
+                D, passed = local_error_test(sigma2_local, base.Q, pred_mean[0::q1], config, h)
+                ebar = config.eps * h / (1.0 if config.per_unit_step else h)
+                h_next = next_step_size(float(np.max(D)), ebar, h, model.q, config)
+            # The residual no longer shrinks with h once the state's
+            # derivative slots are inconsistent with the vector field; only
+            # an update can repair that, so a long streak forces the step.
+            accepted = passed or streak >= config.max_rejections
+            streak = 0 if accepted else streak + 1
         else:
-            z = problem.eval_rhs(t_next, pred_mean[0::q1])
-
-        if not np.all(np.isfinite(z)):
-            n_rejected += 1
-            reports.append(
-                StepReport(t=t, h=h, sigma2_hat=np.full(problem.dim, np.nan),
-                           D=np.full(problem.dim, np.inf), accepted=False, h_next=h / 2)
-            )
-            h = h / 2.0
-            continue
-
-        residual = z - pred_mean[1::q1]
-        qbar11 = base.Q[1, 1]
-        sigma2_local = estimate_sigma2(residual, qbar11)
-        sigma2_step = sigma2_local if config.sigma_mode == "local_ml" else model.sigma2
-
-        if fixed:
-            D, accepted, h_next = np.sqrt(sigma2_local * qbar11), True, h
-        else:
-            y_now = pred_mean[0::q1]
-            D, accepted = local_error_test(sigma2_local, base.Q, y_now, config, h)
-            if not accepted and consecutive_rejections >= config.max_rejections:
-                # The residual no longer shrinks with h once the state's
-                # derivative slots are inconsistent with the vector field;
-                # only an update can repair that, so force the step through.
-                accepted = True
-            ebar = config.eps * h / (1.0 if config.per_unit_step else h)
-            h_next = next_step_size(float(np.max(D)), ebar, h, model.q, config)
+            # Nothing to score: retry at half the step, outside the streak.
+            sigma2_local, D = np.full(problem.dim, np.nan), np.full(problem.dim, np.inf)
+            accepted, h_next = False, h / 2.0
         reports.append(
             StepReport(t=t, h=h, sigma2_hat=sigma2_local, D=D, accepted=accepted, h_next=h_next)
         )
-        if not accepted:
-            n_rejected += 1
-            consecutive_rejections += 1
-            h = h_next
-            continue
-        consecutive_rejections = 0
-
-        prediction = predict(state, base, sigma2_step)
-        state, _ = update(prediction, z, deriv_obs)
-        path.append(prediction, state, h, sigma2_step)
-        sigma2_trace.append(np.asarray(sigma2_step, dtype=float))
-        resid_sq_sum += residual**2 / qbar11
-        current_sigma2 = np.asarray(sigma2_step, dtype=float)
-        n_accepted += 1
-        t = t_next
+        if accepted:
+            sigma2_step = sigma2_local if config.sigma_mode == "local_ml" else model.sigma2
+            prediction = predict(state, base, sigma2_step)
+            state, _ = update(prediction, z, _DERIV_OBS)
+            path.append(prediction, state, h, sigma2_step)
+            t = t + h
         h = h_next
 
-    result = SolveResult(
+    n_accepted = len(path.step_sigma2) - n_start
+    if config.sigma_mode == "global_ml" and n_accepted > 0:
+        sigma2_sum = sum((r.sigma2_hat for r in reports if r.accepted), np.zeros(problem.dim))
+        _apply_global_sigma2(path, model, sigma2_sum / n_accepted)
+    trace = path.step_sigma2[n_start:]
+    return SolveResult(
         path=path,
-        sigma2_trace=(np.asarray(sigma2_trace)
-                      if sigma2_trace else np.empty((0, problem.dim))),
+        sigma2_trace=np.asarray(trace) if trace else np.empty((0, problem.dim)),
         steps_accepted=n_accepted,
-        steps_rejected=n_rejected,
+        steps_rejected=len(reports) - n_accepted,
         fevals=problem.nfev - nfev_start,
         per_step=reports,
     )
-    if config.sigma_mode == "global_ml" and n_accepted > 0:
-        _apply_global_sigma2(result, model, resid_sq_sum / n_accepted)
-    return result
 
 
-def _apply_global_sigma2(result: SolveResult, model: IwpModel, sigma2_global: np.ndarray):
-    """Rescale the run's covariances to the whole-run diffusion estimate.
+def _apply_global_sigma2(path: SolutionPath, model: IwpModel, sigma2_global: np.ndarray):
+    """Rescale the path's covariances to the whole-run diffusion estimate.
 
     Means are untouched: with a diffusion that is constant across the run,
     the Kalman gains do not depend on its value.
     """
     factors = sigma2_global / model.sigma2
     scale = np.sqrt(factors)[:, None, None]
-
-    path = result.path
     path.filtered = [GaussState(s.t, s.mean, s.factor * scale) for s in path.filtered]
     path.predictions = [GaussState(s.t, s.mean, s.factor * scale) for s in path.predictions]
     path.step_sigma2 = [sig * factors for sig in path.step_sigma2]
-    path.smoothed = None
-    result.sigma2_trace = result.sigma2_trace * factors

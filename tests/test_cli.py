@@ -63,6 +63,14 @@ class TestSolveCommand:
         assert "--samples" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_global_sigma_needs_fixed_step(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = run(["solve", "--problem", "logistic", "--eps", "0.001", "--global-sigma",
+                    "--out", str(out)])
+        assert code == 2
+        assert "fixed_step" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_required_argument(self, tmp_path):
         assert run(["solve", "--problem", "logistic", "--out", str(tmp_path / "x.csv")]) == 2
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from odefilter import (
-    GaussState,
     IvpProblem,
     SolverConfig,
     StepSizeUnderflowError,
@@ -115,28 +114,32 @@ class TestInitialize:
 class TestObserve:
     def test_logistic_at_start(self):
         p = get_problem("logistic")
-        pred = GaussState(0.0, np.array([0.1, 0.0, 0.0]), np.zeros((1, 3, 3)))
-        z = observe(p, pred, 0.0)
+        z = observe(p, 0.0, np.array([0.1]))
         assert z[0] == pytest.approx(0.27, rel=1e-14)
         assert p.nfev == 1
 
     def test_brusselator_value(self):
         p = get_problem("brusselator")
-        pred = GaussState(0.0, np.array([1.5, 0, 0, 3.0, 0, 0]), np.zeros((2, 3, 3)))
-        np.testing.assert_allclose(observe(p, pred, 0.0), [1.75, -2.25], rtol=1e-14)
+        np.testing.assert_allclose(observe(p, 0.0, np.array([1.5, 3.0])), [1.75, -2.25], rtol=1e-14)
 
     def test_sampled_degenerates_to_mean(self):
         p1, p2 = get_problem("logistic"), get_problem("logistic")
-        pred = GaussState(0.0, np.array([0.1, 0.0, 0.0]), np.zeros((1, 3, 3)))
-        z_mean = observe(p1, pred, 0.0, "mean")
-        z_samp = observe(p2, pred, 0.0, "sampled", rng=np.random.default_rng(0))
+        loc = np.array([0.1])
+        z_mean = observe(p1, 0.0, loc)
+        z_samp = observe(p2, 0.0, loc, np.zeros(1), rng=np.random.default_rng(0))
         assert np.array_equal(z_mean, z_samp)
 
     def test_sampled_needs_rng(self):
         p = get_problem("logistic")
-        pred = GaussState(0.0, np.zeros(3), np.eye(3)[None])
-        with pytest.raises(ValueError):
-            observe(p, pred, 0.0, "sampled")
+        with pytest.raises(ValueError, match="generator"):
+            observe(p, 0.0, np.zeros(1), np.ones(1))
+        assert p.nfev == 0
+
+    def test_sampled_needs_std(self):
+        p = get_problem("logistic")
+        with pytest.raises(ValueError, match="std"):
+            observe(p, 0.0, np.zeros(1), rng=np.random.default_rng(0))
+        assert p.nfev == 0
 
 
 class TestSolveFixedStep:
@@ -290,6 +293,17 @@ class TestSolveAdaptive:
         with pytest.raises(ValueError, match="non-finite"):
             solve(p, SolverConfig(q=2, eps=1e-3))
 
+    def test_nonfinite_at_later_starter_knot_raises(self):
+        p = IvpProblem(
+            name="bad_later", dim=1, t0=0.0, T=1.0, y0=np.array([1.0]),
+            rhs=lambda t, y: -y if t == 0.0 else np.array([np.nan]),
+        )
+        cfg = SolverConfig(q=2, eps=1e-3, init_mode="diffuse_filter")
+        with pytest.raises(ValueError, match="non-finite values at starter knot t = 0.01"):
+            initialize(p, cfg, make_iwp(2, [1.0], 1))
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(p, cfg)
+
     def test_zero_residual_steps_always_accepted(self):
         p = get_problem("linear(0)")
         res = solve(p, SolverConfig(q=2, eps=1e-12))
@@ -314,6 +328,58 @@ class TestSolveAdaptive:
         xi = local_errors(p, res)
         bands = 2.0 * res.solution_stds()[1:, 0]
         assert np.mean(xi > bands) < 0.20
+
+
+class TestLoopBranches:
+    def test_forced_accept_after_max_rejections(self):
+        p = get_problem("logistic")
+        cfg = SolverConfig(q=4, eps=1e-3)
+        res = solve(p, cfg)
+        assert (res.steps_accepted, res.steps_rejected, res.fevals) == (52, 61, 114)
+        streak = res.per_step[: cfg.max_rejections]
+        assert not any(r.accepted for r in streak)
+        assert all(np.isfinite(r.sigma2_hat).all() for r in streak)
+        forced = res.per_step[cfg.max_rejections]
+        assert forced.accepted and np.max(forced.D) == pytest.approx(1.7146e-3, rel=1e-4)
+        assert np.max(forced.D) > cfg.eps
+
+    def test_max_steps_raises(self):
+        with pytest.raises(RuntimeError, match="exceeded max_steps = 10"):
+            solve(get_problem("logistic"), SolverConfig(q=2, eps=1e-3, max_steps=10))
+
+    def test_nonfinite_rejections_do_not_extend_streak(self):
+        calls = {"n": 0}
+
+        def flaky(t, y):
+            calls["n"] += 1
+            if 2 <= calls["n"] <= 3:  # poison the first two step attempts
+                return np.array([np.nan])
+            return 3 * y * (1 - y)
+
+        p = IvpProblem(name="flaky", dim=1, t0=0.0, T=1.5, y0=np.array([0.1]), rhs=flaky)
+        res = solve(p, SolverConfig(q=4, eps=1e-3, max_rejections=1))
+        first = res.per_step[:4]
+        assert [np.isnan(r.sigma2_hat).all() for r in first] == [True, True, False, False]
+        # Counted, the two non-finite rejections would force attempt 2 through.
+        assert [r.accepted for r in first] == [False, False, False, True]
+        assert np.max(first[3].D) > 1e-3
+
+    @pytest.mark.parametrize(
+        "kwargs, n_start",
+        [
+            ({"eps": 1e-3}, 0),
+            ({"eps": 1e-3, "init_mode": "diffuse_filter"}, 1),
+            ({"eps": 1e-3, "obs_strategy": "sampled", "seed": 3}, 0),
+            ({"fixed_step": 0.1, "sigma_mode": "global_ml"}, 0),
+            ({"fixed_step": 0.1, "sigma_mode": "global_ml", "init_mode": "diffuse_filter"}, 1),
+        ],
+    )
+    def test_sigma2_trace_is_accepted_step_sigma2(self, kwargs, n_start):
+        res = solve(get_problem("logistic"), SolverConfig(q=2, **kwargs))
+        accepted = res.path.step_sigma2[n_start:]
+        assert res.steps_accepted == len(accepted) > 0
+        assert res.steps_rejected == len(res.per_step) - len(accepted)
+        assert np.array_equal(res.sigma2_trace, np.asarray(accepted))
 
 
 class TestStarterModes:
