@@ -53,7 +53,7 @@ class SteadyState:
     iterations: int
 
 
-def steady_state(model: IwpModel, h: float = 1.0, tol: float = 1e-12, max_iter: int = 10_000) -> SteadyState:
+def steady_state(model: IwpModel, tol: float = 1e-12, max_iter: int = 10_000) -> SteadyState:
     """Iterate predict/update on the dimensionless covariance until fixed.
 
     Starts from C = 0 (the state right after exact initialization; the
@@ -64,12 +64,10 @@ def steady_state(model: IwpModel, h: float = 1.0, tol: float = 1e-12, max_iter: 
     q = model.q
     if not 1 <= q <= 4:
         raise ValueError(f"steady-state analysis supports q in 1..4, got {q}")
-    if h <= 0:
-        raise ValueError(f"h must be positive, got {h}")
     if np.ptp(model.sigma2) != 0.0:
         raise ValueError("steady-state analysis needs a constant sigma2")
     qbar = nordsieck_qbar(q)
-    unit = DiscreteTransition(h=1.0, A=pascal_matrix(q), Q=qbar, Q_sqrt=np.linalg.cholesky(qbar))
+    unit = DiscreteTransition(h=1.0, A=pascal_matrix(q), Q_sqrt=np.linalg.cholesky(qbar), q11=qbar[1, 1])
     mask = np.ones((q + 1, q + 1), dtype=bool)
     mask[0, 0] = False
     factor = c = np.zeros((q + 1, q + 1))

@@ -229,7 +229,7 @@ def _backward(factor: np.ndarray, model: IwpModel, h: float, sigma2) -> tuple[np
     first: unscaled, its condition number reaches 1e12 at tight tolerances,
     and the SVD behind ``pinv`` loses that much accuracy.
     """
-    transition = discrete_transition(model, h, sigma2=1.0)
+    transition = discrete_transition(model.q, h)
     d, n, _ = factor.shape
     joint = np.zeros((d, 2 * n, 2 * n))
     joint[:, :n, :n] = transition.A @ factor
@@ -327,12 +327,12 @@ def interpolate(path: SolutionPath, t: float, allow_extrapolation: bool = False)
                 f"t={t} is past the last knot {knots[-1]}; "
                 "pass allow_extrapolation=True to predict forward"
             )
-        base = discrete_transition(path.model, t - knots[-1], sigma2=1.0)
+        base = discrete_transition(path.model.q, t - knots[-1])
         sig = path.step_sigma2[-1] if path.step_sigma2 else path.model.sigma2
         return predict(path.smoothed[-1], base, sig)
 
     i = right - 1
-    fwd = discrete_transition(path.model, t - knots[i], sigma2=1.0)
+    fwd = discrete_transition(path.model.q, t - knots[i])
     pred_t = predict(path.filtered[i], fwd, path.step_sigma2[i])
     return _rts_step(t, pred_t, path.model, knots[i + 1] - t, path.step_sigma2[i],
                      path.predictions[i + 1], path.smoothed[i + 1])

@@ -9,18 +9,19 @@ higher derivatives into lower ones), ``L = e_q`` injects white noise of
 intensity ``sigma2`` into the highest tracked derivative, and the state
 stacks ``(y, y', ..., y^(q))``.  This is the q-times integrated Wiener
 process.  Over a step ``h`` the state propagates exactly through the pair
-``(A(h), Q(h))``, available here both in closed form and through the
-matrix-fraction decomposition of a block matrix exponential; the two routes
-cross-validate each other.
+``(A(h), sigma2 Q(h))``, where ``Q(h)`` is the unit-diffusion process noise;
+both have closed forms.  The filter reads ``A``, the factor
+``Q(h)^(1/2)`` and the single entry ``Q(h)_11``, so those are all
+:func:`discrete_transition` builds; the diffusion scales enter in
+``filtering.predict``.
 
 Everything about ``(A(h), Q(h))`` that does not depend on ``h`` lives in one
-cached table per q: the power of h and the integer denominator of every
-entry of A and Q.  In Nordsieck scaling, ``B = diag(h^i / i!)``, the same
-table gives constant matrices: ``B A(h) B^-1`` is the Pascal matrix
-(:func:`pascal_matrix`) and ``B Q(h) B = sigma2 h^(2q+1) Qbar``
-(:func:`nordsieck_qbar`), whose Cholesky factor rescales to the factor
-``Q(h)^(1/2)`` the square-root filter uses.  The closed-form transitions of
-the solver and the dimensionless recursions of ``analysis`` read this table.
+cached table per q.  In Nordsieck scaling, ``B = diag(h^i / i!)``, the table
+gives constant matrices: ``B A(h) B^-1`` is the Pascal matrix
+(:func:`pascal_matrix`) and ``B Q(h) B = h^(2q+1) Qbar``
+(:func:`nordsieck_qbar`), whose Cholesky factor rescales to
+``Q(h)^(1/2)``.  The closed-form transitions of the solver and the
+dimensionless recursions of ``analysis`` read this table.
 
 Multivariate problems use ``d`` independent copies of the scalar model that
 share the mesh, so all matrices in this module are single-block
@@ -34,7 +35,6 @@ from functools import lru_cache
 from math import comb, factorial, sqrt
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "IwpModel",
@@ -74,30 +74,22 @@ class IwpModel:
     def state_size(self) -> int:
         return (self.q + 1) * self.dim
 
-    def drift_matrix(self) -> np.ndarray:
-        """Upper shift matrix F of a single block."""
-        return np.eye(self.q + 1, k=1)
-
-    def dispersion_vector(self) -> np.ndarray:
-        """Unit vector L = e_q selecting the diffused state."""
-        e = np.zeros(self.q + 1)
-        e[self.q] = 1.0
-        return e
-
 
 @dataclass(frozen=True, eq=False)
 class DiscreteTransition:
-    """Exact discretization of one IWP block over a step ``h``.
+    """Exact unit-diffusion discretization of one IWP block over a step ``h``.
 
-    ``A`` is upper triangular with unit diagonal; ``Q`` is symmetric PSD and
-    scales linearly in sigma2.  ``Q_sqrt`` is a lower triangular factor with
-    ``Q_sqrt @ Q_sqrt.T == Q`` up to round-off.
+    ``A`` is upper triangular with unit diagonal.  ``Q_sqrt`` is a lower
+    triangular factor of the unit process noise, ``Q(h) = Q_sqrt @
+    Q_sqrt.T``, and ``q11`` is ``Q(h)_11``, the variance the step adds to
+    the derivative slot.  Under a diffusion intensity ``sigma2`` the
+    process noise is ``sigma2 Q(h)``; ``filtering.predict`` applies it.
     """
 
     h: float
     A: np.ndarray
-    Q: np.ndarray
     Q_sqrt: np.ndarray
+    q11: float
 
 
 def make_iwp(q: int, sigma2, dim: int | None = None) -> IwpModel:
@@ -136,19 +128,18 @@ def make_iwp(q: int, sigma2, dim: int | None = None) -> IwpModel:
 
 @dataclass(frozen=True, eq=False)
 class _IwpConstants:
-    """Step-independent parts of the IWP(q) transition; all arrays read-only.
+    """Step-independent parts of the unit IWP(q) transition; arrays read-only.
 
-    ``A(h)_ij = h^a_lag_ij / a_den_ij`` and
-    ``Q(h)_ij = sigma2 h^q_exp_ij / q_den_ij``, with ``h^k`` taken from a
-    list of powers whose last entry is 0 (``a_lag`` points there below the
-    diagonal).  ``Q(h)^(1/2) = sqrt(sigma2 h) diag(h^(q-i)) qbar_sqrt``, where
-    ``qbar_sqrt`` is ``diag(i!)`` times the Cholesky factor of ``qbar``.
+    ``A(h)_ij = h^a_lag_ij / a_den_ij``, with ``h^k`` taken from a list of
+    powers whose last entry is 0 (``a_lag`` points there below the
+    diagonal).  ``Q(h)^(1/2) = sqrt(h) diag(h^(q-i)) qbar_sqrt``, where
+    ``qbar_sqrt`` is ``diag(i!)`` times the Cholesky factor of ``qbar``, and
+    ``Q(h)_11 = h^(2q-1) / q11_den``.
     """
 
     a_lag: np.ndarray
     a_den: np.ndarray
-    q_exp: np.ndarray
-    q_den: np.ndarray
+    q11_den: float
     pascal: np.ndarray
     qbar: np.ndarray
     qbar_sqrt: np.ndarray
@@ -159,20 +150,19 @@ def _constants(q: int) -> _IwpConstants:
     i, j = np.indices((q + 1, q + 1))
     lag = j - i
     fact = np.array([float(factorial(k)) for k in range(q + 1)])
-    q_exp = 2 * q + 1 - i - j
-    # Products of integer-valued floats, exact while below 2^53 (q <= 10).
-    q_den = q_exp * fact[q - i] * fact[q - j]
+    # Q(h)_ij = h^(2q+1-i-j) / q_den_ij.  Products of integer-valued
+    # floats, exact while below 2^53 (q <= 10).
+    q_den = (2 * q + 1 - i - j) * fact[q - i] * fact[q - j]
     qbar = 1.0 / (q_den * fact[i] * fact[j])
     tables = _IwpConstants(
         a_lag=np.where(lag >= 0, lag, 2 * q + 2),
         a_den=fact[np.maximum(lag, 0)],
-        q_exp=q_exp,
-        q_den=q_den,
+        q11_den=q_den[1, 1],
         pascal=np.vectorize(comb)(j, i).astype(float),
         qbar=qbar,
         qbar_sqrt=fact[:, None] * np.linalg.cholesky(qbar),
     )
-    for arr in vars(tables).values():
+    for arr in (tables.a_lag, tables.a_den, tables.pascal, tables.qbar, tables.qbar_sqrt):
         arr.setflags(write=False)
     return tables
 
@@ -187,7 +177,7 @@ def pascal_matrix(q: int) -> np.ndarray:
 
 
 def nordsieck_qbar(q: int) -> np.ndarray:
-    """Constant ``Qbar`` with ``B Q(h) B = sigma2 h^(2q+1) Qbar``, B = diag(h^i / i!).
+    """Constant ``Qbar`` with ``B Q(h) B = h^(2q+1) Qbar``, B = diag(h^i / i!).
 
     ``Qbar_ij = 1 / ((2q+1-i-j) (q-i)! (q-j)! i! j!)``.  The array is
     read-only and shared between calls.
@@ -195,61 +185,25 @@ def nordsieck_qbar(q: int) -> np.ndarray:
     return _constants(q).qbar
 
 
-def discrete_transition(
-    model: IwpModel,
-    h: float,
-    method: str = "closed_form",
-    *,
-    sigma2: float | None = None,
-) -> DiscreteTransition:
-    """Single-block transition pair (A(h), Q(h)) for the given model.
+def discrete_transition(q: int, h: float) -> DiscreteTransition:
+    """Unit-diffusion transition of one IWP(q) block over a step ``h``.
 
-    ``method="closed_form"`` evaluates the analytic expressions
-    ``A_ij = 1{i<=j} h^(j-i)/(j-i)!`` and
-    ``Q_ij = sigma2 h^(2q+1-i-j) / ((2q+1-i-j)(q-i)!(q-j)!)`` from the
-    per-q constant table.  ``method="matrix_fraction"`` instead
-    exponentiates the block matrix ``[[F, sigma2 L L^T], [0, -F^T]] * h``
-    and forms Q as its upper-right block times ``A.T``; it serves as an
-    independent check of the closed form.  Both take ``Q_sqrt``, the factor
-    of Q, from the table's Cholesky factor of ``Qbar``.
-
-    Parameters
-    ----------
-    sigma2 : float, optional
-        Override the model's diffusion intensity (e.g. 1.0 for a unit
-        block).  Required when the model is anisotropic, since a single
-        block cannot represent several diffusion scales; pass 1.0 and let
-        ``filtering.predict`` apply the per-dimension scales then.
+    Evaluates ``A_ij = 1{i<=j} h^(j-i)/(j-i)!``, the factor ``Q_sqrt`` of
+    ``Q_ij = h^(2q+1-i-j) / ((2q+1-i-j)(q-i)!(q-j)!)`` and its entry
+    ``q11`` from the per-q constant table; ``Q`` itself is never formed.
+    Scale the process noise by a diffusion intensity in
+    ``filtering.predict(state, transition, sigma2)``.
     """
+    if not isinstance(q, (int, np.integer)) or q < 1:
+        raise TypeError(f"q must be a positive integer, got {q!r}")
     if not np.isfinite(h):
         raise ValueError(f"step size must be finite, got {h}")
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
-    if sigma2 is None:
-        if np.ptp(model.sigma2) != 0.0:
-            raise ValueError("model has anisotropic sigma2; pass sigma2=... explicitly")
-        sigma2 = float(model.sigma2[0])
-    q = model.q
     c = _constants(q)
     # Python's ** per power, not np.power, whose vectorized loop can differ
     # from it in the last bit.  The trailing 0 fills A below the diagonal.
     powers = np.array([h**k for k in range(2 * q + 2)] + [0.0])
-    Q_sqrt = (sqrt(sigma2 * h) * powers[q::-1])[:, None] * c.qbar_sqrt
-    if method == "closed_form":
-        A = powers[c.a_lag] / c.a_den
-        Q = sigma2 * powers[c.q_exp] / c.q_den
-    elif method == "matrix_fraction":
-        F = model.drift_matrix()
-        L = model.dispersion_vector()
-        n = q + 1
-        blk = np.zeros((2 * n, 2 * n))
-        blk[:n, :n] = F
-        blk[:n, n:] = sigma2 * np.outer(L, L)
-        blk[n:, n:] = -F.T
-        Phi = expm(blk * h)
-        A = Phi[:n, :n]
-        Q = Phi[:n, n:] @ A.T
-        Q = 0.5 * (Q + Q.T)
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'closed_form' or 'matrix_fraction'")
-    return DiscreteTransition(h=float(h), A=A, Q=Q, Q_sqrt=Q_sqrt)
+    A = powers[c.a_lag] / c.a_den
+    Q_sqrt = (sqrt(h) * powers[q::-1])[:, None] * c.qbar_sqrt
+    return DiscreteTransition(h=float(h), A=A, Q_sqrt=Q_sqrt, q11=powers[2 * q - 1] / c.q11_den)

@@ -12,7 +12,7 @@ on T.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -144,15 +144,17 @@ class SolverConfig:
             raise ValueError("need 0 < eta_min < 1 < eta_max")
         if not self.eps > 0:
             raise ValueError(f"eps must be positive, got {self.eps}")
-        if self.weighting_tau <= 0:
-            raise ValueError(f"weighting_tau must be positive, got {self.weighting_tau}")
         if self.init_mode not in ("exact", "diffuse_filter", "rk_starter"):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
         if self.obs_strategy not in ("mean", "sampled"):
             raise ValueError(f"unknown obs_strategy {self.obs_strategy!r}")
         if self.sigma_mode not in ("local_ml", "global_ml"):
             raise ValueError(f"unknown sigma_mode {self.sigma_mode!r}")
-        for name in ("h_init", "fixed_step", "diffuse_variance"):
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        if self.max_rejections < 0:
+            raise ValueError(f"max_rejections must be >= 0, got {self.max_rejections}")
+        for name in ("weighting_tau", "h_init", "fixed_step", "diffuse_variance"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -267,7 +269,7 @@ def _starter_path(
         # The step between knot times, not from state.t, which carries the
         # round-off of the summed steps.
         h = t_next - (problem.t0 + prev * h0)
-        pred = predict(state, discrete_transition(model, h, sigma2=1.0), model.sigma2)
+        pred = predict(state, discrete_transition(q, h), model.sigma2)
         zs.append(reading(pred, t_next))
         state, _ = update(pred, zs[-1], _DERIV_OBS)
         path.append(pred, state, h, model.sigma2)
@@ -358,7 +360,7 @@ def solve(
             # Clamp onto T, absorbing a remainder too short to step over.
             h = t_end - t
 
-        base = discrete_transition(model, h, sigma2=1.0)
+        base = discrete_transition(model.q, h)
         pred_mean = predict_mean(state, base)
         std = None
         if rng is not None:
@@ -369,12 +371,12 @@ def solve(
         z = observe(problem, t + h, pred_mean[0::q1], std, rng=rng)
 
         if np.all(np.isfinite(z)):
-            qbar11 = base.Q[1, 1]
+            qbar11 = base.q11
             sigma2_local = estimate_sigma2(z - pred_mean[1::q1], qbar11)
             if fixed:
                 D, passed, h_next = np.sqrt(sigma2_local * qbar11), True, h
             else:
-                D, passed = local_error_test(sigma2_local, base.Q, pred_mean[0::q1], config, h)
+                D, passed = local_error_test(sigma2_local, qbar11, pred_mean[0::q1], config, h)
                 ebar = config.eps * h / (1.0 if config.per_unit_step else h)
                 h_next = next_step_size(float(np.max(D)), ebar, h, model.q, config)
             # The residual no longer shrinks with h once the state's

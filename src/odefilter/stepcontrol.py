@@ -36,8 +36,8 @@ def estimate_sigma2(residual, qbar11: float) -> np.ndarray:
     """Maximum-likelihood diffusion intensity from one step's residual.
 
     Treating the residual of the derivative observation as a zero-mean
-    Gaussian with variance ``sigma2 * qbar11`` (``qbar11`` being the (1,1)
-    entry of the normalized diffusion matrix Q(h)/sigma2) gives the
+    Gaussian with variance ``sigma2 * qbar11`` (``qbar11`` being the unit
+    ``Q(h)_11``, the ``q11`` of ``priors.discrete_transition``) gives the
     per-dimension estimator ``sigma2_hat = residual**2 / qbar11``.  It is
     applied before the covariance prediction of the same step.
     """
@@ -61,14 +61,15 @@ def error_weights(y, tau: float) -> np.ndarray:
 
 def local_error_test(
     sigma2,
-    qbar: np.ndarray,
+    qbar11: float,
     y,
     config: "SolverConfig",
     h: float,
 ) -> tuple[np.ndarray, bool]:
     """Weighted expected error D and the accept decision max(D) <= eps*h/S.
 
-    ``D_i = sqrt(sigma2_i * qbar[1, 1]) * w_i`` with the weights from
+    ``D_i = sqrt(sigma2_i * qbar11) * w_i``, with ``qbar11`` the unit
+    ``Q(h)_11`` as in :func:`estimate_sigma2` and the weights from
     :func:`error_weights`; ``S`` is 1 (error per unit step) or ``h`` (error
     per step) depending on ``config.per_unit_step``.
     """
@@ -76,7 +77,7 @@ def local_error_test(
     if np.any(sigma2 < 0):
         raise ValueError("sigma2 must be >= 0")
     w = error_weights(y, config.weighting_tau)
-    D = np.sqrt(sigma2 * qbar[1, 1]) * w
+    D = np.sqrt(sigma2 * qbar11) * w
     scale = 1.0 if config.per_unit_step else h
     ebar = config.eps * h / scale
     return D, bool(np.max(D) <= ebar)

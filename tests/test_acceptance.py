@@ -28,6 +28,7 @@ from odefilter import (
 )
 from odefilter.bench import chi1_cdf, deceived_fraction
 from odefilter.cli import main as cli_main
+from transition_oracle import matrix_fraction
 
 SQ3 = np.sqrt(3.0)
 
@@ -48,12 +49,12 @@ def criterion(number, description, time_limit):
 def test_criterion_1_transition_oracle_equivalence():
     with criterion(1, "closed-form transitions match the matrix-fraction oracle", 1.0):
         for q in (1, 2, 3, 4):
-            model = make_iwp(q, [1.0], 1)
             for h in (1e-3, 0.1, 1.0):
-                a = discrete_transition(model, h, "closed_form")
-                b = discrete_transition(model, h, "matrix_fraction")
-                assert np.max(np.abs(a.A - b.A)) <= 1e-10 * np.max(np.abs(a.A))
-                assert np.max(np.abs(a.Q - b.Q)) <= 1e-10 * np.max(np.abs(a.Q))
+                tr = discrete_transition(q, h)
+                Q = tr.Q_sqrt @ tr.Q_sqrt.T
+                A_ref, Q_ref = matrix_fraction(q, h)
+                assert np.max(np.abs(tr.A - A_ref)) <= 1e-10 * np.max(np.abs(tr.A))
+                assert np.max(np.abs(Q - Q_ref)) <= 1e-10 * np.max(np.abs(Q))
 
 
 def test_criterion_2_trapezoid_equivalence():

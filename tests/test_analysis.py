@@ -44,8 +44,8 @@ class TestSteadyState:
         np.testing.assert_allclose(ss.gain, [0.5, 1.0], atol=1e-14)
 
     def test_scale_invariance(self):
-        a = steady_state(make_iwp(2, [1.0], 1), h=1.0)
-        b = steady_state(make_iwp(2, [5.0], 1), h=0.01)
+        a = steady_state(make_iwp(2, [1.0], 1))
+        b = steady_state(make_iwp(2, [5.0], 1))
         np.testing.assert_allclose(a.gain, b.gain, atol=1e-12)
 
     def test_nonconvergence_reported(self):
@@ -133,7 +133,6 @@ class TestStarter:
         from odefilter.filtering import GaussState, ObservationModel, predict, update
 
         u, v, h = 1 / 3, 1 / 2, 1.0
-        model = make_iwp(4, [1.0], 1)
 
         def diffuse_run(var):
             prob = get_problem("logistic")
@@ -142,7 +141,7 @@ class TestStarter:
             zs, t_prev = [], 0.0
             for tk in (0.0, u * h, v * h, h):
                 if tk > 0.0:
-                    state = predict(state, discrete_transition(model, tk - t_prev, sigma2=1.0))
+                    state = predict(state, discrete_transition(4, tk - t_prev))
                 z = prob.rhs(tk, state.mean[[0]])
                 state, _ = update(state, z, ObservationModel(1))
                 zs.append(float(np.atleast_1d(z)[0]))

@@ -1,7 +1,10 @@
-"""Every name a library module exports must exist and reach the package."""
+"""Every name a library module exports must exist and reach the package,
+and every library attribute the benchmark's traced run wraps must exist."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +22,23 @@ def test_module_exports_exist_and_are_reexported(name):
         assert getattr(odefilter, export, None) is getattr(module, export), (
             f"odefilter does not re-export {name}.{export}"
         )
+
+
+def _traced_targets():
+    """``SOLVE_TARGETS`` and ``CHECK_TARGETS`` of ``perfbench/workloads.py``,
+    read as literals so the benchmark is neither imported nor run."""
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    targets = {}
+    for node in ast.parse(source.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            name = getattr(node.targets[0], "id", None)
+            if name in ("SOLVE_TARGETS", "CHECK_TARGETS"):
+                targets[name] = ast.literal_eval(node.value)
+    assert sorted(targets) == ["CHECK_TARGETS", "SOLVE_TARGETS"]
+    return [(module, attr) for table in targets.values() for module, attr, _ in table]
+
+
+@pytest.mark.parametrize("module, attr", _traced_targets())
+def test_traced_attribute_is_library_callable(module, attr):
+    # A renamed layer would otherwise read as 0 calls in the traced run.
+    assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"

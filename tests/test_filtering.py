@@ -19,6 +19,7 @@ from odefilter import (
     update,
 )
 from odefilter.filtering import SolutionPath
+from transition_oracle import loop_q
 
 
 def _rand_factor(rng, n):
@@ -34,45 +35,42 @@ def _diag(blocks):
 
 class TestPredict:
     def test_zero_state_gets_q(self):
-        m = make_iwp(2, [1.0], 1)
-        tr = discrete_transition(m, 0.4)
+        tr = discrete_transition(2, 0.4)
         out = predict(GaussState(0.0, np.zeros(3), np.zeros((1, 3, 3))), tr)
         assert np.array_equal(out.mean, np.zeros(3))
-        np.testing.assert_allclose(out.cov[0], tr.Q, atol=1e-16)
+        np.testing.assert_allclose(out.cov[0], loop_q(2, 0.4), atol=1e-16)
         assert out.t == 0.4
 
     def test_hand_mean_product(self):
-        tr = discrete_transition(make_iwp(1, [1.0], 1), 0.3)
+        tr = discrete_transition(1, 0.3)
         out = predict(GaussState(0.0, np.array([0.1, 0.27]), np.zeros((1, 2, 2))), tr)
         np.testing.assert_allclose(out.mean, [0.181, 0.27], rtol=1e-15)
 
     def test_two_small_steps_equal_one_big(self):
-        m = make_iwp(2, [1.0], 1)
         rng = np.random.default_rng(3)
         state = GaussState(0.0, rng.standard_normal(3), _rand_factor(rng, 3))
-        via_two = predict(predict(state, discrete_transition(m, 0.2)), discrete_transition(m, 0.2))
-        via_one = predict(state, discrete_transition(m, 0.4))
+        via_two = predict(predict(state, discrete_transition(2, 0.2)), discrete_transition(2, 0.2))
+        via_one = predict(state, discrete_transition(2, 0.4))
         np.testing.assert_allclose(via_two.mean, via_one.mean, atol=1e-12)
         np.testing.assert_allclose(via_two.cov, via_one.cov, atol=1e-12)
 
     def test_multidimensional_blocks(self):
         m = make_iwp(1, [1.0, 4.0], 2)
         state = GaussState(0.0, np.array([1.0, 0.0, 2.0, 0.0]), np.zeros((2, 2, 2)))
-        out = predict(state, discrete_transition(m, 0.5, sigma2=1.0), m.sigma2)
-        np.testing.assert_allclose(out.cov[0], discrete_transition(m, 0.5, sigma2=1.0).Q)
-        np.testing.assert_allclose(out.cov[1], discrete_transition(m, 0.5, sigma2=4.0).Q)
+        out = predict(state, discrete_transition(1, 0.5), m.sigma2)
+        np.testing.assert_allclose(out.cov[0], loop_q(1, 0.5))
+        np.testing.assert_allclose(out.cov[1], 4.0 * loop_q(1, 0.5))
 
     @pytest.mark.parametrize("sigma2", [[1.0], [1.0, -1.0], [1.0, np.inf], [1.0, np.nan]])
     def test_diffusion_scales_validated(self, sigma2):
         state = GaussState(0.0, np.zeros(4), np.zeros((2, 2, 2)))
         with pytest.raises(ValueError):
-            predict(state, discrete_transition(make_iwp(1, [1.0], 1), 0.5), sigma2)
+            predict(state, discrete_transition(1, 0.5), sigma2)
 
 
 class TestUpdate:
     def _predicted(self, h=0.3):
-        m = make_iwp(1, [1.0], 1)
-        tr = discrete_transition(m, h)
+        tr = discrete_transition(1, h)
         return predict(GaussState(0.0, np.array([0.1, 0.27]), np.zeros((1, 2, 2))), tr)
 
     def test_zero_residual_keeps_mean_shrinks_cov(self):
@@ -153,7 +151,7 @@ class TestSmooth:
 
     def test_zero_covariance_means_unchanged(self):
         m = make_iwp(1, [1.0], 1)
-        tr = discrete_transition(m, 0.5)
+        tr = discrete_transition(m.q, 0.5)
         path = SolutionPath(model=m)
         s0 = GaussState(0.0, np.array([1.0, 2.0]), np.zeros((1, 2, 2)))
         path.append(s0, s0, None)
@@ -213,7 +211,7 @@ class TestSmooth:
             return np.array([p.polyval(t, p.polyder(coef, k)) for k in range(q + 1)])
 
         h = 0.25
-        tr = discrete_transition(m, h)
+        tr = discrete_transition(m.q, h)
         path = SolutionPath(model=m)
         state = GaussState(0.0, taylor(0.0), np.zeros((1, q + 1, q + 1)))
         path.append(state, state, None)
@@ -234,7 +232,7 @@ class TestSamplePosterior:
         path = SolutionPath(model=m)
         s0 = GaussState(0.0, np.array([1.0, 2.0]), np.zeros((1, 2, 2)))
         path.append(s0, s0, None)
-        pred = predict(s0, discrete_transition(m, 0.5))
+        pred = predict(s0, discrete_transition(m.q, 0.5))
         s1 = GaussState(0.5, np.array([2.0, 2.0]), np.zeros((1, 2, 2)))
         path.append(pred, s1, 0.5, m.sigma2)
         smooth(path)
@@ -303,7 +301,7 @@ class TestInterpolate:
         q = 2
         m = make_iwp(q, [1.0], 1)
         h = 0.8
-        tr = discrete_transition(m, h)
+        tr = discrete_transition(m.q, h)
         x0 = np.array([1.0, -0.5, 0.2])
         x1 = np.array([0.7, 0.1, -0.3])
         path = SolutionPath(model=m)
@@ -315,12 +313,12 @@ class TestInterpolate:
 
         t = 0.3
         got = interpolate(path, t)
-        a1 = discrete_transition(m, t)
-        a2 = discrete_transition(m, h - t)
+        a1 = discrete_transition(q, t)
+        a2 = discrete_transition(q, h - t)
         mid_mean = a1.A @ x0
-        mid_cov = a1.Q
+        mid_cov = loop_q(q, t)
         cross = mid_cov @ a2.A.T
-        end_cov = a2.A @ mid_cov @ a2.A.T + a2.Q
+        end_cov = a2.A @ mid_cov @ a2.A.T + loop_q(q, h - t)
         gain = cross @ np.linalg.inv(end_cov)
         want_mean = mid_mean + gain @ (x1 - a2.A @ mid_mean)
         want_cov = mid_cov - gain @ cross.T
@@ -359,22 +357,22 @@ def _dense_update(mean, cov, z, q1):
     return mean, cov
 
 
-def _mp_smooth_block(filt, pred_next, smoothed_next, tr, sigma2, k):
+def _mp_smooth_block(filt, pred_next, smoothed_next, A, Q, sigma2, k):
     """One RTS step for block k in 50-digit arithmetic from the float inputs.
 
     Predicted blocks reach condition numbers of 1e26 at tight tolerances, so
     a double-precision inverse of them is no reference.
     """
-    q1 = tr.A.shape[0]
+    q1 = A.shape[0]
     sl = slice(k * q1, (k + 1) * q1)
 
     def mp(a):
         return mpmath.matrix(np.atleast_2d(a).tolist())
 
     with mpmath.workdps(50):
-        A, F, F_next = mp(tr.A), mp(filt.factor[k]), mp(smoothed_next.factor[k])
+        A, F, F_next = mp(A), mp(filt.factor[k]), mp(smoothed_next.factor[k])
         C = F * F.T
-        P = A * C * A.T + mpmath.mpf(float(sigma2[k])) * mp(tr.Q)
+        P = A * C * A.T + mpmath.mpf(float(sigma2[k])) * mp(Q)
         G = C * A.T * mpmath.inverse(P)
         diff = mp(smoothed_next.mean[sl]).T - mp(pred_next.mean[sl]).T
         mean = mp(filt.mean[sl]).T + G * diff
@@ -406,9 +404,10 @@ class TestDenseOracle:
         d, q1 = problem.dim, cfg.q + 1
         for i in range(0, len(path.step_sizes), max(1, len(path.step_sizes) // 40)):
             filt, sigma2 = path.filtered[i], path.step_sigma2[i]
-            tr = discrete_transition(path.model, path.step_sizes[i], sigma2=1.0)
+            h = path.step_sizes[i]
+            tr, Q = discrete_transition(cfg.q, h), loop_q(cfg.q, h)
             pred = predict(filt, tr, sigma2)
-            m_ref, c_ref = _dense_predict(filt.mean, block_diag(*filt.cov), tr.A, tr.Q, sigma2)
+            m_ref, c_ref = _dense_predict(filt.mean, block_diag(*filt.cov), tr.A, Q, sigma2)
             _assert_rel(pred.mean, m_ref)
             _assert_rel(block_diag(*pred.cov), c_ref)
 
@@ -421,7 +420,7 @@ class TestDenseOracle:
             sm = path.smoothed[i]
             for k in range(d):
                 m_ref, c_ref = _mp_smooth_block(filt, path.predictions[i + 1],
-                                                path.smoothed[i + 1], tr, sigma2, k)
+                                                path.smoothed[i + 1], tr.A, Q, sigma2, k)
                 _assert_rel(sm.mean[k * q1:(k + 1) * q1], m_ref, rel=1e-10)
                 _assert_rel(sm.cov[k], c_ref, rel=1e-10)
 

@@ -43,6 +43,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("max_rejections", -1),  # acted like 0: every failed test forced through
+            ("max_steps", 0),  # raised "unreasonably fine mesh" before any step
+            ("weighting_tau", np.nan),  # failed only at the first error test
+            ("weighting_tau", np.inf),
+        ],
+    )
+    def test_rejects_setting_by_name(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: value})
+
     def test_default_h_init_is_span_fraction(self):
         p = get_problem("logistic")
         assert SolverConfig().resolve_h_init(p) == pytest.approx(1.5 / 100)

@@ -10,7 +10,6 @@ from odefilter import (
     estimate_sigma2,
     global_error_factor,
     local_error_test,
-    make_iwp,
     next_step_size,
 )
 
@@ -39,8 +38,8 @@ class TestEstimateSigma2:
 class TestErrorTest:
     def test_zero_sigma_always_accepted(self):
         cfg = SolverConfig(eps=1e-9)
-        qbar = discrete_transition(make_iwp(2, [1.0], 1), 0.1, sigma2=1.0).Q
-        D, ok = local_error_test([0.0], qbar, [1.0], cfg, 0.1)
+        qbar11 = discrete_transition(2, 0.1).q11
+        D, ok = local_error_test([0.0], qbar11, [1.0], cfg, 0.1)
         assert ok and D.tolist() == [0.0]
 
     def test_weights_from_solution_scale(self):
@@ -54,16 +53,16 @@ class TestErrorTest:
         cfg = SolverConfig(eps=1e-2, weighting_tau=1e9, per_unit_step=True)
         # tau huge makes w ~ 1/(tau*(|y|+1)); use w = 1 directly instead
         cfg = SolverConfig(eps=1e-2, weighting_tau=1.0, per_unit_step=True)
-        qbar = discrete_transition(make_iwp(2, [1.0], 1), 0.1, sigma2=1.0).Q
-        D, ok = local_error_test([1.0], qbar, [0.0], cfg, 0.1)
+        qbar11 = discrete_transition(2, 0.1).q11
+        D, ok = local_error_test([1.0], qbar11, [0.0], cfg, 0.1)
         assert D[0] == pytest.approx(np.sqrt(0.1**3 / 3), rel=1e-12)
         assert D[0] == pytest.approx(0.018257, abs=1e-6)
         assert not ok  # 0.01826 > eps*h = 1e-3
 
     def test_per_step_scaling(self):
-        qbar = discrete_transition(make_iwp(2, [1.0], 1), 0.1, sigma2=1.0).Q
+        qbar11 = discrete_transition(2, 0.1).q11
         cfg = SolverConfig(eps=0.02, weighting_tau=1.0, per_unit_step=False)
-        _, ok = local_error_test([1.0], qbar, [0.0], cfg, 0.1)
+        _, ok = local_error_test([1.0], qbar11, [0.0], cfg, 0.1)
         assert ok  # 0.01826 <= eps = 0.02
 
     def test_nonpositive_tau_rejected(self):
@@ -72,9 +71,8 @@ class TestErrorTest:
 
     def test_negative_sigma_rejected(self):
         cfg = SolverConfig()
-        qbar = np.eye(3)
         with pytest.raises(ValueError):
-            local_error_test([-1.0], qbar, [1.0], cfg, 0.1)
+            local_error_test([-1.0], 1.0, [1.0], cfg, 0.1)
 
 
 class TestController:
