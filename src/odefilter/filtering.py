@@ -17,6 +17,13 @@ re-triangularizes ``[A F, Q^(1/2)]`` by QR, update subtracts the rank-1
 term ``K (H F)`` of an exact observation, and smoothing, sampling and
 interpolation read the gain and the backward-conditional factor off one QR
 of the joint factor ``[[A F, Q^(1/2)], [F, 0]]``.
+
+That backward conditional depends only on the filtered factor, the step and
+the diffusion, never on the smoothed successor.  ``smooth`` and
+``sample_posterior`` therefore build it for a chunk of intervals at a time,
+with stacked transitions, one batched QR and one batched inverse, and keep
+only the knot-to-knot recursion in Python.  A chunk holds at most
+``_CHUNK_BLOCKS`` blocks, so the temporaries do not grow with the path.
 """
 
 from __future__ import annotations
@@ -24,10 +31,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import isfinite
 
 import numpy as np
 
-from .priors import DiscreteTransition, IwpModel, discrete_transition
+from .priors import DiscreteTransition, IwpModel, _transition_stack, discrete_transition
 
 __all__ = [
     "GaussState",
@@ -212,15 +220,42 @@ class SolutionPath:
             t_prev = self.knots[-1]
             if filtered.t <= t_prev:
                 raise ValueError(f"knots must increase: {filtered.t} after {t_prev}")
+            sigma2 = np.atleast_1d(np.asarray(sigma2, dtype=float))
+            # Only the shape is checked per knot; the values are checked
+            # once per chunk of the stacked scales, when the path is smoothed.
+            if sigma2.shape != (self.model.dim,):
+                raise ValueError(f"knot {len(self.knots)} (t={filtered.t}): expected "
+                                 f"{self.model.dim} diffusion scales, got {sigma2}")
             self.step_sizes.append(float(h))
-            self.step_sigma2.append(np.atleast_1d(np.asarray(sigma2, dtype=float)))
+            self.step_sigma2.append(sigma2)
         self.knots.append(float(filtered.t))
         self.predictions.append(prediction)
         self.filtered.append(filtered)
 
 
-def _backward(factor: np.ndarray, model: IwpModel, h: float, sigma2) -> tuple[np.ndarray, np.ndarray]:
-    """Gain and conditional factor of x_k (factor ``F``) given x_{k+1}, ``h`` later.
+# A chunk of the backward pass holds at most this many (q+1)-square blocks,
+# ``_CHUNK_BLOCKS // d`` intervals.  That caps its temporaries, about 1.2 KB
+# per block at q=2, whatever the path's length.
+_CHUNK_BLOCKS = 1024
+
+
+def _chunks(n: int, d: int):
+    """Interval ranges ``[lo, hi)`` covering ``n`` intervals of ``d`` blocks, newest first."""
+    size = max(1, _CHUNK_BLOCKS // d)
+    for hi in range(n, 0, -size):
+        yield max(0, hi - size), hi
+
+
+def _backward(factors: np.ndarray, A: np.ndarray, Q_sqrt: np.ndarray,
+              sigma2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gains and conditional factors of x_k (factor ``F``) given x_{k+1}.
+
+    Works on a stack of N knots: ``factors`` of shape ``(N, d, q+1, q+1)``,
+    the unit transitions ``A`` and ``Q_sqrt`` to the next knot, each of
+    shape ``(N, q+1, q+1)``, and diffusion scales ``sigma2`` of shape
+    ``(N, d)``; both results have the shape of ``factors``.  None of this
+    depends on the smoothed successor, so a whole chunk of the path is
+    built with one batched QR and one batched inverse.
 
     One QR of the joint factor ``[[A F, Q^(1/2)], [F, 0]]`` of (x_{k+1}, x_k)
     gives lower triangular blocks ``[[L11, 0], [L21, L22]]``: the gain is
@@ -229,27 +264,49 @@ def _backward(factor: np.ndarray, model: IwpModel, h: float, sigma2) -> tuple[np
     first: unscaled, its condition number reaches 1e12 at tight tolerances,
     and the SVD behind ``pinv`` loses that much accuracy.
     """
-    transition = discrete_transition(model.q, h)
-    d, n, _ = factor.shape
-    joint = np.zeros((d, 2 * n, 2 * n))
-    joint[:, :n, :n] = transition.A @ factor
-    joint[:, :n, n:] = np.sqrt(sigma2)[:, None, None] * transition.Q_sqrt
-    joint[:, n:, :n] = factor
+    N, d, n, _ = factors.shape
+    joint = np.zeros((N, d, 2 * n, 2 * n))
+    joint[..., :n, :n] = A[:, None] @ factors
+    joint[..., :n, n:] = np.sqrt(sigma2)[..., None, None] * Q_sqrt[:, None]
+    joint[..., n:, :n] = factors
     L = _triangularize(joint)
-    L11 = L[:, :n, :n]
+    L11 = L[..., :n, :n]
     # Zero rows stay zero under any scale; the floor only avoids 1/0.
-    scale = 1.0 / np.maximum(np.sqrt(np.sum(L11 * L11, axis=2, keepdims=True)), 1e-300)
+    scale = 1.0 / np.maximum(np.sqrt(np.sum(L11 * L11, axis=-1, keepdims=True)), 1e-300)
     T = scale * L11
-    # pinv is inv, which is cheaper, unless a (triangular) T is singular to round-off.
-    singular = np.min(np.abs(np.diagonal(T, axis1=1, axis2=2))) <= 1e-12
-    inv = np.linalg.pinv(T) if singular else np.linalg.inv(T)
-    return L[:, n:, :n] @ inv * _transpose(scale), L[:, n:, n:]
+    # Per knot, pinv is inv, which is cheaper, unless a (triangular) T is
+    # singular to round-off.
+    diag = np.abs(T.reshape(N, d, n * n)[..., ::n + 1])
+    if diag.min() > 1e-12:
+        inv = np.linalg.inv(T)
+    else:
+        singular = diag.min(axis=(1, 2)) <= 1e-12
+        inv = np.empty_like(T)
+        inv[singular] = np.linalg.pinv(T[singular])
+        inv[~singular] = np.linalg.inv(T[~singular])
+    return L[..., n:, :n] @ inv * _transpose(scale), L[..., n:, n:]
 
 
-def _rts_step(t: float, state: GaussState, model: IwpModel, h: float, sigma2,
+def _backward_chunks(path: SolutionPath):
+    """``(lo, G, cond)`` of :func:`_backward` for the intervals ``[lo, lo + len(G))``
+    of ``path``, one chunk at a time from the end of the path."""
+    d = path.model.dim
+    for lo, hi in _chunks(len(path.step_sizes), d):
+        sigma2 = np.array(path.step_sigma2[lo:hi])
+        bad = ~np.all((sigma2 >= 0.0) & (sigma2 < np.inf), axis=1)
+        if bad.any():
+            i = lo + 1 + int(np.argmax(bad))
+            raise ValueError(f"knot {i} (t={path.knots[i]}): diffusion scales must be "
+                             f"finite and >= 0, got {path.step_sigma2[i - 1]}")
+        factors = np.array([s.factor for s in path.filtered[lo:hi]])
+        A, Q_sqrt = _transition_stack(path.model.q, path.step_sizes[lo:hi])
+        yield lo, *_backward(factors, A, Q_sqrt, sigma2)
+
+
+def _rts_step(t: float, state: GaussState, G: np.ndarray, cond: np.ndarray,
               pred_next: GaussState, smoothed_next: GaussState) -> GaussState:
-    """Smoothed state at ``t`` from ``state`` there and the smoothed state ``h`` later."""
-    G, cond = _backward(state.factor, model, h, sigma2)
+    """Smoothed state at ``t`` from ``state`` there, its backward gain and
+    conditional factor, and the smoothed state one interval later."""
     mean = state.mean + _matvec(G, smoothed_next.mean - pred_next.mean)
     factor = _triangularize(np.concatenate([G @ smoothed_next.factor, cond], axis=2))
     return GaussState(t=t, mean=mean, factor=factor)
@@ -265,13 +322,13 @@ def smooth(path: SolutionPath) -> SolutionPath:
         raise ValueError("cannot smooth an empty path")
     if path.smoothed is not None:
         return path
-    n = len(path.knots)
-    out: list[GaussState | None] = [None] * n
+    out: list[GaussState | None] = [None] * len(path.knots)
     out[-1] = path.filtered[-1]
-    for i in range(n - 2, -1, -1):
-        filt = path.filtered[i]
-        out[i] = _rts_step(filt.t, filt, path.model, path.step_sizes[i], path.step_sigma2[i],
-                           path.predictions[i + 1], out[i + 1])
+    for lo, G, cond in _backward_chunks(path):
+        for i in range(lo + len(G) - 1, lo - 1, -1):
+            filt = path.filtered[i]
+            out[i] = _rts_step(filt.t, filt, G[i - lo], cond[i - lo], path.predictions[i + 1],
+                               out[i + 1])
     path.smoothed = out  # type: ignore[assignment]
     return path
 
@@ -291,11 +348,14 @@ def sample_posterior(path: SolutionPath, seed: int, count: int) -> np.ndarray:
     out = np.empty((count, n, size))
     last = path.smoothed[-1]
     out[:, -1, :] = last.mean + _matvec(last.factor, rng.standard_normal((count, size)))
-    for i in range(n - 2, -1, -1):
-        filt = path.filtered[i]
-        G, cond = _backward(filt.factor, path.model, path.step_sizes[i], path.step_sigma2[i])
-        cond_mean = filt.mean + _matvec(G, out[:, i + 1, :] - path.predictions[i + 1].mean)
-        out[:, i, :] = cond_mean + _matvec(cond, rng.standard_normal((count, size)))
+    for lo, G, cond in _backward_chunks(path):
+        # One draw per chunk, newest knot first: the same stream as one draw per knot.
+        noise = rng.standard_normal((len(G), count, size))[::-1]
+        offsets = _matvec(cond[:, None], noise)
+        for i in range(lo + len(G) - 1, lo - 1, -1):
+            cond_mean = path.filtered[i].mean + _matvec(
+                G[i - lo], out[:, i + 1, :] - path.predictions[i + 1].mean)
+            out[:, i, :] = cond_mean + offsets[i - lo]
     return out
 
 
@@ -314,6 +374,8 @@ def interpolate(path: SolutionPath, t: float, allow_extrapolation: bool = False)
     smooth(path)
     knots = path.knots
     t = float(t)
+    if not isfinite(t):
+        raise ValueError(f"t must be finite, got t={t}")
     tol = 4.0 * _EPS * max(1.0, abs(t))
     right = bisect_left(knots, t)
     for k in (right - 1, right):
@@ -334,5 +396,7 @@ def interpolate(path: SolutionPath, t: float, allow_extrapolation: bool = False)
     i = right - 1
     fwd = discrete_transition(path.model.q, t - knots[i])
     pred_t = predict(path.filtered[i], fwd, path.step_sigma2[i])
-    return _rts_step(t, pred_t, path.model, knots[i + 1] - t, path.step_sigma2[i],
-                     path.predictions[i + 1], path.smoothed[i + 1])
+    bwd = discrete_transition(path.model.q, knots[i + 1] - t)
+    G, cond = _backward(pred_t.factor[None], bwd.A[None], bwd.Q_sqrt[None],
+                        path.step_sigma2[i][None])
+    return _rts_step(t, pred_t, G[0], cond[0], path.predictions[i + 1], path.smoothed[i + 1])

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, sqrt
+from math import comb, factorial, inf, sqrt
 
 import numpy as np
 
@@ -207,3 +207,22 @@ def discrete_transition(q: int, h: float) -> DiscreteTransition:
     A = powers[c.a_lag] / c.a_den
     Q_sqrt = (sqrt(h) * powers[q::-1])[:, None] * c.qbar_sqrt
     return DiscreteTransition(h=float(h), A=A, Q_sqrt=Q_sqrt, q11=powers[2 * q - 1] / c.q11_den)
+
+
+def _transition_stack(q: int, steps: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """``A`` and ``Q_sqrt`` of :func:`discrete_transition` for a list of steps.
+
+    Returns two ``(N, q+1, q+1)`` arrays, bit-identical to the scalar
+    transitions step by step: the same table, the same Python powers.  The
+    smoother builds a whole path's transitions at once this way; the
+    scalar function stays separate because the solver calls it once per
+    attempt, where the stack's overhead would cost more than it saves.
+    """
+    for h in steps:
+        if not 0.0 < h < inf:
+            raise ValueError(f"step sizes must be finite and positive, got {h}")
+    c = _constants(q)
+    powers = np.array([[h**k for k in range(2 * q + 2)] + [0.0] for h in steps])
+    A = powers[:, c.a_lag] / c.a_den
+    Q_sqrt = (np.sqrt(steps)[:, None] * powers[:, q::-1])[:, :, None] * c.qbar_sqrt
+    return A, Q_sqrt

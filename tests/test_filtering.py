@@ -1,3 +1,6 @@
+from dataclasses import replace
+from functools import lru_cache
+
 import mpmath
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from odefilter import (
     solve,
     update,
 )
+from odefilter import filtering
 from odefilter.filtering import SolutionPath
 from transition_oracle import loop_q
 
@@ -148,6 +152,20 @@ class TestSmooth:
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
             smooth(SolutionPath(model=make_iwp(1, [1.0], 1)))
+
+    @pytest.mark.parametrize("sigma2", [[1.0, -1.0], [np.nan, 1.0], [1.0, 1.0, 1.0], 1.0])
+    def test_bad_diffusion_scales_name_the_knot(self, sigma2):
+        m = make_iwp(1, [1.0, 1.0], 2)
+        s0 = GaussState(0.0, np.zeros(4), np.eye(2)[None].repeat(2, axis=0))
+        path = SolutionPath(model=m)
+        path.append(s0, s0, None)
+        s1 = predict(s0, discrete_transition(1, 0.5))
+        path.append(s1, s1, 0.5, m.sigma2)
+        s2 = predict(s1, discrete_transition(1, 0.5))
+        # A wrong shape fails on append, a wrong value when the path is smoothed.
+        with pytest.raises(ValueError, match=r"knot 2 \(t=1.0\)"):
+            path.append(s2, s2, 0.5, sigma2)
+            smooth(path)
 
     def test_zero_covariance_means_unchanged(self):
         m = make_iwp(1, [1.0], 1)
@@ -294,6 +312,16 @@ class TestInterpolate:
         out = interpolate(path, 2.0, allow_extrapolation=True)
         assert out.t == 2.0 and np.isfinite(out.mean).all()
 
+    @pytest.mark.parametrize("allow", [False, True])
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, t, allow):
+        # An infinite t used to hit the end knots through an infinite knot
+        # tolerance, and nan failed with a step-size error.
+        path = smooth(_logistic_path())
+        with pytest.raises(ValueError, match="t=") as err:
+            interpolate(path, t, allow_extrapolation=allow)
+        assert "step size" not in str(err.value)
+
     def test_conditional_bridge_oracle(self):
         # Zero covariance at both knots: the interpolant must match the
         # prior bridge conditioned on both endpoint states, computed here
@@ -393,19 +421,33 @@ def _assert_rel(got, want, rel=1e-12):
     assert np.max(np.abs(got - want)) <= rel * max(np.max(np.abs(want)), 1e-300)
 
 
+@lru_cache(maxsize=None)
+def _solved(case):
+    """Problem and unsmoothed solve result, shared between tests; smooth a
+    ``replace(result.path, smoothed=None)`` copy, never the path itself."""
+    if case == "linear8":
+        problem, cfg = _seeded_linear(), SolverConfig(q=2, fixed_step=0.02)
+    else:
+        problem, cfg = get_problem(case), SolverConfig(q=2, eps=1e-4, weighting_tau=0.1)
+    return problem, solve(problem, cfg)
+
+
 class TestDenseOracle:
     @pytest.mark.parametrize("case", ["brusselator", "vdp", "linear8"])
     def test_block_steps_match_dense(self, case):
-        if case == "linear8":
-            problem, cfg = _seeded_linear(), SolverConfig(q=2, fixed_step=0.02)
-        else:
-            problem, cfg = get_problem(case), SolverConfig(q=2, eps=1e-4, weighting_tau=0.1)
-        path = smooth(solve(problem, cfg).path)
-        d, q1 = problem.dim, cfg.q + 1
-        for i in range(0, len(path.step_sizes), max(1, len(path.step_sizes) // 40)):
+        problem, result = _solved(case)
+        path = smooth(replace(result.path, smoothed=None))
+        d, q = problem.dim, path.model.q
+        q1 = q + 1
+        n = len(path.step_sizes)
+        # Every 40th knot, and the knots on each side of a chunk boundary
+        # of the backward pass.
+        sampled = set(range(0, n, max(1, n // 40)))
+        sampled.update(k for lo, _ in filtering._chunks(n, d) if lo > 0 for k in (lo - 1, lo))
+        for i in sorted(sampled):
             filt, sigma2 = path.filtered[i], path.step_sigma2[i]
             h = path.step_sizes[i]
-            tr, Q = discrete_transition(cfg.q, h), loop_q(cfg.q, h)
+            tr, Q = discrete_transition(q, h), loop_q(q, h)
             pred = predict(filt, tr, sigma2)
             m_ref, c_ref = _dense_predict(filt.mean, block_diag(*filt.cov), tr.A, Q, sigma2)
             _assert_rel(pred.mean, m_ref)
@@ -423,6 +465,23 @@ class TestDenseOracle:
                                                 path.smoothed[i + 1], tr.A, Q, sigma2, k)
                 _assert_rel(sm.mean[k * q1:(k + 1) * q1], m_ref, rel=1e-10)
                 _assert_rel(sm.cov[k], c_ref, rel=1e-10)
+
+    @pytest.mark.parametrize("case", ["vdp", "linear8"])
+    def test_chunking_bit_identical(self, case, monkeypatch):
+        problem, result = _solved(case)
+
+        def outputs():
+            path = smooth(replace(result.path, smoothed=None))
+            ts = np.random.default_rng(5).uniform(path.knots[0], path.knots[-1], 50)
+            states = path.smoothed + [interpolate(path, t) for t in ts]
+            return (np.array([s.mean for s in states]), np.array([s.factor for s in states]),
+                    sample_posterior(path, seed=11, count=3))
+
+        default = outputs()
+        monkeypatch.setattr(filtering, "_CHUNK_BLOCKS", 5)
+        assert len(list(filtering._chunks(len(result.path.step_sizes), problem.dim))) > 20
+        for got, want in zip(outputs(), default):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("cov_shape", [(3, 3), (2, 3, 3), (1, 3, 2), (3,)])
     def test_cov_shape_must_match_mean(self, cov_shape):
