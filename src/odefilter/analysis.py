@@ -256,12 +256,13 @@ def rk_starter_q4(u: float, v: float, h: float, sigma2: float, z, y0: float) -> 
     return coeffs.mean(z, y0, h), coeffs.covariance(sigma2, h)
 
 
-def amplification_matrix(gain: np.ndarray, zeta: complex) -> np.ndarray:
+def amplification_matrix(gain: np.ndarray, zeta) -> np.ndarray:
     """One-step propagation matrix of the constant-gain method on y' = lam*y.
 
     In Nordsieck scaling the update with weight vector K on the test problem
     with zeta = h*lam is M(zeta) = (I - K e1^T) P + zeta K e0^T P; the method
-    is stable at zeta when the spectral radius does not exceed one.
+    is stable at zeta when the spectral radius does not exceed one.  An
+    array ``zeta`` gives a stack of shape ``zeta.shape + (q+1, q+1)``.
     """
     gain = np.asarray(gain, dtype=float)
     q = gain.size - 1
@@ -272,6 +273,7 @@ def amplification_matrix(gain: np.ndarray, zeta: complex) -> np.ndarray:
     e0[0] = 1.0
     e1 = np.zeros(q + 1)
     e1[1] = 1.0
+    zeta = np.asarray(zeta)[..., None, None]
     return (np.eye(q + 1) - np.outer(gain, e1)) @ P + zeta * np.outer(gain, e0) @ P
 
 
@@ -281,11 +283,8 @@ def stability_scan(gain: np.ndarray, re_grid: np.ndarray, im_grid: np.ndarray) -
     Returns (radius, stable) arrays of shape (len(im_grid), len(re_grid));
     stable means radius <= 1 + 1e-12.
     """
-    radius = np.empty((len(im_grid), len(re_grid)))
-    for a, im in enumerate(im_grid):
-        for b, re in enumerate(re_grid):
-            M = amplification_matrix(gain, complex(re, im))
-            radius[a, b] = np.max(np.abs(np.linalg.eigvals(M)))
+    zeta = np.asarray(re_grid)[None, :] + 1j * np.asarray(im_grid)[:, None]
+    radius = np.max(np.abs(np.linalg.eigvals(amplification_matrix(gain, zeta))), axis=-1)
     return radius, radius <= 1.0 + 1e-12
 
 

@@ -40,6 +40,11 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 _DERIV_OBS = ObservationModel(derivative_index=1)
+_MAX_STEPS = 2_000_000  # attempted steps before a solve gives up
+# Rejections in a row that force the step through; the controller shrinks h
+# at most 10x per rejection, so this trips well before h underflows.
+_MAX_REJECTIONS = 8
+_DIFFUSE_VARIANCE = 1e12  # prior variance of every slot in the diffuse starts
 
 # Derivative-observation knots (fractions of h_init) used by the diffuse
 # start; q derivative readings plus the initial value give q+1 conditions.
@@ -106,55 +111,40 @@ class SolverConfig:
     quantity: D equals |residual| * w, and as h -> 0 it tends to
     |f(t, y) - y'| * w, the mismatch between the vector field and the
     state's derivative slot, not to 0.  Only an update can repair that slot,
-    so after ``max_rejections`` rejections in a row the step is forced
+    so after ``_MAX_REJECTIONS`` (8) rejections in a row the step is forced
     through.  The per-unit-step bound also shrinks with h and stalls sooner,
     which is why the per-step bound is the default.  ``fixed_step``
     disables adaptivity.  ``sigma_mode`` chooses between a per-step
     diffusion estimate (``local_ml``) and a constant diffusion with a single
     whole-run estimate applied to the reported covariances afterwards
     (``global_ml``; fixed-step runs only, since the error test requires the
-    local estimate).
+    local estimate).  What no caller tunes is a constant: the controller's
+    safety factor and rate limits in :func:`stepcontrol.next_step_size`, and
+    here the streak cap ``_MAX_REJECTIONS``, the step cap ``_MAX_STEPS`` and
+    the diffuse starts' prior variance ``_DIFFUSE_VARIANCE``.
     """
 
     q: int = 2
     eps: float = 1e-6
     weighting_tau: float = 0.1
     per_unit_step: bool = False
-    rho: float = 0.95
-    eta_min: float = 0.1
-    eta_max: float = 5.0
     h_init: Optional[float] = None
     fixed_step: Optional[float] = None
     init_mode: str = "exact"
     obs_strategy: str = "mean"
     seed: int = 0
     sigma_mode: str = "local_ml"
-    diffuse_variance: float = 1e12
-    max_steps: int = 2_000_000
-    # With eta_min = 0.1 a rejection streak shrinks h by 10x each time; the
-    # cap must trip well before the step underflows (~13 orders).
-    max_rejections: int = 8
 
     def __post_init__(self):
         if self.q < 1:
             raise ValueError(f"q must be >= 1, got {self.q}")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError(f"rho must be in (0, 1), got {self.rho}")
-        if not 0.0 < self.eta_min < 1.0 < self.eta_max:
-            raise ValueError("need 0 < eta_min < 1 < eta_max")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
         if self.init_mode not in ("exact", "diffuse_filter", "rk_starter"):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
         if self.obs_strategy not in ("mean", "sampled"):
             raise ValueError(f"unknown obs_strategy {self.obs_strategy!r}")
         if self.sigma_mode not in ("local_ml", "global_ml"):
             raise ValueError(f"unknown sigma_mode {self.sigma_mode!r}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.max_rejections < 0:
-            raise ValueError(f"max_rejections must be >= 0, got {self.max_rejections}")
-        for name in ("weighting_tau", "h_init", "fixed_step", "diffuse_variance"):
+        for name in ("eps", "weighting_tau", "h_init", "fixed_step"):
             value = getattr(self, name)
             if value is not None and not 0.0 < value < np.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
@@ -245,7 +235,7 @@ def _starter_path(
         factor = np.zeros((problem.dim, q1, q1))
         factor[:, slots, slots] = np.sqrt(model.sigma2[:, None] * h0 ** (2 * (q - slots) + 1))
     else:
-        factor = np.full((problem.dim, 1, 1), np.sqrt(config.diffuse_variance)) * np.eye(q1)
+        factor = np.full((problem.dim, 1, 1), np.sqrt(_DIFFUSE_VARIANCE)) * np.eye(q1)
     prior = GaussState(t=problem.t0, mean=np.zeros(model.state_size), factor=factor)
 
     def reading(state: GaussState, t: float) -> np.ndarray:
@@ -350,10 +340,10 @@ def solve(
 
     t_end = problem.T
     while t < t_end - _EPS * max(abs(t_end), 1.0):
-        if len(reports) >= config.max_steps:
+        if len(reports) >= _MAX_STEPS:
             raise RuntimeError(
-                f"exceeded max_steps = {config.max_steps}; tolerance or "
-                "controller settings force an unreasonably fine mesh"
+                f"gave up at t = {t} after {_MAX_STEPS} attempted steps; "
+                "the tolerance forces an unreasonably fine mesh"
             )
         _check_underflow(h, t, span)
         if t + h >= t_end - 1e3 * _EPS * max(abs(t_end), span):
@@ -376,13 +366,15 @@ def solve(
             if fixed:
                 D, passed, h_next = np.sqrt(sigma2_local * qbar11), True, h
             else:
-                D, passed = local_error_test(sigma2_local, qbar11, pred_mean[0::q1], config, h)
                 ebar = config.eps * h / (1.0 if config.per_unit_step else h)
-                h_next = next_step_size(float(np.max(D)), ebar, h, model.q, config)
+                D, passed = local_error_test(
+                    sigma2_local, qbar11, pred_mean[0::q1], config.weighting_tau, ebar
+                )
+                h_next = next_step_size(float(np.max(D)), ebar, h, model.q)
             # The residual no longer shrinks with h once the state's
             # derivative slots are inconsistent with the vector field; only
             # an update can repair that, so a long streak forces the step.
-            accepted = passed or streak >= config.max_rejections
+            accepted = passed or streak >= _MAX_REJECTIONS
             streak = 0 if accepted else streak + 1
         else:
             # Nothing to score: retry at half the step, outside the streak.
@@ -392,6 +384,11 @@ def solve(
             StepReport(t=t, h=h, sigma2_hat=sigma2_local, D=D, accepted=accepted, h_next=h_next)
         )
         if accepted:
+            # A passed error test bounds the estimate; only fixed steps and
+            # forced accepts can carry a non-finite one.
+            if (fixed or not passed) and not np.isfinite(sigma2_local).all():
+                raise RuntimeError(f"solve diverged at t = {t}, h = {h}: the accepted step's "
+                                   f"diffusion estimate is {sigma2_local}")
             sigma2_step = sigma2_local if config.sigma_mode == "local_ml" else model.sigma2
             prediction = predict(state, base, sigma2_step)
             state, _ = update(prediction, z, _DERIV_OBS)

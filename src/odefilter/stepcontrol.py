@@ -1,14 +1,14 @@
-"""Per-step diffusion estimation, local error test, and step-size control."""
+"""Per-step diffusion estimation, local error test, and step-size control.
+
+These take numbers, not solver settings; the solver computes the error bound
+``ebar`` once per attempt and passes it to the test and the controller.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # avoid an import cycle; config only needs a few attributes
-    from .solver import SolverConfig
 
 __all__ = [
     "StepReport",
@@ -18,6 +18,11 @@ __all__ = [
     "next_step_size",
     "global_error_factor",
 ]
+
+# The controller's safety factor rho and its clamp [eta_min, eta_max] on h'/h.
+_RHO = 0.95
+_ETA_MIN = 0.1
+_ETA_MAX = 5.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,12 +44,14 @@ def estimate_sigma2(residual, qbar11: float) -> np.ndarray:
     Gaussian with variance ``sigma2 * qbar11`` (``qbar11`` being the unit
     ``Q(h)_11``, the ``q11`` of ``priors.discrete_transition``) gives the
     per-dimension estimator ``sigma2_hat = residual**2 / qbar11``.  It is
-    applied before the covariance prediction of the same step.
+    applied before the covariance prediction of the same step.  A residual
+    too large to square gives an infinite estimate, without a warning.
     """
     if not np.isfinite(qbar11) or qbar11 <= 0:
         raise ValueError(f"qbar11 must be positive, got {qbar11}")
     residual = np.atleast_1d(np.asarray(residual, dtype=float))
-    return residual**2 / qbar11
+    with np.errstate(over="ignore"):
+        return residual**2 / qbar11
 
 
 def error_weights(y, tau: float) -> np.ndarray:
@@ -59,41 +66,34 @@ def error_weights(y, tau: float) -> np.ndarray:
     return 1.0 / (tau * np.abs(y) + tau)
 
 
-def local_error_test(
-    sigma2,
-    qbar11: float,
-    y,
-    config: "SolverConfig",
-    h: float,
-) -> tuple[np.ndarray, bool]:
-    """Weighted expected error D and the accept decision max(D) <= eps*h/S.
+def local_error_test(sigma2, qbar11: float, y, tau: float, ebar: float) -> tuple[np.ndarray, bool]:
+    """Weighted expected error D and the accept decision max(D) <= ebar.
 
     ``D_i = sqrt(sigma2_i * qbar11) * w_i``, with ``qbar11`` the unit
-    ``Q(h)_11`` as in :func:`estimate_sigma2` and the weights from
-    :func:`error_weights`; ``S`` is 1 (error per unit step) or ``h`` (error
-    per step) depending on ``config.per_unit_step``.
+    ``Q(h)_11`` as in :func:`estimate_sigma2` and the weights
+    :func:`error_weights` of ``y`` with ``tau``.  The solver passes the bound
+    ``ebar = eps * h / S``, where ``S`` is 1 (error per unit step) or ``h``
+    (error per step).
     """
     sigma2 = np.atleast_1d(np.asarray(sigma2, dtype=float))
     if np.any(sigma2 < 0):
         raise ValueError("sigma2 must be >= 0")
-    w = error_weights(y, config.weighting_tau)
-    D = np.sqrt(sigma2 * qbar11) * w
-    scale = 1.0 if config.per_unit_step else h
-    ebar = config.eps * h / scale
+    D = np.sqrt(sigma2 * qbar11) * error_weights(y, tau)
     return D, bool(np.max(D) <= ebar)
 
 
-def next_step_size(D: float, ebar: float, h: float, q: int, config: "SolverConfig") -> float:
+def next_step_size(D: float, ebar: float, h: float, q: int) -> float:
     """Controller update h' = rho * h * (ebar/D)^(1/(q+1)), rate limited.
 
-    A vanishing error estimate proposes maximal growth.  The ratio h'/h is
-    clamped to [eta_min, eta_max].
+    The constants ``_RHO`` = 0.95 and the clamp of the ratio h'/h to
+    [``_ETA_MIN``, ``_ETA_MAX``] = [0.1, 5] are fixed.  A vanishing error
+    estimate proposes maximal growth.
     """
     if D <= 0.0:
-        factor = config.eta_max
+        factor = _ETA_MAX
     else:
-        factor = config.rho * (ebar / D) ** (1.0 / (q + 1))
-        factor = min(max(factor, config.eta_min), config.eta_max)
+        factor = _RHO * (ebar / D) ** (1.0 / (q + 1))
+        factor = min(max(factor, _ETA_MIN), _ETA_MAX)
     return h * factor
 
 

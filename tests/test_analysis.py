@@ -178,6 +178,10 @@ class TestStability:
         assert radius.shape == (6, 8)
         assert stable.dtype == bool
         assert stable.any() and not stable.all()
+        for a, y in enumerate(im):
+            for b, x in enumerate(re):
+                eig = np.linalg.eigvals(amplification_matrix(gain, complex(x, y)))
+                np.testing.assert_allclose(radius[a, b], np.max(np.abs(eig)), rtol=0, atol=0)
 
     def test_gain_scaling_validated(self):
         with pytest.raises(ValueError):

@@ -71,6 +71,14 @@ class TestSolveCommand:
         assert "fixed_step" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_diverged_solve_is_solver_failure(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = run(["solve", "--problem", "brusselator", "--q", "4", "--eps", "1e-3",
+                    "--fixed-step", "0.0333333333", "--out", str(out)])
+        assert code == 1
+        assert "solver failure: solve diverged at t = " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_required_argument(self, tmp_path):
         assert run(["solve", "--problem", "logistic", "--out", str(tmp_path / "x.csv")]) == 2
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from odefilter import solver, stepcontrol
 from odefilter import (
     IvpProblem,
     SolverConfig,
@@ -19,8 +20,6 @@ class TestConfig:
         "kwargs",
         [
             {"q": 0},
-            {"rho": 1.5},
-            {"eta_min": 2.0},
             {"eps": 0.0},
             {"weighting_tau": -1.0},
             {"init_mode": "magic"},
@@ -34,9 +33,7 @@ class TestConfig:
             {"fixed_step": np.inf},
             {"fixed_step": np.nan},
             {"eps": np.nan},
-            {"diffuse_variance": -1.0},
-            {"diffuse_variance": 0.0},
-            {"diffuse_variance": np.inf},
+            {"eps": np.inf},  # was accepted; a logistic solve then ended 0.7 off in 4 steps
         ],
     )
     def test_validation(self, kwargs):
@@ -46,8 +43,6 @@ class TestConfig:
     @pytest.mark.parametrize(
         "name, value",
         [
-            ("max_rejections", -1),  # acted like 0: every failed test forced through
-            ("max_steps", 0),  # raised "unreasonably fine mesh" before any step
             ("weighting_tau", np.nan),  # failed only at the first error test
             ("weighting_tau", np.inf),
         ],
@@ -102,13 +97,13 @@ class TestInitialize:
         assert st.mean[1] == pytest.approx(0.27, rel=1e-14)
         assert np.max(np.abs(st.factor[0, :2])) == 0.0
 
-    def test_diffuse_variance_insensitive_means(self):
+    def test_diffuse_variance_insensitive_means(self, monkeypatch):
         model = make_iwp(2, [1.0], 1)
+        cfg = SolverConfig(q=2, h_init=0.1, init_mode="diffuse_filter")
         means = []
         for v in (1e12, 1e14):
-            p = get_problem("logistic")
-            cfg = SolverConfig(q=2, h_init=0.1, init_mode="diffuse_filter", diffuse_variance=v)
-            means.append(initialize(p, cfg, model).mean)
+            monkeypatch.setattr(solver, "_DIFFUSE_VARIANCE", v)
+            means.append(initialize(get_problem("logistic"), cfg, model).mean)
         rel = np.abs(means[0] - means[1]) / np.maximum(np.abs(means[1]), 1e-12)
         assert np.max(rel) < 1e-6
 
@@ -262,7 +257,7 @@ class TestSolveAdaptive:
         res = solve(p, cfg)
         for report in res.per_step:
             ratio = report.h_next / report.h
-            assert cfg.eta_min - 1e-12 <= ratio <= cfg.eta_max + 1e-12
+            assert stepcontrol._ETA_MIN - 1e-12 <= ratio <= stepcontrol._ETA_MAX + 1e-12
 
     def test_nonfinite_rhs_rejects_then_underflows(self):
         calls = {"n": 0}
@@ -349,18 +344,33 @@ class TestLoopBranches:
         cfg = SolverConfig(q=4, eps=1e-3)
         res = solve(p, cfg)
         assert (res.steps_accepted, res.steps_rejected, res.fevals) == (52, 61, 114)
-        streak = res.per_step[: cfg.max_rejections]
+        streak = res.per_step[: solver._MAX_REJECTIONS]
         assert not any(r.accepted for r in streak)
         assert all(np.isfinite(r.sigma2_hat).all() for r in streak)
-        forced = res.per_step[cfg.max_rejections]
+        forced = res.per_step[solver._MAX_REJECTIONS]
         assert forced.accepted and np.max(forced.D) == pytest.approx(1.7146e-3, rel=1e-4)
         assert np.max(forced.D) > cfg.eps
 
-    def test_max_steps_raises(self):
-        with pytest.raises(RuntimeError, match="exceeded max_steps = 10"):
-            solve(get_problem("logistic"), SolverConfig(q=2, eps=1e-3, max_steps=10))
+    def test_max_steps_raises(self, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_STEPS", 10)
+        with pytest.raises(RuntimeError, match="after 10 attempted steps"):
+            solve(get_problem("logistic"), SolverConfig(q=2, eps=1e-3))
 
-    def test_nonfinite_rejections_do_not_extend_streak(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"fixed_step": 10.0 / 300},
+            # adaptive: forced through at the end of a streak of inf estimates
+            {"eps": 1e-3, "init_mode": "diffuse_filter", "obs_strategy": "sampled", "seed": 3},
+        ],
+    )
+    def test_diverged_step_raises_runtime_error(self, kwargs):
+        # The estimate overflowed with a warning and reached predict, whose
+        # bare ValueError the CLI reported as a usage error.
+        with pytest.raises(RuntimeError, match=r"diverged at t = \S+, h = \S+: .* is \[inf inf\]"):
+            solve(get_problem("brusselator"), SolverConfig(q=4, **kwargs))
+
+    def test_nonfinite_rejections_do_not_extend_streak(self, monkeypatch):
         calls = {"n": 0}
 
         def flaky(t, y):
@@ -370,7 +380,8 @@ class TestLoopBranches:
             return 3 * y * (1 - y)
 
         p = IvpProblem(name="flaky", dim=1, t0=0.0, T=1.5, y0=np.array([0.1]), rhs=flaky)
-        res = solve(p, SolverConfig(q=4, eps=1e-3, max_rejections=1))
+        monkeypatch.setattr(solver, "_MAX_REJECTIONS", 1)
+        res = solve(p, SolverConfig(q=4, eps=1e-3))
         first = res.per_step[:4]
         assert [np.isnan(r.sigma2_hat).all() for r in first] == [True, True, False, False]
         # Counted, the two non-finite rejections would force attempt 2 through.
