@@ -268,23 +268,26 @@ def amplification_matrix(gain: np.ndarray, zeta) -> np.ndarray:
     q = gain.size - 1
     if abs(gain[1] - 1.0) > 1e-9:
         raise ValueError("gain must be in Nordsieck scaling with slot 1 equal to 1")
-    P = pascal_matrix(q)
-    e0 = np.zeros(q + 1)
-    e0[0] = 1.0
-    e1 = np.zeros(q + 1)
-    e1[1] = 1.0
+    P, eye = pascal_matrix(q), np.eye(q + 1)
     zeta = np.asarray(zeta)[..., None, None]
-    return (np.eye(q + 1) - np.outer(gain, e1)) @ P + zeta * np.outer(gain, e0) @ P
+    return (eye - np.outer(gain, eye[1])) @ P + zeta * np.outer(gain, eye[0]) @ P
+
+
+_SCAN_POINTS = 16384  # grid points per batched eigvals call (6.6 MB at q = 4)
 
 
 def stability_scan(gain: np.ndarray, re_grid: np.ndarray, im_grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectral radius of the amplification matrix over a zeta grid.
 
     Returns (radius, stable) arrays of shape (len(im_grid), len(re_grid));
-    stable means radius <= 1 + 1e-12.
+    stable means radius <= 1 + 1e-12.  Each ``_SCAN_POINTS`` grid points
+    take one batched ``eigvals`` call, which bounds the working memory.
     """
     zeta = np.asarray(re_grid)[None, :] + 1j * np.asarray(im_grid)[:, None]
-    radius = np.max(np.abs(np.linalg.eigvals(amplification_matrix(gain, zeta))), axis=-1)
+    radius = np.full(zeta.shape, np.nan)
+    for i in range(0, zeta.size, _SCAN_POINTS):
+        block = amplification_matrix(gain, zeta.flat[i : i + _SCAN_POINTS])
+        radius.flat[i : i + _SCAN_POINTS] = np.max(np.abs(np.linalg.eigvals(block)), axis=-1)
     return radius, radius <= 1.0 + 1e-12
 
 

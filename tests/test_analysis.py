@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odefilter import analysis
 from odefilter import (
     SolverConfig,
     amplification_matrix,
@@ -183,6 +184,17 @@ class TestStability:
                 eig = np.linalg.eigvals(amplification_matrix(gain, complex(x, y)))
                 np.testing.assert_allclose(radius[a, b], np.max(np.abs(eig)), rtol=0, atol=0)
 
+    # Blocks of 1 and 17 of the 48 points; 17 cut across rows.
+    @pytest.mark.parametrize("points", [1, 17])
+    def test_scan_blocks_match_one_block(self, points, monkeypatch):
+        gain = steady_state(make_iwp(4, [1.0], 1)).gain
+        re = np.linspace(-4.0, 0.5, 8)
+        im = np.linspace(0.0, 3.0, 6)
+        whole = stability_scan(gain, re, im)
+        monkeypatch.setattr(analysis, "_SCAN_POINTS", points)
+        blocked = stability_scan(gain, re, im)
+        assert np.array_equal(blocked[0], whole[0]) and np.array_equal(blocked[1], whole[1])
+
     def test_gain_scaling_validated(self):
         with pytest.raises(ValueError):
             amplification_matrix(np.array([0.1, 0.5, 0.2]), 0.0)
@@ -195,6 +207,11 @@ class TestConvergenceOrder:
         )
         assert not fit.degenerate
         assert 2.7 <= fit.order <= 3.3
+
+    def test_diverged_step_size_raises(self):
+        # h = 0.02 is far outside q = 2's stability region for lam = -1000.
+        with pytest.raises(RuntimeError, match="solve diverged at t = "):
+            convergence_order(get_problem("linear(-1000)"), make_iwp(2, [1.0], 1), [0.02, 0.01, 0.005])
 
     def test_second_order_model(self):
         fit = convergence_order(

@@ -259,6 +259,28 @@ class TestSolveAdaptive:
             ratio = report.h_next / report.h
             assert stepcontrol._ETA_MIN - 1e-12 <= ratio <= stepcontrol._ETA_MAX + 1e-12
 
+    @pytest.mark.parametrize("per_unit_step", [True, False])
+    def test_error_bound_follows_per_unit_step(self, per_unit_step):
+        # The bound is eps*h per unit step and eps per step; every attempt's
+        # decision and proposed step must use the one the setting names.
+        # Default tolerances underflow per unit step (see ROADMAP item 4).
+        p = get_problem("logistic")
+        cfg = SolverConfig(q=2, eps=1.0, per_unit_step=per_unit_step)
+        res = solve(p, cfg)
+        streak = discriminating = 0
+        for r in res.per_step:
+            D = float(np.max(r.D))
+            ebar = cfg.eps * r.h if per_unit_step else cfg.eps
+            assert r.accepted == (D <= ebar or streak == solver._MAX_REJECTIONS)
+            assert r.h_next == pytest.approx(stepcontrol.next_step_size(D, ebar, r.h, cfg.q), rel=1e-12)
+            streak = 0 if r.accepted else streak + 1
+            discriminating += cfg.eps * r.h < D <= cfg.eps
+        # Attempts the two bounds decide differently exist, so a swapped or
+        # ignored setting changes a decision above.
+        assert discriminating > 0
+        other = solve(p, SolverConfig(q=2, eps=1.0, per_unit_step=not per_unit_step))
+        assert [r.h for r in other.per_step] != [r.h for r in res.per_step]
+
     def test_nonfinite_rhs_rejects_then_underflows(self):
         calls = {"n": 0}
 
@@ -369,6 +391,14 @@ class TestLoopBranches:
         # bare ValueError the CLI reported as a usage error.
         with pytest.raises(RuntimeError, match=r"diverged at t = \S+, h = \S+: .* is \[inf inf\]"):
             solve(get_problem("brusselator"), SolverConfig(q=4, **kwargs))
+
+    def test_global_ml_run_stops_at_an_inf_estimate(self):
+        # global_ml averages the accepted estimates into the run's diffusion,
+        # so one inf estimate would leave every covariance non-finite.
+        p = get_problem("brusselator")
+        cfg = SolverConfig(q=1, fixed_step=(p.T - p.t0) / 5, sigma_mode="global_ml")
+        with pytest.raises(RuntimeError, match=r"diverged at t = \S+, h = 2.0: .* is \[inf inf\]"):
+            solve(p, cfg)
 
     def test_nonfinite_rejections_do_not_extend_streak(self, monkeypatch):
         calls = {"n": 0}
