@@ -16,7 +16,7 @@ from math import factorial
 
 import numpy as np
 
-from .filtering import GaussState, ObservationModel, predict, update
+from .filtering import GaussState, ObservationModel, predict_update
 from .priors import DiscreteTransition, IwpModel, nordsieck_qbar, pascal_matrix
 from .solver import IvpProblem, SolveResult, SolverConfig, solve
 
@@ -71,10 +71,10 @@ def steady_state(model: IwpModel, tol: float = 1e-12, max_iter: int = 10_000) ->
     mask = np.ones((q + 1, q + 1), dtype=bool)
     mask[0, 0] = False
     factor = c = np.zeros((q + 1, q + 1))
+    zero, one, obs = np.zeros(q + 1), np.ones(1), ObservationModel(1)
     for it in range(1, max_iter + 1):
         # The filter's own recursion: from mean 0, a unit residual leaves the gain.
-        pred = predict(GaussState(0.0, np.zeros(q + 1), factor[None]), unit)
-        state, _ = update(pred, [1.0], ObservationModel(1))
+        _, state = predict_update(GaussState(0.0, zero, factor[None]), unit, one, zero, one, obs)
         factor, c_new = state.factor[0], state.cov[0]
         if np.max(np.abs((c_new - c)[mask])) < tol:
             return SteadyState(gain=state.mean, cov_coeffs=c_new, iterations=it)

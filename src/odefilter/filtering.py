@@ -13,10 +13,14 @@ O(d (q+1)^3) and a state takes O(d (q+1)^2) memory.
 No operation forms a covariance and factors it again, so every covariance
 is positive semidefinite by construction (Krämer & Hennig, *Stable
 implementation of probabilistic ODE solvers*, JMLR 2024): predict
-re-triangularizes ``[A F, Q^(1/2)]`` by QR, update subtracts the rank-1
-term ``K (H F)`` of an exact observation, and smoothing, sampling and
+re-triangularizes ``[A F, Q^(1/2)]`` by QR, update zeroes one column of a
+re-triangularized factor, and smoothing, sampling and
 interpolation read the gain and the backward-conditional factor off one QR
 of the joint factor ``[[A F, Q^(1/2)], [F, 0]]``.
+
+The solver's accepted steps run ``predict_update``, the pair in one QR
+that orders the observed slot's row first; conditioning is then a read of
+the factor's first column (``_condition``).
 
 That backward conditional depends only on the filtered factor, the step and
 the diffusion, never on the smoothed successor.  ``smooth`` and
@@ -132,9 +136,9 @@ def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(M, x.reshape(x.shape[:-1] + (-1, q1, 1))).reshape(x.shape)
 
 
-def predict_mean(state: GaussState, transition: DiscreteTransition) -> np.ndarray:
-    """Predicted mean A m, the same numbers :func:`predict` produces."""
-    return _matvec(transition.A, state.mean)
+def predict_mean(state: GaussState, A: np.ndarray) -> np.ndarray:
+    """Predicted mean ``A m`` for a unit transition ``A``, the numbers :func:`predict` produces."""
+    return _matvec(A, state.mean)
 
 
 def predict(state: GaussState, transition: DiscreteTransition, sigma2=None) -> GaussState:
@@ -145,28 +149,26 @@ def predict(state: GaussState, transition: DiscreteTransition, sigma2=None) -> G
     ``sigma2[k] * Q`` in block ``k``.  The predicted factor is the lower
     triangular factor of ``[A F, Q^(1/2)]`` from one batched QR.
     """
-    d = state.factor.shape[0]
+    d, q1, _ = state.factor.shape
     sigma2 = np.ones(d) if sigma2 is None else np.asarray(sigma2, dtype=float)
     if sigma2.shape != (d,):
         raise ValueError(f"expected {d} diffusion scales, got shape {sigma2.shape}")
     if not (sigma2.min() >= 0.0 and sigma2.max() < np.inf):
         raise ValueError(f"diffusion scales must be finite and >= 0, got {sigma2}")
-    q_sqrt = np.sqrt(sigma2)[:, None, None] * transition.Q_sqrt
     mean = _matvec(transition.A, state.mean)
-    factor = _triangularize(np.concatenate([transition.A @ state.factor, q_sqrt], axis=2))
-    return GaussState(t=state.t + transition.h, mean=mean, factor=factor)
+    # The rows in slot order, slot 0 first.
+    factor = _predicted_factor(state.factor, transition, sigma2, _pivot(q1, 0)[0])
+    return _built(state.t + transition.h, mean, factor)
 
 
 def update(state: GaussState, z, obs: ObservationModel) -> tuple[GaussState, np.ndarray]:
-    """Condition a predicted state on one exactly observed derivative per dimension.
+    """Condition a state on one exactly observed derivative per dimension.
 
-    Returns the updated state and the pre-update residual ``z - H m``.
-    Each block takes the rank-1 correction ``F <- F - K (H F)`` with gain
-    ``K = F (H F)^T / s`` and ``s = |H F|^2``, the innovation variance.
-    The observed slot's gain is exactly 1, so its row of ``F`` (and with
-    it ``H C H^T``) becomes exactly 0 and ``H m = z`` to one rounding.  A
-    block with ``s == 0`` already knows that slot exactly and is left as
-    it is.
+    Returns the updated state and the pre-update residual ``z - H m``.  The
+    factor is re-triangularized with the observed slot's row first and
+    conditioned by :func:`_condition`: that slot's row becomes exactly 0
+    and ``H m = z`` to one rounding, and a block with zero innovation
+    variance keeps its mean and covariance.
     """
     d, q1, _ = state.factor.shape
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -175,19 +177,77 @@ def update(state: GaussState, z, obs: ObservationModel) -> tuple[GaussState, np.
     i = obs.derivative_index
     if i >= q1:
         raise ValueError(f"derivative_index {i} outside state order {q1 - 1}")
+    order, back = _pivot(q1, i)
+    F = _triangularize(state.factor.take(order, axis=1)).take(back, axis=1)
+    residual = z - state.mean[i::q1]
+    return _condition(state.t, F, state.mean, residual, i), residual
 
-    F = state.factor
-    mean = state.mean.reshape(d, q1)
-    residual = z - mean[:, i]
-    hf = F[:, i, :]
-    s = np.sum(hf * hf, axis=1)
-    live = s > 0.0
-    # A dead block has H F = 0, so its gain is 0 without dividing by s.
-    gain = (F @ hf[:, :, None])[:, :, 0] / np.where(live, s, 1.0)[:, None]
-    gain[:, i] = live
-    mean = mean + gain * np.where(live, residual, 0.0)[:, None]
-    factor = F - gain[:, :, None] * hf[:, None, :]
-    return GaussState(t=state.t, mean=mean.reshape(-1), factor=factor), residual
+
+def predict_update(state: GaussState, transition: DiscreteTransition, sigma2: np.ndarray,
+                   mean: np.ndarray, residual: np.ndarray,
+                   obs: ObservationModel) -> tuple[GaussState, GaussState]:
+    """:func:`predict` then :func:`update` in one QR, for a caller that has scored the step.
+
+    Takes the predicted mean (:func:`predict_mean`) and the residual ``z - H
+    mean``; ``sigma2`` must be finite and non-negative, and is not checked
+    again.  The QR orders the observed slot's row first, so :func:`_condition`
+    reads the gain off the predicted factor.  Returns the prediction and the
+    filtered state.
+    """
+    i = obs.derivative_index
+    order, back = _pivot(state.factor.shape[1], i)
+    F = _predicted_factor(state.factor, transition, sigma2, order).take(back, axis=1)
+    t = state.t + transition.h
+    return _built(t, mean, F), _condition(t, F, mean, residual, i)
+
+
+def _predicted_factor(F: np.ndarray, transition: DiscreteTransition, sigma2: np.ndarray,
+                      order: np.ndarray) -> np.ndarray:
+    """Lower triangular factor of ``[A F, sqrt(sigma2) Q^(1/2)]`` with its rows in ``order``."""
+    d, q1, _ = F.shape
+    M = np.empty((d, q1, 2 * q1))
+    np.matmul(transition.A.take(order, axis=0), F, out=M[:, :, :q1])
+    np.multiply(np.sqrt(sigma2)[:, None, None], transition.Q_sqrt.take(order, axis=0),
+                out=M[:, :, q1:])
+    return _triangularize(M)
+
+
+@lru_cache(maxsize=None)
+def _pivot(q1: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slot order with slot ``i`` first, and the order that undoes it."""
+    order = np.array([i] + [j for j in range(q1) if j != i])
+    back = np.argsort(order)
+    order.flags.writeable = back.flags.writeable = False
+    return order, back
+
+
+def _condition(t: float, F: np.ndarray, mean: np.ndarray, residual: np.ndarray,
+               i: int) -> GaussState:
+    """Condition on exact readings of slot ``i``, given a factor whose row ``i``
+    is ``(r, 0, ..., 0)``, so that ``r^2`` is the innovation variance.
+
+    The gain is the first column over ``r``, exactly 1 at slot ``i``, so
+    ``H m = z`` to one rounding; the filtered factor is ``F`` with that
+    column zeroed, which leaves row ``i`` exactly 0.  A block with ``r == 0``
+    already knows the slot and is left as it is.
+    """
+    d, q1, _ = F.shape
+    r = F[:, i, :1]
+    live = r != 0.0
+    gain = np.divide(F[:, :, 0], r, out=np.zeros((d, q1)), where=live)
+    gain[:, i] = live[:, 0]
+    filtered = F.copy()
+    np.copyto(filtered[:, :, 0], 0.0, where=live)
+    new_mean = mean.reshape(d, q1) + gain * np.where(live, residual[:, None], 0.0)
+    return _built(t, new_mean.reshape(-1), filtered)
+
+
+def _built(t: float, mean: np.ndarray, factor: np.ndarray) -> GaussState:
+    """A state from arrays this module just built, skipping the re-validation."""
+    state = object.__new__(GaussState)
+    for name, value in (("t", t), ("mean", mean), ("factor", factor)):
+        object.__setattr__(state, name, value)
+    return state
 
 
 @dataclass(eq=False)

@@ -13,7 +13,8 @@ process.  Over a step ``h`` the state propagates exactly through the pair
 both have closed forms.  The filter reads ``A``, the factor
 ``Q(h)^(1/2)`` and the single entry ``Q(h)_11``, so those are all
 :func:`discrete_transition` builds; the diffusion scales enter in
-``filtering.predict``.
+``filtering.predict``.  A solver attempt builds only ``A`` and ``Q(h)_11``
+(``_transition_mean``), an accepted step the factor (``_noise_factor``).
 
 Everything about ``(A(h), Q(h))`` that does not depend on ``h`` lives in one
 cached table per q.  In Nordsieck scaling, ``B = diag(h^i / i!)``, the table
@@ -157,7 +158,7 @@ def _constants(q: int) -> _IwpConstants:
     tables = _IwpConstants(
         a_lag=np.where(lag >= 0, lag, 2 * q + 2),
         a_den=fact[np.maximum(lag, 0)],
-        q11_den=q_den[1, 1],
+        q11_den=float(q_den[1, 1]),
         pascal=np.vectorize(comb)(j, i).astype(float),
         qbar=qbar,
         qbar_sqrt=fact[:, None] * np.linalg.cholesky(qbar),
@@ -200,13 +201,22 @@ def discrete_transition(q: int, h: float) -> DiscreteTransition:
         raise ValueError(f"step size must be finite, got {h}")
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
+    A, q11 = _transition_mean(q, h)
+    return DiscreteTransition(h=float(h), A=A, Q_sqrt=_noise_factor(q, h), q11=q11)
+
+
+def _transition_mean(q: int, h: float) -> tuple[np.ndarray, float]:
+    """``A(h)`` and ``Q(h)_11`` of :func:`discrete_transition`, bit for bit; ``h`` is not checked."""
     c = _constants(q)
     # Python's ** per power, not np.power, whose vectorized loop can differ
     # from it in the last bit.  The trailing 0 fills A below the diagonal.
     powers = np.array([h**k for k in range(2 * q + 2)] + [0.0])
-    A = powers[c.a_lag] / c.a_den
-    Q_sqrt = (sqrt(h) * powers[q::-1])[:, None] * c.qbar_sqrt
-    return DiscreteTransition(h=float(h), A=A, Q_sqrt=Q_sqrt, q11=powers[2 * q - 1] / c.q11_den)
+    return powers.take(c.a_lag) / c.a_den, h ** (2 * q - 1) / c.q11_den
+
+
+def _noise_factor(q: int, h: float) -> np.ndarray:
+    """``Q_sqrt`` of :func:`discrete_transition`, bit for bit; ``h`` is not checked."""
+    return (sqrt(h) * np.array([h**k for k in range(q, -1, -1)]))[:, None] * _constants(q).qbar_sqrt
 
 
 def _transition_stack(q: int, steps: list[float]) -> tuple[np.ndarray, np.ndarray]:

@@ -1,13 +1,12 @@
 """The IVP solving loop: initialization, model interrogation, predict-update.
 
-One solve is strictly sequential.  Each attempted step predicts the state
-mean to the trial time, evaluates the right-hand side there to manufacture a
-derivative observation, estimates the local diffusion intensity from the
-residual, runs the error test (in adaptive mode), and only then completes
-the covariance prediction and the Kalman update.  Rejected steps re-estimate
-everything at the shrunken step, and an observation that is not finite is
-a rejection at half the step; the final step is clamped to land exactly
-on T.
+One solve is strictly sequential.  An attempted step builds only ``A(h)``
+and ``Q(h)_11``, predicts the mean, evaluates the right-hand side there,
+and scores the residual: diffusion estimate and (adaptive) error test.
+Only an accepted step builds ``Q(h)^(1/2)`` and runs
+``filtering.predict_update``, which predicts and conditions in one QR.  A
+reading that is not finite is a rejection at half the step, or an error
+under a fixed step; the final step is clamped to land exactly on T.
 """
 
 from __future__ import annotations
@@ -23,9 +22,17 @@ from .filtering import (
     SolutionPath,
     predict,
     predict_mean,
+    predict_update,
     update,
 )
-from .priors import IwpModel, discrete_transition, make_iwp
+from .priors import (
+    DiscreteTransition,
+    IwpModel,
+    _noise_factor,
+    _transition_mean,
+    discrete_transition,
+    make_iwp,
+)
 from .stepcontrol import StepReport, estimate_sigma2, local_error_test, next_step_size
 
 __all__ = [
@@ -238,15 +245,16 @@ def _starter_path(
         factor = np.full((problem.dim, 1, 1), np.sqrt(_DIFFUSE_VARIANCE)) * np.eye(q1)
     prior = GaussState(t=problem.t0, mean=np.zeros(model.state_size), factor=factor)
 
-    def reading(state: GaussState, t: float) -> np.ndarray:
+    def reading(t: float, mean: np.ndarray, state: GaussState) -> np.ndarray:
+        # A sampled reading draws from the spread of ``state``.
         std = state.std()[0::q1] if rng is not None else None
-        z = observe(problem, t, state.mean[0::q1], std, rng=rng)
+        z = observe(problem, t, mean[0::q1], std, rng=rng)
         if not np.all(np.isfinite(z)):
             raise ValueError(f"right-hand side returned non-finite values at starter knot t = {t}")
         return z
 
     state, _ = update(prior, problem.y0, ObservationModel(derivative_index=0))
-    zs = [reading(state, problem.t0)]
+    zs = [reading(problem.t0, state.mean, state)]
     state, _ = update(state, zs[0], _DERIV_OBS)
     path = SolutionPath(model=model)
     path.append(prior, state, None)
@@ -259,9 +267,13 @@ def _starter_path(
         # The step between knot times, not from state.t, which carries the
         # round-off of the summed steps.
         h = t_next - (problem.t0 + prev * h0)
-        pred = predict(state, discrete_transition(q, h), model.sigma2)
-        zs.append(reading(pred, t_next))
-        state, _ = update(pred, zs[-1], _DERIV_OBS)
+        transition = discrete_transition(q, h)
+        mean = predict_mean(state, transition.A)
+        # Only a sampled reading needs the predicted factor before the update.
+        zs.append(reading(t_next, mean,
+                          predict(state, transition, model.sigma2) if rng is not None else state))
+        pred, state = predict_update(state, transition, model.sigma2, mean,
+                                     zs[-1] - mean[1::q1], _DERIV_OBS)
         path.append(pred, state, h, model.sigma2)
     if config.init_mode == "rk_starter" and q == 4:
         # Replace the numerically-diffuse terminal state with the exact
@@ -332,7 +344,7 @@ def solve(
 
     state = path.filtered[-1]
     t = state.t
-    q1 = model.block_size
+    q, q1 = model.q, model.block_size
     fixed = config.fixed_step is not None
     h = config.fixed_step if fixed else config.resolve_h_init(problem)
     reports: list[StepReport] = []
@@ -350,32 +362,37 @@ def solve(
             # Clamp onto T, absorbing a remainder too short to step over.
             h = t_end - t
 
-        base = discrete_transition(model.q, h)
-        pred_mean = predict_mean(state, base)
+        # The attempt reads only A and Q(h)_11; Q(h)^(1/2) waits for acceptance.
+        A, q11 = _transition_mean(q, h)
+        pred_mean = predict_mean(state, A)
         std = None
         if rng is not None:
             # The draw needs the predictive variance; size it with the most
             # recently accepted diffusion estimate.
             sigma2_last = path.step_sigma2[-1] if path.step_sigma2 else model.sigma2
-            std = predict(state, base, sigma2_last).std()[0::q1]
+            std = predict(state, discrete_transition(q, h), sigma2_last).std()[0::q1]
         z = observe(problem, t + h, pred_mean[0::q1], std, rng=rng)
 
-        if np.all(np.isfinite(z)):
-            qbar11 = base.q11
-            sigma2_local = estimate_sigma2(z - pred_mean[1::q1], qbar11)
+        if np.isfinite(z).all():
+            residual = z - pred_mean[1::q1]
+            sigma2_local = estimate_sigma2(residual, q11)
             if fixed:
-                D, passed, h_next = np.sqrt(sigma2_local * qbar11), True, h
+                D, passed, h_next = np.sqrt(sigma2_local * q11), True, h
             else:
                 ebar = config.eps * h / (1.0 if config.per_unit_step else h)
                 D, passed = local_error_test(
-                    sigma2_local, qbar11, pred_mean[0::q1], config.weighting_tau, ebar
+                    sigma2_local, q11, pred_mean[0::q1], config.weighting_tau, ebar
                 )
-                h_next = next_step_size(float(np.max(D)), ebar, h, model.q)
+                h_next = next_step_size(float(D.max()), ebar, h, q)
             # The residual no longer shrinks with h once the state's
             # derivative slots are inconsistent with the vector field; only
             # an update can repair that, so a long streak forces the step.
             accepted = passed or streak >= _MAX_REJECTIONS
             streak = 0 if accepted else streak + 1
+        elif fixed:
+            # A fixed mesh cannot step around the bad reading.
+            raise RuntimeError(f"right-hand side returned {z} at t = {t + h}, reached from "
+                               f"t = {t} with fixed step h = {h}")
         else:
             # Nothing to score: retry at half the step, outside the streak.
             sigma2_local, D = np.full(problem.dim, np.nan), np.full(problem.dim, np.inf)
@@ -390,8 +407,9 @@ def solve(
                 raise RuntimeError(f"solve diverged at t = {t}, h = {h}: the accepted step's "
                                    f"diffusion estimate is {sigma2_local}")
             sigma2_step = sigma2_local if config.sigma_mode == "local_ml" else model.sigma2
-            prediction = predict(state, base, sigma2_step)
-            state, _ = update(prediction, z, _DERIV_OBS)
+            transition = DiscreteTransition(h, A, _noise_factor(q, h), q11)
+            prediction, state = predict_update(state, transition, sigma2_step, pred_mean,
+                                               residual, _DERIV_OBS)
             path.append(prediction, state, h, sigma2_step)
             t = t + h
         h = h_next

@@ -7,6 +7,7 @@ These take numbers, not solver settings; the solver computes the error bound
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -37,6 +38,12 @@ class StepReport:
     h_next: float
 
 
+def _vector(x) -> np.ndarray:
+    """``x`` as a float array of at least one dimension, like ``np.atleast_1d``."""
+    x = np.asarray(x, dtype=float)
+    return x if x.ndim else x.reshape(1)
+
+
 def estimate_sigma2(residual, qbar11: float) -> np.ndarray:
     """Maximum-likelihood diffusion intensity from one step's residual.
 
@@ -47,9 +54,9 @@ def estimate_sigma2(residual, qbar11: float) -> np.ndarray:
     applied before the covariance prediction of the same step.  A residual
     too large to square gives an infinite estimate, without a warning.
     """
-    if not np.isfinite(qbar11) or qbar11 <= 0:
+    if not 0.0 < qbar11 < inf:
         raise ValueError(f"qbar11 must be positive, got {qbar11}")
-    residual = np.atleast_1d(np.asarray(residual, dtype=float))
+    residual = _vector(residual)
     with np.errstate(over="ignore"):
         return residual**2 / qbar11
 
@@ -60,9 +67,9 @@ def error_weights(y, tau: float) -> np.ndarray:
     The reciprocal-linear form is singular for y_i <= -1, so the magnitude
     of the solution is used; on positive trajectories the two coincide.
     """
-    if not np.isfinite(tau) or tau <= 0:
+    if not 0.0 < tau < inf:
         raise ValueError(f"tau must be positive, got {tau}")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    y = _vector(y)
     return 1.0 / (tau * np.abs(y) + tau)
 
 
@@ -75,11 +82,11 @@ def local_error_test(sigma2, qbar11: float, y, tau: float, ebar: float) -> tuple
     ``ebar = eps * h / S``, where ``S`` is 1 (error per unit step) or ``h``
     (error per step).
     """
-    sigma2 = np.atleast_1d(np.asarray(sigma2, dtype=float))
-    if np.any(sigma2 < 0):
+    sigma2 = _vector(sigma2)
+    if (sigma2 < 0.0).any():
         raise ValueError("sigma2 must be >= 0")
     D = np.sqrt(sigma2 * qbar11) * error_weights(y, tau)
-    return D, bool(np.max(D) <= ebar)
+    return D, bool(D.max() <= ebar)
 
 
 def next_step_size(D: float, ebar: float, h: float, q: int) -> float:

@@ -370,10 +370,10 @@ def _dense_predict(mean, cov, A, Q, sigma2):
     return A_full @ mean, A_full @ cov @ A_full.T + np.kron(np.diag(sigma2), Q)
 
 
-def _dense_update(mean, cov, z, q1):
+def _dense_update(mean, cov, z, q1, slot=1):
     mean, cov = mean.copy(), cov.copy()
     for k, z_k in enumerate(z):
-        idx = k * q1 + 1
+        idx = k * q1 + slot
         s = cov[idx, idx]
         if s == 0.0:
             continue
@@ -487,3 +487,55 @@ class TestDenseOracle:
     def test_cov_shape_must_match_mean(self, cov_shape):
         with pytest.raises(ValueError, match="factor shape"):
             GaussState(0.0, np.zeros(3), np.zeros(cov_shape))
+
+
+class TestPredictUpdate:
+    """The fused kernel against the dense ``kron`` predict and update above."""
+
+    @staticmethod
+    def _blocks(rng, q1, d):
+        # d = 3: a block with diffusion, one without, and one that already
+        # knows its derivative slot (only slot 0 uncertain, no diffusion),
+        # whose innovation variance is exactly 0.
+        factor = np.concatenate([_rand_factor(rng, q1) for _ in range(d)])
+        sigma2 = rng.uniform(0.5, 2.0, d)
+        if d == 3:
+            sigma2[1:] = 0.0
+            factor[2, 1:] = 0.0
+        return factor, sigma2
+
+    @pytest.mark.parametrize("slot", [1, 2])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_matches_dense_reference(self, q, d, slot):
+        # The solver observes slot 1; slot 2 checks that the pivot is undone.
+        q1, i = q + 1, min(slot, q)
+        rng = np.random.default_rng(100 * q + 10 * slot + d)
+        factor, sigma2 = self._blocks(rng, q1, d)
+        state = GaussState(0.3, rng.standard_normal(d * q1), factor)
+        tr, Q = discrete_transition(q, 0.37), loop_q(q, 0.37)
+        z = rng.standard_normal(d)
+        mean = filtering.predict_mean(state, tr.A)
+        pred, filt = filtering.predict_update(state, tr, sigma2, mean, z - mean[i::q1],
+                                              ObservationModel(i))
+
+        m_ref, c_ref = _dense_predict(state.mean, block_diag(*state.cov), tr.A, Q, sigma2)
+        assert pred.t == filt.t == 0.3 + 0.37
+        _assert_rel(pred.mean, m_ref)
+        _assert_rel(block_diag(*pred.cov), c_ref)
+        m_ref, c_ref = _dense_update(m_ref, c_ref, z, q1, i)
+        _assert_rel(filt.mean, m_ref)
+        _assert_rel(block_diag(*filt.cov), c_ref)
+
+        live = [0, 1] if d == 3 else [0]
+        for k in live:
+            # The observed slot's row is exactly 0, and H m == z up to the
+            # rounding of m + (z - m).
+            assert np.all(filt.factor[k, i] == 0.0)
+            eps = np.finfo(float).eps
+            assert abs(filt.mean[k * q1 + i] - z[k]) <= eps * (abs(z[k]) + abs(z[k] - mean[k * q1 + i]))
+        if d == 3:
+            # The block with innovation variance 0 keeps its prediction.
+            assert pred.factor[2, i].tolist() == [0.0] * q1
+            assert np.array_equal(filt.factor[2], pred.factor[2])
+            assert np.array_equal(filt.mean[2 * q1:], pred.mean[2 * q1:])

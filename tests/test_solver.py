@@ -315,6 +315,16 @@ class TestSolveAdaptive:
         assert res.per_step[0].h_next == pytest.approx(res.per_step[0].h / 2)
         assert res.knots[-1] == 1.0
 
+    def test_fixed_step_names_a_nonfinite_reading(self):
+        # A fixed mesh cannot step around a bad reading; halving the step as
+        # an adaptive solve does ended in StepSizeUnderflowError instead.
+        p = IvpProblem(name="blowup", dim=1, t0=0.0, T=1.0, y0=np.array([1.0]),
+                       rhs=lambda t, y: np.array([np.inf]) if t > 0.25 else -y)
+        with pytest.raises(RuntimeError, match=r"returned \[inf\] at t = 0\.3\d*, reached "
+                                               r"from t = 0\.2\d* with fixed step h = 0\.1$") as info:
+            solve(p, SolverConfig(q=2, fixed_step=0.1))
+        assert not isinstance(info.value, StepSizeUnderflowError)
+
     def test_nonfinite_at_t0_raises(self):
         p = IvpProblem(
             name="bad0", dim=1, t0=0.0, T=1.0, y0=np.array([1.0]),
