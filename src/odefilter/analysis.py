@@ -11,13 +11,13 @@ diffusion ``Qbar``, come from :func:`priors.pascal_matrix` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
 
 from .filtering import GaussState, ObservationModel, predict_update
-from .priors import DiscreteTransition, IwpModel, nordsieck_qbar, pascal_matrix
+from .priors import DiscreteTransition, make_iwp, nordsieck_qbar, pascal_matrix
 from .solver import IvpProblem, SolveResult, SolverConfig, solve
 
 __all__ = [
@@ -53,19 +53,18 @@ class SteadyState:
     iterations: int
 
 
-def steady_state(model: IwpModel, tol: float = 1e-12, max_iter: int = 10_000) -> SteadyState:
-    """Iterate predict/update on the dimensionless covariance until fixed.
+def steady_state(q: int, tol: float = 1e-12, max_iter: int = 10_000) -> SteadyState:
+    """Iterate predict/update on the dimensionless covariance of IWP(q).
 
     Starts from C = 0 (the state right after exact initialization; the
     non-stationary prior has no stationary covariance to start from).
     Convergence is tested on every coefficient except the drifting (0, 0)
-    entry.  In these units the result does not depend on h or sigma2.
+    entry.  In these units the result does not depend on h or on the
+    diffusion sigma2, so the prior is the unit-diffusion one.
     """
-    q = model.q
+    q = make_iwp(q, 1.0).q  # rejects a q that is not an integer >= 1
     if not 1 <= q <= 4:
         raise ValueError(f"steady-state analysis supports q in 1..4, got {q}")
-    if np.ptp(model.sigma2) != 0.0:
-        raise ValueError("steady-state analysis needs a constant sigma2")
     qbar = nordsieck_qbar(q)
     unit = DiscreteTransition(h=1.0, A=pascal_matrix(q), Q_sqrt=np.linalg.cholesky(qbar), q11=qbar[1, 1])
     mask = np.ones((q + 1, q + 1), dtype=bool)
@@ -301,16 +300,12 @@ class OrderFit:
     degenerate: bool
 
 
-def convergence_order(
-    problem: IvpProblem,
-    model: IwpModel,
-    h_list,
-    config: SolverConfig | None = None,
-) -> OrderFit:
-    """Empirical global order from fixed-step runs at decreasing steps.
+def convergence_order(problem: IvpProblem, q: int, h_list) -> OrderFit:
+    """Empirical global order of IWP(q) from fixed-step runs at decreasing steps.
 
-    Requires a problem with a known solution.  Constant-diffusion runs keep
-    the mean sequence independent of the estimated scale.  Errors at
+    Requires a problem with a known solution.  Each run starts from the
+    diffuse filter and uses a constant diffusion (``global_ml``), which
+    keeps the mean sequence independent of the estimated scale.  Errors at
     round-off level make the fit meaningless and set the degenerate flag.
     """
     if problem.exact is None:
@@ -322,9 +317,8 @@ def convergence_order(
     for i, h in enumerate(h_list):
         # The data-driven start keeps the higher derivative slots accurate
         # enough that initialization error does not cap the observed order.
-        cfg = config or SolverConfig(q=model.q, init_mode="diffuse_filter")
-        cfg = replace(cfg, fixed_step=float(h), sigma_mode="global_ml", h_init=None)
-        result = solve(problem, cfg, model)
+        cfg = SolverConfig(q=q, init_mode="diffuse_filter", fixed_step=float(h), sigma_mode="global_ml")
+        result = solve(problem, cfg)
         y_end = result.solution_means()[-1]
         errors[i] = np.max(np.abs(y_end - problem.exact(problem.T)))
     scale = float(np.max(np.abs(problem.exact(problem.T)))) or 1.0

@@ -17,8 +17,7 @@ import numpy as np
 
 from . import analysis, bench
 from .filtering import sample_posterior, smooth
-from .problems import ReferenceOracle, get_problem, load_problem_file, local_errors
-from .priors import make_iwp
+from .problems import get_problem, load_problem_file, local_errors
 from .solver import SolverConfig, solve
 
 __all__ = ["main", "build_parser"]
@@ -129,8 +128,7 @@ def _cmd_solve(args) -> int:
         return 2
     problem = _load_problem(args)
     config = _config_from(args)
-    model = make_iwp(config.q, np.ones(problem.dim), problem.dim)
-    result = solve(problem, config, model)
+    result = solve(problem, config)
     smooth(result.path)
 
     band = 1.0
@@ -139,7 +137,7 @@ def _cmd_solve(args) -> int:
 
         band = global_error_factor(args.lipschitz_star, problem.t0, problem.T)
 
-    q1 = model.block_size
+    q1 = result.path.model.block_size
     rows = []
     samples = None
     if args.samples > 0:
@@ -188,8 +186,7 @@ def _cmd_stability(args) -> int:
         print(f"stability: --grid N must be a positive integer, got {n:g}", file=sys.stderr)
         return 2
     n = int(n)
-    model = make_iwp(args.q, [1.0], 1)
-    gain = analysis.steady_state(model).gain
+    gain = analysis.steady_state(args.q).gain
     re_grid = np.linspace(re0, re1, n)
     im_grid = np.linspace(im0, im1, n)
     radius, _ = analysis.stability_scan(gain, re_grid, im_grid)
@@ -206,9 +203,8 @@ def _cmd_stability(args) -> int:
 
 def _cmd_converge(args) -> int:
     problem = get_problem(args.problem)
-    model = make_iwp(args.q, np.ones(problem.dim), problem.dim)
     h_list = [float(h) for h in args.h_list.split(",") if h]
-    fit = analysis.convergence_order(problem, model, h_list)
+    fit = analysis.convergence_order(problem, args.q, h_list)
     rows = [{"h": float(h), "error": float(e)} for h, e in zip(fit.h_list, fit.errors)]
     out = _out_path(args, f"converge_{problem.name}_q{args.q}.csv")
     bench.emit(rows, "csv", out)
@@ -222,7 +218,7 @@ def _cmd_calibrate(args) -> int:
     config = SolverConfig(q=args.q, eps=args.eps, weighting_tau=args.tau,
                           per_unit_step=args.per_unit_step)
     result = solve(problem, config)
-    xi = local_errors(problem, result, ReferenceOracle())
+    xi = local_errors(problem, result)
     table = bench.error_calibration(result, xi)
     hs = np.diff(result.knots)
     out = _out_path(args, f"calibrate_{problem.name}.csv")

@@ -27,7 +27,6 @@ from .filtering import (
 )
 from .priors import (
     DiscreteTransition,
-    IwpModel,
     _noise_factor,
     _transition_mean,
     discrete_transition,
@@ -110,8 +109,9 @@ class IvpProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver settings.
+    """Solver settings, the only input of a solve besides the problem.
 
+    ``q`` (an integer >= 1) is the order of the unit-diffusion IWP prior.
     ``eps`` is the error-test tolerance; ``per_unit_step`` selects whether
     the test bound is eps*h (True, error per unit step) or eps (False, error
     per step, the default).  Shrinking h does not always shrink the tested
@@ -143,8 +143,7 @@ class SolverConfig:
     sigma_mode: str = "local_ml"
 
     def __post_init__(self):
-        if self.q < 1:
-            raise ValueError(f"q must be >= 1, got {self.q}")
+        make_iwp(self.q, 1.0)  # rejects a q that is not an integer >= 1
         if self.init_mode not in ("exact", "diffuse_filter", "rk_starter"):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
         if self.obs_strategy not in ("mean", "sampled"):
@@ -219,20 +218,18 @@ def observe(
     return problem.eval_rhs(t, loc)
 
 
-def _starter_path(
-    problem: IvpProblem,
-    config: SolverConfig,
-    model: IwpModel,
-    rng: np.random.Generator | None,
-) -> SolutionPath:
+def _starter_path(problem: IvpProblem, config: SolverConfig, rng: np.random.Generator | None) -> SolutionPath:
     """The initialization knots, as the path the solve loop extends.
 
-    ``init_mode`` picks only the prior covariance.  Every mode conditions
-    it on y(t0) = y0 and y'(t0) = f(t0, y0); the non-exact modes then
-    filter one derivative reading at each further starter knot.  A
-    non-finite reading at any knot raises: the start cannot step around it.
+    The path's model is the unit-diffusion IWP(config.q) over
+    ``problem.dim`` blocks.  ``init_mode`` picks only the prior covariance.
+    Every mode conditions it on y(t0) = y0 and y'(t0) = f(t0, y0); the
+    non-exact modes then filter one derivative reading at each further
+    starter knot.  A non-finite reading at any knot raises: the start
+    cannot step around it.
     """
-    q, q1 = model.q, model.block_size
+    model = make_iwp(config.q, 1.0, problem.dim)
+    q, q1, unit = model.q, model.block_size, model.sigma2
     exact = config.init_mode == "exact"
     if not exact and q not in _STARTER_KNOTS:
         raise ValueError(f"diffuse start supports q in 1..4, got {q}")
@@ -240,7 +237,7 @@ def _starter_path(
     if exact:
         slots = np.arange(q1)
         factor = np.zeros((problem.dim, q1, q1))
-        factor[:, slots, slots] = np.sqrt(model.sigma2[:, None] * h0 ** (2 * (q - slots) + 1))
+        factor[:, slots, slots] = np.sqrt(h0 ** (2 * (q - slots) + 1))
     else:
         factor = np.full((problem.dim, 1, 1), np.sqrt(_DIFFUSE_VARIANCE)) * np.eye(q1)
     prior = GaussState(t=problem.t0, mean=np.zeros(model.state_size), factor=factor)
@@ -271,10 +268,9 @@ def _starter_path(
         mean = predict_mean(state, transition.A)
         # Only a sampled reading needs the predicted factor before the update.
         zs.append(reading(t_next, mean,
-                          predict(state, transition, model.sigma2) if rng is not None else state))
-        pred, state = predict_update(state, transition, model.sigma2, mean,
-                                     zs[-1] - mean[1::q1], _DERIV_OBS)
-        path.append(pred, state, h, model.sigma2)
+                          predict(state, transition, unit) if rng is not None else state))
+        pred, state = predict_update(state, transition, unit, mean, zs[-1] - mean[1::q1], _DERIV_OBS)
+        path.append(pred, state, h, unit)
     if config.init_mode == "rk_starter" and q == 4:
         # Replace the numerically-diffuse terminal state with the exact
         # diffuse-limit closed forms evaluated at the gathered observations.
@@ -286,27 +282,25 @@ def _starter_path(
         means, factors = [], np.zeros((problem.dim, 5, 5))
         for k in range(problem.dim):
             z_k = [z[k] for z in zs]
-            m_k, c_k = rk_starter_q4(u, v, h0, float(model.sigma2[k]), z_k, float(problem.y0[k]))
+            m_k, c_k = rk_starter_q4(u, v, h0, 1.0, z_k, float(problem.y0[k]))
             means.append(m_k)
             factors[k][free] = np.linalg.cholesky(c_k[free])
         path.filtered[-1] = GaussState(t=state.t, mean=np.concatenate(means), factor=factors)
     return path
 
 
-def initialize(problem: IvpProblem, config: SolverConfig, model: IwpModel) -> GaussState:
+def initialize(problem: IvpProblem, config: SolverConfig) -> GaussState:
     """State the solve loop starts from (the last initialization knot).
 
-    ``exact`` conditions a zero-mean prior on y(t0) = y0 and y'(t0) =
-    f(t0, y0) with zero noise; unconditioned derivative slots keep prior
-    variance sigma2 * h_init^(2(q-i)+1).  ``diffuse_filter`` instead runs
+    ``exact`` conditions a zero-mean unit-diffusion prior on y(t0) = y0 and
+    y'(t0) = f(t0, y0) with zero noise; unconditioned derivative slots keep
+    prior variance h_init^(2(q-i)+1).  ``diffuse_filter`` instead runs
     q+1 noise-free observations inside [t0, t0 + h_init] from a
     large-variance prior.  ``rk_starter`` equals the diffuse start for
     q <= 3 and uses closed-form limit expressions for q = 4.
     """
-    if config.q != model.q:
-        raise ValueError(f"config.q = {config.q} but model.q = {model.q}")
     rng = np.random.default_rng(config.seed) if config.obs_strategy == "sampled" else None
-    return _starter_path(problem, config, model, rng).filtered[-1]
+    return _starter_path(problem, config, rng).filtered[-1]
 
 
 def _check_underflow(h: float, t: float, span: float):
@@ -314,12 +308,12 @@ def _check_underflow(h: float, t: float, span: float):
         raise StepSizeUnderflowError(f"step size {h} underflowed at t = {t}")
 
 
-def solve(
-    problem: IvpProblem,
-    config: SolverConfig,
-    model: IwpModel | None = None,
-) -> SolveResult:
+def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
     """Solve the IVP, returning the filtered path and step diagnostics.
+
+    The prior is the unit-diffusion IWP(config.q) over ``problem.dim``
+    independent blocks; the diffusion is estimated from the residuals, per
+    step under ``local_ml`` and once per run under ``global_ml``.
 
     Fixed-step mode walks the mesh t0 + n*h and accepts every step; the
     last step is clamped to T, and stretched onto T when it would leave a
@@ -329,17 +323,11 @@ def solve(
     the result bit for bit, including the sampled observation strategy under
     a fixed seed.
     """
-    if model is None:
-        model = make_iwp(config.q, np.ones(problem.dim), problem.dim)
-    if model.q != config.q:
-        raise ValueError(f"config.q = {config.q} but model.q = {model.q}")
-    if model.dim != problem.dim:
-        raise ValueError(f"model dim {model.dim} != problem dim {problem.dim}")
-
     rng = np.random.default_rng(config.seed) if config.obs_strategy == "sampled" else None
     nfev_start = problem.nfev
     span = problem.T - problem.t0
-    path = _starter_path(problem, config, model, rng)
+    path = _starter_path(problem, config, rng)
+    model = path.model
     n_start = len(path.step_sigma2)
 
     state = path.filtered[-1]
@@ -417,7 +405,7 @@ def solve(
     n_accepted = len(path.step_sigma2) - n_start
     if config.sigma_mode == "global_ml" and n_accepted > 0:
         sigma2_sum = sum((r.sigma2_hat for r in reports if r.accepted), np.zeros(problem.dim))
-        _apply_global_sigma2(path, model, sigma2_sum / n_accepted)
+        _apply_global_sigma2(path, sigma2_sum / n_accepted)
     trace = path.step_sigma2[n_start:]
     return SolveResult(
         path=path,
@@ -429,14 +417,13 @@ def solve(
     )
 
 
-def _apply_global_sigma2(path: SolutionPath, model: IwpModel, sigma2_global: np.ndarray):
-    """Rescale the path's covariances to the whole-run diffusion estimate.
+def _apply_global_sigma2(path: SolutionPath, sigma2_global: np.ndarray):
+    """Rescale the unit-diffusion path's covariances to the whole-run estimate.
 
     Means are untouched: with a diffusion that is constant across the run,
     the Kalman gains do not depend on its value.
     """
-    factors = sigma2_global / model.sigma2
-    scale = np.sqrt(factors)[:, None, None]
+    scale = np.sqrt(sigma2_global)[:, None, None]
     path.filtered = [GaussState(s.t, s.mean, s.factor * scale) for s in path.filtered]
     path.predictions = [GaussState(s.t, s.mean, s.factor * scale) for s in path.predictions]
-    path.step_sigma2 = [sig * factors for sig in path.step_sigma2]
+    path.step_sigma2 = [sig * sigma2_global for sig in path.step_sigma2]

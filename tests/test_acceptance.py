@@ -18,7 +18,6 @@ from odefilter import (
     error_calibration,
     get_problem,
     local_errors,
-    make_iwp,
     nordsieck_gains,
     rk_starter_q4,
     solve,
@@ -61,7 +60,7 @@ def test_criterion_2_trapezoid_equivalence():
     with criterion(2, "first-order model reproduces the explicit trapezoid rule", 1.0):
         h = 0.3
         problem = get_problem("logistic")
-        res = solve(problem, SolverConfig(q=1, fixed_step=h), make_iwp(1, [1.0], 1))
+        res = solve(problem, SolverConfig(q=1, fixed_step=h))
         oracle = trapezoid_oracle(get_problem("logistic"), h, res.steps_accepted)
         means = res.solution_means()[:, 0]
         rel = np.abs(means[2:] - oracle[2:, 0]) / np.abs(oracle[2:, 0])
@@ -74,7 +73,7 @@ def test_criterion_2_trapezoid_equivalence():
 
 def test_criterion_3_steady_state_and_live_gains():
     with criterion(3, "steady-state gain/covariance values and live-gain convergence", 1.0):
-        ss = steady_state(make_iwp(2, [1.0], 1))
+        ss = steady_state(2)
         np.testing.assert_allclose(
             ss.gain, [(3 + SQ3) / 12, 1.0, (3 - SQ3) / 2], atol=1e-10
         )
@@ -83,7 +82,6 @@ def test_criterion_3_steady_state_and_live_gains():
         res = solve(
             get_problem("logistic"),
             SolverConfig(q=2, fixed_step=0.1, sigma_mode="global_ml"),
-            make_iwp(2, [1.0], 1),
         )
         gains = nordsieck_gains(res)
         assert np.max(np.abs(gains[9] - ss.gain)) < 1e-6
@@ -92,15 +90,15 @@ def test_criterion_3_steady_state_and_live_gains():
 def test_criterion_4_convergence_orders():
     with criterion(4, "empirical global orders of the q=1 and q=2 models", 5.0):
         h_list = [0.1, 0.05, 0.025, 0.0125]
-        fit2 = convergence_order(get_problem("logistic"), make_iwp(2, [1.0], 1), h_list)
+        fit2 = convergence_order(get_problem("logistic"), 2, h_list)
         assert 2.7 <= fit2.order <= 3.3
-        fit1 = convergence_order(get_problem("logistic"), make_iwp(1, [1.0], 1), h_list)
+        fit1 = convergence_order(get_problem("logistic"), 1, h_list)
         assert 1.7 <= fit1.order <= 2.3
 
 
 def test_criterion_5_stability():
     with criterion(5, "amplification spectrum at the origin and along the negative axis", 1.0):
-        gain = steady_state(make_iwp(2, [1.0], 1)).gain
+        gain = steady_state(2).gain
         eigs = np.sort(np.linalg.eigvals(amplification_matrix(gain, 0.0)).real)
         np.testing.assert_allclose(eigs, [SQ3 - 2.0, 0.0, 1.0], atol=1e-10)
         rho = lambda z: np.max(np.abs(np.linalg.eigvals(amplification_matrix(gain, z))))

@@ -9,7 +9,6 @@ from odefilter import (
     amplification_matrix,
     convergence_order,
     get_problem,
-    make_iwp,
     nordsieck_gains,
     rk_starter_q4,
     solve,
@@ -24,7 +23,7 @@ SQ3 = np.sqrt(3.0)
 
 class TestSteadyState:
     def test_iwp2_gain_and_coefficients(self):
-        ss = steady_state(make_iwp(2, [1.0], 1))
+        ss = steady_state(2)
         np.testing.assert_allclose(
             ss.gain, [(3 + SQ3) / 12, 1.0, (3 - SQ3) / 2], atol=1e-10
         )
@@ -33,25 +32,30 @@ class TestSteadyState:
 
     def test_gain_slot_one_exact_and_cov_row_one_zero(self):
         for q in (1, 2, 3, 4):
-            ss = steady_state(make_iwp(q, [1.0], 1))
+            ss = steady_state(q)
             assert ss.gain[1] == 1.0
             assert np.max(np.abs(ss.cov_coeffs[1, :])) == 0.0
             assert np.max(np.abs(ss.cov_coeffs[:, 1])) == 0.0
 
     def test_iwp1_immediate(self):
-        ss = steady_state(make_iwp(1, [1.0], 1))
+        ss = steady_state(1)
         assert ss.iterations == 1
         assert ss.cov_coeffs[0, 0] == pytest.approx(1 / 12, rel=1e-14)
         np.testing.assert_allclose(ss.gain, [0.5, 1.0], atol=1e-14)
 
-    def test_scale_invariance(self):
-        a = steady_state(make_iwp(2, [1.0], 1))
-        b = steady_state(make_iwp(2, [5.0], 1))
-        np.testing.assert_allclose(a.gain, b.gain, atol=1e-12)
+    @pytest.mark.parametrize("q", [2.5, True])
+    def test_q_must_be_an_integer(self, q):
+        with pytest.raises(TypeError, match="q must be an integer"):
+            steady_state(q)
+
+    @pytest.mark.parametrize("q", [0, 5])
+    def test_q_out_of_range(self, q):
+        with pytest.raises(ValueError, match="q"):
+            steady_state(q)
 
     def test_nonconvergence_reported(self):
         with pytest.raises(RuntimeError):
-            steady_state(make_iwp(2, [1.0], 1), max_iter=2)
+            steady_state(2, max_iter=2)
 
     @settings(max_examples=50, deadline=None)
     @given(a=st.floats(0.0, 50.0), b=st.floats(0.0, 50.0))
@@ -64,9 +68,9 @@ class TestLiveGains:
     def test_reach_steady_gain_by_step_ten(self):
         p = get_problem("logistic")
         cfg = SolverConfig(q=2, fixed_step=0.1, sigma_mode="global_ml")
-        res = solve(p, cfg, make_iwp(2, [1.0], 1))
+        res = solve(p, cfg)
         gains = nordsieck_gains(res)
-        ss = steady_state(make_iwp(2, [1.0], 1))
+        ss = steady_state(2)
         assert np.max(np.abs(gains[9] - ss.gain)) < 1e-6
         assert np.max(np.abs(gains[-1] - ss.gain)) < 1e-8
 
@@ -89,7 +93,7 @@ class TestTrapezoidOracle:
         # The once-integrated model with a fixed step reproduces the
         # explicit trapezoid predictor-corrector in its solution slot.
         p = get_problem("logistic")
-        res = solve(p, SolverConfig(q=1, fixed_step=0.3), make_iwp(1, [1.0], 1))
+        res = solve(p, SolverConfig(q=1, fixed_step=0.3))
         oracle = trapezoid_oracle(get_problem("logistic"), 0.3, 5)
         means = res.solution_means()[:, 0]
         rel = np.abs(means[2:] - oracle[2:, 0]) / np.abs(oracle[2:, 0])
@@ -161,18 +165,18 @@ class TestStarter:
 
 class TestStability:
     def test_zero_point_spectrum(self):
-        gain = steady_state(make_iwp(2, [1.0], 1)).gain
+        gain = steady_state(2).gain
         eigs = np.sort(np.linalg.eigvals(amplification_matrix(gain, 0.0)).real)
         np.testing.assert_allclose(eigs, [SQ3 - 2, 0.0, 1.0], atol=1e-10)
 
     def test_stable_near_origin_unstable_far(self):
-        gain = steady_state(make_iwp(2, [1.0], 1)).gain
+        gain = steady_state(2).gain
         rho = lambda z: np.max(np.abs(np.linalg.eigvals(amplification_matrix(gain, z))))
         assert rho(-0.1) < 1.0
         assert rho(-10.0) > 1.0
 
     def test_scan_grid(self):
-        gain = steady_state(make_iwp(2, [1.0], 1)).gain
+        gain = steady_state(2).gain
         re = np.linspace(-4.0, 0.5, 8)
         im = np.linspace(0.0, 3.0, 6)
         radius, stable = stability_scan(gain, re, im)
@@ -187,7 +191,7 @@ class TestStability:
     # Blocks of 1 and 17 of the 48 points; 17 cut across rows.
     @pytest.mark.parametrize("points", [1, 17])
     def test_scan_blocks_match_one_block(self, points, monkeypatch):
-        gain = steady_state(make_iwp(4, [1.0], 1)).gain
+        gain = steady_state(4).gain
         re = np.linspace(-4.0, 0.5, 8)
         im = np.linspace(0.0, 3.0, 6)
         whole = stability_scan(gain, re, im)
@@ -202,34 +206,28 @@ class TestStability:
 
 class TestConvergenceOrder:
     def test_third_order_model(self):
-        fit = convergence_order(
-            get_problem("logistic"), make_iwp(2, [1.0], 1), [0.1, 0.05, 0.025, 0.0125]
-        )
+        fit = convergence_order(get_problem("logistic"), 2, [0.1, 0.05, 0.025, 0.0125])
         assert not fit.degenerate
         assert 2.7 <= fit.order <= 3.3
 
     def test_diverged_step_size_raises(self):
         # h = 0.02 is far outside q = 2's stability region for lam = -1000.
         with pytest.raises(RuntimeError, match="solve diverged at t = "):
-            convergence_order(get_problem("linear(-1000)"), make_iwp(2, [1.0], 1), [0.02, 0.01, 0.005])
+            convergence_order(get_problem("linear(-1000)"), 2, [0.02, 0.01, 0.005])
 
     def test_second_order_model(self):
-        fit = convergence_order(
-            get_problem("logistic"), make_iwp(1, [1.0], 1), [0.1, 0.05, 0.025, 0.0125]
-        )
+        fit = convergence_order(get_problem("logistic"), 1, [0.1, 0.05, 0.025, 0.0125])
         assert 1.7 <= fit.order <= 2.3
 
     def test_degenerate_on_exact_problem(self):
-        fit = convergence_order(
-            get_problem("linear(0)"), make_iwp(2, [1.0], 1), [0.2, 0.1, 0.05]
-        )
+        fit = convergence_order(get_problem("linear(0)"), 2, [0.2, 0.1, 0.05])
         assert fit.degenerate
         assert np.isnan(fit.order)
 
     def test_needs_three_steps(self):
         with pytest.raises(ValueError):
-            convergence_order(get_problem("logistic"), make_iwp(2, [1.0], 1), [0.1, 0.05])
+            convergence_order(get_problem("logistic"), 2, [0.1, 0.05])
 
     def test_needs_reference(self):
         with pytest.raises(ValueError):
-            convergence_order(get_problem("brusselator"), make_iwp(2, [1.0, 1.0], 2), [0.1, 0.05, 0.025])
+            convergence_order(get_problem("brusselator"), 2, [0.1, 0.05, 0.025])

@@ -96,6 +96,29 @@ class TestCalibration:
         assert table.ecdf_at(1.0) >= chi1_cdf(1.0)
         assert table.overestimated_fraction > 0.5
 
+    def test_diffuse_start_drops_starter_intervals(self):
+        # The diffuse q=2 start adds one interval before the 140 solver steps.
+        p = get_problem("logistic")
+        res = solve(p, SolverConfig(q=2, eps=1e-3, init_mode="diffuse_filter"))
+        xi = local_errors(p, res)
+        assert (res.steps_accepted, xi.size) == (140, 141)
+        table = error_calibration(res, xi)
+        steps_only = error_calibration(res, xi[1:])
+        assert np.array_equal(table.ratios, steps_only.ratios)
+        assert table.ratios.size + table.infinite_count == 140
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_start_spanning_the_whole_run(self, q):
+        # With h_init = T - t0 the start reaches T, so no solver step is
+        # taken; slicing the last 0 errors used to keep all q-1 of them.
+        p = get_problem("logistic")
+        res = solve(p, SolverConfig(q=q, eps=1e-3, init_mode="diffuse_filter", h_init=1.5))
+        xi = local_errors(p, res)
+        assert (res.steps_accepted, xi.size) == (0, q - 1)
+        table = error_calibration(res, xi)
+        assert table.ratios.size == 0 and table.infinite_count == 0
+        assert table.overestimated_fraction == 0.0
+
     def test_length_mismatch_rejected(self):
         p = get_problem("logistic")
         res = solve(p, SolverConfig(q=2, fixed_step=0.3))

@@ -79,6 +79,17 @@ class TestSolveCommand:
         assert "solver failure: solve diverged at t = " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", [
+        [],
+        ["--problem", "logistic", "--problem-file", "p.json"],
+    ])
+    def test_exactly_one_problem_source(self, tmp_path, capsys, source):
+        out = tmp_path / "x.csv"
+        code = run(["solve", *source, "--eps", "0.01", "--out", str(out)])
+        assert code == 2
+        assert "exactly one of --problem / --problem-file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_required_argument(self, tmp_path):
         assert run(["solve", "--problem", "logistic", "--out", str(tmp_path / "x.csv")]) == 2
 

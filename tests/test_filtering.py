@@ -137,7 +137,30 @@ class TestUpdate:
 def _logistic_path(h=0.3, q=2):
     problem = get_problem("logistic")
     cfg = SolverConfig(q=q, fixed_step=h, sigma_mode="global_ml")
-    return solve(problem, cfg, make_iwp(q, [1.0], 1)).path
+    return solve(problem, cfg).path
+
+
+class TestSolutionPath:
+    def _one_knot(self):
+        path = SolutionPath(model=make_iwp(1, [1.0], 1))
+        state = GaussState(0.5, np.array([1.0, 0.0]), np.eye(2)[None])
+        path.append(state, state, None)
+        return path, state
+
+    def test_interior_knot_needs_step(self):
+        path, state = self._one_knot()
+        later = GaussState(1.0, state.mean, state.factor)
+        with pytest.raises(ValueError, match="incoming step size"):
+            path.append(later, later, None, [1.0])
+        assert len(path) == 1
+
+    @pytest.mark.parametrize("t", [0.5, 0.25])
+    def test_knots_must_increase(self, t):
+        path, state = self._one_knot()
+        other = GaussState(t, state.mean, state.factor)
+        with pytest.raises(ValueError, match="knots must increase"):
+            path.append(other, other, 0.5, [1.0])
+        assert len(path) == 1
 
 
 class TestSmooth:
@@ -311,6 +334,11 @@ class TestInterpolate:
             interpolate(path, 2.0)
         out = interpolate(path, 2.0, allow_extrapolation=True)
         assert out.t == 2.0 and np.isfinite(out.mean).all()
+
+    @pytest.mark.parametrize("allow", [False, True])
+    def test_empty_path_rejected(self, allow):
+        with pytest.raises(ValueError, match="empty path"):
+            interpolate(SolutionPath(model=make_iwp(1, [1.0], 1)), 0.0, allow_extrapolation=allow)
 
     @pytest.mark.parametrize("allow", [False, True])
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])

@@ -10,7 +10,6 @@ from odefilter import (
     get_problem,
     load_problem_file,
     local_errors,
-    make_iwp,
     reference_solution,
     solve,
 )
@@ -180,7 +179,7 @@ class TestProblemFile:
         path = tmp_path / "p.json"
         path.write_text(json.dumps(spec))
         p = load_problem_file(path)
-        res = solve(p, SolverConfig(q=2, fixed_step=0.05), make_iwp(2, [1.0], 1))
+        res = solve(p, SolverConfig(q=2, fixed_step=0.05))
         assert res.solution_means()[-1][0] == pytest.approx(np.exp(-1.0), abs=1e-3)
 
     def test_component_count_checked(self, tmp_path):

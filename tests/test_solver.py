@@ -8,7 +8,6 @@ from odefilter import (
     StepSizeUnderflowError,
     get_problem,
     initialize,
-    make_iwp,
     observe,
     reference_solution,
     solve,
@@ -51,6 +50,15 @@ class TestConfig:
         with pytest.raises(ValueError, match=name):
             SolverConfig(**{name: value})
 
+    @pytest.mark.parametrize("q", [2.5, 2.0, True])
+    def test_q_must_be_an_integer(self, q):
+        # These used to construct and fail only later, inside the solve.
+        with pytest.raises(TypeError, match="q must be an integer"):
+            SolverConfig(q=q)
+
+    def test_numpy_integer_q_accepted(self):
+        assert solve(get_problem("logistic"), SolverConfig(q=np.int64(1), fixed_step=0.5)).steps_accepted == 3
+
     def test_default_h_init_is_span_fraction(self):
         p = get_problem("logistic")
         assert SolverConfig().resolve_h_init(p) == pytest.approx(1.5 / 100)
@@ -63,8 +71,7 @@ class TestConfig:
 class TestInitialize:
     def test_exact_logistic(self):
         p = get_problem("logistic")
-        model = make_iwp(2, [1.0], 1)
-        st = initialize(p, SolverConfig(q=2), model)
+        st = initialize(p, SolverConfig(q=2))
         np.testing.assert_allclose(st.mean, [0.1, 0.27, 0.0], atol=1e-15)
         assert np.max(np.abs(st.cov[0, [0, 1], :])) == 0.0
         assert np.max(np.abs(st.cov[0, :, [0, 1]])) == 0.0
@@ -72,8 +79,7 @@ class TestInitialize:
 
     def test_exact_conditions_value_for_any_problem(self):
         p = get_problem("brusselator")
-        model = make_iwp(2, [1.0, 1.0], 2)
-        st = initialize(p, SolverConfig(q=2), model)
+        st = initialize(p, SolverConfig(q=2))
         np.testing.assert_allclose(st.mean[0::3], p.y0, atol=1e-15)
         assert st.cov[0, 0, 0] == 0.0 and st.cov[1, 0, 0] == 0.0
 
@@ -82,7 +88,7 @@ class TestInitialize:
         # that judged degeneracy on an absolute scale skipped the y0
         # observation and started from the zero solution.
         p = get_problem("logistic")
-        st = initialize(p, SolverConfig(q=4), make_iwp(4, [1.0], 1))
+        st = initialize(p, SolverConfig(q=4))
         assert st.mean[0] == 0.1
         assert st.mean[1] == pytest.approx(0.27, rel=1e-14)
         assert st.cov[0, 0, 0] == 0.0
@@ -92,31 +98,30 @@ class TestInitialize:
         # of magnitude; an update that judged degeneracy relative to the
         # block's largest variance skipped both y0 and f(y0).
         p = get_problem("logistic")
-        st = initialize(p, SolverConfig(q=4, h_init=0.00075), make_iwp(4, [1.0], 1))
+        st = initialize(p, SolverConfig(q=4, h_init=0.00075))
         assert st.mean[0] == 0.1
         assert st.mean[1] == pytest.approx(0.27, rel=1e-14)
         assert np.max(np.abs(st.factor[0, :2])) == 0.0
 
     def test_diffuse_variance_insensitive_means(self, monkeypatch):
-        model = make_iwp(2, [1.0], 1)
         cfg = SolverConfig(q=2, h_init=0.1, init_mode="diffuse_filter")
         means = []
         for v in (1e12, 1e14):
             monkeypatch.setattr(solver, "_DIFFUSE_VARIANCE", v)
-            means.append(initialize(get_problem("logistic"), cfg, model).mean)
+            means.append(initialize(get_problem("logistic"), cfg).mean)
         rel = np.abs(means[0] - means[1]) / np.maximum(np.abs(means[1]), 1e-12)
         assert np.max(rel) < 1e-6
+
+    @pytest.mark.parametrize("mode", ["diffuse_filter", "rk_starter"])
+    def test_diffuse_start_rejects_q_above_four(self, mode):
+        with pytest.raises(ValueError, match="diffuse start supports q in 1..4, got 5"):
+            initialize(get_problem("logistic"), SolverConfig(q=5, init_mode=mode))
 
     def test_diffuse_counts_q_evaluations(self):
         p = get_problem("logistic")
         cfg = SolverConfig(q=3, h_init=0.1, init_mode="diffuse_filter")
-        initialize(p, cfg, make_iwp(3, [1.0], 1))
+        initialize(p, cfg)
         assert p.nfev == 3
-
-    def test_q_mismatch_rejected(self):
-        p = get_problem("logistic")
-        with pytest.raises(ValueError):
-            initialize(p, SolverConfig(q=2), make_iwp(3, [1.0], 1))
 
 
 class TestObserve:
@@ -154,7 +159,7 @@ class TestSolveFixedStep:
     def test_logistic_five_steps_band(self):
         p = get_problem("logistic")
         cfg = SolverConfig(q=2, fixed_step=0.3, sigma_mode="global_ml")
-        res = solve(p, cfg, make_iwp(2, [1.0], 1))
+        res = solve(p, cfg)
         assert res.steps_accepted == 5
         np.testing.assert_allclose(res.knots, [0.0, 0.3, 0.6, 0.9, 1.2, 1.5], atol=1e-12)
         err = abs(res.solution_means()[-1][0] - p.exact(1.5)[0])
@@ -340,7 +345,7 @@ class TestSolveAdaptive:
         )
         cfg = SolverConfig(q=2, eps=1e-3, init_mode="diffuse_filter")
         with pytest.raises(ValueError, match="non-finite values at starter knot t = 0.01"):
-            initialize(p, cfg, make_iwp(2, [1.0], 1))
+            initialize(p, cfg)
         with pytest.raises(ValueError, match="non-finite"):
             solve(p, cfg)
 
@@ -453,8 +458,7 @@ class TestStarterModes:
         p = get_problem("logistic")
         # the q = 4 stability region is tiny; keep h*|f'| well inside it
         cfg = SolverConfig(q=4, fixed_step=0.025, init_mode="rk_starter")
-        model = make_iwp(4, [1.0], 1)
-        res = solve(p, cfg, model)
+        res = solve(p, cfg)
         assert res.knots[-1] == p.T
         # last starter knot carries the closed-form covariance structure
         start_idx = 3  # knots of the start: 0, h/3, h/2, h
