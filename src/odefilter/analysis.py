@@ -17,7 +17,7 @@ from math import factorial
 import numpy as np
 
 from .filtering import GaussState, ObservationModel, predict_update
-from .priors import DiscreteTransition, make_iwp, nordsieck_qbar, pascal_matrix
+from .priors import DiscreteTransition, _check_positive_int, nordsieck_qbar, pascal_matrix
 from .solver import IvpProblem, SolveResult, SolverConfig, solve
 
 __all__ = [
@@ -62,7 +62,7 @@ def steady_state(q: int, tol: float = 1e-12, max_iter: int = 10_000) -> SteadySt
     entry.  In these units the result does not depend on h or on the
     diffusion sigma2, so the prior is the unit-diffusion one.
     """
-    q = make_iwp(q, 1.0).q  # rejects a q that is not an integer >= 1
+    q = _check_positive_int("q", q)
     if not 1 <= q <= 4:
         raise ValueError(f"steady-state analysis supports q in 1..4, got {q}")
     qbar = nordsieck_qbar(q)

@@ -450,7 +450,7 @@ def interpolate(path: SolutionPath, t: float, allow_extrapolation: bool = False)
                 "pass allow_extrapolation=True to predict forward"
             )
         base = discrete_transition(path.model.q, t - knots[-1])
-        sig = path.step_sigma2[-1] if path.step_sigma2 else path.model.sigma2
+        sig = path.step_sigma2[-1] if path.step_sigma2 else None
         return predict(path.smoothed[-1], base, sig)
 
     i = right - 1

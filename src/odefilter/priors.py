@@ -49,22 +49,20 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class IwpModel:
-    """q-times integrated Wiener process prior over a d-dimensional ODE.
+    """Unit-diffusion q-times integrated Wiener process prior over a d-dimensional ODE.
+
+    The diffusion is not part of the prior: the solver estimates it from
+    the residuals and hands it to ``filtering.predict`` step by step.
 
     Attributes
     ----------
     q : int
         Number of integrations; the per-dimension state has q+1 entries.
-    sigma2 : ndarray, shape (dim,)
-        Diffusion intensity per ODE dimension.  Units are
-        [y]^2 * time^-(2q+1).  Distinct entries give each dimension its
-        own (anisotropic) diffusion scale.
     dim : int
         Number of ODE dimensions, each modeled as an independent block.
     """
 
     q: int
-    sigma2: np.ndarray
     dim: int
 
     @property
@@ -93,38 +91,19 @@ class DiscreteTransition:
     q11: float
 
 
-def make_iwp(q: int, sigma2, dim: int | None = None) -> IwpModel:
-    """Validate and build an IWP(q) prior.
+def make_iwp(q: int, dim: int) -> IwpModel:
+    """Validate and build an IWP(q) prior over ``dim`` blocks; both are integers >= 1."""
+    return IwpModel(q=_check_positive_int("q", q), dim=_check_positive_int("dim", dim))
 
-    Parameters
-    ----------
-    q : int
-        Derivative order, at least 1.
-    sigma2 : float or sequence of float
-        Diffusion intensity; a scalar is broadcast over all dimensions.
-    dim : int, optional
-        ODE dimension.  Defaults to ``len(sigma2)``.
-    """
-    if not isinstance(q, (int, np.integer)) or isinstance(q, bool):
-        raise TypeError(f"q must be an integer, got {type(q).__name__}")
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    sig = np.atleast_1d(np.asarray(sigma2, dtype=float)).copy()
-    if sig.ndim != 1:
-        raise ValueError("sigma2 must be a scalar or a one-dimensional sequence")
-    if dim is None:
-        dim = sig.size
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise ValueError(f"dim must be a positive integer, got {dim}")
-    dim = int(dim)
-    if sig.size == 1 and dim > 1:
-        sig = np.full(dim, sig[0])
-    if sig.size != dim:
-        raise ValueError(f"sigma2 has {sig.size} entries but dim = {dim}")
-    if not np.all(np.isfinite(sig)) or np.any(sig <= 0):
-        raise ValueError("all sigma2 entries must be strictly positive and finite")
-    sig.setflags(write=False)
-    return IwpModel(q=int(q), sigma2=sig, dim=dim)
+
+def _check_positive_int(name: str, value) -> int:
+    """``value`` as an ``int``: a TypeError unless it is a (numpy) integer and not a
+    bool, a ValueError below 1."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,8 +174,7 @@ def discrete_transition(q: int, h: float) -> DiscreteTransition:
     Scale the process noise by a diffusion intensity in
     ``filtering.predict(state, transition, sigma2)``.
     """
-    if not isinstance(q, (int, np.integer)) or q < 1:
-        raise TypeError(f"q must be a positive integer, got {q!r}")
+    q = _check_positive_int("q", q)
     if not np.isfinite(h):
         raise ValueError(f"step size must be finite, got {h}")
     if h <= 0:

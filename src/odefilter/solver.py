@@ -27,6 +27,7 @@ from .filtering import (
 )
 from .priors import (
     DiscreteTransition,
+    _check_positive_int,
     _noise_factor,
     _transition_mean,
     discrete_transition,
@@ -54,6 +55,7 @@ _DIFFUSE_VARIANCE = 1e12  # prior variance of every slot in the diffuse starts
 
 # Derivative-observation knots (fractions of h_init) used by the diffuse
 # start; q derivative readings plus the initial value give q+1 conditions.
+# At q = 4 these are the knots (0, u, v, 1) of ``analysis.rk_starter_q4``.
 _STARTER_KNOTS = {
     1: (0.0,),
     2: (0.0, 1.0),
@@ -86,6 +88,7 @@ class IvpProblem:
     _nfev: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self):
+        _check_positive_int("dim", self.dim)
         self.y0 = np.atleast_1d(np.asarray(self.y0, dtype=float))
         if self.y0.size != self.dim:
             raise ValueError(f"y0 has {self.y0.size} entries but dim = {self.dim}")
@@ -112,6 +115,8 @@ class SolverConfig:
     """Solver settings, the only input of a solve besides the problem.
 
     ``q`` (an integer >= 1) is the order of the unit-diffusion IWP prior.
+    ``init_mode`` picks the start: ``exact``, or the diffuse start, which
+    ``diffuse_filter`` and ``rk_starter`` both name.
     ``eps`` is the error-test tolerance; ``per_unit_step`` selects whether
     the test bound is eps*h (True, error per unit step) or eps (False, error
     per step, the default).  Shrinking h does not always shrink the tested
@@ -143,7 +148,7 @@ class SolverConfig:
     sigma_mode: str = "local_ml"
 
     def __post_init__(self):
-        make_iwp(self.q, 1.0)  # rejects a q that is not an integer >= 1
+        _check_positive_int("q", self.q)
         if self.init_mode not in ("exact", "diffuse_filter", "rk_starter"):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
         if self.obs_strategy not in ("mean", "sampled"):
@@ -228,8 +233,8 @@ def _starter_path(problem: IvpProblem, config: SolverConfig, rng: np.random.Gene
     starter knot.  A non-finite reading at any knot raises: the start
     cannot step around it.
     """
-    model = make_iwp(config.q, 1.0, problem.dim)
-    q, q1, unit = model.q, model.block_size, model.sigma2
+    model = make_iwp(config.q, problem.dim)
+    q, q1, unit = model.q, model.block_size, np.ones(problem.dim)
     exact = config.init_mode == "exact"
     if not exact and q not in _STARTER_KNOTS:
         raise ValueError(f"diffuse start supports q in 1..4, got {q}")
@@ -251,8 +256,8 @@ def _starter_path(problem: IvpProblem, config: SolverConfig, rng: np.random.Gene
         return z
 
     state, _ = update(prior, problem.y0, ObservationModel(derivative_index=0))
-    zs = [reading(problem.t0, state.mean, state)]
-    state, _ = update(state, zs[0], _DERIV_OBS)
+    z = reading(problem.t0, state.mean, state)
+    state, _ = update(state, z, _DERIV_OBS)
     path = SolutionPath(model=model)
     path.append(prior, state, None)
     if exact:
@@ -267,25 +272,9 @@ def _starter_path(problem: IvpProblem, config: SolverConfig, rng: np.random.Gene
         transition = discrete_transition(q, h)
         mean = predict_mean(state, transition.A)
         # Only a sampled reading needs the predicted factor before the update.
-        zs.append(reading(t_next, mean,
-                          predict(state, transition, unit) if rng is not None else state))
-        pred, state = predict_update(state, transition, unit, mean, zs[-1] - mean[1::q1], _DERIV_OBS)
+        z = reading(t_next, mean, predict(state, transition, unit) if rng is not None else state)
+        pred, state = predict_update(state, transition, unit, mean, z - mean[1::q1], _DERIV_OBS)
         path.append(pred, state, h, unit)
-    if config.init_mode == "rk_starter" and q == 4:
-        # Replace the numerically-diffuse terminal state with the exact
-        # diffuse-limit closed forms evaluated at the gathered observations.
-        from .analysis import rk_starter_q4
-
-        u, v = fractions[1], fractions[2]
-        # Slot 1 is known exactly (row and column 1 vanish); factor the rest.
-        free = np.ix_([0, 2, 3, 4], [0, 2, 3, 4])
-        means, factors = [], np.zeros((problem.dim, 5, 5))
-        for k in range(problem.dim):
-            z_k = [z[k] for z in zs]
-            m_k, c_k = rk_starter_q4(u, v, h0, 1.0, z_k, float(problem.y0[k]))
-            means.append(m_k)
-            factors[k][free] = np.linalg.cholesky(c_k[free])
-        path.filtered[-1] = GaussState(t=state.t, mean=np.concatenate(means), factor=factors)
     return path
 
 
@@ -296,8 +285,9 @@ def initialize(problem: IvpProblem, config: SolverConfig) -> GaussState:
     y'(t0) = f(t0, y0) with zero noise; unconditioned derivative slots keep
     prior variance h_init^(2(q-i)+1).  ``diffuse_filter`` instead runs
     q+1 noise-free observations inside [t0, t0 + h_init] from a
-    large-variance prior.  ``rk_starter`` equals the diffuse start for
-    q <= 3 and uses closed-form limit expressions for q = 4.
+    large-variance prior.  ``rk_starter`` names the same diffuse start at
+    every q; at q = 4 it is the paper's four-evaluation starter, whose
+    diffuse-limit closed form is ``analysis.rk_starter_q4``.
     """
     rng = np.random.default_rng(config.seed) if config.obs_strategy == "sampled" else None
     return _starter_path(problem, config, rng).filtered[-1]
@@ -332,7 +322,7 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
 
     state = path.filtered[-1]
     t = state.t
-    q, q1 = model.q, model.block_size
+    q, q1, unit = model.q, model.block_size, np.ones(problem.dim)
     fixed = config.fixed_step is not None
     h = config.fixed_step if fixed else config.resolve_h_init(problem)
     reports: list[StepReport] = []
@@ -357,7 +347,7 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
         if rng is not None:
             # The draw needs the predictive variance; size it with the most
             # recently accepted diffusion estimate.
-            sigma2_last = path.step_sigma2[-1] if path.step_sigma2 else model.sigma2
+            sigma2_last = path.step_sigma2[-1] if path.step_sigma2 else unit
             std = predict(state, discrete_transition(q, h), sigma2_last).std()[0::q1]
         z = observe(problem, t + h, pred_mean[0::q1], std, rng=rng)
 
@@ -394,7 +384,7 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
             if (fixed or not passed) and not np.isfinite(sigma2_local).all():
                 raise RuntimeError(f"solve diverged at t = {t}, h = {h}: the accepted step's "
                                    f"diffusion estimate is {sigma2_local}")
-            sigma2_step = sigma2_local if config.sigma_mode == "local_ml" else model.sigma2
+            sigma2_step = sigma2_local if config.sigma_mode == "local_ml" else unit
             transition = DiscreteTransition(h, A, _noise_factor(q, h), q11)
             prediction, state = predict_update(state, transition, sigma2_step, pred_mean,
                                                residual, _DERIV_OBS)

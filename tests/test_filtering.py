@@ -59,9 +59,8 @@ class TestPredict:
         np.testing.assert_allclose(via_two.cov, via_one.cov, atol=1e-12)
 
     def test_multidimensional_blocks(self):
-        m = make_iwp(1, [1.0, 4.0], 2)
         state = GaussState(0.0, np.array([1.0, 0.0, 2.0, 0.0]), np.zeros((2, 2, 2)))
-        out = predict(state, discrete_transition(1, 0.5), m.sigma2)
+        out = predict(state, discrete_transition(1, 0.5), np.array([1.0, 4.0]))
         np.testing.assert_allclose(out.cov[0], loop_q(1, 0.5))
         np.testing.assert_allclose(out.cov[1], 4.0 * loop_q(1, 0.5))
 
@@ -142,7 +141,7 @@ def _logistic_path(h=0.3, q=2):
 
 class TestSolutionPath:
     def _one_knot(self):
-        path = SolutionPath(model=make_iwp(1, [1.0], 1))
+        path = SolutionPath(model=make_iwp(1, 1))
         state = GaussState(0.5, np.array([1.0, 0.0]), np.eye(2)[None])
         path.append(state, state, None)
         return path, state
@@ -165,7 +164,7 @@ class TestSolutionPath:
 
 class TestSmooth:
     def test_single_knot_path(self):
-        m = make_iwp(1, [1.0], 1)
+        m = make_iwp(1, 1)
         path = SolutionPath(model=m)
         state = GaussState(0.0, np.array([1.0, 0.0]), np.eye(2)[None])
         path.append(state, state, None)
@@ -174,16 +173,16 @@ class TestSmooth:
 
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
-            smooth(SolutionPath(model=make_iwp(1, [1.0], 1)))
+            smooth(SolutionPath(model=make_iwp(1, 1)))
 
     @pytest.mark.parametrize("sigma2", [[1.0, -1.0], [np.nan, 1.0], [1.0, 1.0, 1.0], 1.0])
     def test_bad_diffusion_scales_name_the_knot(self, sigma2):
-        m = make_iwp(1, [1.0, 1.0], 2)
+        m = make_iwp(1, 2)
         s0 = GaussState(0.0, np.zeros(4), np.eye(2)[None].repeat(2, axis=0))
         path = SolutionPath(model=m)
         path.append(s0, s0, None)
         s1 = predict(s0, discrete_transition(1, 0.5))
-        path.append(s1, s1, 0.5, m.sigma2)
+        path.append(s1, s1, 0.5, np.ones(m.dim))
         s2 = predict(s1, discrete_transition(1, 0.5))
         # A wrong shape fails on append, a wrong value when the path is smoothed.
         with pytest.raises(ValueError, match=r"knot 2 \(t=1.0\)"):
@@ -191,14 +190,14 @@ class TestSmooth:
             smooth(path)
 
     def test_zero_covariance_means_unchanged(self):
-        m = make_iwp(1, [1.0], 1)
+        m = make_iwp(1, 1)
         tr = discrete_transition(m.q, 0.5)
         path = SolutionPath(model=m)
         s0 = GaussState(0.0, np.array([1.0, 2.0]), np.zeros((1, 2, 2)))
         path.append(s0, s0, None)
         pred = predict(s0, tr)
         s1 = GaussState(0.5, np.array([2.5, 3.0]), np.zeros((1, 2, 2)))
-        path.append(pred, s1, 0.5, m.sigma2)
+        path.append(pred, s1, 0.5, np.ones(m.dim))
         smooth(path)
         np.testing.assert_array_equal(path.smoothed[0].mean, s0.mean)
         np.testing.assert_array_equal(path.smoothed[1].mean, s1.mean)
@@ -244,7 +243,7 @@ class TestSmooth:
         # derivative readings from an exactly-known start: filtering and
         # smoothing keep every knot exact.
         q = 3
-        m = make_iwp(q, [1.0], 1)
+        m = make_iwp(q, 1)
         coef = np.array([1.0, 2.0, 3.0, 0.5])  # p(t) = 1 + 2t + 3t^2 + t^3/2
 
         def taylor(t):
@@ -260,7 +259,7 @@ class TestSmooth:
             pred = predict(state, tr)
             z = taylor(n * h)[1]
             state, resid = update(pred, [z], ObservationModel(1))
-            path.append(pred, state, h, m.sigma2)
+            path.append(pred, state, h, np.ones(m.dim))
             assert abs(resid[0]) < 1e-10
         smooth(path)
         for n, sm in enumerate(path.smoothed):
@@ -269,13 +268,13 @@ class TestSmooth:
 
 class TestSamplePosterior:
     def test_zero_covariance_samples_equal_mean(self):
-        m = make_iwp(1, [1.0], 1)
+        m = make_iwp(1, 1)
         path = SolutionPath(model=m)
         s0 = GaussState(0.0, np.array([1.0, 2.0]), np.zeros((1, 2, 2)))
         path.append(s0, s0, None)
         pred = predict(s0, discrete_transition(m.q, 0.5))
         s1 = GaussState(0.5, np.array([2.0, 2.0]), np.zeros((1, 2, 2)))
-        path.append(pred, s1, 0.5, m.sigma2)
+        path.append(pred, s1, 0.5, np.ones(m.dim))
         smooth(path)
         draws = sample_posterior(path, seed=0, count=4)
         for j in range(4):
@@ -289,7 +288,7 @@ class TestSamplePosterior:
         assert np.array_equal(a, b)
 
     def test_single_knot_monte_carlo_covariance(self):
-        m = make_iwp(1, [1.0], 1)
+        m = make_iwp(1, 1)
         path = SolutionPath(model=m)
         cov = np.array([[2.0, 0.3], [0.3, 0.5]])
         state = GaussState(0.0, np.array([1.0, -1.0]), np.linalg.cholesky(cov)[None])
@@ -338,7 +337,7 @@ class TestInterpolate:
     @pytest.mark.parametrize("allow", [False, True])
     def test_empty_path_rejected(self, allow):
         with pytest.raises(ValueError, match="empty path"):
-            interpolate(SolutionPath(model=make_iwp(1, [1.0], 1)), 0.0, allow_extrapolation=allow)
+            interpolate(SolutionPath(model=make_iwp(1, 1)), 0.0, allow_extrapolation=allow)
 
     @pytest.mark.parametrize("allow", [False, True])
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
@@ -355,7 +354,7 @@ class TestInterpolate:
         # prior bridge conditioned on both endpoint states, computed here
         # by explicit joint-Gaussian conditioning.
         q = 2
-        m = make_iwp(q, [1.0], 1)
+        m = make_iwp(q, 1)
         h = 0.8
         tr = discrete_transition(m.q, h)
         x0 = np.array([1.0, -0.5, 0.2])
@@ -364,7 +363,7 @@ class TestInterpolate:
         s0 = GaussState(0.0, x0, np.zeros((1, 3, 3)))
         path.append(s0, s0, None)
         pred = predict(s0, tr)
-        path.append(pred, GaussState(h, x1, np.zeros((1, 3, 3))), h, m.sigma2)
+        path.append(pred, GaussState(h, x1, np.zeros((1, 3, 3))), h, np.ones(m.dim))
         smooth(path)
 
         t = 0.3

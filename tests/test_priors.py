@@ -30,26 +30,22 @@ def _nordsieck_diag(q, h):
 
 class TestMakeIwp:
     def test_scalar_model(self):
-        m = make_iwp(2, [1.0], 1)
+        m = make_iwp(2, 1)
         assert m.q == 2 and m.dim == 1
-        assert m.sigma2.tolist() == [1.0]
-
-    def test_anisotropic_model(self):
-        m = make_iwp(1, [1.0, 4.0], 2)
-        assert m.dim == 2
-        assert m.sigma2.tolist() == [1.0, 4.0]
-
-    def test_scalar_sigma2_broadcasts(self):
-        m = make_iwp(2, 0.5, 3)
-        assert m.sigma2.tolist() == [0.5, 0.5, 0.5]
+        assert m.block_size == 3 and m.state_size == 3
 
     @pytest.mark.parametrize(
-        "q,sigma2,dim",
-        [(0, [1.0], 1), (2, [-1.0], 1), (2, [0.0], 1), (2, [1.0, 1.0], 3), (2, [np.inf], 1)],
+        "q,dim,error,name",
+        [
+            (0, 1, ValueError, "q"),
+            (2, 0, ValueError, "dim"),
+            (2, 2.5, TypeError, "dim"),
+            (2, True, TypeError, "dim"),
+        ],
     )
-    def test_rejects_bad_inputs(self, q, sigma2, dim):
-        with pytest.raises((ValueError, TypeError)):
-            make_iwp(q, sigma2, dim)
+    def test_rejects_bad_inputs(self, q, dim, error, name):
+        with pytest.raises(error, match=f"{name} must"):
+            make_iwp(q, dim)
 
 
 class TestDiscreteTransition:
@@ -130,10 +126,19 @@ class TestDiscreteTransition:
         with pytest.raises(ValueError):
             _transition_stack(2, [0.1, h])
 
-    @pytest.mark.parametrize("q", [make_iwp(2, [1.0], 1), 0, 2.0])
-    def test_rejects_non_order(self, q):
-        # A stale call with the model, which used to carry sigma2, must not run.
-        with pytest.raises(TypeError):
+    @pytest.mark.parametrize(
+        "q,error",
+        [
+            pytest.param(make_iwp(2, 1), TypeError, id="q0"),
+            pytest.param(0, ValueError, id="0"),
+            pytest.param(2.0, TypeError, id="2.0"),
+            # bool subclasses int, so True must be refused, not read as q = 1.
+            pytest.param(True, TypeError, id="True"),
+        ],
+    )
+    def test_rejects_non_order(self, q, error):
+        # A stale call with the model in place of q must not run either.
+        with pytest.raises(error, match="q must be"):
             discrete_transition(q, 0.5)
 
     @settings(max_examples=40, deadline=None)

@@ -14,6 +14,20 @@ from odefilter import (
 )
 
 
+class TestIvpProblem:
+    @pytest.mark.parametrize(
+        "dim,y0,error",
+        [(1.0, [1.0], TypeError), (True, [1.0], TypeError), (0, [], ValueError)],
+    )
+    def test_rejects_bad_dim(self, dim, y0, error):
+        # Refused at construction, not later inside the solve.
+        with pytest.raises(error, match="dim must be"):
+            IvpProblem("x", dim, 0.0, 1.0, y0, lambda t, y: y)
+
+    def test_numpy_integer_dim_accepted(self):
+        assert IvpProblem("x", np.int64(2), 0.0, 1.0, [1.0, 2.0], lambda t, y: y).dim == 2
+
+
 class TestConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -455,22 +469,38 @@ class TestStarterModes:
     def test_rk_starter_q4_runs_and_matches_closed_form(self):
         from odefilter import rk_starter_q4
 
+        for name in ("logistic", "vdp", "brusselator"):
+            p = get_problem(name)
+            readings = []
+
+            def recording_rhs(t, y, f=p.rhs):
+                readings.append(np.atleast_1d(f(t, y)))
+                return readings[-1]
+
+            rec = IvpProblem(p.name, p.dim, p.t0, p.T, p.y0, recording_rhs)
+            st = initialize(rec, SolverConfig(q=4, init_mode="rk_starter"))
+            h = (p.T - p.t0) / 100  # the default h_init
+            assert len(readings) == 4  # at t0 + (0, 1/3, 1/2, 1) h
+            for k in range(p.dim):
+                z_k = [z[k] for z in readings]
+                mean, cov = rk_starter_q4(1 / 3, 1 / 2, h, 1.0, z_k, float(p.y0[k]))
+                got_mean, got_cov = st.mean[5 * k : 5 * k + 5], st.cov[k]
+                assert np.max(np.abs(got_mean - mean)) <= 1e-9 * np.max(np.abs(mean)), name
+                assert np.max(np.abs(got_cov - cov)) <= 1e-9 * np.max(np.abs(cov)), name
+
         p = get_problem("logistic")
         # the q = 4 stability region is tiny; keep h*|f'| well inside it
-        cfg = SolverConfig(q=4, fixed_step=0.025, init_mode="rk_starter")
-        res = solve(p, cfg)
+        res = solve(p, SolverConfig(q=4, fixed_step=0.025, init_mode="rk_starter"))
         assert res.knots[-1] == p.T
-        # last starter knot carries the closed-form covariance structure
-        start_idx = 3  # knots of the start: 0, h/3, h/2, h
-        cov = res.path.filtered[start_idx].cov
-        assert np.max(np.abs(cov[0, 1, :])) == 0.0
         err = abs(res.solution_means()[-1][0] - p.exact(p.T)[0])
         assert err < 1e-5
 
     def test_rk_starter_low_order_equals_diffuse(self):
-        outs = []
-        for mode in ("rk_starter", "diffuse_filter"):
-            p = get_problem("logistic")
-            cfg = SolverConfig(q=2, fixed_step=0.1, init_mode=mode)
-            outs.append(solve(p, cfg).solution_means())
-        assert np.array_equal(outs[0], outs[1])
+        # rk_starter is another name for the diffuse start, at q = 4 too.
+        for q, step in ((2, 0.1), (4, 0.025)):
+            outs = []
+            for mode in ("rk_starter", "diffuse_filter"):
+                res = solve(get_problem("logistic"), SolverConfig(q=q, fixed_step=step, init_mode=mode))
+                outs.append((res.solution_means(), res.solution_stds()))
+            assert np.array_equal(outs[0][0], outs[1][0]), q
+            assert np.array_equal(outs[0][1], outs[1][1]), q
