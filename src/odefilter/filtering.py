@@ -28,11 +28,15 @@ the diffusion, never on the smoothed successor.  ``smooth`` and
 with stacked transitions, one batched QR and one batched inverse, and keep
 only the knot-to-knot recursion in Python.  A chunk holds at most
 ``_CHUNK_BLOCKS`` blocks, so the temporaries do not grow with the path.
+
+A :class:`SolutionPath` keeps one row per knot in shared column arrays and
+hands out states as views built on access.  It stores no predicted factor:
+one is recomputed from the previous knot when it is asked for.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import isfinite
@@ -55,7 +59,7 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class GaussState:
     """Gaussian state at one time point.
 
@@ -195,21 +199,34 @@ def predict_update(state: GaussState, transition: DiscreteTransition, sigma2: np
     filtered state.
     """
     i = obs.derivative_index
-    order, back = _pivot(state.factor.shape[1], i)
-    F = _predicted_factor(state.factor, transition, sigma2, order).take(back, axis=1)
+    F = _pivoted_factor(state.factor, transition, sigma2, i)
     t = state.t + transition.h
     return _built(t, mean, F), _condition(t, F, mean, residual, i)
+
+
+def _pivoted_factor(F: np.ndarray, transition: DiscreteTransition, sigma2: np.ndarray,
+                    i: int) -> np.ndarray:
+    """Predicted factor from one QR that orders slot ``i``'s row first, so that
+    row ``i`` is ``(r, 0, ..., 0)``; the rows are returned in slot order."""
+    order, back = _pivot(F.shape[1], i)
+    return _predicted_factor(F, transition, sigma2, order).take(back, axis=1)
 
 
 def _predicted_factor(F: np.ndarray, transition: DiscreteTransition, sigma2: np.ndarray,
                       order: np.ndarray) -> np.ndarray:
     """Lower triangular factor of ``[A F, sqrt(sigma2) Q^(1/2)]`` with its rows in ``order``."""
+    return _triangularize(_stacked(F, transition.A.take(order, axis=0),
+                                   transition.Q_sqrt.take(order, axis=0), sigma2))
+
+
+def _stacked(F: np.ndarray, A: np.ndarray, Q_sqrt: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
+    """``[A F, sqrt(sigma2) Q^(1/2)]`` per block: a factor, not triangular, of the
+    predicted covariance, with one row per row of ``A`` and ``Q_sqrt``."""
     d, q1, _ = F.shape
-    M = np.empty((d, q1, 2 * q1))
-    np.matmul(transition.A.take(order, axis=0), F, out=M[:, :, :q1])
-    np.multiply(np.sqrt(sigma2)[:, None, None], transition.Q_sqrt.take(order, axis=0),
-                out=M[:, :, q1:])
-    return _triangularize(M)
+    M = np.empty((d, len(A), 2 * q1))
+    np.matmul(A, F, out=M[:, :, :q1])
+    np.multiply(np.sqrt(sigma2)[:, None, None], Q_sqrt, out=M[:, :, q1:])
+    return M
 
 
 @lru_cache(maxsize=None)
@@ -250,47 +267,140 @@ def _built(t: float, mean: np.ndarray, factor: np.ndarray) -> GaussState:
     return state
 
 
+class _Columns:
+    """Arrays that grow together along their first axis, by half when full.
+
+    Each starts as the empty array given for it, which fixes its row shape
+    and dtype; ``self[name]`` is a view of the ``n`` rows in use.  Growing
+    by half, not doubling, caps the spare rows at a third of the storage.
+    """
+
+    def __init__(self, **empty: np.ndarray):
+        self.n, self._data = 0, empty
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._data[name][:self.n]
+
+    def append(self, **row):
+        """Copy one value into every column."""
+        for name, a in self._data.items():
+            if self.n == len(a):
+                spare = np.empty_like(a, shape=(max(self.n // 2, 16),) + a.shape[1:])
+                a = self._data[name] = np.concatenate([a, spare])
+            a[self.n] = row[name]
+        self.n += 1
+
+
+class _Rows(Sequence):
+    """Read-only sequence of ``n`` items, item ``i`` built by ``at(i)`` on access.
+
+    Indices and slices act as on a list; a slice, like ``+``, gives a list.
+    """
+
+    def __init__(self, n: int, at: Callable[[int], object]):
+        self._n, self._at = n, at
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        i = range(self._n)[i]  # a list's negative indices, slices and IndexError
+        return [self._at(j) for j in i] if isinstance(i, range) else self._at(i)
+
+    def __add__(self, other) -> list:
+        return list(self) + list(other)
+
+
 @dataclass(eq=False)
 class SolutionPath:
     """Filtered (and optionally smoothed) states over an increasing mesh.
 
-    The path is append-only while filtering and written once by smoothing.
-    Per-interval step sizes and diffusion scales are stored instead of the
-    transition matrices, which smoothing and interpolation rebuild on
-    demand; this keeps long paths compact.
+    Append-only while filtering, written once by smoothing.  ``columns``
+    holds one row per knot: time ``t``, filtered ``mean`` and ``factor``,
+    predicted mean ``pred_mean``, and the step ``h`` and diffusion scales
+    ``sigma2`` of the interval ending there (unused in row 0).  ``knots``,
+    ``step_sizes`` and ``step_sigma2`` view these columns; ``filtered``,
+    ``predictions`` and ``smoothed`` are sequences of :class:`GaussState`
+    views built on access.  ``predictions[0]`` is the prior, kept whole;
+    ``predictions[i]`` rebuilds its factor from knot ``i-1`` by the QR of
+    :func:`predict_update` observing slot 1, as the solver does, bit for bit.
     """
 
     model: IwpModel
-    knots: list[float] = field(default_factory=list)
-    filtered: list[GaussState] = field(default_factory=list)
-    predictions: list[GaussState] = field(default_factory=list)
-    step_sizes: list[float] = field(default_factory=list)
-    step_sigma2: list[np.ndarray] = field(default_factory=list)
-    smoothed: list[GaussState] | None = None
+    smoothed: Sequence[GaussState] | None = None
+    columns: _Columns | None = field(default=None, repr=False)
+    _prior: GaussState | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.columns is None:
+            d, q1 = self.model.dim, self.model.block_size
+            self.columns = _Columns(t=np.empty(0), h=np.empty(0), sigma2=np.empty((0, d)),
+                                    mean=np.empty((0, d * q1)), factor=np.empty((0, d, q1, q1)),
+                                    pred_mean=np.empty((0, d * q1)))
 
     def __len__(self) -> int:
-        return len(self.knots)
+        return self.columns.n
+
+    @property
+    def knots(self) -> np.ndarray:
+        return self.columns["t"]
+
+    @property
+    def step_sizes(self) -> np.ndarray:
+        return self.columns["h"][1:]
+
+    @property
+    def step_sigma2(self) -> np.ndarray:
+        return self.columns["sigma2"][1:]
+
+    @property
+    def filtered(self) -> Sequence[GaussState]:
+        c = self.columns
+        t, mean, factor = c["t"], c["mean"], c["factor"]
+        return _Rows(c.n, lambda i: _built(float(t[i]), mean[i], factor[i]))
+
+    @property
+    def predictions(self) -> Sequence[GaussState]:
+        return _Rows(len(self), self._prediction)
+
+    def _prediction(self, i: int) -> GaussState:
+        if i == 0:
+            return self._prior
+        c = self.columns
+        transition = discrete_transition(self.model.q, float(c["h"][i]))
+        factor = _pivoted_factor(c["factor"][i - 1], transition, c["sigma2"][i], 1)
+        return _built(float(c["t"][i]), c["pred_mean"][i], factor)
 
     def append(self, prediction: GaussState, filtered: GaussState, h: float | None, sigma2=None):
-        """Add one knot.  ``h``/``sigma2`` describe the incoming interval
-        and are omitted for the first knot."""
-        if self.knots:
+        """Add one knot.  ``h``/``sigma2`` describe the incoming interval and are
+        omitted for the first knot; of a later ``prediction`` only the mean is kept."""
+        n = len(self)
+        if n:
             if h is None:
                 raise ValueError("interior knots need the incoming step size")
-            t_prev = self.knots[-1]
+            t_prev = float(self.knots[-1])
             if filtered.t <= t_prev:
                 raise ValueError(f"knots must increase: {filtered.t} after {t_prev}")
             sigma2 = np.atleast_1d(np.asarray(sigma2, dtype=float))
             # Only the shape is checked per knot; the values are checked
             # once per chunk of the stacked scales, when the path is smoothed.
             if sigma2.shape != (self.model.dim,):
-                raise ValueError(f"knot {len(self.knots)} (t={filtered.t}): expected "
+                raise ValueError(f"knot {n} (t={filtered.t}): expected "
                                  f"{self.model.dim} diffusion scales, got {sigma2}")
-            self.step_sizes.append(float(h))
-            self.step_sigma2.append(sigma2)
-        self.knots.append(float(filtered.t))
-        self.predictions.append(prediction)
-        self.filtered.append(filtered)
+        else:
+            self._prior, h, sigma2 = prediction, np.nan, np.nan
+        self.columns.append(t=filtered.t, h=h, sigma2=sigma2, mean=filtered.mean,
+                            factor=filtered.factor, pred_mean=prediction.mean)
+
+    def _scale_diffusion(self, sigma2: np.ndarray):
+        """Scale every diffusion by ``sigma2`` (one per dimension) and every filtered and
+        prior covariance with it.  For a path filtered under one constant diffusion, whose
+        gains, and so means, do not depend on its value."""
+        scale = np.sqrt(sigma2)[:, None, None]
+        self.columns["factor"][...] *= scale
+        self.columns["sigma2"][1:] *= sigma2
+        prior = self._prior
+        self._prior = _built(prior.t, prior.mean, prior.factor * scale)
 
 
 # A chunk of the backward pass holds at most this many (q+1)-square blocks,
@@ -310,12 +420,13 @@ def _backward(factors: np.ndarray, A: np.ndarray, Q_sqrt: np.ndarray,
               sigma2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gains and conditional factors of x_k (factor ``F``) given x_{k+1}.
 
-    Works on a stack of N knots: ``factors`` of shape ``(N, d, q+1, q+1)``,
-    the unit transitions ``A`` and ``Q_sqrt`` to the next knot, each of
-    shape ``(N, q+1, q+1)``, and diffusion scales ``sigma2`` of shape
-    ``(N, d)``; both results have the shape of ``factors``.  None of this
-    depends on the smoothed successor, so a whole chunk of the path is
-    built with one batched QR and one batched inverse.
+    Works on a stack of N knots: ``factors`` of shape ``(N, d, q+1, m)``
+    with ``m >= q+1`` (any factor, triangular or not), the unit transitions
+    ``A`` and ``Q_sqrt`` to the next knot, each of shape ``(N, q+1, q+1)``,
+    and diffusion scales ``sigma2`` of shape ``(N, d)``; both results have
+    shape ``(N, d, q+1, q+1)``.  None of this depends on the smoothed
+    successor, so a whole chunk of the path is built with one batched QR
+    and one batched inverse.
 
     One QR of the joint factor ``[[A F, Q^(1/2)], [F, 0]]`` of (x_{k+1}, x_k)
     gives lower triangular blocks ``[[L11, 0], [L21, L22]]``: the gain is
@@ -324,11 +435,11 @@ def _backward(factors: np.ndarray, A: np.ndarray, Q_sqrt: np.ndarray,
     first: unscaled, its condition number reaches 1e12 at tight tolerances,
     and the SVD behind ``pinv`` loses that much accuracy.
     """
-    N, d, n, _ = factors.shape
-    joint = np.zeros((N, d, 2 * n, 2 * n))
-    joint[..., :n, :n] = A[:, None] @ factors
-    joint[..., :n, n:] = np.sqrt(sigma2)[..., None, None] * Q_sqrt[:, None]
-    joint[..., n:, :n] = factors
+    N, d, n, m = factors.shape
+    joint = np.zeros((N, d, 2 * n, m + n))
+    joint[..., :n, :m] = A[:, None] @ factors
+    joint[..., :n, m:] = np.sqrt(sigma2)[..., None, None] * Q_sqrt[:, None]
+    joint[..., n:, :m] = factors
     L = _triangularize(joint)
     L11 = L[..., :n, :n]
     # Zero rows stay zero under any scale; the floor only avoids 1/0.
@@ -350,46 +461,44 @@ def _backward(factors: np.ndarray, A: np.ndarray, Q_sqrt: np.ndarray,
 def _backward_chunks(path: SolutionPath):
     """``(lo, G, cond)`` of :func:`_backward` for the intervals ``[lo, lo + len(G))``
     of ``path``, one chunk at a time from the end of the path."""
-    d = path.model.dim
-    for lo, hi in _chunks(len(path.step_sizes), d):
-        sigma2 = np.array(path.step_sigma2[lo:hi])
-        bad = ~np.all((sigma2 >= 0.0) & (sigma2 < np.inf), axis=1)
+    steps, sigma2, factors = path.step_sizes, path.step_sigma2, path.columns["factor"]
+    for lo, hi in _chunks(len(steps), path.model.dim):
+        bad = ~np.all((sigma2[lo:hi] >= 0.0) & (sigma2[lo:hi] < np.inf), axis=1)
         if bad.any():
             i = lo + 1 + int(np.argmax(bad))
             raise ValueError(f"knot {i} (t={path.knots[i]}): diffusion scales must be "
-                             f"finite and >= 0, got {path.step_sigma2[i - 1]}")
-        factors = np.array([s.factor for s in path.filtered[lo:hi]])
-        A, Q_sqrt = _transition_stack(path.model.q, path.step_sizes[lo:hi])
-        yield lo, *_backward(factors, A, Q_sqrt, sigma2)
+                             f"finite and >= 0, got {sigma2[i - 1]}")
+        A, Q_sqrt = _transition_stack(path.model.q, steps[lo:hi].tolist())
+        yield lo, *_backward(factors[lo:hi], A, Q_sqrt, sigma2[lo:hi])
 
 
-def _rts_step(t: float, state: GaussState, G: np.ndarray, cond: np.ndarray,
-              pred_next: GaussState, smoothed_next: GaussState) -> GaussState:
-    """Smoothed state at ``t`` from ``state`` there, its backward gain and
-    conditional factor, and the smoothed state one interval later."""
-    mean = state.mean + _matvec(G, smoothed_next.mean - pred_next.mean)
-    factor = _triangularize(np.concatenate([G @ smoothed_next.factor, cond], axis=2))
-    return GaussState(t=t, mean=mean, factor=factor)
+def _rts_step(mean: np.ndarray, G: np.ndarray, cond: np.ndarray, pred_mean_next: np.ndarray,
+              mean_next: np.ndarray, factor_next: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smoothed mean and factor from the filtered (or predicted) ``mean``, the
+    backward gain and conditional factor, and the smoothed state one interval later."""
+    mean = mean + _matvec(G, mean_next - pred_mean_next)
+    return mean, _triangularize(np.concatenate([G @ factor_next, cond], axis=2))
 
 
 def smooth(path: SolutionPath) -> SolutionPath:
     """Backward RTS pass filling ``path.smoothed``; idempotent, linear cost.
 
-    Needs no new right-hand-side evaluations.  The last knot's smoothed state
-    equals its filtered state exactly.
+    Needs no new right-hand-side evaluations.  The smoothed means and
+    factors are two arrays of the path's length, written once; the last
+    knot's smoothed state equals its filtered state exactly.
     """
-    if not path.knots:
+    if not len(path):
         raise ValueError("cannot smooth an empty path")
     if path.smoothed is not None:
         return path
-    out: list[GaussState | None] = [None] * len(path.knots)
-    out[-1] = path.filtered[-1]
+    c = path.columns
+    t, filt_mean, pred_mean = c["t"], c["mean"], c["pred_mean"]
+    mean, factor = filt_mean.copy(), c["factor"].copy()
     for lo, G, cond in _backward_chunks(path):
         for i in range(lo + len(G) - 1, lo - 1, -1):
-            filt = path.filtered[i]
-            out[i] = _rts_step(filt.t, filt, G[i - lo], cond[i - lo], path.predictions[i + 1],
-                               out[i + 1])
-    path.smoothed = out  # type: ignore[assignment]
+            mean[i], factor[i] = _rts_step(filt_mean[i], G[i - lo], cond[i - lo], pred_mean[i + 1],
+                                           mean[i + 1], factor[i + 1])
+    path.smoothed = _Rows(len(t), lambda i: _built(float(t[i]), mean[i], factor[i]))
     return path
 
 
@@ -404,7 +513,8 @@ def sample_posterior(path: SolutionPath, seed: int, count: int) -> np.ndarray:
     if path.smoothed is None:
         raise ValueError("smooth the path before sampling")
     rng = np.random.default_rng(seed)
-    n, size = len(path.knots), path.model.state_size
+    n, size = len(path), path.model.state_size
+    filt_mean, pred_mean = path.columns["mean"], path.columns["pred_mean"]
     out = np.empty((count, n, size))
     last = path.smoothed[-1]
     out[:, -1, :] = last.mean + _matvec(last.factor, rng.standard_normal((count, size)))
@@ -413,8 +523,7 @@ def sample_posterior(path: SolutionPath, seed: int, count: int) -> np.ndarray:
         noise = rng.standard_normal((len(G), count, size))[::-1]
         offsets = _matvec(cond[:, None], noise)
         for i in range(lo + len(G) - 1, lo - 1, -1):
-            cond_mean = path.filtered[i].mean + _matvec(
-                G[i - lo], out[:, i + 1, :] - path.predictions[i + 1].mean)
+            cond_mean = filt_mean[i] + _matvec(G[i - lo], out[:, i + 1, :] - pred_mean[i + 1])
             out[:, i, :] = cond_mean + offsets[i - lo]
     return out
 
@@ -422,14 +531,16 @@ def sample_posterior(path: SolutionPath, seed: int, count: int) -> np.ndarray:
 def interpolate(path: SolutionPath, t: float, allow_extrapolation: bool = False) -> GaussState:
     """Smoothed posterior at an arbitrary time, on or off the mesh.
 
-    At a knot this returns the stored smoothed state.  Inside an interval it
+    At a knot this returns the smoothed state there.  Inside an interval it
     conditions the prior bridge on the filtered state at the left knot and
     the smoothed state at the right knot, so the result agrees with the knot
-    states in the limits and is continuous in ``t``.  Times outside the
-    solved span raise unless ``allow_extrapolation`` is set, in which case
-    the state is predicted forward from the last knot.
+    states in the limits and is continuous in ``t``.  The bridge takes one
+    backward QR: the state at ``t`` enters it as its untriangularized
+    factor ``[A F, sqrt(sigma2) Q^(1/2)]``.  Times outside the solved span
+    raise unless ``allow_extrapolation`` is set, in which case the state is
+    predicted forward from the last knot.
     """
-    if not path.knots:
+    if not len(path):
         raise ValueError("cannot interpolate an empty path")
     smooth(path)
     knots = path.knots
@@ -437,7 +548,7 @@ def interpolate(path: SolutionPath, t: float, allow_extrapolation: bool = False)
     if not isfinite(t):
         raise ValueError(f"t must be finite, got t={t}")
     tol = 4.0 * _EPS * max(1.0, abs(t))
-    right = bisect_left(knots, t)
+    right = int(np.searchsorted(knots, t))
     for k in (right - 1, right):
         if 0 <= k < len(knots) and abs(knots[k] - t) <= tol:
             return path.smoothed[k]
@@ -449,14 +560,18 @@ def interpolate(path: SolutionPath, t: float, allow_extrapolation: bool = False)
                 f"t={t} is past the last knot {knots[-1]}; "
                 "pass allow_extrapolation=True to predict forward"
             )
-        base = discrete_transition(path.model.q, t - knots[-1])
-        sig = path.step_sigma2[-1] if path.step_sigma2 else None
+        base = discrete_transition(path.model.q, t - float(knots[-1]))
+        sig = path.step_sigma2[-1] if len(path) > 1 else None
         return predict(path.smoothed[-1], base, sig)
 
     i = right - 1
-    fwd = discrete_transition(path.model.q, t - knots[i])
-    pred_t = predict(path.filtered[i], fwd, path.step_sigma2[i])
-    bwd = discrete_transition(path.model.q, knots[i + 1] - t)
-    G, cond = _backward(pred_t.factor[None], bwd.A[None], bwd.Q_sqrt[None],
-                        path.step_sigma2[i][None])
-    return _rts_step(t, pred_t, G[0], cond[0], path.predictions[i + 1], path.smoothed[i + 1])
+    c = path.columns
+    (A_fwd, A_bwd), (Q_fwd, Q_bwd) = _transition_stack(
+        path.model.q, [t - float(knots[i]), float(knots[i + 1]) - t])
+    sigma2 = c["sigma2"][i + 1]
+    wide = _stacked(c["factor"][i], A_fwd, Q_fwd, sigma2)
+    G, cond = _backward(wide[None], A_bwd[None], Q_bwd[None], sigma2[None])
+    after = path.smoothed[i + 1]
+    mean, factor = _rts_step(_matvec(A_fwd, c["mean"][i]), G[0], cond[0], c["pred_mean"][i + 1],
+                             after.mean, after.factor)
+    return _built(t, mean, factor)

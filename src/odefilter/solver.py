@@ -11,6 +11,7 @@ under a fixed step; the final step is clamped to land exactly on T.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -20,6 +21,8 @@ from .filtering import (
     GaussState,
     ObservationModel,
     SolutionPath,
+    _Rows,
+    _stacked,
     predict,
     predict_mean,
     predict_update,
@@ -175,27 +178,26 @@ class SolverConfig:
 
 @dataclass(eq=False)
 class SolveResult:
-    """Everything one solve produced."""
+    """Everything one solve produced; ``per_step`` has one report per attempted step."""
 
     path: SolutionPath
     sigma2_trace: np.ndarray  # (steps_accepted, dim)
     steps_accepted: int
     steps_rejected: int
     fevals: int
-    per_step: list[StepReport]
+    per_step: Sequence[StepReport]
 
     @property
     def knots(self) -> np.ndarray:
-        return np.asarray(self.path.knots)
+        return self.path.knots
 
     def solution_means(self) -> np.ndarray:
-        """Filtered solution values (slot 0 of each block) per knot."""
-        q1 = self.path.model.block_size
-        return np.asarray([s.mean[0::q1] for s in self.path.filtered])
+        """Filtered solution values (slot 0 of each block) per knot, a view."""
+        return self.path.columns["mean"][:, 0::self.path.model.block_size]
 
     def solution_stds(self) -> np.ndarray:
-        q1 = self.path.model.block_size
-        return np.asarray([s.std()[0::q1] for s in self.path.filtered])
+        """Filtered standard deviations of the solution values per knot."""
+        return np.linalg.norm(self.path.columns["factor"][:, :, 0, :], axis=-1)
 
 
 def observe(
@@ -293,6 +295,17 @@ def initialize(problem: IvpProblem, config: SolverConfig) -> GaussState:
     return _starter_path(problem, config, rng).filtered[-1]
 
 
+def _step_reports(attempts: list[tuple], d: int) -> Sequence[StepReport]:
+    """The attempts' ``(t, h, sigma2_hat, D, accepted, h_next)`` tuples as six
+    columns, read through one :class:`StepReport` per row built on access."""
+    t, h, sigma2, D, accepted, h_next = zip(*attempts) if attempts else ((),) * 6
+    t, h, h_next = (np.array(col, dtype=float) for col in (t, h, h_next))
+    sigma2, D = np.reshape(sigma2, (-1, d)), np.reshape(D, (-1, d))
+    accepted = np.array(accepted, dtype=bool)
+    return _Rows(len(t), lambda i: StepReport(float(t[i]), float(h[i]), sigma2[i], D[i],
+                                              bool(accepted[i]), float(h_next[i])))
+
+
 def _check_underflow(h: float, t: float, span: float):
     if h < 1e3 * _EPS * max(abs(t), span):
         raise StepSizeUnderflowError(f"step size {h} underflowed at t = {t}")
@@ -318,19 +331,20 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
     span = problem.T - problem.t0
     path = _starter_path(problem, config, rng)
     model = path.model
-    n_start = len(path.step_sigma2)
+    n_start = len(path) - 1
 
     state = path.filtered[-1]
     t = state.t
-    q, q1, unit = model.q, model.block_size, np.ones(problem.dim)
+    d, q, q1, unit = problem.dim, model.q, model.block_size, np.ones(problem.dim)
     fixed = config.fixed_step is not None
     h = config.fixed_step if fixed else config.resolve_h_init(problem)
-    reports: list[StepReport] = []
+    # (t, h, sigma2_hat, D, accepted, h_next) per attempt, stored as columns at the end
+    attempts: list[tuple] = []
     streak = 0  # error-test rejections since the last accepted step
 
     t_end = problem.T
     while t < t_end - _EPS * max(abs(t_end), 1.0):
-        if len(reports) >= _MAX_STEPS:
+        if len(attempts) >= _MAX_STEPS:
             raise RuntimeError(
                 f"gave up at t = {t} after {_MAX_STEPS} attempted steps; "
                 "the tolerance forces an unreasonably fine mesh"
@@ -347,8 +361,10 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
         if rng is not None:
             # The draw needs the predictive variance; size it with the most
             # recently accepted diffusion estimate.
-            sigma2_last = path.step_sigma2[-1] if path.step_sigma2 else unit
-            std = predict(state, discrete_transition(q, h), sigma2_last).std()[0::q1]
+            # That is the norm of row 0 of [A F, sqrt(sigma2) Q^(1/2)], no QR needed.
+            sigma2_last = path.step_sigma2[-1] if len(path) > 1 else unit
+            row0 = _stacked(state.factor, A[:1], _noise_factor(q, h)[:1], sigma2_last)
+            std = np.linalg.norm(row0[:, 0], axis=1)
         z = observe(problem, t + h, pred_mean[0::q1], std, rng=rng)
 
         if np.isfinite(z).all():
@@ -373,11 +389,9 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
                                f"t = {t} with fixed step h = {h}")
         else:
             # Nothing to score: retry at half the step, outside the streak.
-            sigma2_local, D = np.full(problem.dim, np.nan), np.full(problem.dim, np.inf)
+            sigma2_local, D = np.full(d, np.nan), np.full(d, np.inf)
             accepted, h_next = False, h / 2.0
-        reports.append(
-            StepReport(t=t, h=h, sigma2_hat=sigma2_local, D=D, accepted=accepted, h_next=h_next)
-        )
+        attempts.append((t, h, sigma2_local, D, accepted, h_next))
         if accepted:
             # A passed error test bounds the estimate; only fixed steps and
             # forced accepts can carry a non-finite one.
@@ -392,28 +406,15 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
             t = t + h
         h = h_next
 
-    n_accepted = len(path.step_sigma2) - n_start
+    n_accepted = len(path) - 1 - n_start
     if config.sigma_mode == "global_ml" and n_accepted > 0:
-        sigma2_sum = sum((r.sigma2_hat for r in reports if r.accepted), np.zeros(problem.dim))
-        _apply_global_sigma2(path, sigma2_sum / n_accepted)
-    trace = path.step_sigma2[n_start:]
+        sigma2_sum = sum((a[2] for a in attempts if a[4]), np.zeros(d))
+        path._scale_diffusion(sigma2_sum / n_accepted)
     return SolveResult(
         path=path,
-        sigma2_trace=np.asarray(trace) if trace else np.empty((0, problem.dim)),
+        sigma2_trace=path.step_sigma2[n_start:],
         steps_accepted=n_accepted,
-        steps_rejected=len(reports) - n_accepted,
+        steps_rejected=len(attempts) - n_accepted,
         fevals=problem.nfev - nfev_start,
-        per_step=reports,
+        per_step=_step_reports(attempts, d),
     )
-
-
-def _apply_global_sigma2(path: SolutionPath, sigma2_global: np.ndarray):
-    """Rescale the unit-diffusion path's covariances to the whole-run estimate.
-
-    Means are untouched: with a diffusion that is constant across the run,
-    the Kalman gains do not depend on its value.
-    """
-    scale = np.sqrt(sigma2_global)[:, None, None]
-    path.filtered = [GaussState(s.t, s.mean, s.factor * scale) for s in path.filtered]
-    path.predictions = [GaussState(s.t, s.mean, s.factor * scale) for s in path.predictions]
-    path.step_sigma2 = [sig * sigma2_global for sig in path.step_sigma2]

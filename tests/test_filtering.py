@@ -32,6 +32,12 @@ def _rand_factor(rng, n):
     return np.linalg.cholesky(m @ m.T + 1e-10 * np.eye(n))[None]
 
 
+def _assert_same_state(got, want):
+    """The same time and bitwise equal arrays; states are views built on access."""
+    assert got.t == want.t
+    assert np.array_equal(got.mean, want.mean) and np.array_equal(got.factor, want.factor)
+
+
 def _diag(blocks):
     """Diagonal of a block-stacked covariance, flat like the mean."""
     return np.diagonal(blocks, axis1=1, axis2=2).reshape(-1)
@@ -162,6 +168,78 @@ class TestSolutionPath:
         assert len(path) == 1
 
 
+def _recorded_solve(monkeypatch, config):
+    """A solve whose accepted steps' predictions are recorded as the fused
+    kernel returns them, with factors copied, before the path drops them."""
+    from odefilter import solver
+
+    recorded = []
+
+    def recording(*args):
+        pred, filt = filtering.predict_update(*args)
+        recorded.append((pred.t, pred.mean.copy(), pred.factor.copy()))
+        return pred, filt
+
+    monkeypatch.setattr(solver, "predict_update", recording)
+    return solve(get_problem("vdp"), config), recorded
+
+
+class TestPathViews:
+    @pytest.mark.parametrize("config", [SolverConfig(q=2, eps=1e-3),
+                                        SolverConfig(q=3, eps=1e-3, init_mode="diffuse_filter")])
+    def test_predictions_bitwise_equal_to_the_kernels(self, monkeypatch, config):
+        # No predicted factor is stored; the rebuilt one is the one the
+        # accepted step's QR produced.
+        result, recorded = _recorded_solve(monkeypatch, config)
+        predictions = result.path.predictions
+        assert len(predictions) == len(recorded) + 1
+        for (t, mean, factor), pred in zip(recorded, predictions[1:]):
+            assert pred.t == t
+            assert np.array_equal(pred.mean, mean) and np.array_equal(pred.factor, factor)
+
+    def test_global_ml_predictions_are_the_scaled_unit_ones(self, monkeypatch):
+        # The whole-run estimate used to scale the stored unit-diffusion
+        # factors; now it scales the filtered factors and the diffusions
+        # they are rebuilt from.
+        config = SolverConfig(q=2, fixed_step=0.02, sigma_mode="global_ml")
+        result, recorded = _recorded_solve(monkeypatch, config)
+        sigma2 = result.sigma2_trace[0]
+        assert np.all(result.sigma2_trace == sigma2) and np.all(sigma2 != 1.0)
+        for (_, _, unit_factor), pred in zip(recorded, result.path.predictions[1:]):
+            want = sigma2[:, None, None] * (unit_factor @ np.swapaxes(unit_factor, 1, 2))
+            assert np.max(np.abs(pred.cov - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_indexing_slicing_and_iteration(self):
+        path = smooth(_logistic_path())
+        n = len(path)
+        views = {"filtered": path.filtered, "predictions": path.predictions,
+                 "smoothed": path.smoothed}
+        for name, view in views.items():
+            assert len(view) == n, name
+            items = list(view)
+            assert len(items) == n
+            for i in (0, 1, n - 1, -1, -n):
+                _assert_same_state(view[i], items[i])
+            for got, want in zip(view[1:-1:2], items[1:-1:2]):
+                _assert_same_state(got, want)
+            assert len(view[1:-1:2]) == len(items[1:-1:2]) > 0
+            assert len(view + [None]) == n + 1
+            for i in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    view[i]
+        assert np.array_equal(path.knots, [s.t for s in path.filtered])
+        assert path.step_sizes.shape == (n - 1,) and path.step_sigma2.shape == (n - 1, 1)
+        np.testing.assert_allclose(path.step_sizes, np.diff(path.knots), rtol=1e-14)
+
+    def test_states_view_the_columns(self):
+        # Cheap views, not copies: a state reads the path's own rows.
+        path = smooth(_logistic_path())
+        state = path.filtered[3]
+        assert np.shares_memory(state.mean, path.columns["mean"])
+        assert np.shares_memory(state.factor, path.columns["factor"])
+        assert path.smoothed[3].factor.base is path.smoothed[4].factor.base is not None
+
+
 class TestSmooth:
     def test_single_knot_path(self):
         m = make_iwp(1, 1)
@@ -169,7 +247,7 @@ class TestSmooth:
         state = GaussState(0.0, np.array([1.0, 0.0]), np.eye(2)[None])
         path.append(state, state, None)
         smooth(path)
-        assert path.smoothed[0] is state
+        _assert_same_state(path.smoothed[0], state)
 
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError):
@@ -205,7 +283,7 @@ class TestSmooth:
     def test_last_knot_identical_and_idempotent(self):
         path = _logistic_path()
         smooth(path)
-        assert path.smoothed[-1] is path.filtered[-1]
+        _assert_same_state(path.smoothed[-1], path.filtered[-1])
         before = path.smoothed
         smooth(path)
         assert path.smoothed is before
@@ -319,11 +397,11 @@ class TestInterpolate:
     def test_at_knot_returns_stored_state(self):
         path = smooth(_logistic_path())
         for i, t in enumerate(path.knots):
-            assert interpolate(path, t) is path.smoothed[i]
+            _assert_same_state(interpolate(path, t), path.smoothed[i])
             # Within the hit tolerance on either side, but not equal.
             for near in (np.nextafter(t, -np.inf), np.nextafter(t, np.inf)):
                 assert near != t
-                assert interpolate(path, near) is path.smoothed[i]
+                _assert_same_state(interpolate(path, near), path.smoothed[i])
 
     def test_outside_domain(self):
         path = smooth(_logistic_path())

@@ -10,6 +10,7 @@ from odefilter import (
     initialize,
     observe,
     reference_solution,
+    smooth,
     solve,
 )
 
@@ -463,6 +464,66 @@ class TestLoopBranches:
         assert res.steps_accepted == len(accepted) > 0
         assert res.steps_rejected == len(res.per_step) - len(accepted)
         assert np.array_equal(res.sigma2_trace, np.asarray(accepted))
+
+
+class TestStepRecord:
+    def test_rows_hold_each_attempts_values(self, monkeypatch):
+        # The columns keep what the loop computed, bit for bit, and the
+        # reports carry the scalar types they always had.
+        seen = {"t_end": [], "sigma2_hat": [], "D": [], "h_next": []}
+
+        def recorder(key, fn, pick=lambda args, out: out):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                seen[key].append(pick(args, out))
+                return out
+            return wrapped
+
+        monkeypatch.setattr(solver, "estimate_sigma2",
+                            recorder("sigma2_hat", solver.estimate_sigma2))
+        monkeypatch.setattr(solver, "local_error_test",
+                            recorder("D", solver.local_error_test, lambda args, out: out[0]))
+        monkeypatch.setattr(solver, "next_step_size", recorder("h_next", solver.next_step_size))
+        monkeypatch.setattr(solver, "observe",
+                            recorder("t_end", solver.observe, lambda args, out: args[1]))
+        res = solve(get_problem("brusselator"), SolverConfig(q=2, eps=1e-3))
+        reports = res.per_step
+        assert len(reports) == len(seen["D"]) == res.steps_accepted + res.steps_rejected
+        for key in ("sigma2_hat", "D", "h_next"):
+            assert all(np.array_equal(getattr(r, key), v) for r, v in zip(reports, seen[key]))
+        # The first reading is the start's, at t0.
+        assert [r.t + r.h for r in reports] == seen["t_end"][1:]
+        assert sum(r.accepted for r in reports) == res.steps_accepted
+        for r in reports[::50]:
+            assert type(r.t) is type(r.h) is type(r.h_next) is float and type(r.accepted) is bool
+        assert reports[-1].t + reports[-1].h == res.knots[-1] == get_problem("brusselator").T
+        assert [r.h for r in reports[-3:]] == [reports[i].h for i in (-3, -2, -1)]
+
+    def test_retained_bytes_per_knot(self):
+        # A knot keeps its state in shared columns: 272 bytes of arrays at
+        # d=2, q=2, and the attempt record 57 bytes per attempt.  Stored as
+        # objects they took 1.9 KB per knot, and smoothing added 552 bytes.
+        import gc
+        import tracemalloc
+
+        problem, config = get_problem("vdp"), SolverConfig(q=2, eps=1e-3)
+        solve(problem, SolverConfig(q=2, eps=1e-1))  # caches and lazy set-up
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            res = solve(problem, config)
+            gc.collect()
+            solved = tracemalloc.get_traced_memory()[0]
+            smooth(res.path)
+            gc.collect()
+            smoothed = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        n = len(res.knots)
+        assert n > 1000
+        assert (solved - start) / n < 1883 / 3
+        assert (smoothed - solved) / n <= 200
 
 
 class TestStarterModes:
