@@ -16,8 +16,8 @@ from math import factorial
 
 import numpy as np
 
-from .filtering import GaussState, ObservationModel, predict_update
-from .priors import DiscreteTransition, _check_positive_int, nordsieck_qbar, pascal_matrix
+from .filtering import predict_update
+from .priors import _check_positive_int, nordsieck_qbar, pascal_matrix
 from .solver import IvpProblem, SolveResult, SolverConfig, solve
 
 __all__ = [
@@ -66,17 +66,17 @@ def steady_state(q: int, tol: float = 1e-12, max_iter: int = 10_000) -> SteadySt
     if not 1 <= q <= 4:
         raise ValueError(f"steady-state analysis supports q in 1..4, got {q}")
     qbar = nordsieck_qbar(q)
-    unit = DiscreteTransition(h=1.0, A=pascal_matrix(q), Q_sqrt=np.linalg.cholesky(qbar), q11=qbar[1, 1])
+    A, Q_sqrt = pascal_matrix(q), np.linalg.cholesky(qbar)
     mask = np.ones((q + 1, q + 1), dtype=bool)
     mask[0, 0] = False
-    factor = c = np.zeros((q + 1, q + 1))
-    zero, one, obs = np.zeros(q + 1), np.ones(1), ObservationModel(1)
+    factor, c = np.zeros((1, q + 1, q + 1)), np.zeros((q + 1, q + 1))
+    zero, one = np.zeros(q + 1), np.ones(1)
     for it in range(1, max_iter + 1):
         # The filter's own recursion: from mean 0, a unit residual leaves the gain.
-        _, state = predict_update(GaussState(0.0, zero, factor[None]), unit, one, zero, one, obs)
-        factor, c_new = state.factor[0], state.cov[0]
+        gain, factor = predict_update(factor, A, Q_sqrt, one, zero, one, 1)
+        c_new = (factor @ factor.swapaxes(1, 2))[0]
         if np.max(np.abs((c_new - c)[mask])) < tol:
-            return SteadyState(gain=state.mean, cov_coeffs=c_new, iterations=it)
+            return SteadyState(gain=gain, cov_coeffs=c_new, iterations=it)
         c = c_new
     raise RuntimeError(f"covariance recursion did not settle within {max_iter} iterations")
 

@@ -19,8 +19,8 @@ interpolation read the gain and the backward-conditional factor off one QR
 of the joint factor ``[[A F, Q^(1/2)], [F, 0]]``.
 
 The solver's accepted steps run ``predict_update``, the pair in one QR
-that orders the observed slot's row first; conditioning is then a read of
-the factor's first column (``_condition``).
+that orders the observed slot's row first; ``_condition`` reads the gain and
+the filtered factor in that order and permutes them back once.
 
 That backward conditional depends only on the filtered factor, the step and
 the diffusion, never on the smoothed successor.  ``smooth`` and
@@ -39,11 +39,12 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import isfinite
+from math import isfinite, sqrt
 
 import numpy as np
 
-from .priors import DiscreteTransition, IwpModel, _transition_stack, discrete_transition
+from .priors import (_DIFFUSE_VARIANCE, DiscreteTransition, IwpModel, _transition_stack,
+                     discrete_transition)
 
 __all__ = [
     "GaussState",
@@ -89,7 +90,7 @@ class GaussState:
     @property
     def cov(self) -> np.ndarray:
         """Covariance blocks ``factor @ factor^T``, computed on each access."""
-        return self.factor @ _transpose(self.factor)
+        return self.factor @ self.factor.swapaxes(-1, -2)
 
     def std(self) -> np.ndarray:
         """Marginal standard deviations (row norms of the factor), flat like ``mean``."""
@@ -111,10 +112,6 @@ class ObservationModel:
             raise ValueError("derivative_index must be >= 0")
 
 
-def _transpose(M: np.ndarray) -> np.ndarray:
-    return np.swapaxes(M, -1, -2)
-
-
 @lru_cache(maxsize=None)
 def _lower_mask(n: int) -> np.ndarray:
     return np.tri(n)
@@ -128,7 +125,7 @@ def _triangularize(M: np.ndarray) -> np.ndarray:
     diagonal, reflector data above.
     """
     n = M.shape[-2]
-    return np.linalg.qr(_transpose(M), mode="raw")[0][..., :n] * _lower_mask(n)
+    return np.linalg.qr(M.swapaxes(-1, -2), mode="raw")[0][..., :n] * _lower_mask(n)
 
 
 def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -138,11 +135,6 @@ def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     q1 = M.shape[-1]
     return np.matmul(M, x.reshape(x.shape[:-1] + (-1, q1, 1))).reshape(x.shape)
-
-
-def predict_mean(state: GaussState, A: np.ndarray) -> np.ndarray:
-    """Predicted mean ``A m`` for a unit transition ``A``, the numbers :func:`predict` produces."""
-    return _matvec(A, state.mean)
 
 
 def predict(state: GaussState, transition: DiscreteTransition, sigma2=None) -> GaussState:
@@ -161,7 +153,8 @@ def predict(state: GaussState, transition: DiscreteTransition, sigma2=None) -> G
         raise ValueError(f"diffusion scales must be finite and >= 0, got {sigma2}")
     mean = _matvec(transition.A, state.mean)
     # The rows in slot order, slot 0 first.
-    factor = _predicted_factor(state.factor, transition, sigma2, _pivot(q1, 0)[0])
+    factor = _predicted_factor(state.factor, transition.A, transition.Q_sqrt, sigma2,
+                               _pivot(q1, 0)[0])
     return _built(state.t + transition.h, mean, factor)
 
 
@@ -182,41 +175,28 @@ def update(state: GaussState, z, obs: ObservationModel) -> tuple[GaussState, np.
     if i >= q1:
         raise ValueError(f"derivative_index {i} outside state order {q1 - 1}")
     order, back = _pivot(q1, i)
-    F = _triangularize(state.factor.take(order, axis=1)).take(back, axis=1)
     residual = z - state.mean[i::q1]
-    return _condition(state.t, F, state.mean, residual, i), residual
+    mean, factor = _condition(_triangularize(state.factor.take(order, axis=1)), state.mean,
+                              residual, back)
+    return _built(state.t, mean, factor), residual
 
 
-def predict_update(state: GaussState, transition: DiscreteTransition, sigma2: np.ndarray,
-                   mean: np.ndarray, residual: np.ndarray,
-                   obs: ObservationModel) -> tuple[GaussState, GaussState]:
-    """:func:`predict` then :func:`update` in one QR, for a caller that has scored the step.
-
-    Takes the predicted mean (:func:`predict_mean`) and the residual ``z - H
-    mean``; ``sigma2`` must be finite and non-negative, and is not checked
-    again.  The QR orders the observed slot's row first, so :func:`_condition`
-    reads the gain off the predicted factor.  Returns the prediction and the
-    filtered state.
+def predict_update(factor: np.ndarray, A: np.ndarray, Q_sqrt: np.ndarray, sigma2: np.ndarray,
+                   mean: np.ndarray, residual: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`predict` then :func:`update` of slot ``i`` in one QR, unchecked, for a
+    caller that has scored the step: from the filtered ``factor``, the step's
+    unit ``A`` and ``Q_sqrt``, finite ``sigma2 >= 0``, the predicted ``mean``
+    and the residual ``z - H mean`` to the filtered mean and factor.  The QR
+    orders slot ``i``'s row first; :func:`_condition` reads it in that order.
     """
-    i = obs.derivative_index
-    F = _pivoted_factor(state.factor, transition, sigma2, i)
-    t = state.t + transition.h
-    return _built(t, mean, F), _condition(t, F, mean, residual, i)
+    order, back = _pivot(factor.shape[1], i)
+    return _condition(_predicted_factor(factor, A, Q_sqrt, sigma2, order), mean, residual, back)
 
 
-def _pivoted_factor(F: np.ndarray, transition: DiscreteTransition, sigma2: np.ndarray,
-                    i: int) -> np.ndarray:
-    """Predicted factor from one QR that orders slot ``i``'s row first, so that
-    row ``i`` is ``(r, 0, ..., 0)``; the rows are returned in slot order."""
-    order, back = _pivot(F.shape[1], i)
-    return _predicted_factor(F, transition, sigma2, order).take(back, axis=1)
-
-
-def _predicted_factor(F: np.ndarray, transition: DiscreteTransition, sigma2: np.ndarray,
+def _predicted_factor(F: np.ndarray, A: np.ndarray, Q_sqrt: np.ndarray, sigma2: np.ndarray,
                       order: np.ndarray) -> np.ndarray:
     """Lower triangular factor of ``[A F, sqrt(sigma2) Q^(1/2)]`` with its rows in ``order``."""
-    return _triangularize(_stacked(F, transition.A.take(order, axis=0),
-                                   transition.Q_sqrt.take(order, axis=0), sigma2))
+    return _triangularize(_stacked(F, A.take(order, axis=0), Q_sqrt.take(order, axis=0), sigma2))
 
 
 def _stacked(F: np.ndarray, A: np.ndarray, Q_sqrt: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
@@ -238,25 +218,32 @@ def _pivot(q1: int, i: int) -> tuple[np.ndarray, np.ndarray]:
     return order, back
 
 
-def _condition(t: float, F: np.ndarray, mean: np.ndarray, residual: np.ndarray,
-               i: int) -> GaussState:
-    """Condition on exact readings of slot ``i``, given a factor whose row ``i``
-    is ``(r, 0, ..., 0)``, so that ``r^2`` is the innovation variance.
+def _condition(L: np.ndarray, mean: np.ndarray, residual: np.ndarray,
+               back: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Condition on exact readings of one slot per block, given a factor ``L``
+    with its rows in pivot order: the observed slot's row first, as
+    ``(r, 0, ..., 0)``, so that ``r^2`` is the innovation variance.
 
-    The gain is the first column over ``r``, exactly 1 at slot ``i``, so
-    ``H m = z`` to one rounding; the filtered factor is ``F`` with that
-    column zeroed, which leaves row ``i`` exactly 0.  A block with ``r == 0``
-    already knows the slot and is left as it is.
+    The gain is the first column over ``r``, exactly 1 at the observed
+    slot, so ``H m = z`` to one rounding; the filtered factor is ``L`` with
+    that column zeroed, which leaves the observed row exactly 0.  A block
+    with ``r == 0`` already knows the slot and is left as it is.  ``L`` is
+    overwritten; ``back`` puts the mean's shift and the factor in slot order.
     """
-    d, q1, _ = F.shape
-    r = F[:, i, :1]
-    live = r != 0.0
-    gain = np.divide(F[:, :, 0], r, out=np.zeros((d, q1)), where=live)
-    gain[:, i] = live[:, 0]
-    filtered = F.copy()
-    np.copyto(filtered[:, :, 0], 0.0, where=live)
-    new_mean = mean.reshape(d, q1) + gain * np.where(live, residual[:, None], 0.0)
-    return _built(t, new_mean.reshape(-1), filtered)
+    d, q1, _ = L.shape
+    r = L[:, :1, 0]
+    if r.all():  # the common case, the same numbers without the masks
+        gain = L[:, :, 0] / r
+        gain[:, 0] = 1.0
+        L[:, :, 0] = 0.0
+        shift = gain * residual[:, None]
+    else:
+        live = r != 0.0
+        gain = np.divide(L[:, :, 0], r, out=np.zeros((d, q1)), where=live)
+        gain[:, 0] = live[:, 0]
+        np.copyto(L[:, :, 0], 0.0, where=live)
+        shift = gain * np.where(live, residual[:, None], 0.0)
+    return (mean.reshape(d, q1) + shift.take(back, axis=1)).reshape(-1), L.take(back, axis=1)
 
 
 def _built(t: float, mean: np.ndarray, factor: np.ndarray) -> GaussState:
@@ -368,7 +355,9 @@ class SolutionPath:
             return self._prior
         c = self.columns
         transition = discrete_transition(self.model.q, float(c["h"][i]))
-        factor = _pivoted_factor(c["factor"][i - 1], transition, c["sigma2"][i], 1)
+        order, back = _pivot(self.model.block_size, 1)
+        factor = _predicted_factor(c["factor"][i - 1], transition.A, transition.Q_sqrt,
+                                   c["sigma2"][i], order).take(back, axis=1)
         return _built(float(c["t"][i]), c["pred_mean"][i], factor)
 
     def append(self, prediction: GaussState, filtered: GaussState, h: float | None, sigma2=None):
@@ -455,7 +444,7 @@ def _backward(factors: np.ndarray, A: np.ndarray, Q_sqrt: np.ndarray,
         inv = np.empty_like(T)
         inv[singular] = np.linalg.pinv(T[singular])
         inv[~singular] = np.linalg.inv(T[~singular])
-    return L[..., n:, :n] @ inv * _transpose(scale), L[..., n:, n:]
+    return L[..., n:, :n] @ inv * scale.swapaxes(-1, -2), L[..., n:, n:]
 
 
 def _backward_chunks(path: SolutionPath):
@@ -536,9 +525,10 @@ def interpolate(path: SolutionPath, t: float, allow_extrapolation: bool = False)
     the smoothed state at the right knot, so the result agrees with the knot
     states in the limits and is continuous in ``t``.  The bridge takes one
     backward QR: the state at ``t`` enters it as its untriangularized
-    factor ``[A F, sqrt(sigma2) Q^(1/2)]``.  Times outside the solved span
-    raise unless ``allow_extrapolation`` is set, in which case the state is
-    predicted forward from the last knot.
+    factor ``[A F, sqrt(sigma2) Q^(1/2)]``, triangularized first only where
+    the left knot's factor still holds a diffuse start's prior scale.
+    Times outside the solved span raise unless ``allow_extrapolation`` is
+    set, in which case the state is predicted forward from the last knot.
     """
     if not len(path):
         raise ValueError("cannot interpolate an empty path")
@@ -569,8 +559,11 @@ def interpolate(path: SolutionPath, t: float, allow_extrapolation: bool = False)
     (A_fwd, A_bwd), (Q_fwd, Q_bwd) = _transition_stack(
         path.model.q, [t - float(knots[i]), float(knots[i + 1]) - t])
     sigma2 = c["sigma2"][i + 1]
-    wide = _stacked(c["factor"][i], A_fwd, Q_fwd, sigma2)
-    G, cond = _backward(wide[None], A_bwd[None], Q_bwd[None], sigma2[None])
+    at_t = _stacked(c["factor"][i], A_fwd, Q_fwd, sigma2)
+    if np.abs(c["factor"][i]).max() >= sqrt(_DIFFUSE_VARIANCE):
+        # Untriangularized, a diffuse start's 1e6 entries cost the backward QR digits.
+        at_t = _triangularize(at_t)
+    G, cond = _backward(at_t[None], A_bwd[None], Q_bwd[None], sigma2[None])
     after = path.smoothed[i + 1]
     mean, factor = _rts_step(_matvec(A_fwd, c["mean"][i]), G[0], cond[0], c["pred_mean"][i + 1],
                              after.mean, after.factor)

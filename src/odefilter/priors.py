@@ -13,8 +13,9 @@ process.  Over a step ``h`` the state propagates exactly through the pair
 both have closed forms.  The filter reads ``A``, the factor
 ``Q(h)^(1/2)`` and the single entry ``Q(h)_11``, so those are all
 :func:`discrete_transition` builds; the diffusion scales enter in
-``filtering.predict``.  A solver attempt builds only ``A`` and ``Q(h)_11``
-(``_transition_mean``), an accepted step the factor (``_noise_factor``).
+``filtering.predict``.  A solver attempt raises ``h`` to its powers once
+and builds only ``A`` and ``Q(h)_11`` from them (``_transition_mean``); an
+accepted step builds the factor from the same powers (``_noise_factor``).
 
 Everything about ``(A(h), Q(h))`` that does not depend on ``h`` lives in one
 cached table per q.  In Nordsieck scaling, ``B = diag(h^i / i!)``, the table
@@ -36,6 +37,8 @@ from functools import lru_cache
 from math import comb, factorial, inf, sqrt
 
 import numpy as np
+
+_DIFFUSE_VARIANCE = 1e12  # prior variance of every slot in the diffuse starts
 
 __all__ = [
     "IwpModel",
@@ -179,22 +182,23 @@ def discrete_transition(q: int, h: float) -> DiscreteTransition:
         raise ValueError(f"step size must be finite, got {h}")
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
-    A, q11 = _transition_mean(q, h)
-    return DiscreteTransition(h=float(h), A=A, Q_sqrt=_noise_factor(q, h), q11=q11)
+    A, q11, powers = _transition_mean(q, h)
+    return DiscreteTransition(h=float(h), A=A, Q_sqrt=_noise_factor(q, h, powers), q11=q11)
 
 
-def _transition_mean(q: int, h: float) -> tuple[np.ndarray, float]:
-    """``A(h)`` and ``Q(h)_11`` of :func:`discrete_transition`, bit for bit; ``h`` is not checked."""
+def _transition_mean(q: int, h: float) -> tuple[np.ndarray, float, np.ndarray]:
+    """``A(h)`` and ``Q(h)_11`` of :func:`discrete_transition`, bit for bit, and the
+    powers ``h^0 .. h^(2q+1)`` (then 0) ``A`` was read from; ``h`` is not checked."""
     c = _constants(q)
     # Python's ** per power, not np.power, whose vectorized loop can differ
     # from it in the last bit.  The trailing 0 fills A below the diagonal.
     powers = np.array([h**k for k in range(2 * q + 2)] + [0.0])
-    return powers.take(c.a_lag) / c.a_den, h ** (2 * q - 1) / c.q11_den
+    return powers.take(c.a_lag) / c.a_den, h ** (2 * q - 1) / c.q11_den, powers
 
 
-def _noise_factor(q: int, h: float) -> np.ndarray:
-    """``Q_sqrt`` of :func:`discrete_transition`, bit for bit; ``h`` is not checked."""
-    return (sqrt(h) * np.array([h**k for k in range(q, -1, -1)]))[:, None] * _constants(q).qbar_sqrt
+def _noise_factor(q: int, h: float, powers: np.ndarray) -> np.ndarray:
+    """``Q_sqrt`` of :func:`discrete_transition` from :func:`_transition_mean`'s ``powers``."""
+    return (sqrt(h) * powers[q::-1])[:, None] * _constants(q).qbar_sqrt
 
 
 def _transition_stack(q: int, steps: list[float]) -> tuple[np.ndarray, np.ndarray]:

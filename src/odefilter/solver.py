@@ -1,12 +1,13 @@
 """The IVP solving loop: initialization, model interrogation, predict-update.
 
-One solve is strictly sequential.  An attempted step builds only ``A(h)``
-and ``Q(h)_11``, predicts the mean, evaluates the right-hand side there,
-and scores the residual: diffusion estimate and (adaptive) error test.
-Only an accepted step builds ``Q(h)^(1/2)`` and runs
-``filtering.predict_update``, which predicts and conditions in one QR.  A
-reading that is not finite is a rejection at half the step, or an error
-under a fixed step; the final step is clamped to land exactly on T.
+One solve is strictly sequential.  An attempted step raises h to its powers
+once, builds only ``A(h)`` and ``Q(h)_11`` from them, predicts the mean,
+evaluates the right-hand side there, and scores the residual in a few vector
+operations.  Only an accepted step builds ``Q(h)^(1/2)``, from the same
+powers, and runs ``filtering.predict_update``, which predicts and conditions
+in one QR; its rows go straight into the path's columns.  A reading that is
+not finite is a rejection at half the step, or an error under a fixed step;
+the final step is clamped to land exactly on T.
 """
 
 from __future__ import annotations
@@ -17,26 +18,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .filtering import (
-    GaussState,
-    ObservationModel,
-    SolutionPath,
-    _Rows,
-    _stacked,
-    predict,
-    predict_mean,
-    predict_update,
-    update,
-)
-from .priors import (
-    DiscreteTransition,
-    _check_positive_int,
-    _noise_factor,
-    _transition_mean,
-    discrete_transition,
-    make_iwp,
-)
-from .stepcontrol import StepReport, estimate_sigma2, local_error_test, next_step_size
+from .filtering import (GaussState, ObservationModel, SolutionPath, _built, _matvec, _Rows,
+                        _stacked, predict, predict_update, update)
+from .priors import (_DIFFUSE_VARIANCE, _check_positive_int, _noise_factor, _transition_mean,
+                     discrete_transition, make_iwp)
+from .stepcontrol import StepReport, _sigma2, _weights, next_step_size
+# perfbench's traced run wraps these two names here, where the loop no longer calls them.
+from .stepcontrol import estimate_sigma2, local_error_test  # noqa: F401
 
 __all__ = [
     "IvpProblem",
@@ -54,7 +42,6 @@ _MAX_STEPS = 2_000_000  # attempted steps before a solve gives up
 # Rejections in a row that force the step through; the controller shrinks h
 # at most 10x per rejection, so this trips well before h underflows.
 _MAX_REJECTIONS = 8
-_DIFFUSE_VARIANCE = 1e12  # prior variance of every slot in the diffuse starts
 
 # Derivative-observation knots (fractions of h_init) used by the diffuse
 # start; q derivative readings plus the initial value give q+1 conditions.
@@ -103,10 +90,12 @@ class IvpProblem:
         return self._nfev
 
     def eval_rhs(self, t: float, y: np.ndarray) -> np.ndarray:
-        """Counted right-hand-side evaluation."""
+        """Counted right-hand-side evaluation, converted to a float vector once."""
         self._nfev += 1
-        out = np.atleast_1d(np.asarray(self.rhs(t, y), dtype=float))
+        out = np.asarray(self.rhs(t, y), dtype=float)
         if out.shape != (self.dim,):
+            if out.shape == () and self.dim == 1:
+                return out.reshape(1)
             raise ValueError(
                 f"rhs returned shape {out.shape}, expected ({self.dim},) for problem {self.name!r}"
             )
@@ -135,8 +124,8 @@ class SolverConfig:
     (``global_ml``; fixed-step runs only, since the error test requires the
     local estimate).  What no caller tunes is a constant: the controller's
     safety factor and rate limits in :func:`stepcontrol.next_step_size`, and
-    here the streak cap ``_MAX_REJECTIONS``, the step cap ``_MAX_STEPS`` and
-    the diffuse starts' prior variance ``_DIFFUSE_VARIANCE``.
+    here the streak cap ``_MAX_REJECTIONS`` and the step cap ``_MAX_STEPS``;
+    the diffuse starts' prior variance is ``priors._DIFFUSE_VARIANCE``.
     """
 
     q: int = 2
@@ -272,11 +261,13 @@ def _starter_path(problem: IvpProblem, config: SolverConfig, rng: np.random.Gene
         # round-off of the summed steps.
         h = t_next - (problem.t0 + prev * h0)
         transition = discrete_transition(q, h)
-        mean = predict_mean(state, transition.A)
+        mean = _matvec(transition.A, state.mean)
         # Only a sampled reading needs the predicted factor before the update.
         z = reading(t_next, mean, predict(state, transition, unit) if rng is not None else state)
-        pred, state = predict_update(state, transition, unit, mean, z - mean[1::q1], _DERIV_OBS)
-        path.append(pred, state, h, unit)
+        state = _built(state.t + h, *predict_update(state.factor, transition.A, transition.Q_sqrt,
+                                                    unit, mean, z - mean[1::q1], 1))
+        path.columns.append(t=state.t, h=h, sigma2=unit, mean=state.mean, factor=state.factor,
+                            pred_mean=mean)
     return path
 
 
@@ -333,8 +324,8 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
     model = path.model
     n_start = len(path) - 1
 
-    state = path.filtered[-1]
-    t = state.t
+    t = float(path.knots[-1])
+    mean, factor = path.columns["mean"][-1], path.columns["factor"][-1]
     d, q, q1, unit = problem.dim, model.q, model.block_size, np.ones(problem.dim)
     fixed = config.fixed_step is not None
     h = config.fixed_step if fixed else config.resolve_h_init(problem)
@@ -342,6 +333,8 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
     attempts: list[tuple] = []
     streak = 0  # error-test rejections since the last accepted step
 
+    # The loop validates nothing again: _check_underflow keeps t + h > t, SolverConfig
+    # checked tau, and the scores are (d,) vectors with sigma2_hat >= 0 by construction.
     t_end = problem.T
     while t < t_end - _EPS * max(abs(t_end), 1.0):
         if len(attempts) >= _MAX_STEPS:
@@ -354,30 +347,32 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
             # Clamp onto T, absorbing a remainder too short to step over.
             h = t_end - t
 
-        # The attempt reads only A and Q(h)_11; Q(h)^(1/2) waits for acceptance.
-        A, q11 = _transition_mean(q, h)
-        pred_mean = predict_mean(state, A)
+        # The attempt reads only A and Q(h)_11; Q(h)^(1/2) waits for acceptance
+        # and is built from the same powers of h.
+        A, q11, powers = _transition_mean(q, h)
+        pred_mean = _matvec(A, mean)
         std = None
         if rng is not None:
             # The draw needs the predictive variance; size it with the most
             # recently accepted diffusion estimate.
             # That is the norm of row 0 of [A F, sqrt(sigma2) Q^(1/2)], no QR needed.
             sigma2_last = path.step_sigma2[-1] if len(path) > 1 else unit
-            row0 = _stacked(state.factor, A[:1], _noise_factor(q, h)[:1], sigma2_last)
+            row0 = _stacked(factor, A[:1], _noise_factor(q, h, powers)[:1], sigma2_last)
             std = np.linalg.norm(row0[:, 0], axis=1)
         z = observe(problem, t + h, pred_mean[0::q1], std, rng=rng)
 
         if np.isfinite(z).all():
             residual = z - pred_mean[1::q1]
-            sigma2_local = estimate_sigma2(residual, q11)
+            sigma2_local = _sigma2(residual, q11)
+            D = np.sqrt(sigma2_local * q11)
             if fixed:
-                D, passed, h_next = np.sqrt(sigma2_local * q11), True, h
+                passed, h_next = True, h
             else:
                 ebar = config.eps * h / (1.0 if config.per_unit_step else h)
-                D, passed = local_error_test(
-                    sigma2_local, q11, pred_mean[0::q1], config.weighting_tau, ebar
-                )
-                h_next = next_step_size(float(D.max()), ebar, h, q)
+                D = D * _weights(pred_mean[0::q1], config.weighting_tau)
+                D_max = float(D.max())
+                passed = D_max <= ebar
+                h_next = next_step_size(D_max, ebar, h, q)
             # The residual no longer shrinks with h once the state's
             # derivative slots are inconsistent with the vector field; only
             # an update can repair that, so a long streak forces the step.
@@ -399,11 +394,11 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
                 raise RuntimeError(f"solve diverged at t = {t}, h = {h}: the accepted step's "
                                    f"diffusion estimate is {sigma2_local}")
             sigma2_step = sigma2_local if config.sigma_mode == "local_ml" else unit
-            transition = DiscreteTransition(h, A, _noise_factor(q, h), q11)
-            prediction, state = predict_update(state, transition, sigma2_step, pred_mean,
-                                               residual, _DERIV_OBS)
-            path.append(prediction, state, h, sigma2_step)
+            mean, factor = predict_update(factor, A, _noise_factor(q, h, powers), sigma2_step,
+                                          pred_mean, residual, 1)
             t = t + h
+            path.columns.append(t=t, h=h, sigma2=sigma2_step, mean=mean, factor=factor,
+                                pred_mean=pred_mean)
         h = h_next
 
     n_accepted = len(path) - 1 - n_start

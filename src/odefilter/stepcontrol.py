@@ -56,7 +56,11 @@ def estimate_sigma2(residual, qbar11: float) -> np.ndarray:
     """
     if not 0.0 < qbar11 < inf:
         raise ValueError(f"qbar11 must be positive, got {qbar11}")
-    residual = _vector(residual)
+    return _sigma2(_vector(residual), qbar11)
+
+
+def _sigma2(residual: np.ndarray, qbar11: float) -> np.ndarray:
+    """:func:`estimate_sigma2` of a residual vector, unchecked."""
     with np.errstate(over="ignore"):
         return residual**2 / qbar11
 
@@ -69,7 +73,11 @@ def error_weights(y, tau: float) -> np.ndarray:
     """
     if not 0.0 < tau < inf:
         raise ValueError(f"tau must be positive, got {tau}")
-    y = _vector(y)
+    return _weights(_vector(y), tau)
+
+
+def _weights(y: np.ndarray, tau: float) -> np.ndarray:
+    """:func:`error_weights` of a vector, unchecked."""
     return 1.0 / (tau * np.abs(y) + tau)
 
 

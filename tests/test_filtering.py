@@ -168,46 +168,46 @@ class TestSolutionPath:
         assert len(path) == 1
 
 
-def _recorded_solve(monkeypatch, config):
-    """A solve whose accepted steps' predictions are recorded as the fused
-    kernel returns them, with factors copied, before the path drops them."""
-    from odefilter import solver
-
-    recorded = []
-
-    def recording(*args):
-        pred, filt = filtering.predict_update(*args)
-        recorded.append((pred.t, pred.mean.copy(), pred.factor.copy()))
-        return pred, filt
-
-    monkeypatch.setattr(solver, "predict_update", recording)
-    return solve(get_problem("vdp"), config), recorded
-
-
 class TestPathViews:
     @pytest.mark.parametrize("config", [SolverConfig(q=2, eps=1e-3),
                                         SolverConfig(q=3, eps=1e-3, init_mode="diffuse_filter")])
-    def test_predictions_bitwise_equal_to_the_kernels(self, monkeypatch, config):
-        # No predicted factor is stored; the rebuilt one is the one the
-        # accepted step's QR produced.
-        result, recorded = _recorded_solve(monkeypatch, config)
-        predictions = result.path.predictions
-        assert len(predictions) == len(recorded) + 1
-        for (t, mean, factor), pred in zip(recorded, predictions[1:]):
-            assert pred.t == t
-            assert np.array_equal(pred.mean, mean) and np.array_equal(pred.factor, factor)
+    def test_predictions_bitwise_equal_to_the_kernels(self, config):
+        # No predicted factor is stored.  An accepted step conditions the
+        # predicted factor, whose derivative row is (r, 0, ..., 0), by
+        # zeroing its first column and adding that column over r times the
+        # residual to the mean; the rebuilt predictions must reproduce both
+        # knots' numbers bit for bit.
+        problem = get_problem("vdp")  # autonomous: the reading needs no time
+        path, q1 = solve(problem, config).path, config.q + 1
+        assert len(path.predictions) == len(path) > 10
+        for filt, pred in zip(path.filtered[1:], path.predictions[1:]):
+            assert pred.t == filt.t
+            assert np.all(pred.factor[:, 1, 1:] == 0.0) and np.all(pred.factor[:, 1, 0] != 0.0)
+            zeroed = pred.factor.copy()
+            zeroed[:, :, 0] = 0.0
+            assert filt.factor.tobytes() == zeroed.tobytes()
+            residual = problem.rhs(pred.t, pred.mean[0::q1]) - pred.mean[1::q1]
+            gain = pred.factor[:, :, 0] / pred.factor[:, 1, :1]
+            gain[:, 1] = 1.0
+            want = pred.mean.reshape(-1, q1) + gain * residual[:, None]
+            assert filt.mean.tobytes() == want.reshape(-1).tobytes()
 
-    def test_global_ml_predictions_are_the_scaled_unit_ones(self, monkeypatch):
-        # The whole-run estimate used to scale the stored unit-diffusion
-        # factors; now it scales the filtered factors and the diffusions
-        # they are rebuilt from.
+    def test_global_ml_predictions_are_the_scaled_unit_ones(self):
+        # The whole-run estimate scales the filtered factors and the
+        # diffusions the predictions are rebuilt from, so each prediction is
+        # the scaled unit-diffusion prediction from the unscaled knot before.
         config = SolverConfig(q=2, fixed_step=0.02, sigma_mode="global_ml")
-        result, recorded = _recorded_solve(monkeypatch, config)
-        sigma2 = result.sigma2_trace[0]
+        result = solve(get_problem("vdp"), config)
+        path, sigma2 = result.path, result.sigma2_trace[0]
         assert np.all(result.sigma2_trace == sigma2) and np.all(sigma2 != 1.0)
-        for (_, _, unit_factor), pred in zip(recorded, result.path.predictions[1:]):
-            want = sigma2[:, None, None] * (unit_factor @ np.swapaxes(unit_factor, 1, 2))
-            assert np.max(np.abs(pred.cov - want)) <= 1e-14 * np.max(np.abs(want))
+        for i in range(1, len(path)):
+            before = path.filtered[i - 1]
+            unit = GaussState(before.t, before.mean, before.factor / np.sqrt(sigma2)[:, None, None])
+            unit_pred = predict(unit, discrete_transition(2, path.step_sizes[i - 1]))
+            want = sigma2[:, None, None] * unit_pred.cov
+            got = path.predictions[i]
+            assert np.array_equal(got.mean, path.columns["pred_mean"][i])
+            assert np.max(np.abs(got.cov - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_indexing_slicing_and_iteration(self):
         path = smooth(_logistic_path())
@@ -458,6 +458,38 @@ class TestInterpolate:
         np.testing.assert_allclose(got.mean, want_mean, atol=1e-10)
         np.testing.assert_allclose(got.cov[0], want_cov, atol=1e-10)
 
+    def test_diffuse_start_interval_against_mp_bridge(self):
+        # The first interval of a diffuse start: the left knot's factor
+        # holds 1e6 entries.  Conditioning the state at t on the smoothed
+        # right knot, redone in 100-digit arithmetic from the float
+        # prediction at t, agrees to 1e-6 relative to sqrt(C_ii C_jj); fed
+        # to the backward QR untriangularized, the state at t reached 5.9e-4.
+        # From the filtered left knot itself, the float prediction across
+        # the 1e6 entries limits the agreement to about 1e-5 (6.0e-4 then).
+        q, t = 4, 0.0018
+        path = smooth(solve(get_problem("logistic"),
+                            SolverConfig(q=q, eps=1e-4, init_mode="rk_starter")).path)
+        left, right, s = path.filtered[0], path.smoothed[1], float(path.step_sigma2[0, 0])
+        assert left.t < t < right.t and np.max(left.factor) == 1e6
+        at_t = predict(left, discrete_transition(q, t - left.t), path.step_sigma2[0])
+        got = interpolate(path, t).cov[0]
+
+        def mp_cov(F):
+            F = mpmath.matrix(F.tolist())
+            return F * F.T
+
+        with mpmath.workdps(100):
+            A1, Q1 = _mp_iwp(q, mpmath.mpf(t) - mpmath.mpf(left.t))
+            A2, Q2 = _mp_iwp(q, mpmath.mpf(right.t) - mpmath.mpf(t))
+            from_knot = A1 * mp_cov(left.factor[0]) * A1.T + s * Q1
+            for C, bound in ((mp_cov(at_t.factor[0]), 1e-6), (from_knot, 2e-5)):
+                P = A2 * C * A2.T + s * Q2
+                G = C * A2.T * mpmath.inverse(P)
+                want = C + G * (mp_cov(right.factor[0]) - P) * G.T
+                want = np.array(want.tolist(), dtype=float)
+                scale = np.sqrt(np.diag(want))
+                assert np.max(np.abs(got - want) / np.outer(scale, scale)) <= bound
+
     def test_mean_continuous_in_time(self):
         path = smooth(_logistic_path())
         t = 0.45
@@ -512,6 +544,16 @@ def _mp_smooth_block(filt, pred_next, smoothed_next, A, Q, sigma2, k):
         cov = C + G * (F_next * F_next.T - P) * G.T
         return (np.array(mean.tolist(), dtype=float).reshape(-1),
                 np.array(cov.tolist(), dtype=float))
+
+
+def _mp_iwp(q, h):
+    """The unit IWP(q) transition ``A(h)`` and noise ``Q(h)`` in mpmath, from their closed forms."""
+    A, Q, f = mpmath.matrix(q + 1, q + 1), mpmath.matrix(q + 1, q + 1), mpmath.factorial
+    for i in range(q + 1):
+        for j in range(q + 1):
+            A[i, j] = h ** (j - i) / f(j - i) if j >= i else 0
+            Q[i, j] = h ** (2 * q + 1 - i - j) / ((2 * q + 1 - i - j) * f(q - i) * f(q - j))
+    return A, Q
 
 
 def _seeded_linear(d=8, seed=20161017):
@@ -620,12 +662,15 @@ class TestPredictUpdate:
         state = GaussState(0.3, rng.standard_normal(d * q1), factor)
         tr, Q = discrete_transition(q, 0.37), loop_q(q, 0.37)
         z = rng.standard_normal(d)
-        mean = filtering.predict_mean(state, tr.A)
-        pred, filt = filtering.predict_update(state, tr, sigma2, mean, z - mean[i::q1],
-                                              ObservationModel(i))
+        mean = filtering._matvec(tr.A, state.mean)
+        filt = GaussState(0.67, *filtering.predict_update(factor, tr.A, tr.Q_sqrt, sigma2, mean,
+                                                          z - mean[i::q1], i))
+        # The kernel's predicted factor, rows back in slot order.
+        order, back = filtering._pivot(q1, i)
+        pred = GaussState(0.67, mean, filtering._predicted_factor(
+            factor, tr.A, tr.Q_sqrt, sigma2, order).take(back, axis=1))
 
         m_ref, c_ref = _dense_predict(state.mean, block_diag(*state.cov), tr.A, Q, sigma2)
-        assert pred.t == filt.t == 0.3 + 0.37
         _assert_rel(pred.mean, m_ref)
         _assert_rel(block_diag(*pred.cov), c_ref)
         m_ref, c_ref = _dense_update(m_ref, c_ref, z, q1, i)

@@ -6,9 +6,11 @@ from odefilter import (
     IvpProblem,
     SolverConfig,
     StepSizeUnderflowError,
+    discrete_transition,
     get_problem,
     initialize,
     observe,
+    predict,
     reference_solution,
     smooth,
     solve,
@@ -467,32 +469,28 @@ class TestLoopBranches:
 
 
 class TestStepRecord:
-    def test_rows_hold_each_attempts_values(self, monkeypatch):
-        # The columns keep what the loop computed, bit for bit, and the
-        # reports carry the scalar types they always had.
-        seen = {"t_end": [], "sigma2_hat": [], "D": [], "h_next": []}
-
-        def recorder(key, fn, pick=lambda args, out: out):
-            def wrapped(*args, **kwargs):
-                out = fn(*args, **kwargs)
-                seen[key].append(pick(args, out))
-                return out
-            return wrapped
-
-        monkeypatch.setattr(solver, "estimate_sigma2",
-                            recorder("sigma2_hat", solver.estimate_sigma2))
-        monkeypatch.setattr(solver, "local_error_test",
-                            recorder("D", solver.local_error_test, lambda args, out: out[0]))
-        monkeypatch.setattr(solver, "next_step_size", recorder("h_next", solver.next_step_size))
-        monkeypatch.setattr(solver, "observe",
-                            recorder("t_end", solver.observe, lambda args, out: args[1]))
-        res = solve(get_problem("brusselator"), SolverConfig(q=2, eps=1e-3))
-        reports = res.per_step
-        assert len(reports) == len(seen["D"]) == res.steps_accepted + res.steps_rejected
-        for key in ("sigma2_hat", "D", "h_next"):
-            assert all(np.array_equal(getattr(r, key), v) for r, v in zip(reports, seen[key]))
-        # The first reading is the start's, at t0.
-        assert [r.t + r.h for r in reports] == seen["t_end"][1:]
+    def test_rows_hold_each_attempts_values(self):
+        # The columns keep what the loop scored, bit for bit: each attempt's
+        # residual, rebuilt from the knot it started at, gives the same
+        # sigma2_hat, D and h_next through the public step-control functions.
+        # The reports carry the scalar types they always had.
+        problem, config = get_problem("brusselator"), SolverConfig(q=2, eps=1e-3)
+        res = solve(problem, config)
+        reports, path, q1 = res.per_step, res.path, config.q + 1
+        assert len(reports) == res.steps_accepted + res.steps_rejected
+        knot = {t: i for i, t in enumerate(path.knots.tolist())}
+        for r in reports:
+            tr = discrete_transition(config.q, r.h)
+            pred_mean = predict(path.filtered[knot[r.t]], tr).mean
+            residual = problem.rhs(r.t + r.h, pred_mean[0::q1]) - pred_mean[1::q1]
+            sigma2 = stepcontrol.estimate_sigma2(residual, tr.q11)
+            ebar = config.eps * r.h / r.h
+            D, passed = stepcontrol.local_error_test(sigma2, tr.q11, pred_mean[0::q1],
+                                                     config.weighting_tau, ebar)
+            assert r.sigma2_hat.tobytes() == sigma2.tobytes() and r.D.tobytes() == D.tobytes()
+            assert r.h_next == stepcontrol.next_step_size(float(D.max()), ebar, r.h, config.q)
+            if r.accepted:
+                assert path.knots[knot[r.t] + 1] == r.t + r.h
         assert sum(r.accepted for r in reports) == res.steps_accepted
         for r in reports[::50]:
             assert type(r.t) is type(r.h) is type(r.h_next) is float and type(r.accepted) is bool
@@ -524,6 +522,48 @@ class TestStepRecord:
         assert n > 1000
         assert (solved - start) / n < 1883 / 3
         assert (smoothed - solved) / n <= 200
+
+
+class TestAcceptedStepCost:
+    @pytest.mark.parametrize("name", ["logistic", "vdp"])
+    def test_one_qr_per_accepted_step_and_no_transition_object(self, name, monkeypatch):
+        # After the start, an accepted step takes exactly one QR, a rejected
+        # attempt none, and no step builds a DiscreteTransition: the reading
+        # of attempt k comes after all of attempt k-1's work.
+        from odefilter import priors
+
+        counts = {"qr": 0, "transition": 0}
+        qr, init = np.linalg.qr, priors.DiscreteTransition.__init__
+
+        def counting_qr(*args, **kwargs):
+            counts["qr"] += 1
+            return qr(*args, **kwargs)
+
+        def counting_init(self, *args, **kwargs):
+            counts["transition"] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        monkeypatch.setattr(priors.DiscreteTransition, "__init__", counting_init)
+        problem, config = get_problem(name), SolverConfig(q=2, eps=1e-3)
+        initialize(problem, config)
+        start = dict(counts)
+        problem = get_problem(name)
+        rhs, at_reading = problem.rhs, []
+
+        def reading(t, y):
+            at_reading.append(counts["qr"])
+            return rhs(t, y)
+
+        problem.rhs = reading
+        counts.update(qr=0, transition=0)
+        res = solve(problem, config)
+        assert res.steps_rejected > 0
+        # The start's readings, then one per attempt, then the end of the solve.
+        marks = np.array(at_reading[res.fevals - len(res.per_step):] + [counts["qr"]])
+        accepted = np.array([r.accepted for r in res.per_step], dtype=int)
+        assert marks[0] == start["qr"] and np.array_equal(np.diff(marks), accepted)
+        assert counts["transition"] == start["transition"]
 
 
 class TestStarterModes:
