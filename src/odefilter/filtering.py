@@ -39,11 +39,11 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import isfinite, sqrt
+from math import isfinite
 
 import numpy as np
 
-from .priors import (_DIFFUSE_VARIANCE, DiscreteTransition, IwpModel, _transition_stack,
+from .priors import (DiscreteTransition, IwpModel, _transition_stack,
                      discrete_transition)
 
 __all__ = [
@@ -232,17 +232,11 @@ def _condition(L: np.ndarray, mean: np.ndarray, residual: np.ndarray,
     """
     d, q1, _ = L.shape
     r = L[:, :1, 0]
-    if r.all():  # the common case, the same numbers without the masks
-        gain = L[:, :, 0] / r
-        gain[:, 0] = 1.0
-        L[:, :, 0] = 0.0
-        shift = gain * residual[:, None]
-    else:
-        live = r != 0.0
-        gain = np.divide(L[:, :, 0], r, out=np.zeros((d, q1)), where=live)
-        gain[:, 0] = live[:, 0]
-        np.copyto(L[:, :, 0], 0.0, where=live)
-        shift = gain * np.where(live, residual[:, None], 0.0)
+    live = r != 0.0
+    gain = np.divide(L[:, :, 0], r, out=np.zeros((d, q1)), where=live)
+    gain[:, 0] = live[:, 0]
+    np.copyto(L[:, :, 0], 0.0, where=live)
+    shift = gain * np.where(live, residual[:, None], 0.0)
     return (mean.reshape(d, q1) + shift.take(back, axis=1)).reshape(-1), L.take(back, axis=1)
 
 
@@ -525,8 +519,8 @@ def interpolate(path: SolutionPath, t: float, allow_extrapolation: bool = False)
     the smoothed state at the right knot, so the result agrees with the knot
     states in the limits and is continuous in ``t``.  The bridge takes one
     backward QR: the state at ``t`` enters it as its untriangularized
-    factor ``[A F, sqrt(sigma2) Q^(1/2)]``, triangularized first only where
-    the left knot's factor still holds a diffuse start's prior scale.
+    factor ``[A F, sqrt(sigma2) Q^(1/2)]``, triangularized first in the
+    first interval, whose left knot holds the prior's scale.
     Times outside the solved span raise unless ``allow_extrapolation`` is
     set, in which case the state is predicted forward from the last knot.
     """
@@ -560,8 +554,10 @@ def interpolate(path: SolutionPath, t: float, allow_extrapolation: bool = False)
         path.model.q, [t - float(knots[i]), float(knots[i + 1]) - t])
     sigma2 = c["sigma2"][i + 1]
     at_t = _stacked(c["factor"][i], A_fwd, Q_fwd, sigma2)
-    if np.abs(c["factor"][i]).max() >= sqrt(_DIFFUSE_VARIANCE):
-        # Untriangularized, a diffuse start's 1e6 entries cost the backward QR digits.
+    if i == 0:
+        # Knot 0 is the prior conditioned on y(t0) and y'(t0) alone; fed to the
+        # backward QR untriangularized, a diffuse prior's 1e6 entries there
+        # cost up to four digits.  Later knots lose nothing untriangularized.
         at_t = _triangularize(at_t)
     G, cond = _backward(at_t[None], A_bwd[None], Q_bwd[None], sigma2[None])
     after = path.smoothed[i + 1]

@@ -38,8 +38,6 @@ from math import comb, factorial, inf, sqrt
 
 import numpy as np
 
-_DIFFUSE_VARIANCE = 1e12  # prior variance of every slot in the diffuse starts
-
 __all__ = [
     "IwpModel",
     "DiscreteTransition",

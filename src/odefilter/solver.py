@@ -20,7 +20,7 @@ import numpy as np
 
 from .filtering import (GaussState, ObservationModel, SolutionPath, _built, _matvec, _Rows,
                         _stacked, predict, predict_update, update)
-from .priors import (_DIFFUSE_VARIANCE, _check_positive_int, _noise_factor, _transition_mean,
+from .priors import (_check_positive_int, _noise_factor, _transition_mean,
                      discrete_transition, make_iwp)
 from .stepcontrol import StepReport, _sigma2, _weights, next_step_size
 # perfbench's traced run wraps these two names here, where the loop no longer calls them.
@@ -42,6 +42,7 @@ _MAX_STEPS = 2_000_000  # attempted steps before a solve gives up
 # Rejections in a row that force the step through; the controller shrinks h
 # at most 10x per rejection, so this trips well before h underflows.
 _MAX_REJECTIONS = 8
+_DIFFUSE_VARIANCE = 1e12  # prior variance of every slot in the diffuse starts
 
 # Derivative-observation knots (fractions of h_init) used by the diffuse
 # start; q derivative readings plus the initial value give q+1 conditions.
@@ -124,8 +125,8 @@ class SolverConfig:
     (``global_ml``; fixed-step runs only, since the error test requires the
     local estimate).  What no caller tunes is a constant: the controller's
     safety factor and rate limits in :func:`stepcontrol.next_step_size`, and
-    here the streak cap ``_MAX_REJECTIONS`` and the step cap ``_MAX_STEPS``;
-    the diffuse starts' prior variance is ``priors._DIFFUSE_VARIANCE``.
+    here the streak cap ``_MAX_REJECTIONS``, the step cap ``_MAX_STEPS`` and
+    the diffuse starts' prior variance ``_DIFFUSE_VARIANCE``.
     """
 
     q: int = 2

@@ -192,19 +192,32 @@ class TestPathViews:
             want = pred.mean.reshape(-1, q1) + gain * residual[:, None]
             assert filt.mean.tobytes() == want.reshape(-1).tobytes()
 
-    def test_global_ml_predictions_are_the_scaled_unit_ones(self):
-        # The whole-run estimate scales the filtered factors and the
-        # diffusions the predictions are rebuilt from, so each prediction is
-        # the scaled unit-diffusion prediction from the unscaled knot before.
+    def test_global_ml_predictions_are_the_scaled_unit_ones(self, monkeypatch):
+        # Under global_ml the loop filters with unit diffusion; the whole-run
+        # estimate then scales the filtered factors and the diffusions the
+        # predictions are rebuilt from.  The reference is each accepted
+        # step's unit-diffusion factors, recorded as the kernel returns them.
+        from odefilter import solver
+
+        recorded = []
+
+        def recording(factor, *args):
+            mean, filtered = filtering.predict_update(factor, *args)
+            recorded.append((factor.copy(), filtered.copy()))
+            return mean, filtered
+
+        monkeypatch.setattr(solver, "predict_update", recording)
         config = SolverConfig(q=2, fixed_step=0.02, sigma_mode="global_ml")
         result = solve(get_problem("vdp"), config)
         path, sigma2 = result.path, result.sigma2_trace[0]
         assert np.all(result.sigma2_trace == sigma2) and np.all(sigma2 != 1.0)
-        for i in range(1, len(path)):
-            before = path.filtered[i - 1]
-            unit = GaussState(before.t, before.mean, before.factor / np.sqrt(sigma2)[:, None, None])
-            unit_pred = predict(unit, discrete_transition(2, path.step_sizes[i - 1]))
-            want = sigma2[:, None, None] * unit_pred.cov
+        assert len(recorded) == len(path) - 1 > 10
+        scale = np.sqrt(sigma2)[:, None, None]
+        for i, (unit_before, unit_after) in enumerate(recorded, start=1):
+            assert np.array_equal(path.filtered[i].factor, scale * unit_after)
+            before = GaussState(path.knots[i - 1], path.filtered[i - 1].mean, unit_before)
+            want = sigma2[:, None, None] * predict(
+                before, discrete_transition(2, path.step_sizes[i - 1])).cov
             got = path.predictions[i]
             assert np.array_equal(got.mean, path.columns["pred_mean"][i])
             assert np.max(np.abs(got.cov - want)) <= 1e-14 * np.max(np.abs(want))
