@@ -32,13 +32,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BenchRecord:
+    """One (problem, eps) cell; a failed cell keeps the defaults and says why in ``status``."""
+
     problem: str
     eps: float
-    fevals: int
-    steps: int
-    deceived_fraction: float
-    max_error_per_unit_step: float
-    runtime: float
+    fevals: int = 0
+    steps: int = 0
+    deceived_fraction: float = math.nan
+    max_error_per_unit_step: float = math.nan
+    runtime: float = 0.0
     status: str = "ok"
 
 
@@ -64,37 +66,20 @@ def run_benchmark(problems, eps_list, config: SolverConfig | None = None) -> lis
     records = []
     for name in problems:
         for eps in eps_list:
+            eps = float(eps)
             start = time.perf_counter()
             try:
                 problem = get_problem(name) if isinstance(name, str) else name
-                cfg = replace(config, eps=float(eps), fixed_step=None, sigma_mode="local_ml")
-                result = solve(problem, cfg)
+                result = solve(problem, replace(config, eps=eps, fixed_step=None,
+                                                sigma_mode="local_ml"))
                 xi = local_errors(problem, result)
                 hs = np.diff(result.knots)
-                records.append(
-                    BenchRecord(
-                        problem=problem.name,
-                        eps=float(eps),
-                        fevals=result.fevals,
-                        steps=result.steps_accepted,
-                        deceived_fraction=deceived_fraction(xi, hs, float(eps)),
-                        max_error_per_unit_step=max_error_per_unit_step(xi, hs, float(eps)),
-                        runtime=time.perf_counter() - start,
-                    )
-                )
+                cell = dict(problem=problem.name, fevals=result.fevals, steps=result.steps_accepted,
+                            deceived_fraction=deceived_fraction(xi, hs, eps),
+                            max_error_per_unit_step=max_error_per_unit_step(xi, hs, eps))
             except Exception as exc:  # a failed cell must not kill the sweep
-                records.append(
-                    BenchRecord(
-                        problem=str(name),
-                        eps=float(eps),
-                        fevals=0,
-                        steps=0,
-                        deceived_fraction=math.nan,
-                        max_error_per_unit_step=math.nan,
-                        runtime=time.perf_counter() - start,
-                        status=f"failed: {exc}",
-                    )
-                )
+                cell = dict(problem=str(name), status=f"failed: {exc}")
+            records.append(BenchRecord(eps=eps, runtime=time.perf_counter() - start, **cell))
     return records
 
 
@@ -199,9 +184,8 @@ def emit(records_or_table, format: str, path, *, include_runtime: bool = False) 
             writer.writerow([_format_value(row[h]) for h in headers])
         payload = buf.getvalue()
     elif format == "json":
-        payload = json.dumps(
-            {"schema_version": "1", "records": _jsonable(rows)}, indent=2, allow_nan=True
-        ) + "\n"
+        payload = json.dumps({"schema_version": "1", "records": rows}, indent=2, allow_nan=True,
+                             default=_numpy_scalar) + "\n"
     else:
         raise ValueError(f"unknown format {format!r}; use 'csv' or 'json'")
     try:
@@ -218,16 +202,11 @@ def _default_headers(obj, include_runtime: bool) -> list[str]:
     return names if include_runtime else [n for n in names if n != "runtime"]
 
 
-def _jsonable(rows: list[dict]) -> list[dict]:
-    out = []
-    for row in rows:
-        clean = {}
-        for k, v in row.items():
-            if isinstance(v, (np.floating, np.integer)):
-                v = v.item()
-            clean[k] = v
-        out.append(clean)
-    return out
+def _numpy_scalar(v):
+    """A numpy integer or float as its Python value, for ``json.dumps``; nothing else."""
+    if isinstance(v, (np.floating, np.integer)):
+        return v.item()
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
 def read_back(path, format: str) -> list[dict]:

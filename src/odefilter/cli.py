@@ -52,10 +52,9 @@ def _config_from(args) -> SolverConfig:
     )
 
 
-def _add_solver_options(p: argparse.ArgumentParser, require_eps: bool = True):
+def _add_solver_options(p: argparse.ArgumentParser):
     p.add_argument("--q", type=int, default=2, help="derivative order of the prior")
-    p.add_argument("--eps", type=float, required=require_eps, default=None if require_eps else 1e-6,
-                   help="error-test tolerance")
+    p.add_argument("--eps", type=float, required=True, help="error-test tolerance")
     p.add_argument("--fixed-step", type=float, default=None, dest="fixed_step")
     p.add_argument("--tau", type=float, default=0.1, help="error weighting parameter")
     p.add_argument("--per-unit-step", action="store_true", dest="per_unit_step",

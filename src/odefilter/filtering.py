@@ -145,17 +145,14 @@ def predict(state: GaussState, transition: DiscreteTransition, sigma2=None) -> G
     ``sigma2[k] * Q`` in block ``k``.  The predicted factor is the lower
     triangular factor of ``[A F, Q^(1/2)]`` from one batched QR.
     """
-    d, q1, _ = state.factor.shape
+    d = state.factor.shape[0]
     sigma2 = np.ones(d) if sigma2 is None else np.asarray(sigma2, dtype=float)
     if sigma2.shape != (d,):
         raise ValueError(f"expected {d} diffusion scales, got shape {sigma2.shape}")
     if not (sigma2.min() >= 0.0 and sigma2.max() < np.inf):
         raise ValueError(f"diffusion scales must be finite and >= 0, got {sigma2}")
-    mean = _matvec(transition.A, state.mean)
-    # The rows in slot order, slot 0 first.
-    factor = _predicted_factor(state.factor, transition.A, transition.Q_sqrt, sigma2,
-                               _pivot(q1, 0)[0])
-    return _built(state.t + transition.h, mean, factor)
+    factor = _triangularize(_stacked(state.factor, transition.A, transition.Q_sqrt, sigma2))
+    return _built(state.t + transition.h, _matvec(transition.A, state.mean), factor)
 
 
 def update(state: GaussState, z, obs: ObservationModel) -> tuple[GaussState, np.ndarray]:

@@ -1,13 +1,14 @@
 """The IVP solving loop: initialization, model interrogation, predict-update.
 
-One solve is strictly sequential.  An attempted step raises h to its powers
-once, builds only ``A(h)`` and ``Q(h)_11`` from them, predicts the mean,
-evaluates the right-hand side there, and scores the residual in a few vector
-operations.  Only an accepted step builds ``Q(h)^(1/2)``, from the same
-powers, and runs ``filtering.predict_update``, which predicts and conditions
-in one QR; its rows go straight into the path's columns.  A reading that is
-not finite is a rejection at half the step, or an error under a fixed step;
-the final step is clamped to land exactly on T.
+One solve is strictly sequential.  An attempted step builds ``A(h)``,
+``Q(h)^(1/2)`` and ``Q(h)_11`` from one list of powers of h, predicts the
+mean, evaluates the right-hand side there, and scores the residual in a few
+vector operations.  An accepted step then runs ``filtering.predict_update``,
+which predicts and conditions in one QR; its rows go straight into the
+path's columns.  The diffuse start steps to its knots the same way, without
+the scoring.  A reading that is not finite is a rejection at half the step,
+or an error under a fixed step; the final step is clamped to land exactly
+on T.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .filtering import (GaussState, ObservationModel, SolutionPath, _built, _matvec, _Rows,
-                        _stacked, predict, predict_update, update)
-from .priors import (_check_positive_int, _noise_factor, _transition_mean,
-                     discrete_transition, make_iwp)
+from .filtering import (GaussState, ObservationModel, SolutionPath, _matvec, _Rows, _stacked,
+                        predict_update, update)
+from .priors import _check_positive_int, _transition, make_iwp
 from .stepcontrol import StepReport, _sigma2, _weights, next_step_size
-# perfbench's traced run wraps these two names here, where the loop no longer calls them.
+# perfbench's traced run wraps these names here, where neither the loop nor the start calls them.
+from .filtering import predict  # noqa: F401
+from .priors import discrete_transition  # noqa: F401
 from .stepcontrol import estimate_sigma2, local_error_test  # noqa: F401
 
 __all__ = [
@@ -221,9 +223,9 @@ def _starter_path(problem: IvpProblem, config: SolverConfig, rng: np.random.Gene
     The path's model is the unit-diffusion IWP(config.q) over
     ``problem.dim`` blocks.  ``init_mode`` picks only the prior covariance.
     Every mode conditions it on y(t0) = y0 and y'(t0) = f(t0, y0); the
-    non-exact modes then filter one derivative reading at each further
-    starter knot.  A non-finite reading at any knot raises: the start
-    cannot step around it.
+    non-exact modes then take one step to each further starter knot the
+    way the loop takes an accepted attempt, under unit diffusion.  A
+    non-finite reading at any knot raises: the start cannot step around it.
     """
     model = make_iwp(config.q, problem.dim)
     q, q1, unit = model.q, model.block_size, np.ones(problem.dim)
@@ -239,37 +241,45 @@ def _starter_path(problem: IvpProblem, config: SolverConfig, rng: np.random.Gene
         factor = np.full((problem.dim, 1, 1), np.sqrt(_DIFFUSE_VARIANCE)) * np.eye(q1)
     prior = GaussState(t=problem.t0, mean=np.zeros(model.state_size), factor=factor)
 
-    def reading(t: float, mean: np.ndarray, state: GaussState) -> np.ndarray:
-        # A sampled reading draws from the spread of ``state``.
-        std = state.std()[0::q1] if rng is not None else None
-        z = observe(problem, t, mean[0::q1], std, rng=rng)
+    def reading(t: float, loc: np.ndarray, std: np.ndarray | None) -> np.ndarray:
+        z = observe(problem, t, loc, std, rng=rng)
         if not np.all(np.isfinite(z)):
             raise ValueError(f"right-hand side returned non-finite values at starter knot t = {t}")
         return z
 
     state, _ = update(prior, problem.y0, ObservationModel(derivative_index=0))
-    z = reading(problem.t0, state.mean, state)
+    z = reading(problem.t0, state.mean[0::q1], state.std()[0::q1] if rng is not None else None)
     state, _ = update(state, z, _DERIV_OBS)
     path = SolutionPath(model=model)
     path.append(prior, state, None)
     if exact:
         return path
 
+    t, mean, factor = state.t, state.mean, state.factor
     fractions = _STARTER_KNOTS[q]
     for prev, frac in zip(fractions, fractions[1:]):
         t_next = problem.t0 + frac * h0
-        # The step between knot times, not from state.t, which carries the
+        # The step between knot times, not from t, which carries the
         # round-off of the summed steps.
         h = t_next - (problem.t0 + prev * h0)
-        transition = discrete_transition(q, h)
-        mean = _matvec(transition.A, state.mean)
-        # Only a sampled reading needs the predicted factor before the update.
-        z = reading(t_next, mean, predict(state, transition, unit) if rng is not None else state)
-        state = _built(state.t + h, *predict_update(state.factor, transition.A, transition.Q_sqrt,
-                                                    unit, mean, z - mean[1::q1], 1))
-        path.columns.append(t=state.t, h=h, sigma2=unit, mean=state.mean, factor=state.factor,
-                            pred_mean=mean)
+        A, Q_sqrt, _ = _transition(q, h)
+        pred_mean = _matvec(A, mean)
+        std = _draw_std(path, factor, A, Q_sqrt) if rng is not None else None
+        z = reading(t_next, pred_mean[0::q1], std)
+        mean, factor = predict_update(factor, A, Q_sqrt, unit, pred_mean, z - pred_mean[1::q1], 1)
+        t = t + h
+        path.columns.append(t=t, h=h, sigma2=unit, mean=mean, factor=factor, pred_mean=pred_mean)
     return path
+
+
+def _draw_std(path: SolutionPath, factor: np.ndarray, A: np.ndarray,
+              Q_sqrt: np.ndarray) -> np.ndarray:
+    """Predicted standard deviations of the solution slots one step past the path's last
+    knot, whose filtered factor is ``factor``, for a sampled reading.  The step's
+    diffusion is not known yet, so the last one the path stored sizes it (unit before
+    any step).  That is the norm of row 0 of ``[A F, sqrt(sigma2) Q^(1/2)]``, no QR needed."""
+    sigma2 = path.step_sigma2[-1] if len(path) > 1 else np.ones(path.model.dim)
+    return np.linalg.norm(_stacked(factor, A[:1], Q_sqrt[:1], sigma2)[:, 0], axis=1)
 
 
 def initialize(problem: IvpProblem, config: SolverConfig) -> GaussState:
@@ -348,18 +358,9 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
             # Clamp onto T, absorbing a remainder too short to step over.
             h = t_end - t
 
-        # The attempt reads only A and Q(h)_11; Q(h)^(1/2) waits for acceptance
-        # and is built from the same powers of h.
-        A, q11, powers = _transition_mean(q, h)
+        A, Q_sqrt, q11 = _transition(q, h)
         pred_mean = _matvec(A, mean)
-        std = None
-        if rng is not None:
-            # The draw needs the predictive variance; size it with the most
-            # recently accepted diffusion estimate.
-            # That is the norm of row 0 of [A F, sqrt(sigma2) Q^(1/2)], no QR needed.
-            sigma2_last = path.step_sigma2[-1] if len(path) > 1 else unit
-            row0 = _stacked(factor, A[:1], _noise_factor(q, h, powers)[:1], sigma2_last)
-            std = np.linalg.norm(row0[:, 0], axis=1)
+        std = _draw_std(path, factor, A, Q_sqrt) if rng is not None else None
         z = observe(problem, t + h, pred_mean[0::q1], std, rng=rng)
 
         if np.isfinite(z).all():
@@ -395,8 +396,7 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
                 raise RuntimeError(f"solve diverged at t = {t}, h = {h}: the accepted step's "
                                    f"diffusion estimate is {sigma2_local}")
             sigma2_step = sigma2_local if config.sigma_mode == "local_ml" else unit
-            mean, factor = predict_update(factor, A, _noise_factor(q, h, powers), sigma2_step,
-                                          pred_mean, residual, 1)
+            mean, factor = predict_update(factor, A, Q_sqrt, sigma2_step, pred_mean, residual, 1)
             t = t + h
             path.columns.append(t=t, h=h, sigma2=sigma2_step, mean=mean, factor=factor,
                                 pred_mean=pred_mean)

@@ -164,6 +164,13 @@ class TestEmit:
         assert rows[0]["eps"] == 1e-3
         assert rows[1]["fevals"] == 3000
 
+    def test_json_takes_numpy_scalars_and_nothing_else(self, tmp_path):
+        out = tmp_path / "n.json"
+        emit([{"n": np.int64(3), "x": np.float32(0.5), "y": np.float64(0.1)}], "json", out)
+        assert read_back(out, "json") == [{"n": 3, "x": 0.5, "y": 0.1}]
+        with pytest.raises(TypeError, match="ndarray"):
+            emit([{"a": np.zeros(2)}], "json", tmp_path / "a.json")
+
     def test_seventeen_digit_precision(self, tmp_path):
         value = 0.1 + 0.2  # 0.30000000000000004
         out = tmp_path / "p.csv"

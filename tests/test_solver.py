@@ -524,27 +524,33 @@ class TestStepRecord:
         assert (smoothed - solved) / n <= 200
 
 
+def _count_qr_and_transitions(monkeypatch) -> dict:
+    """Counts of ``np.linalg.qr`` calls and of built ``DiscreteTransition``s from here on."""
+    from odefilter import priors
+
+    counts = {"qr": 0, "transition": 0}
+    qr, init = np.linalg.qr, priors.DiscreteTransition.__init__
+
+    def counting_qr(*args, **kwargs):
+        counts["qr"] += 1
+        return qr(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        counts["transition"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    monkeypatch.setattr(priors.DiscreteTransition, "__init__", counting_init)
+    return counts
+
+
 class TestAcceptedStepCost:
     @pytest.mark.parametrize("name", ["logistic", "vdp"])
     def test_one_qr_per_accepted_step_and_no_transition_object(self, name, monkeypatch):
         # After the start, an accepted step takes exactly one QR, a rejected
         # attempt none, and no step builds a DiscreteTransition: the reading
         # of attempt k comes after all of attempt k-1's work.
-        from odefilter import priors
-
-        counts = {"qr": 0, "transition": 0}
-        qr, init = np.linalg.qr, priors.DiscreteTransition.__init__
-
-        def counting_qr(*args, **kwargs):
-            counts["qr"] += 1
-            return qr(*args, **kwargs)
-
-        def counting_init(self, *args, **kwargs):
-            counts["transition"] += 1
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "qr", counting_qr)
-        monkeypatch.setattr(priors.DiscreteTransition, "__init__", counting_init)
+        counts = _count_qr_and_transitions(monkeypatch)
         problem, config = get_problem(name), SolverConfig(q=2, eps=1e-3)
         initialize(problem, config)
         start = dict(counts)
@@ -564,6 +570,18 @@ class TestAcceptedStepCost:
         accepted = np.array([r.accepted for r in res.per_step], dtype=int)
         assert marks[0] == start["qr"] and np.array_equal(np.diff(marks), accepted)
         assert counts["transition"] == start["transition"]
+
+
+class TestStartCost:
+    @pytest.mark.parametrize("strategy", ["mean", "sampled"])
+    def test_diffuse_start_takes_one_qr_per_step_and_no_transition_object(self, strategy,
+                                                                          monkeypatch):
+        # Two conditionings at t0, then one QR per starter step, as in the
+        # loop: a sampled draw is sized from the unfactored predicted factor.
+        counts = _count_qr_and_transitions(monkeypatch)
+        config = SolverConfig(q=4, init_mode="diffuse_filter", obs_strategy=strategy, seed=3)
+        initialize(get_problem("vdp"), config)
+        assert counts == {"qr": 2 + 3, "transition": 0}  # steps to t0 + (1/3, 1/2, 1) h_init
 
 
 class TestStarterModes:
