@@ -90,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--q", type=int, default=2)
     p_bench.add_argument("--tau", type=float, default=0.1)
     p_bench.add_argument("--per-unit-step", action="store_true", dest="per_unit_step")
-    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--timing", action="store_true", help="include wall-clock column")
     p_bench.add_argument("--out", default=None)
     p_bench.add_argument("--format", choices=["csv", "json"], default="csv")
@@ -163,8 +162,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = SolverConfig(q=args.q, weighting_tau=args.tau,
-                          per_unit_step=args.per_unit_step, seed=args.seed)
+    config = SolverConfig(q=args.q, weighting_tau=args.tau, per_unit_step=args.per_unit_step)
     problems = [p for p in args.problems.split(",") if p]
     eps_list = [float(e) for e in args.eps.split(",") if e]
     records = bench.run_benchmark(problems, eps_list, config)

@@ -352,8 +352,9 @@ class SolutionPath:
         return _built(float(c["t"][i]), c["pred_mean"][i], factor)
 
     def append(self, prediction: GaussState, filtered: GaussState, h: float | None, sigma2=None):
-        """Add one knot.  ``h``/``sigma2`` describe the incoming interval and are
-        omitted for the first knot; of a later ``prediction`` only the mean is kept."""
+        """Add one knot and drop the stale smoothed states.  ``h``/``sigma2`` describe the
+        incoming interval, ``sigma2`` one finite scale >= 0 per dimension, checked here once;
+        both are omitted for the first knot.  Of a later ``prediction`` only the mean is kept."""
         n = len(self)
         if n:
             if h is None:
@@ -362,13 +363,12 @@ class SolutionPath:
             if filtered.t <= t_prev:
                 raise ValueError(f"knots must increase: {filtered.t} after {t_prev}")
             sigma2 = np.atleast_1d(np.asarray(sigma2, dtype=float))
-            # Only the shape is checked per knot; the values are checked
-            # once per chunk of the stacked scales, when the path is smoothed.
-            if sigma2.shape != (self.model.dim,):
-                raise ValueError(f"knot {n} (t={filtered.t}): expected "
-                                 f"{self.model.dim} diffusion scales, got {sigma2}")
+            if sigma2.shape != (self.model.dim,) or not np.all((sigma2 >= 0.0) & (sigma2 < np.inf)):
+                raise ValueError(f"knot {n} (t={filtered.t}): expected {self.model.dim} "
+                                 f"finite diffusion scales >= 0, got {sigma2}")
         else:
             self._prior, h, sigma2 = prediction, np.nan, np.nan
+        self.smoothed = None
         self.columns.append(t=filtered.t, h=h, sigma2=sigma2, mean=filtered.mean,
                             factor=filtered.factor, pred_mean=prediction.mean)
 
@@ -443,11 +443,6 @@ def _backward_chunks(path: SolutionPath):
     of ``path``, one chunk at a time from the end of the path."""
     steps, sigma2, factors = path.step_sizes, path.step_sigma2, path.columns["factor"]
     for lo, hi in _chunks(len(steps), path.model.dim):
-        bad = ~np.all((sigma2[lo:hi] >= 0.0) & (sigma2[lo:hi] < np.inf), axis=1)
-        if bad.any():
-            i = lo + 1 + int(np.argmax(bad))
-            raise ValueError(f"knot {i} (t={path.knots[i]}): diffusion scales must be "
-                             f"finite and >= 0, got {sigma2[i - 1]}")
         A, Q_sqrt = _transition_stack(path.model.q, steps[lo:hi].tolist())
         yield lo, *_backward(factors[lo:hi], A, Q_sqrt, sigma2[lo:hi])
 

@@ -13,9 +13,9 @@ process.  Over a step ``h`` the state propagates exactly through the pair
 both have closed forms.  The filter reads ``A``, the factor
 ``Q(h)^(1/2)`` and the single entry ``Q(h)_11``, so those are all
 :func:`discrete_transition` builds; the diffusion scales enter in
-``filtering.predict``.  The solver's attempts and starter steps take all
-three, unchecked, from ``_transition``, which raises ``h`` to its powers
-once.
+``filtering.predict_update``.  The solver's attempts and starter steps
+take all three, unchecked, from ``_transition``, which raises ``h`` to its
+powers once.
 
 Everything about ``(A(h), Q(h))`` that does not depend on ``h`` lives in one
 cached table per q.  In Nordsieck scaling, ``B = diag(h^i / i!)``, the table
@@ -53,7 +53,7 @@ class IwpModel:
     """Unit-diffusion q-times integrated Wiener process prior over a d-dimensional ODE.
 
     The diffusion is not part of the prior: the solver estimates it from
-    the residuals and hands it to ``filtering.predict`` step by step.
+    the residuals and hands it to ``filtering.predict_update`` step by step.
 
     Attributes
     ----------

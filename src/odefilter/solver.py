@@ -19,12 +19,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .filtering import (GaussState, ObservationModel, SolutionPath, _matvec, _Rows, _stacked,
-                        predict_update, update)
+from .filtering import GaussState, SolutionPath, _built, _matvec, _Rows, _stacked, predict_update
 from .priors import _check_positive_int, _transition, make_iwp
 from .stepcontrol import StepReport, _sigma2, _weights, next_step_size
 # perfbench's traced run wraps these names here, where neither the loop nor the start calls them.
-from .filtering import predict  # noqa: F401
+from .filtering import predict, update  # noqa: F401
 from .priors import discrete_transition  # noqa: F401
 from .stepcontrol import estimate_sigma2, local_error_test  # noqa: F401
 
@@ -39,7 +38,6 @@ __all__ = [
 ]
 
 _EPS = float(np.finfo(float).eps)
-_DERIV_OBS = ObservationModel(derivative_index=1)
 _MAX_STEPS = 2_000_000  # attempted steps before a solve gives up
 # Rejections in a row that force the step through; the controller shrinks h
 # at most 10x per rejection, so this trips well before h underflows.
@@ -222,10 +220,11 @@ def _starter_path(problem: IvpProblem, config: SolverConfig, rng: np.random.Gene
 
     The path's model is the unit-diffusion IWP(config.q) over
     ``problem.dim`` blocks.  ``init_mode`` picks only the prior covariance.
-    Every mode conditions it on y(t0) = y0 and y'(t0) = f(t0, y0); the
-    non-exact modes then take one step to each further starter knot the
-    way the loop takes an accepted attempt, under unit diffusion.  A
-    non-finite reading at any knot raises: the start cannot step around it.
+    Knot 0 pins that prior to y(t0) = y0 and y'(t0) = f(t0, y0) in closed
+    form, the reading taken at the pinned values; the non-exact modes then
+    take one step to each further starter knot the way the loop takes an
+    accepted attempt, under unit diffusion.  A non-finite reading at any
+    knot raises: the start cannot step around it.
     """
     model = make_iwp(config.q, problem.dim)
     q, q1, unit = model.q, model.block_size, np.ones(problem.dim)
@@ -233,13 +232,10 @@ def _starter_path(problem: IvpProblem, config: SolverConfig, rng: np.random.Gene
     if not exact and q not in _STARTER_KNOTS:
         raise ValueError(f"diffuse start supports q in 1..4, got {q}")
     h0 = config.resolve_h_init(problem)
-    if exact:
-        slots = np.arange(q1)
-        factor = np.zeros((problem.dim, q1, q1))
-        factor[:, slots, slots] = np.sqrt(h0 ** (2 * (q - slots) + 1))
-    else:
-        factor = np.full((problem.dim, 1, 1), np.sqrt(_DIFFUSE_VARIANCE)) * np.eye(q1)
-    prior = GaussState(t=problem.t0, mean=np.zeros(model.state_size), factor=factor)
+    slots = np.arange(q1)
+    factor = np.zeros((problem.dim, q1, q1))
+    factor[:, slots, slots] = (np.sqrt(h0 ** (2 * (q - slots) + 1)) if exact
+                               else np.sqrt(_DIFFUSE_VARIANCE))
 
     def reading(t: float, loc: np.ndarray, std: np.ndarray | None) -> np.ndarray:
         z = observe(problem, t, loc, std, rng=rng)
@@ -247,16 +243,21 @@ def _starter_path(problem: IvpProblem, config: SolverConfig, rng: np.random.Gene
             raise ValueError(f"right-hand side returned non-finite values at starter knot t = {t}")
         return z
 
-    state, _ = update(prior, problem.y0, ObservationModel(derivative_index=0))
-    z = reading(problem.t0, state.mean[0::q1], state.std()[0::q1] if rng is not None else None)
-    state, _ = update(state, z, _DERIV_OBS)
+    # Both priors are diagonal, so exact readings of slots 0 and 1 set those
+    # mean slots and zero their rows and columns of the factor, bit for bit
+    # what conditioning by QR gives.  A sampled reading at t0 is a draw of
+    # zero width, which keeps the run's random stream.
+    mean = np.zeros(model.state_size)
+    mean[0::q1] = problem.y0
+    mean[1::q1] = reading(problem.t0, mean[0::q1], np.zeros(problem.dim) if rng is not None else None)
+    prior = _built(problem.t0, np.zeros(model.state_size), factor)
+    factor = factor * (slots >= 2)
     path = SolutionPath(model=model)
-    path.append(prior, state, None)
+    path.append(prior, _built(problem.t0, mean, factor), None)
     if exact:
         return path
 
-    t, mean, factor = state.t, state.mean, state.factor
-    fractions = _STARTER_KNOTS[q]
+    t, fractions = problem.t0, _STARTER_KNOTS[q]
     for prev, frac in zip(fractions, fractions[1:]):
         t_next = problem.t0 + frac * h0
         # The step between knot times, not from t, which carries the

@@ -114,6 +114,12 @@ class TestOtherCommands:
                     "--out", str(tmp_path / "b.csv")])
         assert code == 1
 
+    def test_bench_takes_no_seed(self, tmp_path):
+        # bench solves with the mean strategy, which draws nothing.
+        code = run(["bench", "--problems", "logistic", "--eps", "0.01", "--seed", "1",
+                    "--out", str(tmp_path / "b.csv")])
+        assert code == 2
+
     def test_stability_grid(self, tmp_path):
         out = tmp_path / "stab.csv"
         code = run(["stability", "--q", "2", "--grid", "-4,0.5,0,3,10", "--out", str(out)])

@@ -275,10 +275,28 @@ class TestSmooth:
         s1 = predict(s0, discrete_transition(1, 0.5))
         path.append(s1, s1, 0.5, np.ones(m.dim))
         s2 = predict(s1, discrete_transition(1, 0.5))
-        # A wrong shape fails on append, a wrong value when the path is smoothed.
+        # A wrong shape or value fails on append, before the path holds it.
         with pytest.raises(ValueError, match=r"knot 2 \(t=1.0\)"):
             path.append(s2, s2, 0.5, sigma2)
-            smooth(path)
+        assert len(path) == 2
+
+    def test_knot_appended_to_smoothed_path_is_smoothed(self):
+        # A new knot drops the stale smoothed states, so the next reader
+        # smooths the whole path again, the new last interval included.
+        m = make_iwp(1, 1)
+        path = SolutionPath(model=m)
+        s0 = GaussState(0.0, np.array([1.0, 1.0]), np.eye(2)[None])
+        path.append(s0, s0, None)
+        s1 = predict(s0, discrete_transition(1, 0.5))
+        path.append(s1, s1, 0.5, np.ones(1))
+        smooth(path)
+        s2 = GaussState(1.0, np.array([1.5, 1.0]), np.zeros((1, 2, 2)))
+        path.append(predict(s1, discrete_transition(1, 0.5)), s2, 0.5, np.ones(1))
+        assert path.smoothed is None
+        np.testing.assert_allclose(interpolate(path, 1.0 - 1e-9).mean, s2.mean, atol=1e-6)
+        _assert_same_state(path.smoothed[2], s2)
+        draws = sample_posterior(path, seed=0, count=8)
+        assert np.all(draws[:, 2] == s2.mean)
 
     def test_zero_covariance_means_unchanged(self):
         m = make_iwp(1, 1)

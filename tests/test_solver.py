@@ -4,6 +4,7 @@ import pytest
 from odefilter import solver, stepcontrol
 from odefilter import (
     IvpProblem,
+    ObservationModel,
     SolverConfig,
     StepSizeUnderflowError,
     discrete_transition,
@@ -14,6 +15,7 @@ from odefilter import (
     reference_solution,
     smooth,
     solve,
+    update,
 )
 
 
@@ -576,12 +578,32 @@ class TestStartCost:
     @pytest.mark.parametrize("strategy", ["mean", "sampled"])
     def test_diffuse_start_takes_one_qr_per_step_and_no_transition_object(self, strategy,
                                                                           monkeypatch):
-        # Two conditionings at t0, then one QR per starter step, as in the
+        # Knot 0 is pinned without a QR, then one QR per starter step, as in the
         # loop: a sampled draw is sized from the unfactored predicted factor.
         counts = _count_qr_and_transitions(monkeypatch)
         config = SolverConfig(q=4, init_mode="diffuse_filter", obs_strategy=strategy, seed=3)
         initialize(get_problem("vdp"), config)
-        assert counts == {"qr": 2 + 3, "transition": 0}  # steps to t0 + (1/3, 1/2, 1) h_init
+        assert counts == {"qr": 3, "transition": 0}  # steps to t0 + (1/3, 1/2, 1) h_init
+
+    @pytest.mark.parametrize("strategy", ["mean", "sampled"])
+    def test_exact_start_takes_no_qr(self, strategy, monkeypatch):
+        counts = _count_qr_and_transitions(monkeypatch)
+        initialize(get_problem("vdp"), SolverConfig(q=4, obs_strategy=strategy, seed=3))
+        assert counts == {"qr": 0, "transition": 0}
+
+    @pytest.mark.parametrize("name", ["logistic", "brusselator", "vdp", "linear(-2)"])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    @pytest.mark.parametrize("init_mode", ["exact", "diffuse_filter"])
+    def test_pinned_knot_0_is_two_updates_bit_for_bit(self, name, q, init_mode):
+        # The closed form of conditioning the diagonal prior on y(t0) and y'(t0).
+        problem = get_problem(name)
+        path = solver._starter_path(problem, SolverConfig(q=q, init_mode=init_mode), None)
+        state, _ = update(path.predictions[0], problem.y0, ObservationModel(derivative_index=0))
+        slope = problem.eval_rhs(problem.t0, problem.y0)
+        state, _ = update(state, slope, ObservationModel(derivative_index=1))
+        pinned = path.filtered[0]
+        assert pinned.mean.tobytes() == state.mean.tobytes()
+        assert pinned.factor.tobytes() == state.factor.tobytes()
 
 
 class TestStarterModes:

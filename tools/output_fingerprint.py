@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 line per solve over a fixed set, to compare two checkouts.
+"""Print one SHA-256 line per solve and per CLI command, to compare two checkouts.
 
 Usage: python3 tools/output_fingerprint.py [--quick]
 
 Imports the package from this checkout's src/ and ``linear_nd`` from its
-perfbench/.  Each line hashes every bit a solve hands out: the state
+perfbench/.  Each solve line hashes every bit a solve hands out: the state
 ``initialize`` starts from (so a start is covered even when the solve
 after it fails), the path's
 columns (knots, steps, diffusions, filtered means and factors, predicted
@@ -12,7 +12,10 @@ means), the per-step records, the step and evaluation counts, the rebuilt
 predictions, the smoothed states, posterior samples, and ``interpolate`` at
 off-mesh times inside the span and past its end.  A solve that raises
 hashes its error's type and message instead, from the point it stopped.
-Two checkouts whose solver outputs agree bit for bit print the same lines:
+Then each of the eight reference CLI commands runs in-process in a temporary
+directory; its line is the SHA-256 of the file it writes, the command and
+the summary line it prints (or its exit code, when that is not 0).
+Two checkouts whose outputs agree bit for bit print the same lines:
 
     python3 tools/output_fingerprint.py > a.txt   # in each checkout
     diff a.txt b.txt
@@ -23,8 +26,12 @@ Two checkouts whose solver outputs agree bit for bit print the same lines:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
+import os
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -34,10 +41,25 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import odefilter  # noqa: E402
+from odefilter import cli  # noqa: E402
 from workloads import LINEAR_CASES, linear_nd  # noqa: E402
 
 PROBLEMS = ("logistic", "brusselator", "vdp")
 INITS = ("exact", "diffuse_filter", "rk_starter")
+# Each command writes the file its last argument names, inside the working directory.
+CLI_COMMANDS = (
+    "solve --problem logistic --eps 1e-6 --out solve_logistic.csv",
+    "solve --problem vdp --eps 1e-4 --fixed-step 0.02 --global-sigma --format json "
+    "--out solve_vdp_global.json",
+    "solve --problem brusselator --eps 1e-3 --obs sampled --seed 3 --samples 2 "
+    "--out solve_brusselator_sampled.csv",
+    "solve --problem logistic --q 4 --init rk --eps 1e-4 --out solve_logistic_q4_rk.csv",
+    "bench --problems logistic,brusselator,vdp --eps 1e-3,1e-6 --out bench.csv",
+    "stability --q 2 --out stability_q2.csv",
+    "converge --problem logistic --q 2 --h-list 0.1,0.05,0.025,0.0125 "
+    "--out converge_logistic_q2.csv",
+    "calibrate --problem logistic --eps 1e-6 --out calibrate_logistic.csv",
+)
 
 
 def cells(quick: bool):
@@ -101,6 +123,24 @@ def fingerprint(problem: odefilter.IvpProblem, config: odefilter.SolverConfig) -
     return digest.hexdigest(), outcome
 
 
+def cli_fingerprints():
+    """``(hash of the output file, command, summary line or exit code)`` per
+    command of ``CLI_COMMANDS``, run in a temporary working directory."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for command in CLI_COMMANDS:
+                args, stdout = command.split(), io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    code = cli.main(args)
+                out = Path(args[-1])
+                digest = hashlib.sha256(out.read_bytes() if out.exists() else b"").hexdigest()
+                yield digest, command, stdout.getvalue().strip() if code == 0 else f"exit {code}"
+        finally:
+            os.chdir(cwd)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="drop the eps 1e-6 cells")
@@ -110,6 +150,8 @@ def main() -> int:
         problem = linear_nd(name, 0) if isinstance(name, int) else odefilter.get_problem(name)
         digest, outcome = fingerprint(problem, config)
         print(f"{digest}  {label}: {outcome}", flush=True)
+    for digest, command, summary in cli_fingerprints():
+        print(f"{digest}  odefilter {command}: {summary}", flush=True)
     return 0
 
 
