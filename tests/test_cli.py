@@ -1,4 +1,7 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,3 +180,32 @@ class TestDeterminism:
                         "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestFingerprintTool:
+    """``tools/output_fingerprint.py`` prints a line per reference CLI command
+    and exits 1 when any of them exits nonzero, since two runs of a failing
+    command print the same line and a ``diff`` of them passes."""
+
+    @pytest.fixture
+    def tool(self, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "tools" / "output_fingerprint.py"
+        spec = importlib.util.spec_from_file_location("output_fingerprint", path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        spec.loader.exec_module(module)
+        monkeypatch.setattr(module, "cells", lambda quick: iter(()))
+        monkeypatch.setattr(sys, "argv", [str(path)])
+        return module
+
+    @pytest.mark.parametrize("commands, code", [
+        (("solve --problem logistic --eps 0.01 --out a.csv",), 0),
+        (("solve --problem logistic --bogus --out a.csv",
+          "solve --problem logistic --eps 0.01 --out a.csv"), 1),
+    ])
+    def test_exit_code_follows_the_commands(self, tool, monkeypatch, capsys, commands, code):
+        monkeypatch.setattr(tool, "CLI_COMMANDS", commands)
+        assert tool.main() == code
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(commands)
+        assert lines[0].endswith(": exit 2") == bool(code)

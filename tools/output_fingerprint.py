@@ -14,8 +14,9 @@ off-mesh times inside the span and past its end.  A solve that raises
 hashes its error's type and message instead, from the point it stopped.
 Then each of the eight reference CLI commands runs in-process in a temporary
 directory; its line is the SHA-256 of the file it writes, the command and
-the summary line it prints (or its exit code, when that is not 0).
-Two checkouts whose outputs agree bit for bit print the same lines:
+the summary line it prints (or its exit code, when that is not 0).  The
+script exits 1, after printing every line, if any of those commands exits
+nonzero.  Two checkouts whose outputs agree bit for bit print the same lines:
 
     python3 tools/output_fingerprint.py > a.txt   # in each checkout
     diff a.txt b.txt
@@ -124,7 +125,7 @@ def fingerprint(problem: odefilter.IvpProblem, config: odefilter.SolverConfig) -
 
 
 def cli_fingerprints():
-    """``(hash of the output file, command, summary line or exit code)`` per
+    """``(hash of the output file, command, exit code, summary line)`` per
     command of ``CLI_COMMANDS``, run in a temporary working directory."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -136,7 +137,7 @@ def cli_fingerprints():
                     code = cli.main(args)
                 out = Path(args[-1])
                 digest = hashlib.sha256(out.read_bytes() if out.exists() else b"").hexdigest()
-                yield digest, command, stdout.getvalue().strip() if code == 0 else f"exit {code}"
+                yield digest, command, code, stdout.getvalue().strip() if code == 0 else f"exit {code}"
         finally:
             os.chdir(cwd)
 
@@ -150,9 +151,11 @@ def main() -> int:
         problem = linear_nd(name, 0) if isinstance(name, int) else odefilter.get_problem(name)
         digest, outcome = fingerprint(problem, config)
         print(f"{digest}  {label}: {outcome}", flush=True)
-    for digest, command, summary in cli_fingerprints():
+    failed = False
+    for digest, command, code, summary in cli_fingerprints():
         print(f"{digest}  odefilter {command}: {summary}", flush=True)
-    return 0
+        failed |= code != 0
+    return int(failed)
 
 
 if __name__ == "__main__":
