@@ -24,10 +24,11 @@ the filtered factor in that order and permutes them back once.
 
 That backward conditional depends only on the filtered factor, the step and
 the diffusion, never on the smoothed successor.  ``smooth`` and
-``sample_posterior`` therefore build it for a chunk of intervals at a time,
-with stacked transitions, one batched QR and one batched inverse, and keep
-only the knot-to-knot recursion in Python.  A chunk holds at most
-``_CHUNK_BLOCKS`` blocks, so the temporaries do not grow with the path.
+``sample_posterior`` therefore build it for a chunk of intervals at a time
+with one batched QR and one batched inverse, in units of each interval's
+step (there every transition is ``A(1)``), and keep only the knot-to-knot
+recursion in Python.  A chunk holds at most ``_CHUNK_BLOCKS`` blocks, so
+the temporaries do not grow with the path.
 
 A :class:`SolutionPath` keeps one row per knot in shared column arrays and
 hands out states as views built on access.  It stores no predicted factor:
@@ -39,12 +40,11 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import isfinite
+from math import inf, isfinite
 
 import numpy as np
 
-from .priors import (DiscreteTransition, IwpModel, _transition_stack,
-                     discrete_transition)
+from .priors import DiscreteTransition, IwpModel, _transition, discrete_transition
 
 __all__ = [
     "GaussState",
@@ -352,24 +352,29 @@ class SolutionPath:
         return _built(float(c["t"][i]), c["pred_mean"][i], factor)
 
     def append(self, prediction: GaussState, filtered: GaussState, h: float | None, sigma2=None):
-        """Add one knot and drop the stale smoothed states.  ``h``/``sigma2`` describe the
-        incoming interval, ``sigma2`` one finite scale >= 0 per dimension, checked here once;
-        both are omitted for the first knot.  Of a later ``prediction`` only the mean is kept."""
-        n = len(self)
+        """Add one knot, checked here once, and drop the stale smoothed states.  ``t`` is
+        finite and follows the last knot's; ``h`` (finite, > 0) and ``sigma2`` (one finite
+        scale >= 0 per dimension) describe the incoming interval and are omitted for the
+        first knot.  Of a later ``prediction`` only the mean is kept."""
+        n, t = len(self), filtered.t
+        if not isfinite(t):
+            raise ValueError(f"knot {n}: time must be finite, got t={t}")
+        if h is not None and not 0.0 < h < inf:
+            raise ValueError(f"knot {n} (t={t}): step size must be finite and > 0, got {h}")
         if n:
             if h is None:
                 raise ValueError("interior knots need the incoming step size")
             t_prev = float(self.knots[-1])
-            if filtered.t <= t_prev:
-                raise ValueError(f"knots must increase: {filtered.t} after {t_prev}")
+            if t <= t_prev:
+                raise ValueError(f"knot {n}: knots must increase: {t} after {t_prev}")
             sigma2 = np.atleast_1d(np.asarray(sigma2, dtype=float))
             if sigma2.shape != (self.model.dim,) or not np.all((sigma2 >= 0.0) & (sigma2 < np.inf)):
-                raise ValueError(f"knot {n} (t={filtered.t}): expected {self.model.dim} "
+                raise ValueError(f"knot {n} (t={t}): expected {self.model.dim} "
                                  f"finite diffusion scales >= 0, got {sigma2}")
         else:
             self._prior, h, sigma2 = prediction, np.nan, np.nan
         self.smoothed = None
-        self.columns.append(t=filtered.t, h=h, sigma2=sigma2, mean=filtered.mean,
+        self.columns.append(t=t, h=h, sigma2=sigma2, mean=filtered.mean,
                             factor=filtered.factor, pred_mean=prediction.mean)
 
     def _scale_diffusion(self, sigma2: np.ndarray):
@@ -396,46 +401,55 @@ def _chunks(n: int, d: int):
         yield max(0, hi - size), hi
 
 
-def _backward(factors: np.ndarray, A: np.ndarray, Q_sqrt: np.ndarray,
+@lru_cache(maxsize=None)
+def _unit_step(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """``A(1)`` and ``Q(1)^(1/2)``, read-only: any step's transition in units of that step."""
+    A, Q_sqrt, _ = _transition(q, 1.0)
+    A.flags.writeable = Q_sqrt.flags.writeable = False
+    return A, Q_sqrt
+
+
+def _backward(factors: np.ndarray, steps: np.ndarray,
               sigma2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gains and conditional factors of x_k (factor ``F``) given x_{k+1}.
 
     Works on a stack of N knots: ``factors`` of shape ``(N, d, q+1, m)``
-    with ``m >= q+1`` (any factor, triangular or not), the unit transitions
-    ``A`` and ``Q_sqrt`` to the next knot, each of shape ``(N, q+1, q+1)``,
-    and diffusion scales ``sigma2`` of shape ``(N, d)``; both results have
-    shape ``(N, d, q+1, q+1)``.  None of this depends on the smoothed
-    successor, so a whole chunk of the path is built with one batched QR
-    and one batched inverse.
+    with ``m >= q+1`` (any factor, triangular or not), the ``steps`` h to
+    the next knot, shape ``(N,)``, and diffusion scales ``sigma2`` of shape
+    ``(N, d)``; both results have shape ``(N, d, q+1, q+1)``.  None of this
+    depends on the smoothed successor, so a whole chunk of the path is built
+    with one batched QR and one batched inverse.
 
-    One QR of the joint factor ``[[A F, Q^(1/2)], [F, 0]]`` of (x_{k+1}, x_k)
-    gives lower triangular blocks ``[[L11, 0], [L21, L22]]``: the gain is
-    ``L21 L11^+`` and ``L22`` factors the covariance of x_k given x_{k+1}.
-    ``L11`` is singular without diffusion.  Its rows are scaled to unit norm
-    first: unscaled, its condition number reaches 1e12 at tight tolerances,
-    and the SVD behind ``pinv`` loses that much accuracy.
+    Each interval is worked in units of its step, ``S = diag(h^i)``: there
+    the transition is ``A(1)`` and the noise factor ``h^(q+1/2) Q(1)^(1/2)``.
+    One QR of the joint factor of (S x_{k+1}, S x_k),
+    ``[[A(1) S F, sqrt(sigma2) h^(q+1/2) Q(1)^(1/2)], [S F, 0]]``, gives lower
+    triangular blocks ``[[L11, 0], [L21, L22]]``: the gain is
+    ``S^-1 L21 L11^+ S`` and ``S^-1 L22`` factors the covariance of x_k given
+    x_{k+1}.  ``L11`` needs no equilibration in these units; a block with an
+    ``|L11_ii|`` at most 1e-12 times row i's norm (no diffusion) takes ``pinv``.
     """
     N, d, n, m = factors.shape
+    A, Q_sqrt = _unit_step(n - 1)
+    powers = steps[:, None] ** np.arange(n)
+    scaled = powers[:, None, :, None] * factors
     joint = np.zeros((N, d, 2 * n, m + n))
-    joint[..., :n, :m] = A[:, None] @ factors
-    joint[..., :n, m:] = np.sqrt(sigma2)[..., None, None] * Q_sqrt[:, None]
-    joint[..., n:, :m] = factors
+    joint[..., :n, :m] = A @ scaled
+    noise = np.sqrt(sigma2) * (powers[:, -1] * np.sqrt(steps))[:, None]  # sqrt(sigma2) h^(q+1/2)
+    joint[..., :n, m:] = noise[..., None, None] * Q_sqrt
+    joint[..., n:, :m] = scaled
     L = _triangularize(joint)
     L11 = L[..., :n, :n]
-    # Zero rows stay zero under any scale; the floor only avoids 1/0.
-    scale = 1.0 / np.maximum(np.sqrt(np.sum(L11 * L11, axis=-1, keepdims=True)), 1e-300)
-    T = scale * L11
-    # Per knot, pinv is inv, which is cheaper, unless a (triangular) T is
-    # singular to round-off.
-    diag = np.abs(T.reshape(N, d, n * n)[..., ::n + 1])
-    if diag.min() > 1e-12:
-        inv = np.linalg.inv(T)
+    diag = np.abs(np.diagonal(L11, axis1=-2, axis2=-1))
+    singular = np.any(diag <= 1e-12 * np.linalg.norm(L11, axis=-1), axis=-1)
+    if singular.any():
+        inv = np.empty_like(L11)
+        inv[singular] = np.linalg.pinv(L11[singular])
+        inv[~singular] = np.linalg.inv(L11[~singular])
     else:
-        singular = diag.min(axis=(1, 2)) <= 1e-12
-        inv = np.empty_like(T)
-        inv[singular] = np.linalg.pinv(T[singular])
-        inv[~singular] = np.linalg.inv(T[~singular])
-    return L[..., n:, :n] @ inv * scale.swapaxes(-1, -2), L[..., n:, n:]
+        inv = np.linalg.inv(L11)
+    back = (1.0 / powers)[:, None, :, None]
+    return back * (L[..., n:, :n] @ inv) * powers[:, None, None, :], back * L[..., n:, n:]
 
 
 def _backward_chunks(path: SolutionPath):
@@ -443,8 +457,7 @@ def _backward_chunks(path: SolutionPath):
     of ``path``, one chunk at a time from the end of the path."""
     steps, sigma2, factors = path.step_sizes, path.step_sigma2, path.columns["factor"]
     for lo, hi in _chunks(len(steps), path.model.dim):
-        A, Q_sqrt = _transition_stack(path.model.q, steps[lo:hi].tolist())
-        yield lo, *_backward(factors[lo:hi], A, Q_sqrt, sigma2[lo:hi])
+        yield lo, *_backward(factors[lo:hi], steps[lo:hi], sigma2[lo:hi])
 
 
 def _rts_step(mean: np.ndarray, G: np.ndarray, cond: np.ndarray, pred_mean_next: np.ndarray,
@@ -542,8 +555,7 @@ def interpolate(path: SolutionPath, t: float, allow_extrapolation: bool = False)
 
     i = right - 1
     c = path.columns
-    (A_fwd, A_bwd), (Q_fwd, Q_bwd) = _transition_stack(
-        path.model.q, [t - float(knots[i]), float(knots[i + 1]) - t])
+    A_fwd, Q_fwd, _ = _transition(path.model.q, t - float(knots[i]))
     sigma2 = c["sigma2"][i + 1]
     at_t = _stacked(c["factor"][i], A_fwd, Q_fwd, sigma2)
     if i == 0:
@@ -551,7 +563,7 @@ def interpolate(path: SolutionPath, t: float, allow_extrapolation: bool = False)
         # backward QR untriangularized, a diffuse prior's 1e6 entries there
         # cost up to four digits.  Later knots lose nothing untriangularized.
         at_t = _triangularize(at_t)
-    G, cond = _backward(at_t[None], A_bwd[None], Q_bwd[None], sigma2[None])
+    G, cond = _backward(at_t[None], np.array([float(knots[i + 1]) - t]), sigma2[None])
     after = path.smoothed[i + 1]
     mean, factor = _rts_step(_matvec(A_fwd, c["mean"][i]), G[0], cond[0], c["pred_mean"][i + 1],
                              after.mean, after.factor)

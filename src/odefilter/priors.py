@@ -23,7 +23,9 @@ gives constant matrices: ``B A(h) B^-1`` is the Pascal matrix
 (:func:`pascal_matrix`) and ``B Q(h) B = h^(2q+1) Qbar``
 (:func:`nordsieck_qbar`), whose Cholesky factor rescales to
 ``Q(h)^(1/2)``.  The closed-form transitions of the solver and the
-dimensionless recursions of ``analysis`` read this table.
+dimensionless recursions of ``analysis`` read this table.  Without the
+i!, in units of the step, ``S = diag(h^i)``, the transition is ``A(1)`` and
+``S Q(h)^(1/2) = h^(q+1/2) Q(1)^(1/2)``, the units of the smoother's backward pass.
 
 Multivariate problems use ``d`` independent copies of the scalar model that
 share the mesh, so all matrices in this module are single-block
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, inf, sqrt
+from math import comb, factorial, sqrt
 
 import numpy as np
 
@@ -193,21 +195,3 @@ def _transition(q: int, h: float) -> tuple[np.ndarray, np.ndarray, float]:
     Q_sqrt = (sqrt(h) * powers[q::-1])[:, None] * c.qbar_sqrt
     return powers.take(c.a_lag) / c.a_den, Q_sqrt, h ** (2 * q - 1) / c.q11_den
 
-
-def _transition_stack(q: int, steps: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """``A`` and ``Q_sqrt`` of :func:`discrete_transition` for a list of steps.
-
-    Returns two ``(N, q+1, q+1)`` arrays, bit-identical to the scalar
-    transitions step by step: the same table, the same Python powers.  The
-    smoother builds a whole path's transitions at once this way; the
-    scalar function stays separate because the solver calls it once per
-    attempt, where the stack's overhead would cost more than it saves.
-    """
-    for h in steps:
-        if not 0.0 < h < inf:
-            raise ValueError(f"step sizes must be finite and positive, got {h}")
-    c = _constants(q)
-    powers = np.array([[h**k for k in range(2 * q + 2)] + [0.0] for h in steps])
-    A = powers[:, c.a_lag] / c.a_den
-    Q_sqrt = (np.sqrt(steps)[:, None] * powers[:, q::-1])[:, :, None] * c.qbar_sqrt
-    return A, Q_sqrt

@@ -257,6 +257,8 @@ def _starter_path(problem: IvpProblem, config: SolverConfig, rng: np.random.Gene
     if exact:
         return path
 
+    # The starter knots lie in [t0, t0 + h0]; a span shorter than h0 ends them at T.
+    h0 = min(h0, problem.T - problem.t0)
     t, fractions = problem.t0, _STARTER_KNOTS[q]
     for prev, frac in zip(fractions, fractions[1:]):
         t_next = problem.t0 + frac * h0

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from odefilter import SolverConfig, filtering, get_problem
 from odefilter.cli import main
 
 
@@ -41,6 +42,15 @@ class TestSolveCommand:
         assert code == 0
         header = out.read_text().splitlines()[0].split(",")
         assert "sample0_0" in header and "sample1_0" in header
+
+    @pytest.mark.parametrize("step", [["--h-init", "10"], ["--fixed-step", "3"]])
+    def test_diffuse_start_longer_than_the_span_writes_no_row_past_T(self, tmp_path, step):
+        out = tmp_path / "s.csv"
+        code = run(["solve", "--problem", "logistic", "--init", "diffuse", "--eps", "1e-3",
+                    *step, "--out", str(out)])
+        assert code == 0
+        t = np.loadtxt(out, delimiter=",", skiprows=1, usecols=0)
+        assert t.max() == t[-1] == 1.5
 
     def test_problem_file(self, tmp_path):
         spec = {"name": "decay", "dim": 1, "t0": 0.0, "T": 1.0, "y0": [1.0],
@@ -197,6 +207,15 @@ class TestFingerprintTool:
         monkeypatch.setattr(module, "cells", lambda quick: iter(()))
         monkeypatch.setattr(sys, "argv", [str(path)])
         return module
+
+    def test_backward_change_moves_only_the_posterior_hash(self, tool, monkeypatch):
+        problem, config = get_problem("logistic"), SolverConfig(q=2, fixed_step=0.1)
+        forward, posterior, outcome = tool.fingerprint(problem, config)
+        backward = filtering._backward
+        monkeypatch.setattr(filtering, "_backward",
+                            lambda *args: tuple(2.0 * x for x in backward(*args)))
+        moved = tool.fingerprint(problem, config)
+        assert (moved[0], moved[2]) == (forward, outcome) and moved[1] != posterior
 
     @pytest.mark.parametrize("commands, code", [
         (("solve --problem logistic --eps 0.01 --out a.csv",), 0),

@@ -167,6 +167,29 @@ class TestSolutionPath:
             path.append(other, other, 0.5, [1.0])
         assert len(path) == 1
 
+    @pytest.mark.parametrize("h", [-0.5, np.nan, np.inf])
+    def test_bad_step_names_the_knot(self, h):
+        path = SolutionPath(model=make_iwp(1, 1))
+        state = GaussState(0.5, np.array([1.0, 0.0]), np.eye(2)[None])
+        with pytest.raises(ValueError, match=r"knot 0 \(t=0.5\): step size"):
+            path.append(state, state, h)
+        path.append(state, state, None)
+        later = GaussState(1.0, state.mean, state.factor)
+        with pytest.raises(ValueError, match=r"knot 1 \(t=1.0\): step size"):
+            path.append(later, later, h, [1.0])
+        assert len(path) == 1
+
+    def test_non_finite_time_names_the_knot(self):
+        path = SolutionPath(model=make_iwp(1, 1))
+        state = GaussState(np.nan, np.array([1.0, 0.0]), np.eye(2)[None])
+        with pytest.raises(ValueError, match="knot 0: time must be finite"):
+            path.append(state, state, None)
+        path, first = self._one_knot()
+        later = GaussState(np.nan, first.mean, first.factor)
+        with pytest.raises(ValueError, match="knot 1: time must be finite"):
+            path.append(later, later, 0.5, [1.0])
+        assert len(path) == 1
+
 
 class TestPathViews:
     @pytest.mark.parametrize("config", [SolverConfig(q=2, eps=1e-3),
@@ -643,6 +666,24 @@ class TestDenseOracle:
                                                 path.smoothed[i + 1], tr.A, Q, sigma2, k)
                 _assert_rel(sm.mean[k * q1:(k + 1) * q1], m_ref, rel=1e-10)
                 _assert_rel(sm.cov[k], c_ref, rel=1e-10)
+
+    @pytest.mark.parametrize("name, bound", [("logistic", 1e-4), ("vdp", 1e-7)])
+    def test_diffuse_starter_intervals_match_mp(self, name, bound):
+        # The first interval's left knot holds the diffuse prior's 1e6 entries.
+        # Built in natural units with row-equilibrated gains, the smoothed
+        # covariance there was off by 2.1e-4 (logistic) and 2.7e-7 (vdp) of
+        # the block's largest entry; in units of each step, 2.3e-5 and 4.3e-8.
+        path = smooth(solve(get_problem(name), SolverConfig(q=4, eps=1e-3,
+                                                            init_mode="diffuse_filter")).path)
+        q1 = path.model.block_size
+        for i in range(5):
+            filt, sigma2, h = path.filtered[i], path.step_sigma2[i], path.step_sizes[i]
+            A, Q = discrete_transition(4, h).A, loop_q(4, h)
+            for k in range(path.model.dim):
+                m_ref, c_ref = _mp_smooth_block(filt, path.predictions[i + 1], path.smoothed[i + 1],
+                                                A, Q, sigma2, k)
+                _assert_rel(path.smoothed[i].mean[k * q1:(k + 1) * q1], m_ref, rel=1e-10)
+                _assert_rel(path.smoothed[i].cov[k], c_ref, rel=bound)
 
     @pytest.mark.parametrize("case", ["vdp", "linear8"])
     def test_chunking_bit_identical(self, case, monkeypatch):

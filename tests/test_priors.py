@@ -5,17 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odefilter import (
-    SolverConfig,
-    discrete_transition,
-    get_problem,
-    make_iwp,
-    nordsieck_qbar,
-    pascal_matrix,
-    solve,
-)
-from odefilter.filtering import _CHUNK_BLOCKS
-from odefilter.priors import _transition_stack
+from odefilter import discrete_transition, make_iwp, nordsieck_qbar, pascal_matrix
 from transition_oracle import loop_a, loop_q, matrix_fraction
 
 
@@ -92,17 +82,6 @@ class TestDiscreteTransition:
             np.testing.assert_allclose(tr.A, loop_a(q, h), rtol=0, atol=0)
             assert tr.q11 == loop_q(q, h)[1, 1]
 
-    def test_stack_bit_identical_to_scalar(self):
-        # The steps of an adaptive path longer than one chunk of the
-        # smoother's backward pass, which builds its transitions stacked.
-        path = solve(get_problem("vdp"), SolverConfig(q=2, eps=1e-3)).path
-        assert len(path.step_sizes) * path.model.dim > _CHUNK_BLOCKS
-        for q in (1, 2, 3, 4):
-            A, Q_sqrt = _transition_stack(q, path.step_sizes)
-            scalar = [discrete_transition(q, h) for h in path.step_sizes]
-            np.testing.assert_allclose(A, [tr.A for tr in scalar], rtol=0, atol=0)
-            np.testing.assert_allclose(Q_sqrt, [tr.Q_sqrt for tr in scalar], rtol=0, atol=0)
-
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_q_sqrt_is_lower_factor_of_q(self, q):
         for h in 10.0 ** np.arange(-8.0, 2.0):
@@ -123,8 +102,6 @@ class TestDiscreteTransition:
     def test_rejects_bad_step(self, h):
         with pytest.raises(ValueError):
             discrete_transition(2, h)
-        with pytest.raises(ValueError):
-            _transition_stack(2, [0.1, h])
 
     @pytest.mark.parametrize(
         "q,error",

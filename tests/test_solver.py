@@ -136,6 +136,14 @@ class TestInitialize:
         with pytest.raises(ValueError, match="diffuse start supports q in 1..4, got 5"):
             initialize(get_problem("logistic"), SolverConfig(q=5, init_mode=mode))
 
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("kwargs", [dict(h_init=10.0, eps=1e-3), dict(fixed_step=3.0)])
+    def test_diffuse_start_longer_than_the_span_ends_at_T(self, q, kwargs):
+        problem = get_problem("logistic")
+        knots = solve(problem, SolverConfig(q=q, init_mode="diffuse_filter", **kwargs)).knots
+        assert np.all((knots >= problem.t0) & (knots <= problem.T))
+        assert knots[-1] == problem.T
+
     def test_diffuse_counts_q_evaluations(self):
         p = get_problem("logistic")
         cfg = SolverConfig(q=3, h_init=0.1, init_mode="diffuse_filter")

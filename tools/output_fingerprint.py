@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""Print one SHA-256 line per solve and per CLI command, to compare two checkouts.
+"""Print SHA-256 lines, two per solve and one per CLI command, to compare two checkouts.
 
 Usage: python3 tools/output_fingerprint.py [--quick]
 
 Imports the package from this checkout's src/ and ``linear_nd`` from its
-perfbench/.  Each solve line hashes every bit a solve hands out: the state
-``initialize`` starts from (so a start is covered even when the solve
-after it fails), the path's
-columns (knots, steps, diffusions, filtered means and factors, predicted
-means), the per-step records, the step and evaluation counts, the rebuilt
-predictions, the smoothed states, posterior samples, and ``interpolate`` at
-off-mesh times inside the span and past its end.  A solve that raises
-hashes its error's type and message instead, from the point it stopped.
+perfbench/.  Each solve line holds two hashes, which together cover every
+bit a solve hands out.  The forward hash covers the state ``initialize``
+starts from (so a start is covered even when the solve after it fails), the
+path's columns (knots, steps, diffusions, filtered means and factors,
+predicted means), the per-step records, the step and evaluation counts, the
+diffusion trace and the rebuilt predictions.  The posterior hash covers the
+smoothed states, posterior samples, and ``interpolate`` at off-mesh times
+inside the span and past its end.  A change to the backward pass alone moves
+only posterior hashes.  A solve that raises hashes its error's type and
+message instead, into the hash of the part it stopped in.
 Then each of the eight reference CLI commands runs in-process in a temporary
 directory; its line is the SHA-256 of the file it writes, the command and
 the summary line it prints (or its exit code, when that is not 0).  The
@@ -20,6 +22,7 @@ nonzero.  Two checkouts whose outputs agree bit for bit print the same lines:
 
     python3 tools/output_fingerprint.py > a.txt   # in each checkout
     diff a.txt b.txt
+    diff <(cut -d' ' -f1,3- a.txt) <(cut -d' ' -f1,3- b.txt)   # without posterior hashes
 
 ``--quick`` drops the eps 1e-6 cells, which take most of the run.
 """
@@ -87,9 +90,12 @@ def cells(quick: bool):
         yield f"linear_nd d={d} q=2 fixed=1/{steps}", d, config(q=2, fixed_step=1.0 / steps)
 
 
-def fingerprint(problem: odefilter.IvpProblem, config: odefilter.SolverConfig) -> tuple[str, str]:
-    """The solve's hash, and its step counts or the name of the error it raised."""
-    digest, outcome = hashlib.sha256(), ""
+def fingerprint(problem: odefilter.IvpProblem,
+                config: odefilter.SolverConfig) -> tuple[str, str, str]:
+    """The solve's forward and posterior hashes, and its step counts or the name of
+    the error it raised."""
+    forward, posterior = hashlib.sha256(), hashlib.sha256()
+    digest, outcome = forward, ""
 
     def add(*values):
         for value in values:
@@ -108,6 +114,7 @@ def fingerprint(problem: odefilter.IvpProblem, config: odefilter.SolverConfig) -
         add([result.steps_accepted, result.steps_rejected, result.fevals], result.sigma2_trace)
         for state in path.predictions:
             add(state.t, state.mean, state.factor)
+        digest = posterior
         odefilter.smooth(path)
         for state in path.smoothed:
             add(state.t, state.mean, state.factor)
@@ -121,7 +128,7 @@ def fingerprint(problem: odefilter.IvpProblem, config: odefilter.SolverConfig) -
     except Exception as exc:  # the failure is part of the output
         digest.update(f"{type(exc).__name__}: {exc}".encode())
         outcome = f"{outcome}; " * bool(outcome) + type(exc).__name__
-    return digest.hexdigest(), outcome
+    return forward.hexdigest(), posterior.hexdigest(), outcome
 
 
 def cli_fingerprints():
@@ -149,8 +156,8 @@ def main() -> int:
     warnings.simplefilter("ignore")  # overflowing sampled readings warn; their outputs are hashed
     for label, name, config in cells(args.quick):
         problem = linear_nd(name, 0) if isinstance(name, int) else odefilter.get_problem(name)
-        digest, outcome = fingerprint(problem, config)
-        print(f"{digest}  {label}: {outcome}", flush=True)
+        forward, posterior, outcome = fingerprint(problem, config)
+        print(f"{forward} {posterior}  {label}: {outcome}", flush=True)
     failed = False
     for digest, command, code, summary in cli_fingerprints():
         print(f"{digest}  odefilter {command}: {summary}", flush=True)
