@@ -47,7 +47,6 @@ from .priors import (
     pascal_matrix,
 )
 from .problems import (
-    ReferenceOracle,
     available_problems,
     get_problem,
     load_problem_file,

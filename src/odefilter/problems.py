@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -18,7 +17,6 @@ from scipy.integrate import solve_ivp
 from .solver import IvpProblem, SolveResult
 
 __all__ = [
-    "ReferenceOracle",
     "available_problems",
     "get_problem",
     "reference_solution",
@@ -121,38 +119,9 @@ def get_problem(name: str) -> IvpProblem:
     )
 
 
-@dataclass(eq=False)
-class ReferenceOracle:
-    """High-order adaptive integrator used solely as ground truth."""
-
-    tol: float = 1e-13
-    method: str = "DOP853"
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    def flow(self, problem: IvpProblem, ts: np.ndarray) -> np.ndarray:
-        """Solution values at the requested times, cached per time grid."""
-        ts = np.asarray(ts, dtype=float)
-        key = (problem.name, problem.t0, problem.T, ts.tobytes(), self.tol)
-        if key not in self._cache:
-            sol = solve_ivp(
-                problem.rhs,
-                (problem.t0, max(problem.T, float(ts.max()))),
-                problem.y0,
-                method=self.method,
-                rtol=self.tol,
-                atol=self.tol,
-                t_eval=ts,
-                dense_output=False,
-            )
-            if not sol.success:
-                raise RuntimeError(f"reference integration failed: {sol.message}")
-            self._cache[key] = sol.y.T.copy()
-        return self._cache[key]
-
-
-def reference_solution(problem: IvpProblem, t, oracle: ReferenceOracle | None = None) -> np.ndarray:
-    """Ground-truth solution at time(s) t, accurate to about oracle.tol."""
-    oracle = oracle or ReferenceOracle()
+def reference_solution(problem: IvpProblem, t, tol: float = 1e-13) -> np.ndarray:
+    """Ground-truth solution at time(s) t from DOP853 at rtol = atol = tol,
+    a high-order adaptive integrator used solely as ground truth."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(ts < problem.t0):
         raise ValueError("reference times precede t0")
@@ -161,7 +130,11 @@ def reference_solution(problem: IvpProblem, t, oracle: ReferenceOracle | None = 
     if np.any(~inside):
         out[~inside] = problem.y0
     if np.any(inside):
-        out[inside] = oracle.flow(problem, ts[inside])
+        sol = solve_ivp(problem.rhs, (problem.t0, max(problem.T, float(ts.max()))), problem.y0,
+                        method="DOP853", rtol=tol, atol=tol, t_eval=ts[inside])
+        if not sol.success:
+            raise RuntimeError(f"reference integration failed: {sol.message}")
+        out[inside] = sol.y.T
     return out[0] if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
@@ -236,26 +209,21 @@ def _batch_flow(
     return out
 
 
-def local_errors(
-    problem: IvpProblem,
-    result: SolveResult,
-    oracle: ReferenceOracle | None = None,
-) -> np.ndarray:
+def local_errors(problem: IvpProblem, result: SolveResult, tol: float = 1e-13) -> np.ndarray:
     """Per-step local errors: deviation from the exact flow restarted at the
     previous numerical value, measured in the max norm at the step's end.
 
     Depends only on the mesh and the numerical values, never on the
-    posterior covariance.  Oracle evaluations are not counted against the
-    problem's evaluation budget.
+    posterior covariance.  The restarts are integrated to ``tol``, and their
+    evaluations are not counted against the problem's evaluation budget.
     """
-    oracle = oracle or ReferenceOracle()
     knots = result.knots
     if knots[0] < problem.t0 - 1e-12 or knots[-1] > problem.T + 1e-9:
         raise ValueError("result mesh extends outside the problem domain")
     means = result.solution_means()
     t_start = knots[:-1]
     spans = np.diff(knots)
-    restarted = _batch_flow(problem, t_start, means[:-1], spans, oracle.tol)
+    restarted = _batch_flow(problem, t_start, means[:-1], spans, tol)
     return np.max(np.abs(means[1:] - restarted), axis=1)
 
 

@@ -83,6 +83,8 @@ class IvpProblem:
         self.y0 = np.atleast_1d(np.asarray(self.y0, dtype=float))
         if self.y0.size != self.dim:
             raise ValueError(f"y0 has {self.y0.size} entries but dim = {self.dim}")
+        if not (np.isfinite(self.t0) and np.isfinite(self.T)):
+            raise ValueError(f"t0 and T must be finite, got [{self.t0}, {self.T}]")
         if not self.t0 < self.T:
             raise ValueError(f"need t0 < T, got [{self.t0}, {self.T}]")
 
@@ -201,12 +203,13 @@ def observe(
     """The derivative observation f(t, y) at a predicted solution value.
 
     ``loc`` holds the predicted solution means (slot 0 of each block).
-    Without a generator ``y = loc``, the ``mean`` strategy.  Given the run's
-    generator and the predicted standard deviations ``std``, ``y`` is the
-    draw ``loc + std * xi`` from the predicted solution marginal instead,
-    the ``sampled`` comparison mode mimicking perturbed-evaluation solvers;
-    it degenerates to ``mean`` when ``std`` is zero.  Either way this is
-    one evaluation.
+    Without a generator ``y = loc``, the ``mean`` strategy, which every
+    reading of the start takes.  Given the run's generator and the predicted
+    standard deviations ``std``, ``y`` is the draw ``loc + std * xi`` from
+    the predicted solution marginal instead, the ``sampled`` comparison mode
+    of the loop's steps, mimicking perturbed-evaluation solvers that perturb
+    each step but not the initial data; it degenerates to ``mean`` when
+    ``std`` is zero.  Either way this is one evaluation.
     """
     if (std is None) != (rng is None):
         raise ValueError("a sampled observation needs both the predicted std and the run's generator")
@@ -215,7 +218,7 @@ def observe(
     return problem.eval_rhs(t, loc)
 
 
-def _starter_path(problem: IvpProblem, config: SolverConfig, rng: np.random.Generator | None) -> SolutionPath:
+def _starter_path(problem: IvpProblem, config: SolverConfig) -> SolutionPath:
     """The initialization knots, as the path the solve loop extends.
 
     The path's model is the unit-diffusion IWP(config.q) over
@@ -223,8 +226,10 @@ def _starter_path(problem: IvpProblem, config: SolverConfig, rng: np.random.Gene
     Knot 0 pins that prior to y(t0) = y0 and y'(t0) = f(t0, y0) in closed
     form, the reading taken at the pinned values; the non-exact modes then
     take one step to each further starter knot the way the loop takes an
-    accepted attempt, under unit diffusion.  A non-finite reading at any
-    knot raises: the start cannot step around it.
+    accepted attempt, under unit diffusion, reading f at the predicted mean.
+    Neither ``obs_strategy`` nor ``seed`` enters: under the diffuse prior a
+    sampled draw would land far off the trajectory.  A non-finite reading at
+    any knot raises: the start cannot step around it.
     """
     model = make_iwp(config.q, problem.dim)
     q, q1, unit = model.q, model.block_size, np.ones(problem.dim)
@@ -237,19 +242,18 @@ def _starter_path(problem: IvpProblem, config: SolverConfig, rng: np.random.Gene
     factor[:, slots, slots] = (np.sqrt(h0 ** (2 * (q - slots) + 1)) if exact
                                else np.sqrt(_DIFFUSE_VARIANCE))
 
-    def reading(t: float, loc: np.ndarray, std: np.ndarray | None) -> np.ndarray:
-        z = observe(problem, t, loc, std, rng=rng)
+    def reading(t: float, loc: np.ndarray) -> np.ndarray:
+        z = observe(problem, t, loc)
         if not np.all(np.isfinite(z)):
             raise ValueError(f"right-hand side returned non-finite values at starter knot t = {t}")
         return z
 
     # Both priors are diagonal, so exact readings of slots 0 and 1 set those
     # mean slots and zero their rows and columns of the factor, bit for bit
-    # what conditioning by QR gives.  A sampled reading at t0 is a draw of
-    # zero width, which keeps the run's random stream.
+    # what conditioning by QR gives.
     mean = np.zeros(model.state_size)
     mean[0::q1] = problem.y0
-    mean[1::q1] = reading(problem.t0, mean[0::q1], np.zeros(problem.dim) if rng is not None else None)
+    mean[1::q1] = reading(problem.t0, mean[0::q1])
     prior = _built(problem.t0, np.zeros(model.state_size), factor)
     factor = factor * (slots >= 2)
     path = SolutionPath(model=model)
@@ -267,22 +271,11 @@ def _starter_path(problem: IvpProblem, config: SolverConfig, rng: np.random.Gene
         h = t_next - (problem.t0 + prev * h0)
         A, Q_sqrt, _ = _transition(q, h)
         pred_mean = _matvec(A, mean)
-        std = _draw_std(path, factor, A, Q_sqrt) if rng is not None else None
-        z = reading(t_next, pred_mean[0::q1], std)
+        z = reading(t_next, pred_mean[0::q1])
         mean, factor = predict_update(factor, A, Q_sqrt, unit, pred_mean, z - pred_mean[1::q1], 1)
         t = t + h
         path.columns.append(t=t, h=h, sigma2=unit, mean=mean, factor=factor, pred_mean=pred_mean)
     return path
-
-
-def _draw_std(path: SolutionPath, factor: np.ndarray, A: np.ndarray,
-              Q_sqrt: np.ndarray) -> np.ndarray:
-    """Predicted standard deviations of the solution slots one step past the path's last
-    knot, whose filtered factor is ``factor``, for a sampled reading.  The step's
-    diffusion is not known yet, so the last one the path stored sizes it (unit before
-    any step).  That is the norm of row 0 of ``[A F, sqrt(sigma2) Q^(1/2)]``, no QR needed."""
-    sigma2 = path.step_sigma2[-1] if len(path) > 1 else np.ones(path.model.dim)
-    return np.linalg.norm(_stacked(factor, A[:1], Q_sqrt[:1], sigma2)[:, 0], axis=1)
 
 
 def initialize(problem: IvpProblem, config: SolverConfig) -> GaussState:
@@ -294,10 +287,11 @@ def initialize(problem: IvpProblem, config: SolverConfig) -> GaussState:
     q+1 noise-free observations inside [t0, t0 + h_init] from a
     large-variance prior.  ``rk_starter`` names the same diffuse start at
     every q; at q = 4 it is the paper's four-evaluation starter, whose
-    diffuse-limit closed form is ``analysis.rk_starter_q4``.
+    diffuse-limit closed form is ``analysis.rk_starter_q4``.  Every start
+    reads f at its means, so the state depends on neither ``obs_strategy``
+    nor ``seed``.
     """
-    rng = np.random.default_rng(config.seed) if config.obs_strategy == "sampled" else None
-    return _starter_path(problem, config, rng).filtered[-1]
+    return _starter_path(problem, config).filtered[-1]
 
 
 def _step_reports(attempts: list[tuple], d: int) -> Sequence[StepReport]:
@@ -334,7 +328,7 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
     rng = np.random.default_rng(config.seed) if config.obs_strategy == "sampled" else None
     nfev_start = problem.nfev
     span = problem.T - problem.t0
-    path = _starter_path(problem, config, rng)
+    path = _starter_path(problem, config)
     model = path.model
     n_start = len(path) - 1
 
@@ -346,6 +340,7 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
     # (t, h, sigma2_hat, D, accepted, h_next) per attempt, stored as columns at the end
     attempts: list[tuple] = []
     streak = 0  # error-test rejections since the last accepted step
+    sigma2_step = unit  # the last accepted step's diffusion, unit before any
 
     # The loop validates nothing again: _check_underflow keeps t + h > t, SolverConfig
     # checked tau, and the scores are (d,) vectors with sigma2_hat >= 0 by construction.
@@ -363,7 +358,10 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
 
         A, Q_sqrt, q11 = _transition(q, h)
         pred_mean = _matvec(A, mean)
-        std = _draw_std(path, factor, A, Q_sqrt) if rng is not None else None
+        # A sampled draw's std, under the last accepted diffusion since this step's is
+        # not known yet: the norm of row 0 of [A F, sqrt(sigma2) Q^(1/2)], no QR needed.
+        std = None if rng is None else np.linalg.norm(
+            _stacked(factor, A[:1], Q_sqrt[:1], sigma2_step)[:, 0], axis=1)
         z = observe(problem, t + h, pred_mean[0::q1], std, rng=rng)
 
         if np.isfinite(z).all():

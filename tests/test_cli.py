@@ -62,6 +62,18 @@ class TestSolveCommand:
                     "--out", str(out)]) == 0
         assert out.exists()
 
+    def test_infinite_end_time_is_usage_error(self, tmp_path, capsys):
+        # It exited 0 and wrote the single row 0,1,nan,nan.
+        spec = {"name": "decay", "dim": 1, "t0": 0.0, "T": float("inf"), "y0": [1.0],
+                "rhs": [{"terms": [{"coef": -1.0, "y_powers": [1]}]}]}
+        pfile = tmp_path / "p.json"
+        pfile.write_text(json.dumps(spec))
+        assert '"T": Infinity' in pfile.read_text()
+        out = tmp_path / "trace.csv"
+        assert run(["solve", "--problem-file", str(pfile), "--eps", "1e-3", "--out", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_problem_is_usage_error(self, tmp_path, capsys):
         code = run(["solve", "--problem", "nope", "--eps", "0.1",
                     "--out", str(tmp_path / "x.csv")])

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from odefilter import (
-    ReferenceOracle,
     SolverConfig,
     available_problems,
     get_problem,
@@ -81,8 +80,8 @@ class TestReferenceSolution:
 
     def test_tolerance_self_consistency(self):
         p1, p2 = get_problem("brusselator"), get_problem("brusselator")
-        a = reference_solution(p1, 10.0, ReferenceOracle(tol=1e-12))
-        b = reference_solution(p2, 10.0, ReferenceOracle(tol=1e-13))
+        a = reference_solution(p1, 10.0, tol=1e-12)
+        b = reference_solution(p2, 10.0, tol=1e-13)
         assert np.max(np.abs(a - b)) < 1e-9
 
     def test_rejects_times_before_start(self):
@@ -116,14 +115,14 @@ class TestLocalErrors:
         # the flow to within a few multiples of the oracle tolerance.
         p = get_problem("logistic")
         res = solve(p, SolverConfig(q=2, fixed_step=0.15))
-        oracle = ReferenceOracle()
-        truth = reference_solution(p, res.knots[1:], oracle)
+        tol = 1e-13
+        truth = reference_solution(p, res.knots[1:], tol)
         means = res.solution_means()
         means[1:] = truth  # exact values on the same mesh
         for state, y in zip(res.path.filtered[1:], truth):
             state.mean[0] = y[0]
-        xi = local_errors(p, res, oracle)
-        assert np.max(xi) <= 10 * oracle.tol
+        xi = local_errors(p, res, tol)
+        assert np.max(xi) <= 10 * tol
 
     def test_cubic_local_error_scaling(self):
         # The fitted per-step error constant from one step size bounds the

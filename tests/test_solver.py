@@ -32,6 +32,13 @@ class TestIvpProblem:
     def test_numpy_integer_dim_accepted(self):
         assert IvpProblem("x", np.int64(2), 0.0, 1.0, [1.0, 2.0], lambda t, y: y).dim == 2
 
+    @pytest.mark.parametrize("t0, T", [(0.0, np.inf), (-np.inf, 1.0), (0.0, np.nan), (np.nan, 1.0)])
+    def test_rejects_nonfinite_times(self, t0, T):
+        # An infinite T was accepted, and a solve returned the one knot at t0
+        # after 0 steps, with a RuntimeWarning.
+        with pytest.raises(ValueError, match="t0 and T must be finite"):
+            IvpProblem("x", 1, t0, T, [1.0], lambda t, y: y)
+
 
 class TestConfig:
     @pytest.mark.parametrize(
@@ -143,6 +150,18 @@ class TestInitialize:
         knots = solve(problem, SolverConfig(q=q, init_mode="diffuse_filter", **kwargs)).knots
         assert np.all((knots >= problem.t0) & (knots <= problem.T))
         assert knots[-1] == problem.T
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_start_depends_on_neither_obs_strategy_nor_seed(self, q, seed):
+        # The start reads f at its means: a sampled draw under the diffuse
+        # prior (std 112.5 on logistic) landed far off the trajectory.
+        cfg = SolverConfig(q=q, eps=1e-3, init_mode="diffuse_filter")
+        mean = initialize(get_problem("vdp"), cfg)
+        sampled = initialize(get_problem("vdp"), SolverConfig(
+            q=q, eps=1e-3, init_mode="diffuse_filter", obs_strategy="sampled", seed=seed))
+        assert sampled.mean.tobytes() == mean.mean.tobytes()
+        assert sampled.factor.tobytes() == mean.factor.tobytes()
 
     def test_diffuse_counts_q_evaluations(self):
         p = get_problem("logistic")
@@ -273,6 +292,16 @@ class TestSolveAdaptive:
         p = get_problem("vdp")
         res = solve(p, SolverConfig(q=2, eps=1e-2))
         assert res.fevals == res.steps_accepted + res.steps_rejected + 1
+
+    @pytest.mark.parametrize("name, q", [("logistic", 2), ("logistic", 3), ("logistic", 4),
+                                         ("vdp", 3), ("vdp", 4)])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_sampled_diffuse_solves_finish(self, name, q, seed):
+        # Each underflowed right after a start that read f at sampled draws.
+        problem = get_problem(name)
+        cfg = SolverConfig(q=q, eps=1e-3, init_mode="diffuse_filter", obs_strategy="sampled",
+                           seed=seed)
+        assert solve(problem, cfg).knots[-1] == problem.T
 
     def test_sampled_strategy_deterministic_per_seed(self):
         outs = []
@@ -424,15 +453,18 @@ class TestLoopBranches:
         "kwargs",
         [
             {"fixed_step": 10.0 / 300},
-            # adaptive: forced through at the end of a streak of inf estimates
-            {"eps": 1e-3, "init_mode": "diffuse_filter", "obs_strategy": "sampled", "seed": 3},
+            # adaptive: forced through at the end of a streak of inf estimates, from
+            # readings past t0 that are finite but whose squared residuals overflow
+            {"eps": 1e-3, "rhs": lambda t, y: np.full(2, 1e200) if t > 0.0 else y},
         ],
     )
     def test_diverged_step_raises_runtime_error(self, kwargs):
         # The estimate overflowed with a warning and reached predict, whose
         # bare ValueError the CLI reported as a usage error.
+        kwargs, p = dict(kwargs), get_problem("brusselator")
+        problem = IvpProblem(p.name, p.dim, p.t0, p.T, p.y0, kwargs.pop("rhs", p.rhs))
         with pytest.raises(RuntimeError, match=r"diverged at t = \S+, h = \S+: .* is \[inf inf\]"):
-            solve(get_problem("brusselator"), SolverConfig(q=4, **kwargs))
+            solve(problem, SolverConfig(q=4, **kwargs))
 
     def test_global_ml_run_stops_at_an_inf_estimate(self):
         # global_ml averages the accepted estimates into the run's diffusion,
@@ -605,7 +637,7 @@ class TestStartCost:
     def test_pinned_knot_0_is_two_updates_bit_for_bit(self, name, q, init_mode):
         # The closed form of conditioning the diagonal prior on y(t0) and y'(t0).
         problem = get_problem(name)
-        path = solver._starter_path(problem, SolverConfig(q=q, init_mode=init_mode), None)
+        path = solver._starter_path(problem, SolverConfig(q=q, init_mode=init_mode))
         state, _ = update(path.predictions[0], problem.y0, ObservationModel(derivative_index=0))
         slope = problem.eval_rhs(problem.t0, problem.y0)
         state, _ = update(state, slope, ObservationModel(derivative_index=1))
