@@ -18,6 +18,7 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
+from .priors import _constants
 from .problems import get_problem, local_errors
 from .solver import SolverConfig, SolveResult, solve
 
@@ -128,7 +129,7 @@ def error_calibration(result: SolveResult, xi: np.ndarray) -> CalibrationTable:
     model = result.path.model
     q = model.q
     hs = np.asarray(result.path.step_sizes[-n_steps:]) if n_steps else np.empty(0)
-    qbar00 = hs ** (2 * q + 1) / ((2 * q + 1) * math.factorial(q) ** 2)
+    qbar00 = hs ** (2 * q + 1) / _constants(q).q00_den
     est = np.sqrt(np.max(result.sigma2_trace, axis=1) * qbar00) if n_steps else np.empty(0)
     finite = est > 0
     zero_est_nonzero_xi = int(np.count_nonzero(~finite & (xi > 0)))

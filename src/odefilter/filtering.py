@@ -44,7 +44,7 @@ from math import inf, isfinite
 
 import numpy as np
 
-from .priors import DiscreteTransition, IwpModel, _transition, discrete_transition
+from .priors import DiscreteTransition, IwpModel, _constants, _transition, discrete_transition
 
 __all__ = [
     "GaussState",
@@ -401,14 +401,6 @@ def _chunks(n: int, d: int):
         yield max(0, hi - size), hi
 
 
-@lru_cache(maxsize=None)
-def _unit_step(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """``A(1)`` and ``Q(1)^(1/2)``, read-only: any step's transition in units of that step."""
-    A, Q_sqrt, _ = _transition(q, 1.0)
-    A.flags.writeable = Q_sqrt.flags.writeable = False
-    return A, Q_sqrt
-
-
 def _backward(factors: np.ndarray, steps: np.ndarray,
               sigma2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gains and conditional factors of x_k (factor ``F``) given x_{k+1}.
@@ -430,13 +422,13 @@ def _backward(factors: np.ndarray, steps: np.ndarray,
     ``|L11_ii|`` at most 1e-12 times row i's norm (no diffusion) takes ``pinv``.
     """
     N, d, n, m = factors.shape
-    A, Q_sqrt = _unit_step(n - 1)
+    c = _constants(n - 1)
     powers = steps[:, None] ** np.arange(n)
     scaled = powers[:, None, :, None] * factors
     joint = np.zeros((N, d, 2 * n, m + n))
-    joint[..., :n, :m] = A @ scaled
+    joint[..., :n, :m] = c.a_unit @ scaled
     noise = np.sqrt(sigma2) * (powers[:, -1] * np.sqrt(steps))[:, None]  # sqrt(sigma2) h^(q+1/2)
-    joint[..., :n, m:] = noise[..., None, None] * Q_sqrt
+    joint[..., :n, m:] = noise[..., None, None] * c.qbar_sqrt
     joint[..., n:, :m] = scaled
     L = _triangularize(joint)
     L11 = L[..., :n, :n]

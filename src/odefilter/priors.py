@@ -115,13 +115,16 @@ class _IwpConstants:
 
     ``A(h)_ij = h^a_lag_ij / a_den_ij``, with ``h^k`` taken from a list of
     powers whose last entry is 0 (``a_lag`` points there below the
-    diagonal).  ``Q(h)^(1/2) = sqrt(h) diag(h^(q-i)) qbar_sqrt``, where
-    ``qbar_sqrt`` is ``diag(i!)`` times the Cholesky factor of ``qbar``, and
+    diagonal); ``a_unit`` is ``A(1)``.  ``Q(h)^(1/2) = sqrt(h) diag(h^(q-i))
+    qbar_sqrt``, where ``qbar_sqrt`` is ``diag(i!)`` times the Cholesky factor
+    of ``qbar``, so it is ``Q(1)^(1/2)``; ``Q(h)_00 = h^(2q+1) / q00_den`` and
     ``Q(h)_11 = h^(2q-1) / q11_den``.
     """
 
     a_lag: np.ndarray
     a_den: np.ndarray
+    a_unit: np.ndarray
+    q00_den: float
     q11_den: float
     pascal: np.ndarray
     qbar: np.ndarray
@@ -137,15 +140,19 @@ def _constants(q: int) -> _IwpConstants:
     # floats, exact while below 2^53 (q <= 10).
     q_den = (2 * q + 1 - i - j) * fact[q - i] * fact[q - j]
     qbar = 1.0 / (q_den * fact[i] * fact[j])
+    a_den = fact[np.maximum(lag, 0)]
     tables = _IwpConstants(
         a_lag=np.where(lag >= 0, lag, 2 * q + 2),
-        a_den=fact[np.maximum(lag, 0)],
+        a_den=a_den,
+        a_unit=np.where(lag >= 0, 1.0, 0.0) / a_den,
+        q00_den=float(q_den[0, 0]),
         q11_den=float(q_den[1, 1]),
         pascal=np.vectorize(comb)(j, i).astype(float),
         qbar=qbar,
         qbar_sqrt=fact[:, None] * np.linalg.cholesky(qbar),
     )
-    for arr in (tables.a_lag, tables.a_den, tables.pascal, tables.qbar, tables.qbar_sqrt):
+    for arr in (tables.a_lag, tables.a_den, tables.a_unit, tables.pascal, tables.qbar,
+                tables.qbar_sqrt):
         arr.setflags(write=False)
     return tables
 

@@ -19,7 +19,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .filtering import GaussState, SolutionPath, _built, _matvec, _Rows, _stacked, predict_update
+from .filtering import (GaussState, SolutionPath, _built, _Columns, _matvec, _Rows, _stacked,
+                        predict_update)
 from .priors import _check_positive_int, _transition, make_iwp
 from .stepcontrol import StepReport, _sigma2, _weights, next_step_size
 # perfbench's traced run wraps these names here, where neither the loop nor the start calls them.
@@ -294,22 +295,6 @@ def initialize(problem: IvpProblem, config: SolverConfig) -> GaussState:
     return _starter_path(problem, config).filtered[-1]
 
 
-def _step_reports(attempts: list[tuple], d: int) -> Sequence[StepReport]:
-    """The attempts' ``(t, h, sigma2_hat, D, accepted, h_next)`` tuples as six
-    columns, read through one :class:`StepReport` per row built on access."""
-    t, h, sigma2, D, accepted, h_next = zip(*attempts) if attempts else ((),) * 6
-    t, h, h_next = (np.array(col, dtype=float) for col in (t, h, h_next))
-    sigma2, D = np.reshape(sigma2, (-1, d)), np.reshape(D, (-1, d))
-    accepted = np.array(accepted, dtype=bool)
-    return _Rows(len(t), lambda i: StepReport(float(t[i]), float(h[i]), sigma2[i], D[i],
-                                              bool(accepted[i]), float(h_next[i])))
-
-
-def _check_underflow(h: float, t: float, span: float):
-    if h < 1e3 * _EPS * max(abs(t), span):
-        raise StepSizeUnderflowError(f"step size {h} underflowed at t = {t}")
-
-
 def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
     """Solve the IVP, returning the filtered path and step diagnostics.
 
@@ -337,22 +322,26 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
     d, q, q1, unit = problem.dim, model.q, model.block_size, np.ones(problem.dim)
     fixed = config.fixed_step is not None
     h = config.fixed_step if fixed else config.resolve_h_init(problem)
-    # (t, h, sigma2_hat, D, accepted, h_next) per attempt, stored as columns at the end
-    attempts: list[tuple] = []
+    # One row per attempt, named like the StepReport fields that view it.
+    attempts = _Columns(t=np.empty(0), h=np.empty(0), sigma2_hat=np.empty((0, d)),
+                        D=np.empty((0, d)), accepted=np.empty(0, dtype=bool), h_next=np.empty(0))
     streak = 0  # error-test rejections since the last accepted step
     sigma2_step = unit  # the last accepted step's diffusion, unit before any
 
-    # The loop validates nothing again: _check_underflow keeps t + h > t, SolverConfig
+    # The loop validates nothing again: the underflow check keeps t + h > t, SolverConfig
     # checked tau, and the scores are (d,) vectors with sigma2_hat >= 0 by construction.
     t_end = problem.T
-    while t < t_end - _EPS * max(abs(t_end), 1.0):
-        if len(attempts) >= _MAX_STEPS:
+    t_stop = t_end - _EPS * max(abs(t_end), 1.0)
+    t_clamp = t_end - 1e3 * _EPS * max(abs(t_end), span)
+    while t < t_stop:
+        if attempts.n >= _MAX_STEPS:
             raise RuntimeError(
                 f"gave up at t = {t} after {_MAX_STEPS} attempted steps; "
                 "the tolerance forces an unreasonably fine mesh"
             )
-        _check_underflow(h, t, span)
-        if t + h >= t_end - 1e3 * _EPS * max(abs(t_end), span):
+        if h < 1e3 * _EPS * max(abs(t), span):
+            raise StepSizeUnderflowError(f"step size {h} underflowed at t = {t}")
+        if t + h >= t_clamp:
             # Clamp onto T, absorbing a remainder too short to step over.
             h = t_end - t
 
@@ -389,7 +378,7 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
             # Nothing to score: retry at half the step, outside the streak.
             sigma2_local, D = np.full(d, np.nan), np.full(d, np.inf)
             accepted, h_next = False, h / 2.0
-        attempts.append((t, h, sigma2_local, D, accepted, h_next))
+        attempts.append(t=t, h=h, sigma2_hat=sigma2_local, D=D, accepted=accepted, h_next=h_next)
         if accepted:
             # A passed error test bounds the estimate; only fixed steps and
             # forced accepts can carry a non-finite one.
@@ -404,14 +393,17 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
         h = h_next
 
     n_accepted = len(path) - 1 - n_start
+    col = {name: attempts[name] for name in ("t", "h", "sigma2_hat", "D", "accepted", "h_next")}
     if config.sigma_mode == "global_ml" and n_accepted > 0:
-        sigma2_sum = sum((a[2] for a in attempts if a[4]), np.zeros(d))
-        path._scale_diffusion(sigma2_sum / n_accepted)
+        # Row by row from zero: numpy's pairwise sum(axis=0) would move last bits.
+        path._scale_diffusion(sum(col["sigma2_hat"][col["accepted"]], np.zeros(d)) / n_accepted)
     return SolveResult(
         path=path,
         sigma2_trace=path.step_sigma2[n_start:],
         steps_accepted=n_accepted,
-        steps_rejected=len(attempts) - n_accepted,
+        steps_rejected=attempts.n - n_accepted,
         fevals=problem.nfev - nfev_start,
-        per_step=_step_reports(attempts, d),
+        per_step=_Rows(attempts.n, lambda i: StepReport(
+            float(col["t"][i]), float(col["h"][i]), col["sigma2_hat"][i], col["D"][i],
+            bool(col["accepted"][i]), float(col["h_next"][i]))),
     )

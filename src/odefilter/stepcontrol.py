@@ -28,7 +28,9 @@ _ETA_MAX = 5.0
 
 @dataclass(frozen=True, eq=False)
 class StepReport:
-    """Diagnostics of one attempted step."""
+    """Diagnostics of one attempted step.  ``D`` holds the weights of
+    :func:`error_weights` only where an error test was made: a fixed step's
+    ``D`` is the unweighted ``sqrt(sigma2_hat Q(h)_11)``."""
 
     t: float
     h: float
@@ -36,12 +38,6 @@ class StepReport:
     D: np.ndarray
     accepted: bool
     h_next: float
-
-
-def _vector(x) -> np.ndarray:
-    """``x`` as a float array of at least one dimension, like ``np.atleast_1d``."""
-    x = np.asarray(x, dtype=float)
-    return x if x.ndim else x.reshape(1)
 
 
 def estimate_sigma2(residual, qbar11: float) -> np.ndarray:
@@ -56,7 +52,7 @@ def estimate_sigma2(residual, qbar11: float) -> np.ndarray:
     """
     if not 0.0 < qbar11 < inf:
         raise ValueError(f"qbar11 must be positive, got {qbar11}")
-    return _sigma2(_vector(residual), qbar11)
+    return _sigma2(np.atleast_1d(np.asarray(residual, dtype=float)), qbar11)
 
 
 def _sigma2(residual: np.ndarray, qbar11: float) -> np.ndarray:
@@ -73,7 +69,7 @@ def error_weights(y, tau: float) -> np.ndarray:
     """
     if not 0.0 < tau < inf:
         raise ValueError(f"tau must be positive, got {tau}")
-    return _weights(_vector(y), tau)
+    return _weights(np.atleast_1d(np.asarray(y, dtype=float)), tau)
 
 
 def _weights(y: np.ndarray, tau: float) -> np.ndarray:
@@ -90,7 +86,7 @@ def local_error_test(sigma2, qbar11: float, y, tau: float, ebar: float) -> tuple
     ``ebar = eps * h / S``, where ``S`` is 1 (error per unit step) or ``h``
     (error per step).
     """
-    sigma2 = _vector(sigma2)
+    sigma2 = np.atleast_1d(np.asarray(sigma2, dtype=float))
     if (sigma2 < 0.0).any():
         raise ValueError("sigma2 must be >= 0")
     D = np.sqrt(sigma2 * qbar11) * error_weights(y, tau)

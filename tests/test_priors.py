@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odefilter import discrete_transition, make_iwp, nordsieck_qbar, pascal_matrix
+from odefilter.priors import _constants
 from transition_oracle import loop_a, loop_q, matrix_fraction
 
 
@@ -175,6 +176,17 @@ class TestNordsieck:
         np.testing.assert_allclose(
             P, [[1, 1, 1, 1], [0, 1, 2, 3], [0, 0, 1, 3], [0, 0, 0, 1]]
         )
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_table_holds_the_unit_step_transition(self, q):
+        # The backward pass reads A(1) and Q(1)^(1/2) off the table, and the
+        # calibration reads Q(h)_00 from q00_den; all as the transition builds them.
+        c, tr = _constants(q), discrete_transition(q, 1.0)
+        assert c.a_unit.tobytes() == tr.A.tobytes()
+        assert c.qbar_sqrt.tobytes() == tr.Q_sqrt.tobytes()
+        assert not c.a_unit.flags.writeable and not c.qbar_sqrt.flags.writeable
+        for h in (1e-6, 0.015, 0.37, 1.0, 3.3):
+            assert h ** (2 * q + 1) / c.q00_den == loop_q(q, h)[0, 0]
 
     def test_tables_are_read_only(self):
         with pytest.raises(ValueError):

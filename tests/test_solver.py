@@ -539,6 +539,27 @@ class TestStepRecord:
         assert reports[-1].t + reports[-1].h == res.knots[-1] == get_problem("brusselator").T
         assert [r.h for r in reports[-3:]] == [reports[i].h for i in (-3, -2, -1)]
 
+    @pytest.mark.parametrize("sigma_mode", ["local_ml", "global_ml"])
+    def test_fixed_step_D_is_unweighted(self, sigma_mode):
+        # A fixed step makes no error test, so its D is sqrt(sigma2_hat * Q(h)_11)
+        # without the weights w_i, bit for bit; sigma2_hat is the step's own
+        # estimate under global_ml too.  perfbench's linear_nd_sweep reads this D.
+        problem = get_problem("brusselator")
+        config = SolverConfig(q=2, fixed_step=0.05, sigma_mode=sigma_mode)
+        res = solve(problem, config)
+        assert res.steps_rejected == 0 and len(res.per_step) == len(res.knots) - 1
+        weighted = []
+        for r, pred_mean in zip(res.per_step, res.path.columns["pred_mean"][1:]):
+            q11 = discrete_transition(config.q, r.h).q11
+            residual = problem.rhs(r.t + r.h, pred_mean[0::3]) - pred_mean[1::3]
+            sigma2 = stepcontrol.estimate_sigma2(residual, q11)
+            assert r.sigma2_hat.tobytes() == sigma2.tobytes()
+            assert r.D.tobytes() == np.sqrt(sigma2 * q11).tobytes()
+            assert r.accepted and r.h_next == r.h
+            weighted.append(stepcontrol.local_error_test(sigma2, q11, pred_mean[0::3],
+                                                         config.weighting_tau, 1.0)[0])
+        assert not np.array_equal([r.D for r in res.per_step], weighted)
+
     def test_retained_bytes_per_knot(self):
         # A knot keeps its state in shared columns: 272 bytes of arrays at
         # d=2, q=2, and the attempt record 57 bytes per attempt.  Stored as
