@@ -17,7 +17,7 @@ from math import factorial
 import numpy as np
 
 from .filtering import predict_update
-from .priors import _check_positive_int, nordsieck_qbar, pascal_matrix
+from .priors import _check_positive_int, _pivot, nordsieck_qbar, pascal_matrix
 from .solver import IvpProblem, SolveResult, SolverConfig, solve
 
 __all__ = [
@@ -65,8 +65,8 @@ def steady_state(q: int, tol: float = 1e-12, max_iter: int = 10_000) -> SteadySt
     q = _check_positive_int("q", q)
     if not 1 <= q <= 4:
         raise ValueError(f"steady-state analysis supports q in 1..4, got {q}")
-    qbar = nordsieck_qbar(q)
-    A, Q_sqrt = pascal_matrix(q), np.linalg.cholesky(qbar)
+    qbar, order = nordsieck_qbar(q), _pivot(q + 1, 1)[0]  # predict_update reads slot 1's rows first
+    A, Q_sqrt = pascal_matrix(q)[order], np.linalg.cholesky(qbar)[order]
     mask = np.ones((q + 1, q + 1), dtype=bool)
     mask[0, 0] = False
     factor, c = np.zeros((1, q + 1, q + 1)), np.zeros((q + 1, q + 1))

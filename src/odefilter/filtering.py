@@ -14,13 +14,10 @@ No operation forms a covariance and factors it again, so every covariance
 is positive semidefinite by construction (Krämer & Hennig, *Stable
 implementation of probabilistic ODE solvers*, JMLR 2024): predict
 re-triangularizes ``[A F, Q^(1/2)]`` by QR, update zeroes one column of a
-re-triangularized factor, and smoothing, sampling and
-interpolation read the gain and the backward-conditional factor off one QR
-of the joint factor ``[[A F, Q^(1/2)], [F, 0]]``.
-
-The solver's accepted steps run ``predict_update``, the pair in one QR
-that orders the observed slot's row first; ``_condition`` reads the gain and
-the filtered factor in that order and permutes them back once.
+re-triangularized factor (the solver's ``predict_update`` does both in one
+QR), and smoothing, sampling and interpolation read the gain and the
+backward-conditional factor off one QR of the joint factor
+``[[A F, Q^(1/2)], [F, 0]]``.
 
 That backward conditional depends only on the filtered factor, the step and
 the diffusion, never on the smoothed successor.  ``smooth`` and
@@ -44,7 +41,7 @@ from math import inf, isfinite
 
 import numpy as np
 
-from .priors import DiscreteTransition, IwpModel, _constants, _transition, discrete_transition
+from .priors import DiscreteTransition, IwpModel, _constants, _pivot, _powers, discrete_transition
 
 __all__ = [
     "GaussState",
@@ -171,29 +168,19 @@ def update(state: GaussState, z, obs: ObservationModel) -> tuple[GaussState, np.
     i = obs.derivative_index
     if i >= q1:
         raise ValueError(f"derivative_index {i} outside state order {q1 - 1}")
-    order, back = _pivot(q1, i)
     residual = z - state.mean[i::q1]
-    mean, factor = _condition(_triangularize(state.factor.take(order, axis=1)), state.mean,
-                              residual, back)
+    mean, factor = _condition(_triangularize(state.factor.take(_pivot(q1, i)[0], axis=1)),
+                              state.mean, residual, i)
     return _built(state.t, mean, factor), residual
 
 
 def predict_update(factor: np.ndarray, A: np.ndarray, Q_sqrt: np.ndarray, sigma2: np.ndarray,
                    mean: np.ndarray, residual: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`predict` then :func:`update` of slot ``i`` in one QR, unchecked, for a
-    caller that has scored the step: from the filtered ``factor``, the step's
-    unit ``A`` and ``Q_sqrt``, finite ``sigma2 >= 0``, the predicted ``mean``
-    and the residual ``z - H mean`` to the filtered mean and factor.  The QR
-    orders slot ``i``'s row first; :func:`_condition` reads it in that order.
-    """
-    order, back = _pivot(factor.shape[1], i)
-    return _condition(_predicted_factor(factor, A, Q_sqrt, sigma2, order), mean, residual, back)
-
-
-def _predicted_factor(F: np.ndarray, A: np.ndarray, Q_sqrt: np.ndarray, sigma2: np.ndarray,
-                      order: np.ndarray) -> np.ndarray:
-    """Lower triangular factor of ``[A F, sqrt(sigma2) Q^(1/2)]`` with its rows in ``order``."""
-    return _triangularize(_stacked(F, A.take(order, axis=0), Q_sqrt.take(order, axis=0), sigma2))
+    """:func:`predict` then :func:`update` of slot ``i`` in one QR, unchecked: the
+    filtered mean and factor from the last ``factor``, the step's unit ``A`` and
+    ``Q_sqrt`` with their rows in slot ``i``'s pivot order, finite ``sigma2 >= 0``,
+    the predicted ``mean`` and the scored residual ``z - H mean``."""
+    return _condition(_triangularize(_stacked(factor, A, Q_sqrt, sigma2)), mean, residual, i)
 
 
 def _stacked(F: np.ndarray, A: np.ndarray, Q_sqrt: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
@@ -206,35 +193,21 @@ def _stacked(F: np.ndarray, A: np.ndarray, Q_sqrt: np.ndarray, sigma2: np.ndarra
     return M
 
 
-@lru_cache(maxsize=None)
-def _pivot(q1: int, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Slot order with slot ``i`` first, and the order that undoes it."""
-    order = np.array([i] + [j for j in range(q1) if j != i])
-    back = np.argsort(order)
-    order.flags.writeable = back.flags.writeable = False
-    return order, back
-
-
 def _condition(L: np.ndarray, mean: np.ndarray, residual: np.ndarray,
-               back: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Condition on exact readings of one slot per block, given a factor ``L``
-    with its rows in pivot order: the observed slot's row first, as
-    ``(r, 0, ..., 0)``, so that ``r^2`` is the innovation variance.
-
-    The gain is the first column over ``r``, exactly 1 at the observed
-    slot, so ``H m = z`` to one rounding; the filtered factor is ``L`` with
-    that column zeroed, which leaves the observed row exactly 0.  A block
-    with ``r == 0`` already knows the slot and is left as it is.  ``L`` is
-    overwritten; ``back`` puts the mean's shift and the factor in slot order.
-    """
-    d, q1, _ = L.shape
-    r = L[:, :1, 0]
-    live = r != 0.0
-    gain = np.divide(L[:, :, 0], r, out=np.zeros((d, q1)), where=live)
-    gain[:, 0] = live[:, 0]
-    np.copyto(L[:, :, 0], 0.0, where=live)
-    shift = gain * np.where(live, residual[:, None], 0.0)
-    return (mean.reshape(d, q1) + shift.take(back, axis=1)).reshape(-1), L.take(back, axis=1)
+               i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Condition on exact readings of slot ``i`` per block, given a factor ``L`` in
+    pivot order, slot ``i``'s row ``(r, 0, ..., 0)`` first: ``r^2`` is the innovation
+    variance.  Back in slot order, the gain is the first column over ``r``, exactly
+    1 at slot ``i``, so ``H m = z`` to one rounding; the filtered factor is ``L``
+    with that column zeroed, which leaves row ``i`` exactly 0.  A block with ``r ==
+    0`` already knows the slot and keeps its state: ``col / inf`` is 0."""
+    L = L.take(_pivot(L.shape[1], i)[1], axis=1)
+    col = L[:, :, 0]
+    r = col[:, i:i + 1]
+    live = r.astype(bool)  # r != 0, in one cheap call
+    shift = col / np.where(live, r, inf) * residual[:, None]
+    np.copyto(col, 0.0, where=live)
+    return mean + shift.reshape(-1), L
 
 
 def _built(t: float, mean: np.ndarray, factor: np.ndarray) -> GaussState:
@@ -254,19 +227,22 @@ class _Columns:
     """
 
     def __init__(self, **empty: np.ndarray):
-        self.n, self._data = 0, empty
+        self.n, self._size, self._data = 0, 0, empty
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._data[name][:self.n]
 
     def append(self, **row):
-        """Copy one value into every column."""
+        """Copy one value into each column, by name; a missing one raises ``KeyError``."""
+        n = self.n
+        if n == self._size:
+            spare = max(n // 2, 16)
+            self._size += spare
+            for name, a in self._data.items():
+                self._data[name] = np.concatenate([a, np.empty_like(a, shape=(spare,) + a.shape[1:])])
         for name, a in self._data.items():
-            if self.n == len(a):
-                spare = np.empty_like(a, shape=(max(self.n // 2, 16),) + a.shape[1:])
-                a = self._data[name] = np.concatenate([a, spare])
-            a[self.n] = row[name]
-        self.n += 1
+            a[n] = row[name]
+        self.n = n + 1
 
 
 class _Rows(Sequence):
@@ -344,12 +320,11 @@ class SolutionPath:
     def _prediction(self, i: int) -> GaussState:
         if i == 0:
             return self._prior
-        c = self.columns
-        transition = discrete_transition(self.model.q, float(c["h"][i]))
-        order, back = _pivot(self.model.block_size, 1)
-        factor = _predicted_factor(c["factor"][i - 1], transition.A, transition.Q_sqrt,
-                                   c["sigma2"][i], order).take(back, axis=1)
-        return _built(float(c["t"][i]), c["pred_mean"][i], factor)
+        q, c = self.model.q, self.columns
+        table, powers = _constants(q), _powers(q, float(c["h"][i]))
+        factor = _triangularize(_stacked(c["factor"][i - 1], table.A(powers, 1)[1],
+                                         table.Q_sqrt(powers, 1), c["sigma2"][i]))
+        return _built(float(c["t"][i]), c["pred_mean"][i], factor.take(_pivot(q + 1, 1)[1], axis=1))
 
     def append(self, prediction: GaussState, filtered: GaussState, h: float | None, sigma2=None):
         """Add one knot, checked here once, and drop the stale smoothed states.  ``t`` is
@@ -546,10 +521,10 @@ def interpolate(path: SolutionPath, t: float, allow_extrapolation: bool = False)
         return predict(path.smoothed[-1], base, sig)
 
     i = right - 1
-    c = path.columns
-    A_fwd, Q_fwd, _ = _transition(path.model.q, t - float(knots[i]))
-    sigma2 = c["sigma2"][i + 1]
-    at_t = _stacked(c["factor"][i], A_fwd, Q_fwd, sigma2)
+    c, table = path.columns, _constants(path.model.q)
+    powers = _powers(path.model.q, t - float(knots[i]))
+    A_fwd, sigma2 = table.A(powers, 0)[0], c["sigma2"][i + 1]
+    at_t = _stacked(c["factor"][i], A_fwd, table.Q_sqrt(powers, 0), sigma2)
     if i == 0:
         # Knot 0 is the prior conditioned on y(t0) and y'(t0) alone; fed to the
         # backward QR untriangularized, a diffuse prior's 1e6 entries there

@@ -13,13 +13,13 @@ process.  Over a step ``h`` the state propagates exactly through the pair
 both have closed forms.  The filter reads ``A``, the factor
 ``Q(h)^(1/2)`` and the single entry ``Q(h)_11``, so those are all
 :func:`discrete_transition` builds; the diffusion scales enter in
-``filtering.predict_update``.  The solver's attempts and starter steps
-take all three, unchecked, from ``_transition``, which raises ``h`` to its
-powers once.
+``filtering.predict_update``.
 
 Everything about ``(A(h), Q(h))`` that does not depend on ``h`` lives in one
-cached table per q.  In Nordsieck scaling, ``B = diag(h^i / i!)``, the table
-gives constant matrices: ``B A(h) B^-1`` is the Pascal matrix
+cached table per q.  It reads ``A`` and ``Q(h)^(1/2)`` off the powers of
+``h`` (``_powers``) with their rows in the order the solver's QR wants, so
+no matrix is permuted per step.  In Nordsieck scaling, ``B = diag(h^i/i!)``,
+the table gives constant matrices: ``B A(h) B^-1`` is the Pascal matrix
 (:func:`pascal_matrix`) and ``B Q(h) B = h^(2q+1) Qbar``
 (:func:`nordsieck_qbar`), whose Cholesky factor rescales to
 ``Q(h)^(1/2)``.  The closed-form transitions of the solver and the
@@ -113,22 +113,33 @@ def _check_positive_int(name: str, value) -> int:
 class _IwpConstants:
     """Step-independent parts of the unit IWP(q) transition; arrays read-only.
 
-    ``A(h)_ij = h^a_lag_ij / a_den_ij``, with ``h^k`` taken from a list of
-    powers whose last entry is 0 (``a_lag`` points there below the
-    diagonal); ``a_unit`` is ``A(1)``.  ``Q(h)^(1/2) = sqrt(h) diag(h^(q-i))
-    qbar_sqrt``, where ``qbar_sqrt`` is ``diag(i!)`` times the Cholesky factor
-    of ``qbar``, so it is ``Q(1)^(1/2)``; ``Q(h)_00 = h^(2q+1) / q00_den`` and
-    ``Q(h)_11 = h^(2q-1) / q11_den``.
+    ``A(h)_ij = h^lag_ij / den_ij`` and ``Q(h)^(1/2) = sqrt(h) diag(h^(q-i))
+    qbar_sqrt``, the powers of ``h`` taken from :func:`_powers`.  ``qbar_sqrt``
+    is ``diag(i!)`` times the Cholesky factor of ``qbar``, so it is
+    ``Q(1)^(1/2)``; ``a_unit`` is ``A(1)``, ``Q(h)_00 = h^(2q+1) / q00_den``
+    and ``Q(h)_11 = h^(2q-1) / q11_den``.  Entry ``i`` of the first four
+    serves an observed slot ``i``: :meth:`A` and :meth:`Q_sqrt` read rows in
+    its pivot order (:func:`_pivot`), each the same products as in slot order.
     """
 
-    a_lag: np.ndarray
-    a_den: np.ndarray
+    a_lag: tuple  # per slot, (2, q+1, q+1): lag in slot order and in pivot order
+    a_den: tuple  # per slot, den like a_lag
+    q_lag: tuple  # per slot, (q+1, 1): the q-i of each row in pivot order
+    qbar_rows: tuple  # per slot, qbar_sqrt's rows in pivot order
     a_unit: np.ndarray
     q00_den: float
     q11_den: float
     pascal: np.ndarray
     qbar: np.ndarray
     qbar_sqrt: np.ndarray
+
+    def A(self, powers: np.ndarray, i: int) -> np.ndarray:
+        """``A(h)`` in slot order and in slot ``i``'s pivot order, shape ``(2, q+1, q+1)``."""
+        return powers.take(self.a_lag[i]) / self.a_den[i]
+
+    def Q_sqrt(self, powers: np.ndarray, i: int) -> np.ndarray:
+        """``Q(h)^(1/2)`` with its rows in slot ``i``'s pivot order."""
+        return sqrt(powers[1]) * powers.take(self.q_lag[i]) * self.qbar_rows[i]
 
 
 @lru_cache(maxsize=None)
@@ -140,19 +151,23 @@ def _constants(q: int) -> _IwpConstants:
     # floats, exact while below 2^53 (q <= 10).
     q_den = (2 * q + 1 - i - j) * fact[q - i] * fact[q - j]
     qbar = 1.0 / (q_den * fact[i] * fact[j])
-    a_den = fact[np.maximum(lag, 0)]
+    a_lag, a_den = np.where(lag >= 0, lag, 2 * q + 2), fact[np.maximum(lag, 0)]
+    qbar_sqrt = fact[:, None] * np.linalg.cholesky(qbar)
+    orders = [_pivot(q + 1, slot)[0] for slot in range(q + 1)]
     tables = _IwpConstants(
-        a_lag=np.where(lag >= 0, lag, 2 * q + 2),
-        a_den=a_den,
+        a_lag=tuple(np.array([a_lag, a_lag[o]]) for o in orders),
+        a_den=tuple(np.array([a_den, a_den[o]]) for o in orders),
+        q_lag=tuple((q - o)[:, None] for o in orders),
+        qbar_rows=tuple(qbar_sqrt[o] for o in orders),
         a_unit=np.where(lag >= 0, 1.0, 0.0) / a_den,
         q00_den=float(q_den[0, 0]),
         q11_den=float(q_den[1, 1]),
         pascal=np.vectorize(comb)(j, i).astype(float),
         qbar=qbar,
-        qbar_sqrt=fact[:, None] * np.linalg.cholesky(qbar),
+        qbar_sqrt=qbar_sqrt,
     )
-    for arr in (tables.a_lag, tables.a_den, tables.a_unit, tables.pascal, tables.qbar,
-                tables.qbar_sqrt):
+    for arr in (*tables.a_lag, *tables.a_den, *tables.q_lag, *tables.qbar_rows, tables.a_unit,
+                tables.pascal, tables.qbar, tables.qbar_sqrt):
         arr.setflags(write=False)
     return tables
 
@@ -189,16 +204,21 @@ def discrete_transition(q: int, h: float) -> DiscreteTransition:
         raise ValueError(f"step size must be finite, got {h}")
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
-    return DiscreteTransition(float(h), *_transition(q, h))
+    c, powers = _constants(q), _powers(q, h)
+    return DiscreteTransition(float(h), c.A(powers, 0)[0], c.Q_sqrt(powers, 0), h ** (2 * q - 1) / c.q11_den)
 
 
-def _transition(q: int, h: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """``A``, ``Q_sqrt`` and ``q11`` of :func:`discrete_transition` from one list of
-    powers of ``h``; neither ``q`` nor ``h`` is checked."""
-    c = _constants(q)
-    # Python's ** per power, not np.power, whose vectorized loop can differ
-    # from it in the last bit.  The trailing 0 fills A below the diagonal.
-    powers = np.array([h**k for k in range(2 * q + 2)] + [0.0])
-    Q_sqrt = (sqrt(h) * powers[q::-1])[:, None] * c.qbar_sqrt
-    return powers.take(c.a_lag) / c.a_den, Q_sqrt, h ** (2 * q - 1) / c.q11_den
+def _powers(q: int, h: float) -> np.ndarray:
+    """``h^0 .. h^(2q+1)`` and a 0 for ``A`` below the diagonal, unchecked."""
+    # Python's ** per power: np.power's vectorized loop can differ in the last bit.
+    return np.array([h**k for k in range(2 * q + 2)] + [0.0])
+
+
+@lru_cache(maxsize=None)
+def _pivot(q1: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Slot order with slot ``i`` first, and the order that undoes it."""
+    order = np.array([i] + [j for j in range(q1) if j != i])
+    back = np.argsort(order)
+    order.flags.writeable = back.flags.writeable = False
+    return order, back
 

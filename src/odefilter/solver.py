@@ -1,14 +1,14 @@
 """The IVP solving loop: initialization, model interrogation, predict-update.
 
-One solve is strictly sequential.  An attempted step builds ``A(h)``,
-``Q(h)^(1/2)`` and ``Q(h)_11`` from one list of powers of h, predicts the
-mean, evaluates the right-hand side there, and scores the residual in a few
-vector operations.  An accepted step then runs ``filtering.predict_update``,
-which predicts and conditions in one QR; its rows go straight into the
-path's columns.  The diffuse start steps to its knots the same way, without
-the scoring.  A reading that is not finite is a rejection at half the step,
-or an error under a fixed step; the final step is clamped to land exactly
-on T.
+One solve is strictly sequential.  An attempted step raises h to its powers
+once and reads off them ``Q(h)_11`` and ``A(h)``, in slot order and with the
+derivative slot's row first; it predicts the mean, evaluates the right-hand
+side there, and scores the residual in a few vector operations.  Only an
+accepted step builds ``Q(h)^(1/2)``, rows in that pivot order too, and runs
+``filtering.predict_update``: one QR, whose rows go straight into the path's
+columns.  The diffuse start steps to its knots the same way, without the
+scoring.  A reading that is not finite is a rejection at half the step, or
+an error under a fixed step; the final step is clamped to land exactly on T.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .filtering import (GaussState, SolutionPath, _built, _Columns, _matvec, _Rows, _stacked,
                         predict_update)
-from .priors import _check_positive_int, _transition, make_iwp
+from .priors import _check_positive_int, _constants, _powers, make_iwp
 from .stepcontrol import StepReport, _sigma2, _weights, next_step_size
 # perfbench's traced run wraps these names here, where neither the loop nor the start calls them.
 from .filtering import predict, update  # noqa: F401
@@ -270,10 +270,11 @@ def _starter_path(problem: IvpProblem, config: SolverConfig) -> SolutionPath:
         # The step between knot times, not from t, which carries the
         # round-off of the summed steps.
         h = t_next - (problem.t0 + prev * h0)
-        A, Q_sqrt, _ = _transition(q, h)
-        pred_mean = _matvec(A, mean)
+        table, powers = _constants(q), _powers(q, h)
+        A, Q_sqrt = table.A(powers, 1), table.Q_sqrt(powers, 1)
+        pred_mean = _matvec(A[0], mean)
         z = reading(t_next, pred_mean[0::q1])
-        mean, factor = predict_update(factor, A, Q_sqrt, unit, pred_mean, z - pred_mean[1::q1], 1)
+        mean, factor = predict_update(factor, A[1], Q_sqrt, unit, pred_mean, z - pred_mean[1::q1], 1)
         t = t + h
         path.columns.append(t=t, h=h, sigma2=unit, mean=mean, factor=factor, pred_mean=pred_mean)
     return path
@@ -320,6 +321,7 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
     t = float(path.knots[-1])
     mean, factor = path.columns["mean"][-1], path.columns["factor"][-1]
     d, q, q1, unit = problem.dim, model.q, model.block_size, np.ones(problem.dim)
+    table = _constants(q)
     fixed = config.fixed_step is not None
     h = config.fixed_step if fixed else config.resolve_h_init(problem)
     # One row per attempt, named like the StepReport fields that view it.
@@ -345,15 +347,17 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
             # Clamp onto T, absorbing a remainder too short to step over.
             h = t_end - t
 
-        A, Q_sqrt, q11 = _transition(q, h)
-        pred_mean = _matvec(A, mean)
+        powers = _powers(q, h)
+        A, q11 = table.A(powers, 1), h ** (2 * q - 1) / table.q11_den  # A[1]: slot 1's row first
+        pred_mean = np.matmul(A[0], mean.reshape(d, q1, 1)).reshape(-1)  # _matvec, inline
         # A sampled draw's std, under the last accepted diffusion since this step's is
         # not known yet: the norm of row 0 of [A F, sqrt(sigma2) Q^(1/2)], no QR needed.
         std = None if rng is None else np.linalg.norm(
-            _stacked(factor, A[:1], Q_sqrt[:1], sigma2_step)[:, 0], axis=1)
-        z = observe(problem, t + h, pred_mean[0::q1], std, rng=rng)
+            _stacked(factor, A[0, :1], table.Q_sqrt(powers, 0)[:1], sigma2_step)[:, 0], axis=1)
+        y = pred_mean[0::q1]
+        z = observe(problem, t + h, y, std, rng=rng)
 
-        if np.isfinite(z).all():
+        if all(np.isfinite(z).tolist()):  # cheaper than .all() at small d
             residual = z - pred_mean[1::q1]
             sigma2_local = _sigma2(residual, q11)
             D = np.sqrt(sigma2_local * q11)
@@ -361,7 +365,7 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
                 passed, h_next = True, h
             else:
                 ebar = config.eps * h / (1.0 if config.per_unit_step else h)
-                D = D * _weights(pred_mean[0::q1], config.weighting_tau)
+                D = D * _weights(y, config.weighting_tau)
                 D_max = float(D.max())
                 passed = D_max <= ebar
                 h_next = next_step_size(D_max, ebar, h, q)
@@ -386,7 +390,8 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
                 raise RuntimeError(f"solve diverged at t = {t}, h = {h}: the accepted step's "
                                    f"diffusion estimate is {sigma2_local}")
             sigma2_step = sigma2_local if config.sigma_mode == "local_ml" else unit
-            mean, factor = predict_update(factor, A, Q_sqrt, sigma2_step, pred_mean, residual, 1)
+            mean, factor = predict_update(factor, A[1], table.Q_sqrt(powers, 1), sigma2_step,
+                                          pred_mean, residual, 1)
             t = t + h
             path.columns.append(t=t, h=h, sigma2=sigma2_step, mean=mean, factor=factor,
                                 pred_mean=pred_mean)

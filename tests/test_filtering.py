@@ -21,7 +21,7 @@ from odefilter import (
     solve,
     update,
 )
-from odefilter import filtering
+from odefilter import filtering, priors
 from odefilter.filtering import SolutionPath
 from transition_oracle import loop_q
 
@@ -274,6 +274,106 @@ class TestPathViews:
         assert np.shares_memory(state.mean, path.columns["mean"])
         assert np.shares_memory(state.factor, path.columns["factor"])
         assert path.smoothed[3].factor.base is path.smoothed[4].factor.base is not None
+
+
+class TestDeadBlocks:
+    """A block whose innovation variance is exactly 0 inside a solve: the kernel
+    guards it on every step, next to a live block, with no second code path."""
+
+    @staticmethod
+    def _problem():
+        # y1' = 1 with y1(0) = 0: the pinned slope makes every residual 0, so
+        # block 0's diffusion is 0 and, once its derivative is read, it is known.
+        return IvpProblem("dead_and_live", 2, 0.0, 2.0, np.array([0.0, 1.0]),
+                          lambda t, y: np.array([1.0, -y[1]]))
+
+    @pytest.mark.parametrize("config", [SolverConfig(q=1, fixed_step=0.05),
+                                        SolverConfig(q=2, eps=1e-4)], ids=["q1_fixed", "q2_adaptive"])
+    def test_dead_block_keeps_its_prediction_and_live_block_is_conditioned(self, config):
+        problem = self._problem()
+        result = solve(problem, config)
+        path, q1 = result.path, config.q + 1
+        assert len(path) > 10 and result.steps_accepted == len(path) - 1
+        assert np.all(result.sigma2_trace[:, 0] == 0.0) and np.all(result.sigma2_trace[:, 1] > 0.0)
+        # Block 0's factor is exactly 0 from knot 0 at q=1.  At q=2 the first
+        # step's QR leaves round-off of 1e-17 in it, which the second clears.
+        known = [not f.factor[0].any() for f in path.filtered]
+        dead_from = known.index(True) + 1
+        assert dead_from == (1 if config.q == 1 else 3) and all(known[dead_from - 1:])
+        for i in range(1, len(path)):
+            pred, filt = path.predictions[i], path.filtered[i]
+            if i >= dead_from:
+                # Block 0: its derivative row (r, 0, ..., 0) has r == 0, and the
+                # update leaves the block as it was predicted, bit for bit.
+                assert not pred.factor[0].any()
+                assert filt.factor[0].tobytes() == pred.factor[0].tobytes()
+                assert filt.mean[:q1].tobytes() == pred.mean[:q1].tobytes()
+            # Block 1 is live: conditioned by hand as in TestPathViews, bit for bit.
+            r = pred.factor[1, 1, 0]
+            assert r != 0.0 and np.all(pred.factor[1, 1, 1:] == 0.0)
+            zeroed = pred.factor[1].copy()
+            zeroed[:, 0] = 0.0
+            assert filt.factor[1].tobytes() == zeroed.tobytes()
+            residual = problem.rhs(pred.t, pred.mean[0::q1])[1] - pred.mean[q1 + 1]
+            gain = pred.factor[1, :, 0] / r
+            gain[1] = 1.0
+            assert filt.mean[q1:].tobytes() == (pred.mean[q1:] + gain * residual).tobytes()
+
+
+class TestColumns:
+    @staticmethod
+    def _columns():
+        return filtering._Columns(t=np.empty(0), v=np.empty((0, 2)), m=np.empty((0, 2, 3)),
+                                  ok=np.empty(0, dtype=bool))
+
+    @staticmethod
+    def _row(k):
+        return dict(t=k / 7.0, v=np.array([k, -k / 3.0]), m=np.arange(6.0).reshape(2, 3) * k / 11.0,
+                    ok=k % 3 == 0)
+
+    def test_growth_keeps_every_earlier_row(self):
+        # Capacity 16, then growth by half: 24, 36, 54, 81.  Every boundary is
+        # crossed, and every row written before it survives bit for bit.
+        cols = self._columns()
+        for n in range(1, 83):
+            cols.append(**self._row(n - 1))
+            assert cols.n == n
+            if n in (15, 16, 17, 24, 25, 36, 37, 54, 55, 81, 82):
+                for k in range(n):
+                    row = self._row(k)
+                    for name in ("t", "v", "m"):
+                        assert cols[name][k].tobytes() == np.asarray(row[name], float).tobytes()
+                    assert cols["ok"][k] == row["ok"]
+
+    def test_views_have_n_rows_of_their_dtype_and_shape(self):
+        cols = self._columns()
+        for n in range(20):
+            want = {"t": ((n,), float), "v": ((n, 2), float), "m": ((n, 2, 3), float),
+                    "ok": ((n,), bool)}
+            for name, (shape, dtype) in want.items():
+                assert cols[name].shape == shape and cols[name].dtype == dtype, name
+            cols.append(**self._row(n))
+        assert cols["ok"].tolist() == [k % 3 == 0 for k in range(20)]
+
+    def test_a_row_fills_its_columns_by_name(self):
+        cols = self._columns()
+        row = self._row(6)
+        cols.append(**{name: row[name] for name in ("ok", "m", "t", "v")})
+        assert cols["t"][0] == 6 / 7.0 and cols["ok"][0] and cols["v"][0].tolist() == [6, -2.0]
+        assert cols["m"][0].tobytes() == row["m"].tobytes()
+
+    @pytest.mark.parametrize("change", ["missing", "renamed"])
+    def test_a_row_that_does_not_name_every_column_raises(self, change):
+        cols = self._columns()
+        cols.append(**self._row(0))
+        row = self._row(1)
+        if change == "missing":
+            del row["v"]
+        else:
+            row["w"] = row.pop("t")
+        with pytest.raises(KeyError):
+            cols.append(**row)
+        assert cols.n == 1 and cols["t"].tolist() == [0.0]
 
 
 class TestSmooth:
@@ -733,14 +833,15 @@ class TestPredictUpdate:
         factor, sigma2 = self._blocks(rng, q1, d)
         state = GaussState(0.3, rng.standard_normal(d * q1), factor)
         tr, Q = discrete_transition(q, 0.37), loop_q(q, 0.37)
+        table, powers = priors._constants(q), priors._powers(q, 0.37)
         z = rng.standard_normal(d)
         mean = filtering._matvec(tr.A, state.mean)
-        filt = GaussState(0.67, *filtering.predict_update(factor, tr.A, tr.Q_sqrt, sigma2, mean,
+        A, Q_sqrt = table.A(powers, i)[1], table.Q_sqrt(powers, i)
+        filt = GaussState(0.67, *filtering.predict_update(factor, A, Q_sqrt, sigma2, mean,
                                                           z - mean[i::q1], i))
         # The kernel's predicted factor, rows back in slot order.
-        order, back = filtering._pivot(q1, i)
-        pred = GaussState(0.67, mean, filtering._predicted_factor(
-            factor, tr.A, tr.Q_sqrt, sigma2, order).take(back, axis=1))
+        pred = GaussState(0.67, mean, filtering._triangularize(
+            filtering._stacked(factor, A, Q_sqrt, sigma2)).take(priors._pivot(q1, i)[1], axis=1))
 
         m_ref, c_ref = _dense_predict(state.mean, block_diag(*state.cov), tr.A, Q, sigma2)
         _assert_rel(pred.mean, m_ref)

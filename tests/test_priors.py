@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odefilter import discrete_transition, make_iwp, nordsieck_qbar, pascal_matrix
-from odefilter.priors import _constants
+from odefilter.priors import _constants, _pivot, _powers
 from transition_oracle import loop_a, loop_q, matrix_fraction
 
 
@@ -135,6 +135,27 @@ class TestDiscreteTransition:
             t2.A @ _unit_q(t1) @ t2.A.T + _unit_q(t2), Q12,
             rtol=1e-10, atol=1e-13 * np.max(np.abs(Q12)),
         )
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_pivoted_rows_are_the_permuted_transition(self, q):
+        # The accepted step stacks these rows as they come; each must be bit for
+        # bit the row of the slot-order transition that the pivot puts there.
+        table = _constants(q)
+        for i in range(q + 1):
+            order = _pivot(q + 1, i)[0]
+            assert order[0] == i and sorted(order) == list(range(q + 1))
+            for h in (1e-9, 3.3e-7, 0.015, 0.37, 1.0, 1.9, 42.0):
+                tr, powers = discrete_transition(q, h), _powers(q, h)
+                A = table.A(powers, i)
+                assert A.shape == (2, q + 1, q + 1)
+                assert A[0].tobytes() == tr.A.tobytes()
+                assert A[1].tobytes() == tr.A.take(order, axis=0).tobytes()
+                assert table.Q_sqrt(powers, i).tobytes() == tr.Q_sqrt.take(order, axis=0).tobytes()
+        assert _constants(q) is table  # built once per q
+        for arr in (*table.a_lag, *table.a_den, *table.q_lag, *table.qbar_rows, _pivot(q + 1, 1)[0]):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1
 
 
 class TestNordsieck:
