@@ -17,7 +17,9 @@ re-triangularizes ``[A F, Q^(1/2)]`` by QR, update zeroes one column of a
 re-triangularized factor (the solver's ``predict_update`` does both in one
 QR), and smoothing, sampling and interpolation read the gain and the
 backward-conditional factor off one QR of the joint factor
-``[[A F, Q^(1/2)], [F, 0]]``.
+``[[A F, Q^(1/2)], [F, 0]]``.  Each QR calls the LAPACK gufunc behind
+``numpy.linalg.qr`` directly (``_triangularize``): at these block sizes the
+wrapper costs more than the factorization, and adds no check that can fail.
 
 That backward conditional depends only on the filtered factor, the step and
 the diffusion, never on the smoothed successor.  ``smooth`` and
@@ -40,6 +42,7 @@ from functools import lru_cache
 from math import inf, isfinite
 
 import numpy as np
+from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw  # geqrf, numpy >= 2.0
 
 from .priors import DiscreteTransition, IwpModel, _constants, _pivot, _powers, discrete_transition
 
@@ -117,12 +120,17 @@ def _lower_mask(n: int) -> np.ndarray:
 def _triangularize(M: np.ndarray) -> np.ndarray:
     """Lower triangular ``L`` with ``L L^T = M M^T`` for each block of ``M``.
 
-    ``L = R^T`` from the QR decomposition of ``M^T``.  numpy's "raw" mode,
-    cheaper than "r", returns LAPACK's output transposed: ``R^T`` below the
-    diagonal, reflector data above.
+    ``L = R^T`` from the QR decomposition of ``M^T``: LAPACK leaves ``R`` on
+    and above the diagonal of ``M^T``, reflector data below.  This is the gufunc
+    ``numpy.linalg.qr(M^T, mode="raw")`` calls, on the same float64 copy, so
+    ``L`` is the wrapper's bit for bit.  No check is lost: the wrapper raises
+    only when LAPACK reports an illegal argument, which a float64 stack of
+    valid shape never gives, and on success the gufunc clears the FP status.
     """
     n = M.shape[-2]
-    return np.linalg.qr(M.swapaxes(-1, -2), mode="raw")[0][..., :n] * _lower_mask(n)
+    a = M.swapaxes(-1, -2).astype(np.float64)
+    _qr_r_raw(a, signature="d->d")
+    return a.swapaxes(-1, -2)[..., :n] * _lower_mask(n)
 
 
 def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -41,8 +41,9 @@ def _logistic(r: float = 3.0, big_k: float = 1.0):
 def _brusselator(a: float = 1.0, b: float = 3.0):
     def rhs(t, y):
         y = np.asarray(y, dtype=float)
-        y1, y2 = y[..., 0], y[..., 1]
-        return np.stack([a + y1**2 * y2 - (b + 1.0) * y1, b * y1 - y1**2 * y2], axis=-1)
+        y1, y2, out = y[..., 0], y[..., 1], np.empty(y.shape)
+        out[..., 0], out[..., 1] = a + y1**2 * y2 - (b + 1.0) * y1, b * y1 - y1**2 * y2
+        return out
 
     return IvpProblem(
         name="brusselator", dim=2, t0=0.0, T=10.0, y0=np.array([1.5, 3.0]), rhs=rhs
@@ -56,8 +57,9 @@ def _van_der_pol(mu: float = 1.0):
 
     def rhs(t, y):
         y = np.asarray(y, dtype=float)
-        y1, y2 = y[..., 0], y[..., 1]
-        return np.stack([y2, mu * (1.0 - y1**2) * y2 - y1], axis=-1)
+        y1, y2, out = y[..., 0], y[..., 1], np.empty(y.shape)
+        out[..., 0], out[..., 1] = y2, mu * (1.0 - y1**2) * y2 - y1
+        return out
 
     return IvpProblem(
         name="vdp", dim=2, t0=0.0, T=period, y0=np.array([amplitude, 0.0]), rhs=rhs

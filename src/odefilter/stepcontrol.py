@@ -55,10 +55,10 @@ def estimate_sigma2(residual, qbar11: float) -> np.ndarray:
     return _sigma2(np.atleast_1d(np.asarray(residual, dtype=float)), qbar11)
 
 
+@np.errstate(over="ignore")
 def _sigma2(residual: np.ndarray, qbar11: float) -> np.ndarray:
     """:func:`estimate_sigma2` of a residual vector, unchecked."""
-    with np.errstate(over="ignore"):
-        return residual**2 / qbar11
+    return residual**2 / qbar11
 
 
 def error_weights(y, tau: float) -> np.ndarray:

@@ -276,6 +276,55 @@ class TestPathViews:
         assert path.smoothed[3].factor.base is path.smoothed[4].factor.base is not None
 
 
+def _wrapper_triangularize(M):
+    """``_triangularize`` through numpy's ``linalg.qr`` wrapper, the form it calls around."""
+    n = M.shape[-2]
+    return np.linalg.qr(M.swapaxes(-1, -2), mode="raw")[0][..., :n] * np.tri(n)
+
+
+class TestTriangularize:
+    """The direct LAPACK call equals numpy's QR wrapper bit for bit, so a numpy
+    release that changes the gufunc fails here instead of drifting silently."""
+
+    @staticmethod
+    def _assert_wrapper_bits(M):
+        before = M.copy()
+        got, want = filtering._triangularize(M), _wrapper_triangularize(M)
+        assert got.shape == want.shape and got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        assert M.tobytes() == before.tobytes()  # the input is left as it was
+
+    @pytest.mark.parametrize("d", [1, 2, 128])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_step_stacks(self, q, d):
+        # [A F, sqrt(sigma2) Q^(1/2)] of an accepted step: (d, q+1, 2(q+1)).
+        self._assert_wrapper_bits(np.random.default_rng(q * d).standard_normal((d, q + 1, 2 * q + 2)))
+
+    def test_backward_joint(self):
+        # _backward's 4-D joint (N, d, 2n, m + n), with its zero block.
+        joint = np.random.default_rng(1).standard_normal((5, 2, 6, 6))
+        joint[..., 3:, 3:] = 0.0
+        self._assert_wrapper_bits(joint)
+
+    def test_non_contiguous_inputs(self):
+        M = np.random.default_rng(2).standard_normal((4, 3, 8))
+        taken = M.take([1, 0, 2], axis=1)
+        sliced = M[::2, :, 1:7]
+        assert not sliced.flags.c_contiguous
+        self._assert_wrapper_bits(taken)
+        self._assert_wrapper_bits(sliced)
+        self._assert_wrapper_bits(M[..., :3].swapaxes(-1, -2))
+
+    def test_zero_block_and_huge_entries(self):
+        # A block exactly 0 (the r == 0 dead block) next to a live one, and
+        # entries near 1e150, whose squares LAPACK's scaled norms absorb.
+        M = np.random.default_rng(3).standard_normal((3, 3, 6))
+        M[0] = 0.0
+        M[2] *= 1e150
+        self._assert_wrapper_bits(M)
+        assert not filtering._triangularize(M)[0].any()
+
+
 class TestDeadBlocks:
     """A block whose innovation variance is exactly 0 inside a solve: the kernel
     guards it on every step, next to a live block, with no second code path."""

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -94,6 +95,38 @@ class TestReferenceSolution:
         out = reference_solution(p, ts)
         assert out.shape == (3, 1)
         np.testing.assert_allclose(out[:, 0], [p.exact(t)[0] for t in ts], atol=1e-11)
+
+
+# The registered two-dimensional right-hand sides at their default parameters
+# as numpy.stack formulas: the reference they must match bit for bit.
+_STACKED_RHS = {
+    "brusselator": lambda t, y: np.stack(
+        [1.0 + y[..., 0]**2 * y[..., 1] - 4.0 * y[..., 0], 3.0 * y[..., 0] - y[..., 0]**2 * y[..., 1]],
+        axis=-1),
+    "vdp": lambda t, y: np.stack(
+        [y[..., 1], 1.0 * (1.0 - y[..., 0]**2) * y[..., 1] - y[..., 0]], axis=-1),
+}
+
+
+class TestRegisteredRhs:
+    @pytest.mark.parametrize("name", sorted(_STACKED_RHS))
+    @pytest.mark.parametrize("shape", [(2,), (50, 2)])
+    def test_equals_the_stacked_formula_bit_for_bit(self, name, shape):
+        y = np.random.default_rng(7).uniform(-3.0, 3.0, shape)
+        got = get_problem(name).rhs(0.0, y)
+        want = _STACKED_RHS[name](0.0, y)
+        assert got.shape == shape and got.tobytes() == want.tobytes()
+        assert got.dtype == np.float64 and not np.shares_memory(got, y)
+
+    @pytest.mark.parametrize("name", sorted(_STACKED_RHS))
+    def test_local_errors_unchanged(self, name):
+        # local_errors restarts every step in one batched sweep of the rhs.
+        p = get_problem(name)
+        p = replace(p, T=p.t0 + 1.0)
+        res = solve(p, SolverConfig(q=2, eps=1e-3))
+        xi = local_errors(p, res)
+        want = local_errors(replace(p, rhs=_STACKED_RHS[name]), res)
+        assert len(xi) > 5 and xi.tobytes() == want.tobytes()
 
 
 class TestLocalErrors:

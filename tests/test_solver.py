@@ -588,11 +588,12 @@ class TestStepRecord:
 
 
 def _count_qr_and_transitions(monkeypatch) -> dict:
-    """Counts of ``np.linalg.qr`` calls and of built ``DiscreteTransition``s from here on."""
-    from odefilter import priors
+    """Counts of QRs (``filtering._triangularize`` calls) and of built
+    ``DiscreteTransition``s from here on."""
+    from odefilter import filtering, priors
 
     counts = {"qr": 0, "transition": 0}
-    qr, init = np.linalg.qr, priors.DiscreteTransition.__init__
+    qr, init = filtering._triangularize, priors.DiscreteTransition.__init__
 
     def counting_qr(*args, **kwargs):
         counts["qr"] += 1
@@ -602,7 +603,7 @@ def _count_qr_and_transitions(monkeypatch) -> dict:
         counts["transition"] += 1
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    monkeypatch.setattr(filtering, "_triangularize", counting_qr)
     monkeypatch.setattr(priors.DiscreteTransition, "__init__", counting_init)
     return counts
 
