@@ -1,33 +1,33 @@
 """Kalman prediction/update, RTS smoothing, posterior sampling, dense output.
 
-A state stacks ``d`` independent blocks of ``q+1`` entries, one block per
-ODE dimension.  The mean is the flat vector ``(y_0, y_0', ..., y_0^(q),
-y_1, ...)`` of length d(q+1).  The covariance is stored as square-root
-factors of its d diagonal blocks, an array ``F`` of shape ``(d, q+1, q+1)``
-whose block ``k`` has covariance ``F[k] @ F[k].T``: under the IWP prior the
-dimensions never couple, so the off-diagonal blocks are zero and are never
-formed.  Every operation here acts on all blocks at once through batched
-small-matrix products and QR decompositions, so a step costs
-O(d (q+1)^3) and a state takes O(d (q+1)^2) memory.
+A state stacks ``d`` independent blocks of ``q+1`` entries, one block per ODE
+dimension.  The mean is the flat vector ``(y_0, y_0', ..., y_0^(q), y_1, ...)``
+of length d(q+1).  The covariance is stored as square-root factors of its d
+diagonal blocks, an array ``F`` of shape ``(d, q+1, q+1)`` whose block ``k``
+has covariance ``F[k] @ F[k].T``: under the IWP prior the dimensions never
+couple, so the off-diagonal blocks are zero and are never formed.  Every
+operation acts on all blocks at once through batched small-matrix products
+and QRs, so a step costs O(d (q+1)^3) and a state O(d (q+1)^2) memory.
 
-No operation forms a covariance and factors it again, so every covariance
-is positive semidefinite by construction (Krämer & Hennig, *Stable
-implementation of probabilistic ODE solvers*, JMLR 2024): predict
-re-triangularizes ``[A F, Q^(1/2)]`` by QR, update zeroes one column of a
-re-triangularized factor (the solver's ``predict_update`` does both in one
-QR), and smoothing, sampling and interpolation read the gain and the
-backward-conditional factor off one QR of the joint factor
-``[[A F, Q^(1/2)], [F, 0]]``.  Each QR calls the LAPACK gufunc behind
-``numpy.linalg.qr`` directly (``_triangularize``): at these block sizes the
-wrapper costs more than the factorization, and adds no check that can fail.
+No operation forms a covariance and factors it again, and none inverts one,
+so every covariance is positive semidefinite by construction (Krämer &
+Hennig, *Stable implementation of probabilistic ODE solvers*, JMLR 2024):
+predict re-triangularizes ``[A F, Q^(1/2)]`` by QR, update zeroes one column
+of a re-triangularized factor (the solver's ``predict_update`` does both in
+one QR), and smoothing, sampling and interpolation read the gain and the
+backward-conditional factor off one QR of the joint factor ``[[A F,
+Q^(1/2)], [F, 0]]`` and the inverse of its triangular block ``L11``.  Each
+QR and inverse calls the LAPACK gufunc behind ``numpy.linalg.qr`` or
+``numpy.linalg.inv`` directly (``_triangularize``, ``_inv``): at these block
+sizes the wrappers cost more than the factorization.
 
 That backward conditional depends only on the filtered factor, the step and
 the diffusion, never on the smoothed successor.  ``smooth`` and
 ``sample_posterior`` therefore build it for a chunk of intervals at a time
 with one batched QR and one batched inverse, in units of each interval's
 step (there every transition is ``A(1)``), and keep only the knot-to-knot
-recursion in Python.  A chunk holds at most ``_CHUNK_BLOCKS`` blocks, so
-the temporaries do not grow with the path.
+recursion in Python, in buffers reused by every knot.  A chunk holds at most
+``_CHUNK_BLOCKS`` blocks, so the temporaries do not grow with the path.
 
 A :class:`SolutionPath` keeps one row per knot in shared column arrays and
 hands out states as views built on access.  It stores no predicted factor:
@@ -42,20 +42,13 @@ from functools import lru_cache
 from math import inf, isfinite
 
 import numpy as np
-from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw  # geqrf, numpy >= 2.0
+from numpy.linalg._umath_linalg import inv as _inv_raw, qr_r_raw as _qr_r_raw  # numpy >= 2.0
 
-from .priors import DiscreteTransition, IwpModel, _constants, _pivot, _powers, discrete_transition
+from .priors import (DiscreteTransition, IwpModel, _check_positive_int, _constants, _pivot, _powers,
+                     discrete_transition)
 
-__all__ = [
-    "GaussState",
-    "ObservationModel",
-    "SolutionPath",
-    "predict",
-    "update",
-    "smooth",
-    "sample_posterior",
-    "interpolate",
-]
+__all__ = ["GaussState", "ObservationModel", "SolutionPath", "predict", "update", "smooth",
+           "sample_posterior", "interpolate"]
 
 _EPS = float(np.finfo(float).eps)
 
@@ -64,11 +57,10 @@ _EPS = float(np.finfo(float).eps)
 class GaussState:
     """Gaussian state at one time point.
 
-    ``mean`` is the flat block-interleaved vector of length d(q+1);
-    ``factor`` is the stack of the d per-dimension square-root factors,
-    shape ``(d, q+1, q+1)``, of the covariance blocks ``factor @ factor^T``.
-    A factor need not be triangular; ``np.zeros`` and ``np.eye`` are their
-    own factors.
+    ``mean`` is the flat block-interleaved vector of length d(q+1); ``factor`` is the stack of
+    the d per-dimension square-root factors, shape ``(d, q+1, q+1)``, of the covariance blocks
+    ``factor @ factor^T``.  A factor need not be triangular; ``np.zeros`` and ``np.eye`` are
+    their own factors.
     """
 
     t: float
@@ -99,11 +91,8 @@ class GaussState:
 
 @dataclass(frozen=True)
 class ObservationModel:
-    """Exact (noise-free) observation of one derivative per dimension.
-
-    ``derivative_index`` selects which state slot is observed (0 for the
-    solution itself, 1 for its derivative).
-    """
+    """Exact (noise-free) observation of one derivative per dimension: ``derivative_index``
+    selects which state slot is observed (0 for the solution itself, 1 for its derivative)."""
 
     derivative_index: int = 1
 
@@ -117,8 +106,8 @@ def _lower_mask(n: int) -> np.ndarray:
     return np.tri(n)
 
 
-def _triangularize(M: np.ndarray) -> np.ndarray:
-    """Lower triangular ``L`` with ``L L^T = M M^T`` for each block of ``M``.
+def _triangularize(M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Lower triangular ``L`` with ``L L^T = M M^T`` for each block of ``M``, in ``out`` if given.
 
     ``L = R^T`` from the QR decomposition of ``M^T``: LAPACK leaves ``R`` on
     and above the diagonal of ``M^T``, reflector data below.  This is the gufunc
@@ -130,14 +119,26 @@ def _triangularize(M: np.ndarray) -> np.ndarray:
     n = M.shape[-2]
     a = M.swapaxes(-1, -2).astype(np.float64)
     _qr_r_raw(a, signature="d->d")
-    return a.swapaxes(-1, -2)[..., :n] * _lower_mask(n)
+    return np.multiply(a.swapaxes(-1, -2)[..., :n], _lower_mask(n), out=out)
+
+
+def _raise_singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _inv(a: np.ndarray) -> np.ndarray:
+    """``numpy.linalg.inv`` of a float64 stack, bit for bit: its LAPACK gufunc under its error state.
+    A block whose LU breaks down (``[[1e-320, 0, 0], [1, 1e-5, 0], [0, 0, 1]]`` passes
+    ``_backward``'s test and underflows) gets NaNs and the invalid flag, which a bare call only
+    warns of; the error state raises ``LinAlgError``.  As a decorator, its cheapest form, it adds
+    1.5 us to the gufunc's 3.8 on a ``(1, 2, 3, 3)`` stack, a ``with`` block 2.8."""
+    return _inv_raw(a, signature="d->d")
 
 
 def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply one block (or a stack of d blocks) to flat block vectors.
-
-    ``x`` has trailing axis d(q+1); the result has the shape of ``x``.
-    """
+    """Apply one block (or a stack of d blocks) to flat block vectors ``x`` (trailing axis
+    d(q+1)); the result has the shape of ``x``."""
     q1 = M.shape[-1]
     return np.matmul(M, x.reshape(x.shape[:-1] + (-1, q1, 1))).reshape(x.shape)
 
@@ -145,10 +146,9 @@ def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
 def predict(state: GaussState, transition: DiscreteTransition, sigma2=None) -> GaussState:
     """Propagate a state through one step: m -> A m, C -> A C A^T + Q.
 
-    ``transition`` is one unit block shared by every dimension.  ``sigma2``,
-    if given, holds one diffusion scale per dimension and replaces ``Q`` by
-    ``sigma2[k] * Q`` in block ``k``.  The predicted factor is the lower
-    triangular factor of ``[A F, Q^(1/2)]`` from one batched QR.
+    ``transition`` is one unit block shared by every dimension.  ``sigma2``, if given, holds
+    one diffusion scale per dimension and replaces ``Q`` by ``sigma2[k] * Q`` in block ``k``.
+    The predicted factor is the lower triangular factor of ``[A F, Q^(1/2)]`` from one QR.
     """
     d = state.factor.shape[0]
     sigma2 = np.ones(d) if sigma2 is None else np.asarray(sigma2, dtype=float)
@@ -163,11 +163,10 @@ def predict(state: GaussState, transition: DiscreteTransition, sigma2=None) -> G
 def update(state: GaussState, z, obs: ObservationModel) -> tuple[GaussState, np.ndarray]:
     """Condition a state on one exactly observed derivative per dimension.
 
-    Returns the updated state and the pre-update residual ``z - H m``.  The
-    factor is re-triangularized with the observed slot's row first and
-    conditioned by :func:`_condition`: that slot's row becomes exactly 0
-    and ``H m = z`` to one rounding, and a block with zero innovation
-    variance keeps its mean and covariance.
+    Returns the updated state and the pre-update residual ``z - H m``.  The factor is
+    re-triangularized with the observed slot's row first and conditioned by :func:`_condition`:
+    that slot's row becomes exactly 0 and ``H m = z`` to one rounding, and a block with zero
+    innovation variance keeps its mean and covariance.
     """
     d, q1, _ = state.factor.shape
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -229,10 +228,9 @@ def _built(t: float, mean: np.ndarray, factor: np.ndarray) -> GaussState:
 class _Columns:
     """Arrays that grow together along their first axis, by half when full.
 
-    Each starts as the empty array given for it, which fixes its row shape
-    and dtype; ``self[name]`` is a view of the ``n`` rows in use.  Growing
-    by half, not doubling, caps the spare rows at a third of the storage.
-    """
+    Each starts as the empty array given for it, which fixes its row shape and dtype;
+    ``self[name]`` is a view of the ``n`` rows in use.  Growing by half, not doubling,
+    caps the spare rows at a third of the storage."""
 
     def __init__(self, **empty: np.ndarray):
         self.n, self._size, self._data = 0, 0, empty
@@ -254,10 +252,8 @@ class _Columns:
 
 
 class _Rows(Sequence):
-    """Read-only sequence of ``n`` items, item ``i`` built by ``at(i)`` on access.
-
-    Indices and slices act as on a list; a slice, like ``+``, gives a list.
-    """
+    """Read-only sequence of ``n`` items, item ``i`` built by ``at(i)`` on access.  Indices
+    and slices act as on a list; a slice, like ``+``, gives a list."""
 
     def __init__(self, n: int, at: Callable[[int], object]):
         self._n, self._at = n, at
@@ -277,15 +273,14 @@ class _Rows(Sequence):
 class SolutionPath:
     """Filtered (and optionally smoothed) states over an increasing mesh.
 
-    Append-only while filtering, written once by smoothing.  ``columns``
-    holds one row per knot: time ``t``, filtered ``mean`` and ``factor``,
-    predicted mean ``pred_mean``, and the step ``h`` and diffusion scales
-    ``sigma2`` of the interval ending there (unused in row 0).  ``knots``,
-    ``step_sizes`` and ``step_sigma2`` view these columns; ``filtered``,
-    ``predictions`` and ``smoothed`` are sequences of :class:`GaussState`
-    views built on access.  ``predictions[0]`` is the prior, kept whole;
-    ``predictions[i]`` rebuilds its factor from knot ``i-1`` by the QR of
-    :func:`predict_update` observing slot 1, as the solver does, bit for bit.
+    Append-only while filtering, written once by smoothing.  ``columns`` holds one row per
+    knot: time ``t``, filtered ``mean`` and ``factor``, predicted mean ``pred_mean``, and the
+    step ``h`` and diffusion scales ``sigma2`` of the interval ending there (unused in row 0).
+    ``knots``, ``step_sizes`` and ``step_sigma2`` view these columns; ``filtered``,
+    ``predictions`` and ``smoothed`` are sequences of :class:`GaussState` views built on
+    access.  ``predictions[0]`` is the prior, kept whole; ``predictions[i]`` rebuilds its
+    factor from knot ``i-1`` by the QR of :func:`predict_update` observing slot 1, as the
+    solver does, bit for bit.
     """
 
     model: IwpModel
@@ -371,9 +366,8 @@ class SolutionPath:
         self._prior = _built(prior.t, prior.mean, prior.factor * scale)
 
 
-# A chunk of the backward pass holds at most this many (q+1)-square blocks,
-# ``_CHUNK_BLOCKS // d`` intervals.  That caps its temporaries, about 1.2 KB
-# per block at q=2, whatever the path's length.
+# A chunk of the backward pass holds at most this many (q+1)-square blocks, ``_CHUNK_BLOCKS
+# // d`` intervals: its temporaries take about 1.2 KB per block at q=2, whatever the path's length.
 _CHUNK_BLOCKS = 1024
 
 
@@ -402,27 +396,29 @@ def _backward(factors: np.ndarray, steps: np.ndarray,
     triangular blocks ``[[L11, 0], [L21, L22]]``: the gain is
     ``S^-1 L21 L11^+ S`` and ``S^-1 L22`` factors the covariance of x_k given
     x_{k+1}.  ``L11`` needs no equilibration in these units; a block with an
-    ``|L11_ii|`` at most 1e-12 times row i's norm (no diffusion) takes ``pinv``.
+    ``|L11_ii|`` at most 1e-12 times row i's norm (no diffusion) takes ``pinv``,
+    the rest :func:`_inv`.  An interval's knot-to-knot kernel is :func:`_rts_step`.
     """
     N, d, n, m = factors.shape
     c = _constants(n - 1)
     powers = steps[:, None] ** np.arange(n)
-    scaled = powers[:, None, :, None] * factors
-    joint = np.zeros((N, d, 2 * n, m + n))
-    joint[..., :n, :m] = c.a_unit @ scaled
+    joint = np.empty((N, d, 2 * n, m + n))
+    scaled = np.multiply(powers[:, None, :, None], factors, out=joint[..., n:, :m])
+    np.matmul(c.a_unit, scaled, out=joint[..., :n, :m])
     noise = np.sqrt(sigma2) * (powers[:, -1] * np.sqrt(steps))[:, None]  # sqrt(sigma2) h^(q+1/2)
-    joint[..., :n, m:] = noise[..., None, None] * c.qbar_sqrt
-    joint[..., n:, :m] = scaled
+    np.multiply(noise[..., None, None], c.qbar_sqrt, out=joint[..., :n, m:])
+    joint[..., n:, m:] = 0.0
     L = _triangularize(joint)
     L11 = L[..., :n, :n]
-    diag = np.abs(np.diagonal(L11, axis1=-2, axis2=-1))
-    singular = np.any(diag <= 1e-12 * np.linalg.norm(L11, axis=-1), axis=-1)
-    if singular.any():
+    # np.linalg.norm(L11, axis=-1) written out, as numpy computes it.
+    flagged = abs(L11.diagonal(0, -2, -1)) <= 1e-12 * np.sqrt(np.add.reduce(L11 * L11, axis=-1))
+    if flagged.any():
+        singular = flagged.any(axis=-1)
         inv = np.empty_like(L11)
         inv[singular] = np.linalg.pinv(L11[singular])
-        inv[~singular] = np.linalg.inv(L11[~singular])
+        inv[~singular] = _inv(L11[~singular])
     else:
-        inv = np.linalg.inv(L11)
+        inv = _inv(L11)
     back = (1.0 / powers)[:, None, :, None]
     return back * (L[..., n:, :n] @ inv) * powers[:, None, None, :], back * L[..., n:, n:]
 
@@ -435,59 +431,63 @@ def _backward_chunks(path: SolutionPath):
         yield lo, *_backward(factors[lo:hi], steps[lo:hi], sigma2[lo:hi])
 
 
-def _rts_step(mean: np.ndarray, G: np.ndarray, cond: np.ndarray, pred_mean_next: np.ndarray,
-              mean_next: np.ndarray, factor_next: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smoothed mean and factor from the filtered (or predicted) ``mean``, the
-    backward gain and conditional factor, and the smoothed state one interval later."""
-    mean = mean + _matvec(G, mean_next - pred_mean_next)
-    return mean, _triangularize(np.concatenate([G @ factor_next, cond], axis=2))
+def _rts_step(G: np.ndarray, cond: np.ndarray, mean: np.ndarray, pred_mean_next: np.ndarray,
+              mean_next: np.ndarray, factor_next: np.ndarray, out_mean=None, out_factor=None, joint=None):
+    """Smoothed mean and factor (to ``out_mean``, ``out_factor`` if given) from the backward gain
+    and conditional factor, the filtered or predicted ``mean`` and the smoothed state one interval
+    later, means as ``(d, q+1, 1)`` block columns: the factor is the QR of ``[G F_next, cond]``,
+    built in ``joint``, a ``(d, q+1, 2(q+1))`` buffer a loop over knots reuses."""
+    n = G.shape[-1]
+    joint = np.empty(G.shape[:-1] + (2 * n,)) if joint is None else joint
+    np.matmul(G, factor_next, out=joint[..., :n])
+    joint[..., n:] = cond
+    return (np.add(mean, G @ (mean_next - pred_mean_next), out=out_mean),
+            _triangularize(joint, out_factor))
+
+
+def _block_columns(path: SolutionPath, *means: np.ndarray) -> list[np.ndarray]:
+    """Views of flat block vectors as ``(..., d, q+1, 1)`` block columns."""
+    return [m.reshape(m.shape[:-1] + (path.model.dim, path.model.block_size, 1)) for m in means]
 
 
 def smooth(path: SolutionPath) -> SolutionPath:
-    """Backward RTS pass filling ``path.smoothed``; idempotent, linear cost.
-
-    Needs no new right-hand-side evaluations.  The smoothed means and
-    factors are two arrays of the path's length, written once; the last
-    knot's smoothed state equals its filtered state exactly.
-    """
+    """Backward RTS pass filling ``path.smoothed``; idempotent, linear cost, and no new
+    right-hand-side evaluations.  The smoothed means and factors are two arrays of the path's
+    length, written once; the last knot's smoothed state equals its filtered state exactly."""
     if not len(path):
         raise ValueError("cannot smooth an empty path")
     if path.smoothed is not None:
         return path
     c = path.columns
-    t, filt_mean, pred_mean = c["t"], c["mean"], c["pred_mean"]
-    mean, factor = filt_mean.copy(), c["factor"].copy()
+    t, mean, factor = c["t"], c["mean"].copy(), c["factor"].copy()
+    filt, pred, sm = _block_columns(path, c["mean"], c["pred_mean"], mean)
+    joint = np.empty(factor.shape[1:-1] + (2 * factor.shape[-1],))  # reused by every knot
     for lo, G, cond in _backward_chunks(path):
         for i in range(lo + len(G) - 1, lo - 1, -1):
-            mean[i], factor[i] = _rts_step(filt_mean[i], G[i - lo], cond[i - lo], pred_mean[i + 1],
-                                           mean[i + 1], factor[i + 1])
+            _rts_step(G[i - lo], cond[i - lo], filt[i], pred[i + 1], sm[i + 1], factor[i + 1],
+                      sm[i], factor[i], joint)
     path.smoothed = _Rows(len(t), lambda i: _built(float(t[i]), mean[i], factor[i]))
     return path
 
 
 def sample_posterior(path: SolutionPath, seed: int, count: int) -> np.ndarray:
-    """Joint posterior trajectories over the knots by backward sampling.
-
-    Deterministic for a fixed seed.  Returns an array of shape
-    ``(count, n_knots, state_size)``.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    """Joint posterior trajectories over the knots by backward sampling, deterministic for a
+    fixed seed: an array of shape ``(count, n_knots, state_size)``."""
+    count = _check_positive_int("count", count)
     if path.smoothed is None:
         raise ValueError("smooth the path before sampling")
     rng = np.random.default_rng(seed)
-    n, size = len(path), path.model.state_size
-    filt_mean, pred_mean = path.columns["mean"], path.columns["pred_mean"]
-    out = np.empty((count, n, size))
-    last = path.smoothed[-1]
-    out[:, -1, :] = last.mean + _matvec(last.factor, rng.standard_normal((count, size)))
+    out = np.empty((count, len(path), path.model.state_size))
+    filt, pred, draws = _block_columns(path, path.columns["mean"], path.columns["pred_mean"], out)
+    step, last = np.empty_like(draws[:, 0]), path.smoothed[-1]
+    draws[:, -1] = last.mean.reshape(step.shape[1:]) + last.factor @ rng.standard_normal(step.shape)
     for lo, G, cond in _backward_chunks(path):
         # One draw per chunk, newest knot first: the same stream as one draw per knot.
-        noise = rng.standard_normal((len(G), count, size))[::-1]
-        offsets = _matvec(cond[:, None], noise)
-        for i in range(lo + len(G) - 1, lo - 1, -1):
-            cond_mean = filt_mean[i] + _matvec(G[i - lo], out[:, i + 1, :] - pred_mean[i + 1])
-            out[:, i, :] = cond_mean + offsets[i - lo]
+        offsets = cond[:, None] @ rng.standard_normal((len(G),) + step.shape)[::-1]
+        for i in range(lo + len(G) - 1, lo - 1, -1):  # filt + G (draw - pred) + offset, in order
+            np.matmul(G[i - lo], draws[:, i + 1] - pred[i + 1], out=step)
+            step += filt[i]
+            np.add(step, offsets[i - lo], out=draws[:, i])
     return out
 
 
@@ -497,12 +497,13 @@ def interpolate(path: SolutionPath, t: float, allow_extrapolation: bool = False)
     At a knot this returns the smoothed state there.  Inside an interval it
     conditions the prior bridge on the filtered state at the left knot and
     the smoothed state at the right knot, so the result agrees with the knot
-    states in the limits and is continuous in ``t``.  The bridge takes one
-    backward QR: the state at ``t`` enters it as its untriangularized
-    factor ``[A F, sqrt(sigma2) Q^(1/2)]``, triangularized first in the
-    first interval, whose left knot holds the prior's scale.
-    Times outside the solved span raise unless ``allow_extrapolation`` is
-    set, in which case the state is predicted forward from the last knot.
+    states in the limits and is continuous in ``t``.  The bridge is one
+    :func:`_backward` (one QR, one inverse) and one :func:`_rts_step` (one
+    QR): the state at ``t`` enters it as its untriangularized factor ``[A F,
+    sqrt(sigma2) Q^(1/2)]``, triangularized first in the first interval,
+    whose left knot holds the prior's scale.  Times outside the solved span
+    raise unless ``allow_extrapolation`` is set, in which case the state is
+    predicted forward from the last knot.
     """
     if not len(path):
         raise ValueError("cannot interpolate an empty path")
@@ -520,10 +521,8 @@ def interpolate(path: SolutionPath, t: float, allow_extrapolation: bool = False)
         raise ValueError(f"t={t} precedes the first knot {knots[0]}")
     if t > knots[-1]:
         if not allow_extrapolation:
-            raise ValueError(
-                f"t={t} is past the last knot {knots[-1]}; "
-                "pass allow_extrapolation=True to predict forward"
-            )
+            raise ValueError(f"t={t} is past the last knot {knots[-1]}; "
+                             "pass allow_extrapolation=True to predict forward")
         base = discrete_transition(path.model.q, t - float(knots[-1]))
         sig = path.step_sigma2[-1] if len(path) > 1 else None
         return predict(path.smoothed[-1], base, sig)
@@ -540,6 +539,6 @@ def interpolate(path: SolutionPath, t: float, allow_extrapolation: bool = False)
         at_t = _triangularize(at_t)
     G, cond = _backward(at_t[None], np.array([float(knots[i + 1]) - t]), sigma2[None])
     after = path.smoothed[i + 1]
-    mean, factor = _rts_step(_matvec(A_fwd, c["mean"][i]), G[0], cond[0], c["pred_mean"][i + 1],
-                             after.mean, after.factor)
-    return _built(t, mean, factor)
+    mean, pred_next, mean_next = _block_columns(path, c["mean"][i], c["pred_mean"][i + 1], after.mean)
+    mean, factor = _rts_step(G[0], cond[0], A_fwd @ mean, pred_next, mean_next, after.factor)
+    return _built(t, mean.reshape(-1), factor)

@@ -325,6 +325,205 @@ class TestTriangularize:
         assert not filtering._triangularize(M)[0].any()
 
 
+def _norm_flags(L11):
+    """Per-block singular flags of ``L11`` in the ``np.linalg.norm`` form."""
+    diag = np.abs(np.diagonal(L11, axis1=-2, axis2=-1))
+    return np.any(diag <= 1e-12 * np.linalg.norm(L11, axis=-1), axis=-1)
+
+
+def _wrapper_backward(factors, steps, sigma2):
+    """``_backward`` with numpy's ``linalg.inv`` and ``linalg.norm`` wrappers and its joint
+    built by ``np.zeros`` and temporaries: the form the kernel equals bit for bit."""
+    N, d, n, m = factors.shape
+    c = priors._constants(n - 1)
+    powers = steps[:, None] ** np.arange(n)
+    scaled = powers[:, None, :, None] * factors
+    joint = np.zeros((N, d, 2 * n, m + n))
+    joint[..., :n, :m] = c.a_unit @ scaled
+    noise = np.sqrt(sigma2) * (powers[:, -1] * np.sqrt(steps))[:, None]
+    joint[..., :n, m:] = noise[..., None, None] * c.qbar_sqrt
+    joint[..., n:, :m] = scaled
+    L = filtering._triangularize(joint)
+    L11 = L[..., :n, :n]
+    singular = _norm_flags(L11)
+    if singular.any():
+        inv = np.empty_like(L11)
+        inv[singular] = np.linalg.pinv(L11[singular])
+        inv[~singular] = np.linalg.inv(L11[~singular])
+    else:
+        inv = np.linalg.inv(L11)
+    back = (1.0 / powers)[:, None, :, None]
+    return back * (L[..., n:, :n] @ inv) * powers[:, None, None, :], back * L[..., n:, n:]
+
+
+def _backward_inputs(rng, N, d, q, m):
+    """Factors ``(N, d, q+1, m)``, steps and diffusion scales spread over decades."""
+    factors = rng.standard_normal((N, d, q + 1, m))
+    return factors, 10.0 ** rng.uniform(-4, 0, N), 10.0 ** rng.uniform(-6, 2, (N, d))
+
+
+class TestBackwardInverse:
+    """``_backward`` calls the inverse gufunc without numpy's wrapper and tests for
+    singular blocks without ``np.linalg.norm``: the same bits, the same ``pinv``
+    routing, and the wrapper's ``LinAlgError`` where LU breaks down."""
+
+    @staticmethod
+    def _assert_wrapper_bits(factors, steps, sigma2):
+        got = filtering._backward(factors, steps, sigma2)
+        for g, w in zip(got, _wrapper_backward(factors, steps, sigma2)):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("N", [1, 512])
+    @pytest.mark.parametrize("d", [1, 2, 64])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_equals_the_wrapper_form(self, q, d, N):
+        # N=1 is an interpolate call, whose factor is [A F, Q^(1/2)] (m = 2(q+1));
+        # N=512 a smoothing chunk of filtered factors (m = q+1).
+        rng = np.random.default_rng(1000 * q + 10 * d + N)
+        self._assert_wrapper_bits(*_backward_inputs(rng, N, d, q, 2 * q + 2 if N == 1 else q + 1))
+
+    @staticmethod
+    def _pinv_inputs(monkeypatch) -> list:
+        seen, pinv = [], np.linalg.pinv
+        monkeypatch.setattr(np.linalg, "pinv", lambda a: seen.append(a.copy()) or pinv(a))
+        return seen
+
+    @pytest.mark.parametrize("q", [1, 2, 4])
+    def test_mixed_and_fully_singular_stacks(self, q, monkeypatch):
+        # Zero-diffusion blocks next to live ones: with a zero factor, L11 is 0 and takes
+        # pinv; with the observed row lost, L11 is singular up to rounding and the 1e-12
+        # test routes it.  Then a stack of zero blocks only, which leaves inv none.
+        factors, steps, sigma2 = _backward_inputs(np.random.default_rng(q), 16, 3, q, q + 1)
+        zero, lost = np.zeros((2, 16, 3), dtype=bool)
+        zero[::3, 1] = lost[5, :] = True
+        factors[zero] = 0.0
+        factors[lost, 1] = 0.0
+        sigma2[zero | lost] = 0.0
+        seen = self._pinv_inputs(monkeypatch)
+        self._assert_wrapper_bits(factors, steps, sigma2)
+        self._assert_wrapper_bits(np.zeros_like(factors), steps, np.zeros_like(sigma2))
+        # The kernel (first) and the wrapper form hand pinv the same blocks.
+        assert len(seen) == 4 and seen[0].tobytes() == seen[1].tobytes()
+        assert zero.sum() <= len(seen[0]) < zero.size
+        assert len(seen[2]) == len(seen[3]) == zero.size
+
+    @staticmethod
+    def _routed(monkeypatch, L, seen):
+        """The L11 blocks ``_backward`` hands to ``pinv`` when its QR gives ``L``."""
+        N, d, n2, _ = L.shape
+        monkeypatch.setattr(filtering, "_triangularize", lambda M: L)
+        filtering._backward(np.zeros((N, d, n2 // 2, n2 // 2)), np.ones(N), np.ones((N, d)))
+        return seen[-1] if seen else None
+
+    def _assert_norm_routing(self, monkeypatch, L):
+        seen = self._pinv_inputs(monkeypatch)
+        L11 = L[..., : L.shape[-1] // 2, : L.shape[-1] // 2]
+        flags = _norm_flags(L11)
+        got = self._routed(monkeypatch, L, seen)
+        if flags.any():
+            assert len(seen) == 1 and got.tobytes() == L11[flags].tobytes()
+        else:
+            assert not seen
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_singular_test_flags_random_blocks_as_the_norm_form(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        L = np.tril(rng.standard_normal((64, 2, 6, 6)))
+        shrink = rng.random((64, 2, 6)) < 0.1  # some diagonal entries near or past 1e-12
+        idx = np.nonzero(shrink)
+        L[idx + (idx[2],)] *= 10.0 ** -rng.uniform(8, 16, len(idx[0]))
+        assert 0 < _norm_flags(L[..., :3, :3]).sum() < 128  # both routes
+        self._assert_norm_routing(monkeypatch, L)
+
+    @pytest.mark.parametrize("ulps", [-2, -1, 0, 1, 2])
+    def test_singular_test_flags_boundary_blocks_as_the_norm_form(self, ulps, monkeypatch):
+        # Row i's diagonal set to 1e-12 times its row norm, then moved by a few ulps:
+        # both forms must put every such block on the same side.  (Row 0's norm is its
+        # diagonal's size, so only an exact 0 flags it.)
+        rng = np.random.default_rng(7)
+        L = np.tril(rng.standard_normal((40, 1, 6, 6)))
+        for k in range(40):
+            i = 1 + k % 2
+            row = L[k, 0, i, :3]
+            row[i] = 1e-12 * np.linalg.norm(row[:i])
+            row[i] = 1e-12 * np.linalg.norm(row)
+            for _ in range(abs(ulps)):
+                row[i] = np.nextafter(row[i], np.inf if ulps > 0 else 0.0)
+            row[i] *= -1.0 if k % 2 else 1.0
+        assert _norm_flags(L[..., :3, :3]).sum() == (40 if ulps <= 0 else 0)
+        self._assert_norm_routing(monkeypatch, L)
+
+    def test_lu_breakdown_raises_linalg_error(self, monkeypatch):
+        # This block passes the 1e-12 test (its row-0 threshold underflows to 0), but
+        # LU underflows on it: the wrapper raises, the bare gufunc only warns.
+        block = np.array([[1e-320, 0.0, 0.0], [1.0, 1e-5, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(block)
+        with pytest.warns(RuntimeWarning):
+            filtering._inv_raw(block, signature="d->d")
+        before = np.geterr()
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            filtering._inv(block[None])
+        L = np.zeros((1, 1, 6, 6))
+        L[0, 0, :3, :3] = block
+        assert not _norm_flags(L[..., :3, :3]).any()
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            self._routed(monkeypatch, L, [])
+        assert np.geterr() == before
+
+
+class TestPosteriorQrCounts:
+    """Every QR of the posterior reads goes through ``_triangularize``: a smoothed knot
+    takes one, a chunk of the backward pass one, an off-mesh interpolate two."""
+
+    @staticmethod
+    def _count_qr(monkeypatch) -> dict:
+        counts, qr = {"qr": 0}, filtering._triangularize
+
+        def counting_qr(*args, **kwargs):
+            counts["qr"] += 1
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(filtering, "_triangularize", counting_qr)
+        return counts
+
+    @pytest.fixture
+    def chunked(self, monkeypatch):
+        # A vdp path (d=2) cut into chunks of 4 intervals, and its chunk count.
+        monkeypatch.setattr(filtering, "_CHUNK_BLOCKS", 8)
+        path = solve(get_problem("vdp"), SolverConfig(q=2, eps=1e-2)).path
+        n = len(path.step_sizes)
+        chunks = len(list(filtering._chunks(n, path.model.dim)))
+        assert chunks > 10
+        return path, n, chunks
+
+    def test_smooth_one_qr_per_interval_and_per_chunk(self, chunked, monkeypatch):
+        path, n, chunks = chunked
+        counts = self._count_qr(monkeypatch)
+        smooth(path)
+        assert counts["qr"] == n + chunks
+
+    def test_sample_posterior_one_qr_per_chunk(self, chunked, monkeypatch):
+        path, n, chunks = chunked
+        smooth(path)
+        counts = self._count_qr(monkeypatch)
+        sample_posterior(path, seed=0, count=3)
+        assert counts["qr"] == chunks
+
+    def test_interpolate_two_qrs_three_in_interval_zero(self, chunked, monkeypatch):
+        path, n, chunks = chunked
+        smooth(path)
+        counts = self._count_qr(monkeypatch)
+        knots = path.knots
+        for i, want in ((0, 3), (1, 2), (n // 2, 2), (n - 1, 2)):
+            counts["qr"] = 0
+            interpolate(path, 0.5 * (knots[i] + knots[i + 1]))
+            assert counts["qr"] == want, i
+        counts["qr"] = 0
+        interpolate(path, knots[3])  # a knot: the stored smoothed state, no QR
+        assert counts["qr"] == 0
+
+
 class TestDeadBlocks:
     """A block whose innovation variance is exactly 0 inside a solve: the kernel
     guards it on every step, next to a live block, with no second code path."""
@@ -586,6 +785,25 @@ class TestSamplePosterior:
         path.smoothed = None
         with pytest.raises(ValueError):
             sample_posterior(path, seed=0, count=1)
+
+    @pytest.mark.parametrize("count", [2.5, True, "3", None])
+    def test_count_must_be_an_integer(self, count):
+        # Checked before the generator is built: the bad seed is never reached.
+        path = smooth(_logistic_path())
+        with pytest.raises(TypeError, match="count must be an integer"):
+            sample_posterior(path, seed="not a seed", count=count)
+
+    @pytest.mark.parametrize("count", [0, -1, np.int64(0)])
+    def test_count_below_one_message(self, count):
+        path = smooth(_logistic_path())
+        with pytest.raises(ValueError, match=rf"^count must be >= 1, got {count}$"):
+            sample_posterior(path, seed=0, count=count)
+
+    def test_numpy_integer_count(self):
+        path = smooth(_logistic_path())
+        draws = sample_posterior(path, seed=4, count=np.int64(3))
+        assert draws.shape == (3, len(path), path.model.state_size)
+        assert np.array_equal(draws, sample_posterior(path, seed=4, count=3))
 
     def test_sample_mean_approaches_smoothed_mean(self):
         path = smooth(_logistic_path())
