@@ -17,7 +17,7 @@ from math import factorial
 import numpy as np
 
 from .filtering import predict_update
-from .priors import _check_positive_int, _pivot, nordsieck_qbar, pascal_matrix
+from .priors import _check_int, _pivot, nordsieck_qbar, pascal_matrix
 from .solver import IvpProblem, SolveResult, SolverConfig, solve
 
 __all__ = [
@@ -62,7 +62,7 @@ def steady_state(q: int, tol: float = 1e-12, max_iter: int = 10_000) -> SteadySt
     entry.  In these units the result does not depend on h or on the
     diffusion sigma2, so the prior is the unit-diffusion one.
     """
-    q = _check_positive_int("q", q)
+    q = _check_int("q", q)
     if not 1 <= q <= 4:
         raise ValueError(f"steady-state analysis supports q in 1..4, got {q}")
     qbar, order = nordsieck_qbar(q), _pivot(q + 1, 1)[0]  # predict_update reads slot 1's rows first

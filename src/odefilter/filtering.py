@@ -44,7 +44,7 @@ from math import inf, isfinite
 import numpy as np
 from numpy.linalg._umath_linalg import inv as _inv_raw, qr_r_raw as _qr_r_raw  # numpy >= 2.0
 
-from .priors import (DiscreteTransition, IwpModel, _check_positive_int, _constants, _pivot, _powers,
+from .priors import (DiscreteTransition, IwpModel, _check_int, _constants, _pivot, _powers,
                      discrete_transition)
 
 __all__ = ["GaussState", "ObservationModel", "SolutionPath", "predict", "update", "smooth",
@@ -182,12 +182,15 @@ def update(state: GaussState, z, obs: ObservationModel) -> tuple[GaussState, np.
 
 
 def predict_update(factor: np.ndarray, A: np.ndarray, Q_sqrt: np.ndarray, sigma2: np.ndarray,
-                   mean: np.ndarray, residual: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+                   mean: np.ndarray, residual: np.ndarray, i: int, out_mean=None,
+                   out_factor=None) -> tuple[np.ndarray, np.ndarray]:
     """:func:`predict` then :func:`update` of slot ``i`` in one QR, unchecked: the
-    filtered mean and factor from the last ``factor``, the step's unit ``A`` and
-    ``Q_sqrt`` with their rows in slot ``i``'s pivot order, finite ``sigma2 >= 0``,
-    the predicted ``mean`` and the scored residual ``z - H mean``."""
-    return _condition(_triangularize(_stacked(factor, A, Q_sqrt, sigma2)), mean, residual, i)
+    filtered mean and factor (to ``out_mean``, ``out_factor`` if given) from the last
+    ``factor``, the step's unit ``A`` and ``Q_sqrt`` with their rows in slot ``i``'s
+    pivot order, finite ``sigma2 >= 0``, the predicted ``mean`` and the scored
+    residual ``z - H mean``."""
+    return _condition(_triangularize(_stacked(factor, A, Q_sqrt, sigma2)), mean, residual, i,
+                      out_mean, out_factor)
 
 
 def _stacked(F: np.ndarray, A: np.ndarray, Q_sqrt: np.ndarray, sigma2: np.ndarray) -> np.ndarray:
@@ -200,21 +203,23 @@ def _stacked(F: np.ndarray, A: np.ndarray, Q_sqrt: np.ndarray, sigma2: np.ndarra
     return M
 
 
-def _condition(L: np.ndarray, mean: np.ndarray, residual: np.ndarray,
-               i: int) -> tuple[np.ndarray, np.ndarray]:
+def _condition(L: np.ndarray, mean: np.ndarray, residual: np.ndarray, i: int, out_mean=None,
+               out_factor=None) -> tuple[np.ndarray, np.ndarray]:
     """Condition on exact readings of slot ``i`` per block, given a factor ``L`` in
     pivot order, slot ``i``'s row ``(r, 0, ..., 0)`` first: ``r^2`` is the innovation
     variance.  Back in slot order, the gain is the first column over ``r``, exactly
     1 at slot ``i``, so ``H m = z`` to one rounding; the filtered factor is ``L``
     with that column zeroed, which leaves row ``i`` exactly 0.  A block with ``r ==
-    0`` already knows the slot and keeps its state: ``col / inf`` is 0."""
-    L = L.take(_pivot(L.shape[1], i)[1], axis=1)
+    0`` already knows the slot and keeps its state: ``col / inf`` is 0.  The results
+    go to ``out_mean`` and ``out_factor`` if given."""
+    # "clip" for a permutation: the default "raise" copies through a buffer into an out.
+    L = L.take(_pivot(L.shape[1], i)[1], axis=1, out=out_factor, mode="clip")
     col = L[:, :, 0]
     r = col[:, i:i + 1]
     live = r.astype(bool)  # r != 0, in one cheap call
     shift = col / np.where(live, r, inf) * residual[:, None]
     np.copyto(col, 0.0, where=live)
-    return mean + shift.reshape(-1), L
+    return np.add(mean, shift.reshape(-1), out=out_mean), L
 
 
 def _built(t: float, mean: np.ndarray, factor: np.ndarray) -> GaussState:
@@ -229,26 +234,33 @@ class _Columns:
     """Arrays that grow together along their first axis, by half when full.
 
     Each starts as the empty array given for it, which fixes its row shape and dtype;
-    ``self[name]`` is a view of the ``n`` rows in use.  Growing by half, not doubling,
-    caps the spare rows at a third of the storage."""
+    ``self[name]`` is a view of the ``n`` rows in use, ``self.arrays[name]`` the whole
+    storage.  Growing by half, not doubling, caps the spare rows at a third of it."""
 
     def __init__(self, **empty: np.ndarray):
-        self.n, self._size, self._data = 0, 0, empty
+        self.n, self._size, self.arrays = 0, 0, empty
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return self._data[name][:self.n]
+        return self.arrays[name][:self.n]
 
-    def append(self, **row):
-        """Copy one value into each column, by name; a missing one raises ``KeyError``."""
+    def add(self) -> int:
+        """Count in one more row and return its index, for its values to be written into
+        ``self.arrays``, whose arrays growth replaces."""
         n = self.n
         if n == self._size:
             spare = max(n // 2, 16)
             self._size += spare
-            for name, a in self._data.items():
-                self._data[name] = np.concatenate([a, np.empty_like(a, shape=(spare,) + a.shape[1:])])
-        for name, a in self._data.items():
-            a[n] = row[name]
+            for name, a in self.arrays.items():
+                self.arrays[name] = np.concatenate([a, np.empty_like(a, shape=(spare,) + a.shape[1:])])
         self.n = n + 1
+        return n
+
+    def append(self, **row):
+        """Copy one value into each column, by name; a missing one raises ``KeyError``."""
+        values = [row[name] for name in self.arrays]
+        n = self.add()
+        for a, value in zip(self.arrays.values(), values):
+            a[n] = value
 
 
 class _Rows(Sequence):
@@ -324,9 +336,8 @@ class SolutionPath:
         if i == 0:
             return self._prior
         q, c = self.model.q, self.columns
-        table, powers = _constants(q), _powers(q, float(c["h"][i]))
-        factor = _triangularize(_stacked(c["factor"][i - 1], table.A(powers, 1)[1],
-                                         table.Q_sqrt(powers, 1), c["sigma2"][i]))
+        A, Q_sqrt = _constants(q).transition(_powers(q, float(c["h"][i])), 1)
+        factor = _triangularize(_stacked(c["factor"][i - 1], A[1], Q_sqrt, c["sigma2"][i]))
         return _built(float(c["t"][i]), c["pred_mean"][i], factor.take(_pivot(q + 1, 1)[1], axis=1))
 
     def append(self, prediction: GaussState, filtered: GaussState, h: float | None, sigma2=None):
@@ -473,7 +484,7 @@ def smooth(path: SolutionPath) -> SolutionPath:
 def sample_posterior(path: SolutionPath, seed: int, count: int) -> np.ndarray:
     """Joint posterior trajectories over the knots by backward sampling, deterministic for a
     fixed seed: an array of shape ``(count, n_knots, state_size)``."""
-    count = _check_positive_int("count", count)
+    count = _check_int("count", count)
     if path.smoothed is None:
         raise ValueError("smooth the path before sampling")
     rng = np.random.default_rng(seed)
@@ -528,10 +539,10 @@ def interpolate(path: SolutionPath, t: float, allow_extrapolation: bool = False)
         return predict(path.smoothed[-1], base, sig)
 
     i = right - 1
-    c, table = path.columns, _constants(path.model.q)
-    powers = _powers(path.model.q, t - float(knots[i]))
-    A_fwd, sigma2 = table.A(powers, 0)[0], c["sigma2"][i + 1]
-    at_t = _stacked(c["factor"][i], A_fwd, table.Q_sqrt(powers, 0), sigma2)
+    c, q = path.columns, path.model.q
+    A, Q_sqrt = _constants(q).transition(_powers(q, t - float(knots[i])), 0)
+    A_fwd, sigma2 = A[0], c["sigma2"][i + 1]
+    at_t = _stacked(c["factor"][i], A_fwd, Q_sqrt, sigma2)
     if i == 0:
         # Knot 0 is the prior conditioned on y(t0) and y'(t0) alone; fed to the
         # backward QR untriangularized, a diffuse prior's 1e6 entries there

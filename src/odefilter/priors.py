@@ -96,16 +96,16 @@ class DiscreteTransition:
 
 def make_iwp(q: int, dim: int) -> IwpModel:
     """Validate and build an IWP(q) prior over ``dim`` blocks; both are integers >= 1."""
-    return IwpModel(q=_check_positive_int("q", q), dim=_check_positive_int("dim", dim))
+    return IwpModel(q=_check_int("q", q), dim=_check_int("dim", dim))
 
 
-def _check_positive_int(name: str, value) -> int:
+def _check_int(name: str, value, low: int = 1) -> int:
     """``value`` as an ``int``: a TypeError unless it is a (numpy) integer and not a
-    bool, a ValueError below 1."""
+    bool, a ValueError below ``low``."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
     return int(value)
 
 
@@ -117,14 +117,13 @@ class _IwpConstants:
     qbar_sqrt``, the powers of ``h`` taken from :func:`_powers`.  ``qbar_sqrt``
     is ``diag(i!)`` times the Cholesky factor of ``qbar``, so it is
     ``Q(1)^(1/2)``; ``a_unit`` is ``A(1)``, ``Q(h)_00 = h^(2q+1) / q00_den``
-    and ``Q(h)_11 = h^(2q-1) / q11_den``.  Entry ``i`` of the first four
-    serves an observed slot ``i``: :meth:`A` and :meth:`Q_sqrt` read rows in
-    its pivot order (:func:`_pivot`), each the same products as in slot order.
+    and ``Q(h)_11 = h^(2q-1) / q11_den``.  Entry ``i`` of the first three
+    serves an observed slot ``i``: :meth:`transition` reads rows in its
+    pivot order (:func:`_pivot`), each the same products as in slot order.
     """
 
-    a_lag: tuple  # per slot, (2, q+1, q+1): lag in slot order and in pivot order
-    a_den: tuple  # per slot, den like a_lag
-    q_lag: tuple  # per slot, (q+1, 1): the q-i of each row in pivot order
+    lags: tuple  # per slot, (3, q+1, q+1): A's lags in slot and pivot order, then each row's q-i
+    dens: tuple  # per slot, the divisors of lags' powers: A's dens, then 1
     qbar_rows: tuple  # per slot, qbar_sqrt's rows in pivot order
     a_unit: np.ndarray
     q00_den: float
@@ -133,13 +132,11 @@ class _IwpConstants:
     qbar: np.ndarray
     qbar_sqrt: np.ndarray
 
-    def A(self, powers: np.ndarray, i: int) -> np.ndarray:
-        """``A(h)`` in slot order and in slot ``i``'s pivot order, shape ``(2, q+1, q+1)``."""
-        return powers.take(self.a_lag[i]) / self.a_den[i]
-
-    def Q_sqrt(self, powers: np.ndarray, i: int) -> np.ndarray:
-        """``Q(h)^(1/2)`` with its rows in slot ``i``'s pivot order."""
-        return sqrt(powers[1]) * powers.take(self.q_lag[i]) * self.qbar_rows[i]
+    def transition(self, powers: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """``A(h)`` in slot order and in slot ``i``'s pivot order, shape ``(2, q+1, q+1)``,
+        and ``Q(h)^(1/2)`` with its rows in that pivot order, from one take."""
+        lagged = powers.take(self.lags[i]) / self.dens[i]
+        return lagged[:2], sqrt(powers[1]) * lagged[2] * self.qbar_rows[i]
 
 
 @lru_cache(maxsize=None)
@@ -155,9 +152,9 @@ def _constants(q: int) -> _IwpConstants:
     qbar_sqrt = fact[:, None] * np.linalg.cholesky(qbar)
     orders = [_pivot(q + 1, slot)[0] for slot in range(q + 1)]
     tables = _IwpConstants(
-        a_lag=tuple(np.array([a_lag, a_lag[o]]) for o in orders),
-        a_den=tuple(np.array([a_den, a_den[o]]) for o in orders),
-        q_lag=tuple((q - o)[:, None] for o in orders),
+        lags=tuple(np.array([a_lag, a_lag[o], np.broadcast_to((q - o)[:, None], lag.shape)])
+                   for o in orders),
+        dens=tuple(np.array([a_den, a_den[o], np.ones_like(a_den)]) for o in orders),
         qbar_rows=tuple(qbar_sqrt[o] for o in orders),
         a_unit=np.where(lag >= 0, 1.0, 0.0) / a_den,
         q00_den=float(q_den[0, 0]),
@@ -166,7 +163,7 @@ def _constants(q: int) -> _IwpConstants:
         qbar=qbar,
         qbar_sqrt=qbar_sqrt,
     )
-    for arr in (*tables.a_lag, *tables.a_den, *tables.q_lag, *tables.qbar_rows, tables.a_unit,
+    for arr in (*tables.lags, *tables.dens, *tables.qbar_rows, tables.a_unit,
                 tables.pascal, tables.qbar, tables.qbar_sqrt):
         arr.setflags(write=False)
     return tables
@@ -199,13 +196,13 @@ def discrete_transition(q: int, h: float) -> DiscreteTransition:
     Scale the process noise by a diffusion intensity in
     ``filtering.predict(state, transition, sigma2)``.
     """
-    q = _check_positive_int("q", q)
+    q = _check_int("q", q)
     if not np.isfinite(h):
         raise ValueError(f"step size must be finite, got {h}")
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
-    c, powers = _constants(q), _powers(q, h)
-    return DiscreteTransition(float(h), c.A(powers, 0)[0], c.Q_sqrt(powers, 0), h ** (2 * q - 1) / c.q11_den)
+    A, Q_sqrt = _constants(q).transition(_powers(q, h), 0)
+    return DiscreteTransition(float(h), A[0], Q_sqrt, h ** (2 * q - 1) / _constants(q).q11_den)
 
 
 def _powers(q: int, h: float) -> np.ndarray:

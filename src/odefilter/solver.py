@@ -1,27 +1,32 @@
 """The IVP solving loop: initialization, model interrogation, predict-update.
 
 One solve is strictly sequential.  An attempted step raises h to its powers
-once and reads off them ``Q(h)_11`` and ``A(h)``, in slot order and with the
-derivative slot's row first; it predicts the mean, evaluates the right-hand
-side there, and scores the residual in a few vector operations.  Only an
-accepted step builds ``Q(h)^(1/2)``, rows in that pivot order too, and runs
-``filtering.predict_update``: one QR, whose rows go straight into the path's
-columns.  The diffuse start steps to its knots the same way, without the
-scoring.  A reading that is not finite is a rejection at half the step, or
-an error under a fixed step; the final step is clamped to land exactly on T.
+and reads off them ``Q(h)_11``, ``A(h)`` in slot order and with the
+derivative slot's row first, and the rows of ``Q(h)^(1/2)`` in that pivot
+order, once per distinct h: a fixed mesh builds them once.  It predicts the
+mean, evaluates the right-hand side there, and scores the residual: on
+Python floats up to ``_FLOAT_SCORING_DIM`` dimensions, where numpy's cost
+per call would outweigh the arithmetic, and in numpy above.  Both forms make
+the same IEEE operations in the same order, so they agree bit for bit.  An
+accepted step runs ``filtering.predict_update``: one QR, whose filtered mean
+and factor it writes straight into the path's next row.  The diffuse start
+steps to its knots the same way, without the scoring.  A reading that is not
+finite is a rejection at half the step, or an error under a fixed step; the
+final step is clamped to land exactly on T.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from math import isnan, nan, sqrt
 from typing import Callable, Optional
 
 import numpy as np
 
 from .filtering import (GaussState, SolutionPath, _built, _Columns, _matvec, _Rows, _stacked,
                         predict_update)
-from .priors import _check_positive_int, _constants, _powers, make_iwp
+from .priors import _check_int, _constants, _powers, make_iwp
 from .stepcontrol import StepReport, _sigma2, _weights, next_step_size
 # perfbench's traced run wraps these names here, where neither the loop nor the start calls them.
 from .filtering import predict, update  # noqa: F401
@@ -44,6 +49,8 @@ _MAX_STEPS = 2_000_000  # attempted steps before a solve gives up
 # at most 10x per rejection, so this trips well before h underflows.
 _MAX_REJECTIONS = 8
 _DIFFUSE_VARIANCE = 1e12  # prior variance of every slot in the diffuse starts
+# Up to this many dimensions an attempt is scored on Python floats, above it in numpy.
+_FLOAT_SCORING_DIM = 4
 
 # Derivative-observation knots (fractions of h_init) used by the diffuse
 # start; q derivative readings plus the initial value give q+1 conditions.
@@ -80,7 +87,7 @@ class IvpProblem:
     _nfev: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_positive_int("dim", self.dim)
+        _check_int("dim", self.dim)
         self.y0 = np.atleast_1d(np.asarray(self.y0, dtype=float))
         if self.y0.size != self.dim:
             raise ValueError(f"y0 has {self.y0.size} entries but dim = {self.dim}")
@@ -110,7 +117,8 @@ class IvpProblem:
 class SolverConfig:
     """Solver settings, the only input of a solve besides the problem.
 
-    ``q`` (an integer >= 1) is the order of the unit-diffusion IWP prior.
+    ``q`` (an integer >= 1) is the order of the unit-diffusion IWP prior;
+    ``seed`` (an integer >= 0) seeds the ``sampled`` ``obs_strategy``.
     ``init_mode`` picks the start: ``exact``, or the diffuse start, which
     ``diffuse_filter`` and ``rk_starter`` both name.
     ``eps`` is the error-test tolerance; ``per_unit_step`` selects whether
@@ -144,7 +152,8 @@ class SolverConfig:
     sigma_mode: str = "local_ml"
 
     def __post_init__(self):
-        _check_positive_int("q", self.q)
+        _check_int("q", self.q)
+        _check_int("seed", self.seed, low=0)
         if self.init_mode not in ("exact", "diffuse_filter", "rk_starter"):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
         if self.obs_strategy not in ("mean", "sampled"):
@@ -270,8 +279,7 @@ def _starter_path(problem: IvpProblem, config: SolverConfig) -> SolutionPath:
         # The step between knot times, not from t, which carries the
         # round-off of the summed steps.
         h = t_next - (problem.t0 + prev * h0)
-        table, powers = _constants(q), _powers(q, h)
-        A, Q_sqrt = table.A(powers, 1), table.Q_sqrt(powers, 1)
+        A, Q_sqrt = _constants(q).transition(_powers(q, h), 1)
         pred_mean = _matvec(A[0], mean)
         z = reading(t_next, pred_mean[0::q1])
         mean, factor = predict_update(factor, A[1], Q_sqrt, unit, pred_mean, z - pred_mean[1::q1], 1)
@@ -329,9 +337,10 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
                         D=np.empty((0, d)), accepted=np.empty(0, dtype=bool), h_next=np.empty(0))
     streak = 0  # error-test rejections since the last accepted step
     sigma2_step = unit  # the last accepted step's diffusion, unit before any
+    h_prev, tau = None, config.weighting_tau
 
     # The loop validates nothing again: the underflow check keeps t + h > t, SolverConfig
-    # checked tau, and the scores are (d,) vectors with sigma2_hat >= 0 by construction.
+    # checked tau, and the scores hold d entries with sigma2_hat >= 0 by construction.
     t_end = problem.T
     t_stop = t_end - _EPS * max(abs(t_end), 1.0)
     t_clamp = t_end - 1e3 * _EPS * max(abs(t_end), span)
@@ -347,26 +356,38 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
             # Clamp onto T, absorbing a remainder too short to step over.
             h = t_end - t
 
-        powers = _powers(q, h)
-        A, q11 = table.A(powers, 1), h ** (2 * q - 1) / table.q11_den  # A[1]: slot 1's row first
+        if h != h_prev:  # a fixed mesh repeats h on every step but the clamped last
+            # A[1] and Q_sqrt hold slot 1's row first; Q_sqrt[1] is slot 0's row.
+            (A, Q_sqrt), q11 = table.transition(_powers(q, h), 1), h ** (2 * q - 1) / table.q11_den
+            h_prev, floats = h, d <= _FLOAT_SCORING_DIM and q11 > 0.0  # x / 0.0 raises on floats
         pred_mean = np.matmul(A[0], mean.reshape(d, q1, 1)).reshape(-1)  # _matvec, inline
         # A sampled draw's std, under the last accepted diffusion since this step's is
         # not known yet: the norm of row 0 of [A F, sqrt(sigma2) Q^(1/2)], no QR needed.
         std = None if rng is None else np.linalg.norm(
-            _stacked(factor, A[0, :1], table.Q_sqrt(powers, 0)[:1], sigma2_step)[:, 0], axis=1)
+            _stacked(factor, A[0, :1], Q_sqrt[1:2], sigma2_step)[:, 0], axis=1)
         y = pred_mean[0::q1]
         z = observe(problem, t + h, y, std, rng=rng)
 
         if all(np.isfinite(z).tolist()):  # cheaper than .all() at small d
             residual = z - pred_mean[1::q1]
-            sigma2_local = _sigma2(residual, q11)
-            D = np.sqrt(sigma2_local * q11)
+            if floats:
+                # The numpy form's IEEE operations in its order, bit for bit, without
+                # numpy's cost per call; r * r overflows to inf where r**2 raises.
+                sigma2_local = [r * r / q11 for r in residual.tolist()]
+                D = [sqrt(s * q11) for s in sigma2_local]
+                if not fixed:
+                    D = [Dk * (1.0 / (tau * abs(yk) + tau)) for Dk, yk in zip(D, y.tolist())]
+                    D_max = nan if isnan(sum(D)) else max(D)  # max() drops a NaN past D[0]
+            else:
+                sigma2_local = _sigma2(residual, q11)
+                D = np.sqrt(sigma2_local * q11)
+                if not fixed:
+                    D = D * _weights(y, tau)
+                    D_max = float(D.max())
             if fixed:
                 passed, h_next = True, h
             else:
                 ebar = config.eps * h / (1.0 if config.per_unit_step else h)
-                D = D * _weights(y, config.weighting_tau)
-                D_max = float(D.max())
                 passed = D_max <= ebar
                 h_next = next_step_size(D_max, ebar, h, q)
             # The residual no longer shrinks with h once the state's
@@ -382,19 +403,22 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
             # Nothing to score: retry at half the step, outside the streak.
             sigma2_local, D = np.full(d, np.nan), np.full(d, np.inf)
             accepted, h_next = False, h / 2.0
-        attempts.append(t=t, h=h, sigma2_hat=sigma2_local, D=D, accepted=accepted, h_next=h_next)
+        k, rec = attempts.add(), attempts.arrays
+        rec["t"][k], rec["h"][k], rec["accepted"][k], rec["h_next"][k] = t, h, accepted, h_next
+        rec["sigma2_hat"][k], rec["D"][k] = sigma2_local, D
         if accepted:
+            sigma2_local = rec["sigma2_hat"][k]  # an array, whatever the scoring's form
             # A passed error test bounds the estimate; only fixed steps and
             # forced accepts can carry a non-finite one.
             if (fixed or not passed) and not np.isfinite(sigma2_local).all():
                 raise RuntimeError(f"solve diverged at t = {t}, h = {h}: the accepted step's "
                                    f"diffusion estimate is {sigma2_local}")
             sigma2_step = sigma2_local if config.sigma_mode == "local_ml" else unit
-            mean, factor = predict_update(factor, A[1], table.Q_sqrt(powers, 1), sigma2_step,
-                                          pred_mean, residual, 1)
-            t = t + h
-            path.columns.append(t=t, h=h, sigma2=sigma2_step, mean=mean, factor=factor,
-                                pred_mean=pred_mean)
+            k, row, t = path.columns.add(), path.columns.arrays, t + h
+            row["t"][k], row["h"][k], row["sigma2"][k] = t, h, sigma2_step
+            row["pred_mean"][k] = pred_mean
+            mean, factor = predict_update(factor, A[1], Q_sqrt, sigma2_step, pred_mean, residual, 1,
+                                          row["mean"][k], row["factor"][k])
         h = h_next
 
     n_accepted = len(path) - 1 - n_start

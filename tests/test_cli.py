@@ -88,6 +88,15 @@ class TestSolveCommand:
         assert "--samples" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_is_usage_error_naming_seed(self, tmp_path, capsys):
+        # numpy's "expected non-negative integer" came only from a sampled solve.
+        out = tmp_path / "x.csv"
+        code = run(["solve", "--problem", "logistic", "--eps", "0.01", "--seed", "-1",
+                    "--out", str(out)])
+        assert code == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_global_sigma_needs_fixed_step(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         code = run(["solve", "--problem", "logistic", "--eps", "0.001", "--global-sigma",

@@ -1103,7 +1103,8 @@ class TestPredictUpdate:
         table, powers = priors._constants(q), priors._powers(q, 0.37)
         z = rng.standard_normal(d)
         mean = filtering._matvec(tr.A, state.mean)
-        A, Q_sqrt = table.A(powers, i)[1], table.Q_sqrt(powers, i)
+        A, Q_sqrt = table.transition(powers, i)
+        A = A[1]
         filt = GaussState(0.67, *filtering.predict_update(factor, A, Q_sqrt, sigma2, mean,
                                                           z - mean[i::q1], i))
         # The kernel's predicted factor, rows back in slot order.

@@ -146,13 +146,13 @@ class TestDiscreteTransition:
             assert order[0] == i and sorted(order) == list(range(q + 1))
             for h in (1e-9, 3.3e-7, 0.015, 0.37, 1.0, 1.9, 42.0):
                 tr, powers = discrete_transition(q, h), _powers(q, h)
-                A = table.A(powers, i)
+                A, Q_sqrt = table.transition(powers, i)
                 assert A.shape == (2, q + 1, q + 1)
                 assert A[0].tobytes() == tr.A.tobytes()
                 assert A[1].tobytes() == tr.A.take(order, axis=0).tobytes()
-                assert table.Q_sqrt(powers, i).tobytes() == tr.Q_sqrt.take(order, axis=0).tobytes()
+                assert Q_sqrt.tobytes() == tr.Q_sqrt.take(order, axis=0).tobytes()
         assert _constants(q) is table  # built once per q
-        for arr in (*table.a_lag, *table.a_den, *table.q_lag, *table.qbar_rows, _pivot(q + 1, 1)[0]):
+        for arr in (*table.lags, *table.dens, *table.qbar_rows, _pivot(q + 1, 1)[0]):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1

@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -81,6 +84,24 @@ class TestConfig:
         # These used to construct and fail only later, inside the solve.
         with pytest.raises(TypeError, match="q must be an integer"):
             SolverConfig(q=q)
+
+    @pytest.mark.parametrize("seed", [True, 2.5, "3", None])
+    def test_seed_must_be_an_integer(self, seed):
+        # None drew OS entropy under obs_strategy="sampled", so reruns differed;
+        # True ran as seed 1, and 2.5 or "3" failed inside numpy at solve time.
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            SolverConfig(seed=seed)
+
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SolverConfig(seed=-1)
+
+    def test_numpy_integer_seed_is_the_int_seed(self):
+        p = get_problem("logistic")
+        means = [solve(p, SolverConfig(q=2, eps=1e-3, obs_strategy="sampled", seed=seed))
+                 .solution_means().tobytes() for seed in (np.int64(3), 3)]
+        assert means[0] == means[1]
+        assert SolverConfig(seed=np.uint8(0)).seed == 0
 
     def test_numpy_integer_q_accepted(self):
         assert solve(get_problem("logistic"), SolverConfig(q=np.int64(1), fixed_step=0.5)).steps_accepted == 3
@@ -431,6 +452,65 @@ class TestSolveAdaptive:
         assert np.mean(xi > bands) < 0.20
 
 
+# _FLOAT_SCORING_DIM values that score every solve on Python floats or every one in numpy.
+_SCORING_FORMS = {10**9: "floats", 0: "numpy"}
+
+
+def _form_problem(name: str) -> IvpProblem:
+    if name == "linear8":
+        rng = np.random.default_rng(8)
+        g = rng.standard_normal((8, 8))
+        M = (g - g.T) / 4.0 - np.diag(rng.uniform(0.5, 1.5, 8))
+        return IvpProblem(name, 8, 0.0, 1.0, rng.standard_normal(8), lambda t, y: M @ y)
+    if name == "nan_y0":  # finite readings, whose D is [0, nan] at the first attempt
+        return IvpProblem(name, 2, 0.0, 1.0, [1.0, np.nan], lambda t, y: np.ones(2))
+    if name == "tiny_span":
+        p = get_problem("logistic")
+        return IvpProblem(name, 1, 0.0, 1e-15, p.y0, p.rhs)
+    return get_problem(name)
+
+
+def _solve_outcome(name: str, config: SolverConfig):
+    """The bytes of the attempt record and the path's columns and the evaluation
+    count of a solve, or the type and message of what it raised; a warning raises."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = solve(_form_problem(name), config)
+    except Exception as exc:
+        return type(exc), str(exc)
+    record = [np.array([getattr(r, f.name) for r in res.per_step]).tobytes()
+              for f in fields(stepcontrol.StepReport)]
+    columns = res.path.columns
+    return record, [columns[col].tobytes() for col in columns.arrays], res.fevals
+
+
+class TestScoringForms:
+    # Up to _FLOAT_SCORING_DIM dimensions an attempt is scored on Python floats,
+    # above it in numpy; the two forms make the same IEEE operations in the same
+    # order, so every solve must come out bit for bit the same under both.
+    @pytest.mark.parametrize("name, kwargs", [
+        *[(name, {"q": q, "eps": 1e-3, "init_mode": init})
+          for name in ("logistic", "brusselator", "vdp") for q in (2, 3, 4)
+          for init in ("exact", "diffuse_filter")],
+        ("vdp", {"q": 2, "eps": 1e-3, "obs_strategy": "sampled", "seed": 3}),
+        ("brusselator", {"q": 2, "fixed_step": 0.05, "sigma_mode": "global_ml"}),
+        ("linear8", {"q": 2, "eps": 1e-3}),
+        ("linear8", {"q": 2, "fixed_step": 0.02}),
+        ("nan_y0", {"q": 2, "eps": 1e-3}),  # max() alone would pass the NaN
+        # Q(h)_11, of order h^13, underflows to 0, which as a float divisor raises.
+        ("tiny_span", {"q": 7, "eps": 1e-3, "h_init": 1e-27}),
+    ])
+    def test_forms_agree_bit_for_bit(self, name, kwargs, monkeypatch):
+        config, outcomes = SolverConfig(**kwargs), []
+        for bound in _SCORING_FORMS:
+            monkeypatch.setattr(solver, "_FLOAT_SCORING_DIM", bound)
+            outcomes.append(_solve_outcome(name, config))
+        assert outcomes[0] == outcomes[1]
+        if name in ("nan_y0", "tiny_span"):
+            assert isinstance(outcomes[0][1], str)  # both raised
+
+
 class TestLoopBranches:
     def test_forced_accept_after_max_rejections(self):
         p = get_problem("logistic")
@@ -458,9 +538,12 @@ class TestLoopBranches:
             {"eps": 1e-3, "rhs": lambda t, y: np.full(2, 1e200) if t > 0.0 else y},
         ],
     )
-    def test_diverged_step_raises_runtime_error(self, kwargs):
+    @pytest.mark.parametrize("bound", _SCORING_FORMS, ids=list(_SCORING_FORMS.values()))
+    def test_diverged_step_raises_runtime_error(self, kwargs, bound, monkeypatch):
         # The estimate overflowed with a warning and reached predict, whose
-        # bare ValueError the CLI reported as a usage error.
+        # bare ValueError the CLI reported as a usage error.  Either scoring
+        # form overflows to inf without a warning.
+        monkeypatch.setattr(solver, "_FLOAT_SCORING_DIM", bound)
         kwargs, p = dict(kwargs), get_problem("brusselator")
         problem = IvpProblem(p.name, p.dim, p.t0, p.T, p.y0, kwargs.pop("rhs", p.rhs))
         with pytest.raises(RuntimeError, match=r"diverged at t = \S+, h = \S+: .* is \[inf inf\]"):
@@ -474,7 +557,9 @@ class TestLoopBranches:
         with pytest.raises(RuntimeError, match=r"diverged at t = \S+, h = 2.0: .* is \[inf inf\]"):
             solve(p, cfg)
 
-    def test_nonfinite_rejections_do_not_extend_streak(self, monkeypatch):
+    @pytest.mark.parametrize("bound", _SCORING_FORMS, ids=list(_SCORING_FORMS.values()))
+    def test_nonfinite_rejections_do_not_extend_streak(self, bound, monkeypatch):
+        monkeypatch.setattr(solver, "_FLOAT_SCORING_DIM", bound)
         calls = {"n": 0}
 
         def flaky(t, y):
