@@ -30,7 +30,6 @@ from .bench import (
 )
 from .filtering import (
     GaussState,
-    ObservationModel,
     SolutionPath,
     interpolate,
     predict,
@@ -39,7 +38,6 @@ from .filtering import (
     update,
 )
 from .priors import (
-    DiscreteTransition,
     IwpModel,
     discrete_transition,
     make_iwp,
@@ -64,7 +62,6 @@ from .solver import (
 )
 from .stepcontrol import (
     StepReport,
-    error_weights,
     estimate_sigma2,
     global_error_factor,
     local_error_test,

@@ -44,11 +44,10 @@ from math import inf, isfinite
 import numpy as np
 from numpy.linalg._umath_linalg import inv as _inv_raw, qr_r_raw as _qr_r_raw  # numpy >= 2.0
 
-from .priors import (DiscreteTransition, IwpModel, _check_int, _constants, _pivot, _powers,
-                     discrete_transition)
+from .priors import IwpModel, _check_int, _constants, _pivot, discrete_transition
 
-__all__ = ["GaussState", "ObservationModel", "SolutionPath", "predict", "update", "smooth",
-           "sample_posterior", "interpolate"]
+__all__ = ["GaussState", "SolutionPath", "predict", "update", "smooth", "sample_posterior",
+           "interpolate"]
 
 _EPS = float(np.finfo(float).eps)
 
@@ -87,18 +86,6 @@ class GaussState:
     def std(self) -> np.ndarray:
         """Marginal standard deviations (row norms of the factor), flat like ``mean``."""
         return np.linalg.norm(self.factor, axis=2).reshape(-1)
-
-
-@dataclass(frozen=True)
-class ObservationModel:
-    """Exact (noise-free) observation of one derivative per dimension: ``derivative_index``
-    selects which state slot is observed (0 for the solution itself, 1 for its derivative)."""
-
-    derivative_index: int = 1
-
-    def __post_init__(self):
-        if self.derivative_index < 0:
-            raise ValueError("derivative_index must be >= 0")
 
 
 @lru_cache(maxsize=None)
@@ -143,25 +130,28 @@ def _matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.matmul(M, x.reshape(x.shape[:-1] + (-1, q1, 1))).reshape(x.shape)
 
 
-def predict(state: GaussState, transition: DiscreteTransition, sigma2=None) -> GaussState:
-    """Propagate a state through one step: m -> A m, C -> A C A^T + Q.
+def predict(state: GaussState, h: float, sigma2=None) -> GaussState:
+    """Propagate a state through a step ``h``: m -> A m, C -> A C A^T + Q.
 
-    ``transition`` is one unit block shared by every dimension.  ``sigma2``, if given, holds
-    one diffusion scale per dimension and replaces ``Q`` by ``sigma2[k] * Q`` in block ``k``.
-    The predicted factor is the lower triangular factor of ``[A F, Q^(1/2)]`` from one QR.
+    ``A`` and ``Q`` are the unit transition :func:`priors.discrete_transition` of the state's
+    order, one block shared by every dimension.  ``sigma2``, if given, holds one diffusion
+    scale per dimension and replaces ``Q`` by ``sigma2[k] * Q`` in block ``k``.  The predicted
+    factor is the lower triangular factor of ``[A F, Q^(1/2)]`` from one QR.
     """
-    d = state.factor.shape[0]
+    d, q1, _ = state.factor.shape
+    A, Q_sqrt, _ = discrete_transition(q1 - 1, h)
     sigma2 = np.ones(d) if sigma2 is None else np.asarray(sigma2, dtype=float)
     if sigma2.shape != (d,):
         raise ValueError(f"expected {d} diffusion scales, got shape {sigma2.shape}")
     if not (sigma2.min() >= 0.0 and sigma2.max() < np.inf):
         raise ValueError(f"diffusion scales must be finite and >= 0, got {sigma2}")
-    factor = _triangularize(_stacked(state.factor, transition.A, transition.Q_sqrt, sigma2))
-    return _built(state.t + transition.h, _matvec(transition.A, state.mean), factor)
+    factor = _triangularize(_stacked(state.factor, A, Q_sqrt, sigma2))
+    return _built(state.t + float(h), _matvec(A, state.mean), factor)
 
 
-def update(state: GaussState, z, obs: ObservationModel) -> tuple[GaussState, np.ndarray]:
-    """Condition a state on one exactly observed derivative per dimension.
+def update(state: GaussState, z, i: int = 1) -> tuple[GaussState, np.ndarray]:
+    """Condition a state on one exact, noise-free reading of slot ``i`` per dimension: 0 for
+    the solution itself, 1 (the default) for its derivative, up to the state's order q.
 
     Returns the updated state and the pre-update residual ``z - H m``.  The factor is
     re-triangularized with the observed slot's row first and conditioned by :func:`_condition`:
@@ -172,9 +162,9 @@ def update(state: GaussState, z, obs: ObservationModel) -> tuple[GaussState, np.
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.shape != (d,):
         raise ValueError(f"observation of shape {z.shape} does not match {d} state blocks")
-    i = obs.derivative_index
+    i = _check_int("i", i, low=0)
     if i >= q1:
-        raise ValueError(f"derivative_index {i} outside state order {q1 - 1}")
+        raise ValueError(f"slot index {i} outside state order {q1 - 1}")
     residual = z - state.mean[i::q1]
     mean, factor = _condition(_triangularize(state.factor.take(_pivot(q1, i)[0], axis=1)),
                               state.mean, residual, i)
@@ -336,7 +326,7 @@ class SolutionPath:
         if i == 0:
             return self._prior
         q, c = self.model.q, self.columns
-        A, Q_sqrt = _constants(q).transition(_powers(q, float(c["h"][i])), 1)
+        A, Q_sqrt, _ = _constants(q).transition(float(c["h"][i]), 1)
         factor = _triangularize(_stacked(c["factor"][i - 1], A[1], Q_sqrt, c["sigma2"][i]))
         return _built(float(c["t"][i]), c["pred_mean"][i], factor.take(_pivot(q + 1, 1)[1], axis=1))
 
@@ -483,8 +473,8 @@ def smooth(path: SolutionPath) -> SolutionPath:
 
 def sample_posterior(path: SolutionPath, seed: int, count: int) -> np.ndarray:
     """Joint posterior trajectories over the knots by backward sampling, deterministic for a
-    fixed seed: an array of shape ``(count, n_knots, state_size)``."""
-    count = _check_int("count", count)
+    fixed seed (an integer >= 0): an array of shape ``(count, n_knots, state_size)``."""
+    count, seed = _check_int("count", count), _check_int("seed", seed, low=0)
     if path.smoothed is None:
         raise ValueError("smooth the path before sampling")
     rng = np.random.default_rng(seed)
@@ -534,13 +524,12 @@ def interpolate(path: SolutionPath, t: float, allow_extrapolation: bool = False)
         if not allow_extrapolation:
             raise ValueError(f"t={t} is past the last knot {knots[-1]}; "
                              "pass allow_extrapolation=True to predict forward")
-        base = discrete_transition(path.model.q, t - float(knots[-1]))
         sig = path.step_sigma2[-1] if len(path) > 1 else None
-        return predict(path.smoothed[-1], base, sig)
+        return predict(path.smoothed[-1], t - float(knots[-1]), sig)
 
     i = right - 1
     c, q = path.columns, path.model.q
-    A, Q_sqrt = _constants(q).transition(_powers(q, t - float(knots[i])), 0)
+    A, Q_sqrt, _ = _constants(q).transition(t - float(knots[i]), 0)
     A_fwd, sigma2 = A[0], c["sigma2"][i + 1]
     at_t = _stacked(c["factor"][i], A_fwd, Q_sqrt, sigma2)
     if i == 0:

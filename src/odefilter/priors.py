@@ -11,15 +11,17 @@ stacks ``(y, y', ..., y^(q))``.  This is the q-times integrated Wiener
 process.  Over a step ``h`` the state propagates exactly through the pair
 ``(A(h), sigma2 Q(h))``, where ``Q(h)`` is the unit-diffusion process noise;
 both have closed forms.  The filter reads ``A``, the factor
-``Q(h)^(1/2)`` and the single entry ``Q(h)_11``, so those are all
-:func:`discrete_transition` builds; the diffusion scales enter in
-``filtering.predict_update``.
+``Q(h)^(1/2)`` and the single entry ``Q(h)_11``, so a step's transition is
+that triple; the diffusion scales enter in ``filtering.predict_update``.
 
 Everything about ``(A(h), Q(h))`` that does not depend on ``h`` lives in one
-cached table per q.  It reads ``A`` and ``Q(h)^(1/2)`` off the powers of
-``h`` (``_powers``) with their rows in the order the solver's QR wants, so
-no matrix is permuted per step.  In Nordsieck scaling, ``B = diag(h^i/i!)``,
-the table gives constant matrices: ``B A(h) B^-1`` is the Pascal matrix
+cached table per q.  Its ``transition(h, i)`` raises ``h`` to its powers and
+reads the triple off them, with the rows in the order the solver's QR wants
+for a reading of slot ``i``, so no matrix is permuted per step.  The solve
+loop, the start and the path's rebuilt predictions call it directly;
+:func:`discrete_transition` is its checked view in slot order, on which
+``filtering.predict(state, h, sigma2)`` builds.  In Nordsieck scaling,
+``B = diag(h^i/i!)``, the table gives constant matrices: ``B A(h) B^-1`` is the Pascal matrix
 (:func:`pascal_matrix`) and ``B Q(h) B = h^(2q+1) Qbar``
 (:func:`nordsieck_qbar`), whose Cholesky factor rescales to
 ``Q(h)^(1/2)``.  The closed-form transitions of the solver and the
@@ -42,7 +44,6 @@ import numpy as np
 
 __all__ = [
     "IwpModel",
-    "DiscreteTransition",
     "make_iwp",
     "discrete_transition",
     "pascal_matrix",
@@ -77,23 +78,6 @@ class IwpModel:
         return (self.q + 1) * self.dim
 
 
-@dataclass(frozen=True, eq=False)
-class DiscreteTransition:
-    """Exact unit-diffusion discretization of one IWP block over a step ``h``.
-
-    ``A`` is upper triangular with unit diagonal.  ``Q_sqrt`` is a lower
-    triangular factor of the unit process noise, ``Q(h) = Q_sqrt @
-    Q_sqrt.T``, and ``q11`` is ``Q(h)_11``, the variance the step adds to
-    the derivative slot.  Under a diffusion intensity ``sigma2`` the
-    process noise is ``sigma2 Q(h)``; ``filtering.predict`` applies it.
-    """
-
-    h: float
-    A: np.ndarray
-    Q_sqrt: np.ndarray
-    q11: float
-
-
 def make_iwp(q: int, dim: int) -> IwpModel:
     """Validate and build an IWP(q) prior over ``dim`` blocks; both are integers >= 1."""
     return IwpModel(q=_check_int("q", q), dim=_check_int("dim", dim))
@@ -114,14 +98,15 @@ class _IwpConstants:
     """Step-independent parts of the unit IWP(q) transition; arrays read-only.
 
     ``A(h)_ij = h^lag_ij / den_ij`` and ``Q(h)^(1/2) = sqrt(h) diag(h^(q-i))
-    qbar_sqrt``, the powers of ``h`` taken from :func:`_powers`.  ``qbar_sqrt``
+    qbar_sqrt``, the powers of ``h`` taken by :meth:`transition`.  ``qbar_sqrt``
     is ``diag(i!)`` times the Cholesky factor of ``qbar``, so it is
     ``Q(1)^(1/2)``; ``a_unit`` is ``A(1)``, ``Q(h)_00 = h^(2q+1) / q00_den``
-    and ``Q(h)_11 = h^(2q-1) / q11_den``.  Entry ``i`` of the first three
-    serves an observed slot ``i``: :meth:`transition` reads rows in its
+    and ``Q(h)_11 = h^(2q-1) / q11_den``.  Entry ``i`` of ``lags``, ``dens``
+    and ``qbar_rows`` serves an observed slot ``i``: :meth:`transition` reads rows in its
     pivot order (:func:`_pivot`), each the same products as in slot order.
     """
 
+    q: int
     lags: tuple  # per slot, (3, q+1, q+1): A's lags in slot and pivot order, then each row's q-i
     dens: tuple  # per slot, the divisors of lags' powers: A's dens, then 1
     qbar_rows: tuple  # per slot, qbar_sqrt's rows in pivot order
@@ -132,11 +117,16 @@ class _IwpConstants:
     qbar: np.ndarray
     qbar_sqrt: np.ndarray
 
-    def transition(self, powers: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    def transition(self, h: float, i: int) -> tuple[np.ndarray, np.ndarray, float]:
         """``A(h)`` in slot order and in slot ``i``'s pivot order, shape ``(2, q+1, q+1)``,
-        and ``Q(h)^(1/2)`` with its rows in that pivot order, from one take."""
+        and ``Q(h)^(1/2)`` with its rows in that pivot order, from one take of the powers
+        ``h^0 .. h^(2q+1)`` (and a 0 for ``A`` below the diagonal), then ``Q(h)_11``;
+        unchecked."""
+        # Python's ** per power: np.power's vectorized loop can differ in the last bit.
+        powers = np.array([h**k for k in range(2 * self.q + 2)] + [0.0])
         lagged = powers.take(self.lags[i]) / self.dens[i]
-        return lagged[:2], sqrt(powers[1]) * lagged[2] * self.qbar_rows[i]
+        return (lagged[:2], sqrt(powers[1]) * lagged[2] * self.qbar_rows[i],
+                float(powers[2 * self.q - 1]) / self.q11_den)
 
 
 @lru_cache(maxsize=None)
@@ -152,6 +142,7 @@ def _constants(q: int) -> _IwpConstants:
     qbar_sqrt = fact[:, None] * np.linalg.cholesky(qbar)
     orders = [_pivot(q + 1, slot)[0] for slot in range(q + 1)]
     tables = _IwpConstants(
+        q=q,
         lags=tuple(np.array([a_lag, a_lag[o], np.broadcast_to((q - o)[:, None], lag.shape)])
                    for o in orders),
         dens=tuple(np.array([a_den, a_den[o], np.ones_like(a_den)]) for o in orders),
@@ -187,28 +178,24 @@ def nordsieck_qbar(q: int) -> np.ndarray:
     return _constants(q).qbar
 
 
-def discrete_transition(q: int, h: float) -> DiscreteTransition:
-    """Unit-diffusion transition of one IWP(q) block over a step ``h``.
+def discrete_transition(q: int, h: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Unit-diffusion transition ``(A, Q_sqrt, q11)`` of one IWP(q) block over a step ``h``.
 
-    Evaluates ``A_ij = 1{i<=j} h^(j-i)/(j-i)!``, the factor ``Q_sqrt`` of
-    ``Q_ij = h^(2q+1-i-j) / ((2q+1-i-j)(q-i)!(q-j)!)`` and its entry
-    ``q11`` from the per-q constant table; ``Q`` itself is never formed.
-    Scale the process noise by a diffusion intensity in
-    ``filtering.predict(state, transition, sigma2)``.
+    ``A_ij = 1{i<=j} h^(j-i)/(j-i)!`` is upper triangular with unit diagonal,
+    ``Q_sqrt`` the lower triangular factor of the unit process noise ``Q_ij =
+    h^(2q+1-i-j) / ((2q+1-i-j)(q-i)!(q-j)!)``, and ``q11`` its entry ``Q(h)_11``,
+    the variance the step adds to the derivative slot; ``Q`` itself is never
+    formed.  The checked view, in slot order, of the per-q table's
+    ``transition`` that the solve loop calls; ``filtering.predict(state, h,
+    sigma2)`` scales the process noise by a diffusion intensity.
     """
     q = _check_int("q", q)
     if not np.isfinite(h):
         raise ValueError(f"step size must be finite, got {h}")
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
-    A, Q_sqrt = _constants(q).transition(_powers(q, h), 0)
-    return DiscreteTransition(float(h), A[0], Q_sqrt, h ** (2 * q - 1) / _constants(q).q11_den)
-
-
-def _powers(q: int, h: float) -> np.ndarray:
-    """``h^0 .. h^(2q+1)`` and a 0 for ``A`` below the diagonal, unchecked."""
-    # Python's ** per power: np.power's vectorized loop can differ in the last bit.
-    return np.array([h**k for k in range(2 * q + 2)] + [0.0])
+    A, Q_sqrt, q11 = _constants(q).transition(h, 0)
+    return A[0], Q_sqrt, q11
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,11 @@
 """The IVP solving loop: initialization, model interrogation, predict-update.
 
-One solve is strictly sequential.  An attempted step raises h to its powers
-and reads off them ``Q(h)_11``, ``A(h)`` in slot order and with the
-derivative slot's row first, and the rows of ``Q(h)^(1/2)`` in that pivot
-order, once per distinct h: a fixed mesh builds them once.  It predicts the
+One solve is strictly sequential.  An attempted step takes from the per-q
+table ``A(h)`` in slot order and with the derivative slot's row first, the
+rows of ``Q(h)^(1/2)`` in that pivot order and ``Q(h)_11``, once per
+distinct h: a fixed mesh builds them once.  A step below the resolvable
+scale of t, a NaN step, or one whose ``Q(h)_11`` underflows to 0 raises
+``StepSizeUnderflowError`` before its reading.  The attempt predicts the
 mean, evaluates the right-hand side there, and scores the residual: on
 Python floats up to ``_FLOAT_SCORING_DIM`` dimensions, where numpy's cost
 per call would outweigh the arithmetic, and in numpy above.  Both forms make
@@ -26,8 +28,8 @@ import numpy as np
 
 from .filtering import (GaussState, SolutionPath, _built, _Columns, _matvec, _Rows, _stacked,
                         predict_update)
-from .priors import _check_int, _constants, _powers, make_iwp
-from .stepcontrol import StepReport, _sigma2, _weights, next_step_size
+from .priors import _check_int, _constants, make_iwp
+from .stepcontrol import StepReport, _sigma2, _weighted, next_step_size
 # perfbench's traced run wraps these names here, where neither the loop nor the start calls them.
 from .filtering import predict, update  # noqa: F401
 from .priors import discrete_transition  # noqa: F401
@@ -91,6 +93,9 @@ class IvpProblem:
         self.y0 = np.atleast_1d(np.asarray(self.y0, dtype=float))
         if self.y0.size != self.dim:
             raise ValueError(f"y0 has {self.y0.size} entries but dim = {self.dim}")
+        bad = np.flatnonzero(~np.isfinite(self.y0))
+        if bad.size:
+            raise ValueError(f"y0 must be finite, got y0[{bad[0]}] = {self.y0[bad[0]]}")
         if not (np.isfinite(self.t0) and np.isfinite(self.T)):
             raise ValueError(f"t0 and T must be finite, got [{self.t0}, {self.T}]")
         if not self.t0 < self.T:
@@ -279,7 +284,7 @@ def _starter_path(problem: IvpProblem, config: SolverConfig) -> SolutionPath:
         # The step between knot times, not from t, which carries the
         # round-off of the summed steps.
         h = t_next - (problem.t0 + prev * h0)
-        A, Q_sqrt = _constants(q).transition(_powers(q, h), 1)
+        A, Q_sqrt, _ = _constants(q).transition(h, 1)
         pred_mean = _matvec(A[0], mean)
         z = reading(t_next, pred_mean[0::q1])
         mean, factor = predict_update(factor, A[1], Q_sqrt, unit, pred_mean, z - pred_mean[1::q1], 1)
@@ -330,7 +335,7 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
     mean, factor = path.columns["mean"][-1], path.columns["factor"][-1]
     d, q, q1, unit = problem.dim, model.q, model.block_size, np.ones(problem.dim)
     table = _constants(q)
-    fixed = config.fixed_step is not None
+    fixed, floats = config.fixed_step is not None, d <= _FLOAT_SCORING_DIM
     h = config.fixed_step if fixed else config.resolve_h_init(problem)
     # One row per attempt, named like the StepReport fields that view it.
     attempts = _Columns(t=np.empty(0), h=np.empty(0), sigma2_hat=np.empty((0, d)),
@@ -350,7 +355,7 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
                 f"gave up at t = {t} after {_MAX_STEPS} attempted steps; "
                 "the tolerance forces an unreasonably fine mesh"
             )
-        if h < 1e3 * _EPS * max(abs(t), span):
+        if not h >= 1e3 * _EPS * max(abs(t), span):  # a NaN h too
             raise StepSizeUnderflowError(f"step size {h} underflowed at t = {t}")
         if t + h >= t_clamp:
             # Clamp onto T, absorbing a remainder too short to step over.
@@ -358,8 +363,10 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
 
         if h != h_prev:  # a fixed mesh repeats h on every step but the clamped last
             # A[1] and Q_sqrt hold slot 1's row first; Q_sqrt[1] is slot 0's row.
-            (A, Q_sqrt), q11 = table.transition(_powers(q, h), 1), h ** (2 * q - 1) / table.q11_den
-            h_prev, floats = h, d <= _FLOAT_SCORING_DIM and q11 > 0.0  # x / 0.0 raises on floats
+            A, Q_sqrt, q11 = table.transition(h, 1)
+            if q11 == 0.0:  # the residual's variance: no reading can be scored against it
+                raise StepSizeUnderflowError(f"step size {h} underflowed at t = {t}: Q(h)_11 is 0")
+            h_prev = h
         pred_mean = np.matmul(A[0], mean.reshape(d, q1, 1)).reshape(-1)  # _matvec, inline
         # A sampled draw's std, under the last accepted diffusion since this step's is
         # not known yet: the norm of row 0 of [A F, sqrt(sigma2) Q^(1/2)], no QR needed.
@@ -382,7 +389,7 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
                 sigma2_local = _sigma2(residual, q11)
                 D = np.sqrt(sigma2_local * q11)
                 if not fixed:
-                    D = D * _weights(y, tau)
+                    D = _weighted(D, y, tau)
                     D_max = float(D.max())
             if fixed:
                 passed, h_next = True, h

@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "StepReport",
     "estimate_sigma2",
-    "error_weights",
     "local_error_test",
     "next_step_size",
     "global_error_factor",
@@ -28,8 +27,8 @@ _ETA_MAX = 5.0
 
 @dataclass(frozen=True, eq=False)
 class StepReport:
-    """Diagnostics of one attempted step.  ``D`` holds the weights of
-    :func:`error_weights` only where an error test was made: a fixed step's
+    """Diagnostics of one attempted step.  ``D`` carries the weights ``w_i`` of
+    :func:`local_error_test` only where an error test was made: a fixed step's
     ``D`` is the unweighted ``sqrt(sigma2_hat Q(h)_11)``."""
 
     t: float
@@ -45,7 +44,7 @@ def estimate_sigma2(residual, qbar11: float) -> np.ndarray:
 
     Treating the residual of the derivative observation as a zero-mean
     Gaussian with variance ``sigma2 * qbar11`` (``qbar11`` being the unit
-    ``Q(h)_11``, the ``q11`` of ``priors.discrete_transition``) gives the
+    ``Q(h)_11``, the last entry of ``priors.discrete_transition``) gives the
     per-dimension estimator ``sigma2_hat = residual**2 / qbar11``.  It is
     applied before the covariance prediction of the same step.  A residual
     too large to square gives an infinite estimate, without a warning.
@@ -61,35 +60,31 @@ def _sigma2(residual: np.ndarray, qbar11: float) -> np.ndarray:
     return residual**2 / qbar11
 
 
-def error_weights(y, tau: float) -> np.ndarray:
-    """Componentwise weights w_i = 1 / (tau * |y_i| + tau).
-
-    The reciprocal-linear form is singular for y_i <= -1, so the magnitude
-    of the solution is used; on positive trajectories the two coincide.
-    """
-    if not 0.0 < tau < inf:
-        raise ValueError(f"tau must be positive, got {tau}")
-    return _weights(np.atleast_1d(np.asarray(y, dtype=float)), tau)
-
-
-def _weights(y: np.ndarray, tau: float) -> np.ndarray:
-    """:func:`error_weights` of a vector, unchecked."""
-    return 1.0 / (tau * np.abs(y) + tau)
+@np.errstate(over="ignore", invalid="ignore")
+def _weighted(D: np.ndarray, y: np.ndarray, tau: float) -> np.ndarray:
+    """``D_i w_i`` with the weights ``w_i = 1 / (tau * |y_i| + tau)`` of a vector, unchecked.
+    Silent, as on Python floats: ``tau * |y_i|`` too large for a float gives ``w_i = 0``,
+    and an infinite ``D_i`` times that 0 gives NaN."""
+    return D * (1.0 / (tau * np.abs(y) + tau))
 
 
 def local_error_test(sigma2, qbar11: float, y, tau: float, ebar: float) -> tuple[np.ndarray, bool]:
     """Weighted expected error D and the accept decision max(D) <= ebar.
 
     ``D_i = sqrt(sigma2_i * qbar11) * w_i``, with ``qbar11`` the unit
-    ``Q(h)_11`` as in :func:`estimate_sigma2` and the weights
-    :func:`error_weights` of ``y`` with ``tau``.  The solver passes the bound
-    ``ebar = eps * h / S``, where ``S`` is 1 (error per unit step) or ``h``
-    (error per step).
+    ``Q(h)_11`` as in :func:`estimate_sigma2` and the componentwise weights
+    ``w_i = 1 / (tau * |y_i| + tau)``, ``tau > 0``.  The reciprocal-linear form
+    ``1 / (tau * y_i + tau)`` is singular for y_i <= -1, so the magnitude of the
+    solution is used; on positive trajectories the two coincide.  The solver
+    passes the bound ``ebar = eps * h / S``, where ``S`` is 1 (error per unit
+    step) or ``h`` (error per step).
     """
     sigma2 = np.atleast_1d(np.asarray(sigma2, dtype=float))
     if (sigma2 < 0.0).any():
         raise ValueError("sigma2 must be >= 0")
-    D = np.sqrt(sigma2 * qbar11) * error_weights(y, tau)
+    if not 0.0 < tau < inf:
+        raise ValueError(f"tau must be positive, got {tau}")
+    D = _weighted(np.sqrt(sigma2 * qbar11), np.atleast_1d(np.asarray(y, dtype=float)), tau)
     return D, bool(D.max() <= ebar)
 
 

@@ -49,10 +49,10 @@ def test_criterion_1_transition_oracle_equivalence():
     with criterion(1, "closed-form transitions match the matrix-fraction oracle", 1.0):
         for q in (1, 2, 3, 4):
             for h in (1e-3, 0.1, 1.0):
-                tr = discrete_transition(q, h)
-                Q = tr.Q_sqrt @ tr.Q_sqrt.T
+                A, Q_sqrt, _ = discrete_transition(q, h)
+                Q = Q_sqrt @ Q_sqrt.T
                 A_ref, Q_ref = matrix_fraction(q, h)
-                assert np.max(np.abs(tr.A - A_ref)) <= 1e-10 * np.max(np.abs(tr.A))
+                assert np.max(np.abs(A - A_ref)) <= 1e-10 * np.max(np.abs(A))
                 assert np.max(np.abs(Q - Q_ref)) <= 1e-10 * np.max(np.abs(Q))
 
 

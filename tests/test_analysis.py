@@ -134,21 +134,20 @@ class TestStarter:
     def test_matches_diffuse_prior_sweep(self):
         # Run the large-variance start twice and extrapolate the prior
         # variance to infinity; the closed forms must agree with the limit.
-        from odefilter.priors import discrete_transition
-        from odefilter.filtering import GaussState, ObservationModel, predict, update
+        from odefilter.filtering import GaussState, predict, update
 
         u, v, h = 1 / 3, 1 / 2, 1.0
 
         def diffuse_run(var):
             prob = get_problem("logistic")
             state = GaussState(0.0, np.zeros(5), np.sqrt(var) * np.eye(5)[None])
-            state, _ = update(state, [0.1], ObservationModel(0))
+            state, _ = update(state, [0.1], 0)
             zs, t_prev = [], 0.0
             for tk in (0.0, u * h, v * h, h):
                 if tk > 0.0:
-                    state = predict(state, discrete_transition(4, tk - t_prev))
+                    state = predict(state, tk - t_prev)
                 z = prob.rhs(tk, state.mean[[0]])
-                state, _ = update(state, z, ObservationModel(1))
+                state, _ = update(state, z, 1)
                 zs.append(float(np.atleast_1d(z)[0]))
                 t_prev = tk
             return state.mean, state.cov[0], np.array(zs)

@@ -74,6 +74,17 @@ class TestSolveCommand:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nonfinite_y0_is_usage_error(self, tmp_path, capsys):
+        spec = {"name": "decay", "dim": 1, "t0": 0.0, "T": 1.0, "y0": [float("nan")],
+                "rhs": [{"terms": [{"coef": -1.0, "y_powers": [1]}]}]}
+        pfile = tmp_path / "p.json"
+        pfile.write_text(json.dumps(spec))
+        assert '"y0": [NaN]' in pfile.read_text()
+        out = tmp_path / "trace.csv"
+        assert run(["solve", "--problem-file", str(pfile), "--eps", "1e-3", "--out", str(out)]) == 2
+        assert "y0 must be finite, got y0[0] = nan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_problem_is_usage_error(self, tmp_path, capsys):
         code = run(["solve", "--problem", "nope", "--eps", "0.1",
                     "--out", str(tmp_path / "x.csv")])

@@ -9,7 +9,6 @@ from scipy.linalg import block_diag
 from odefilter import (
     GaussState,
     IvpProblem,
-    ObservationModel,
     SolverConfig,
     discrete_transition,
     get_problem,
@@ -45,28 +44,26 @@ def _diag(blocks):
 
 class TestPredict:
     def test_zero_state_gets_q(self):
-        tr = discrete_transition(2, 0.4)
-        out = predict(GaussState(0.0, np.zeros(3), np.zeros((1, 3, 3))), tr)
+        out = predict(GaussState(0.0, np.zeros(3), np.zeros((1, 3, 3))), 0.4)
         assert np.array_equal(out.mean, np.zeros(3))
         np.testing.assert_allclose(out.cov[0], loop_q(2, 0.4), atol=1e-16)
         assert out.t == 0.4
 
     def test_hand_mean_product(self):
-        tr = discrete_transition(1, 0.3)
-        out = predict(GaussState(0.0, np.array([0.1, 0.27]), np.zeros((1, 2, 2))), tr)
+        out = predict(GaussState(0.0, np.array([0.1, 0.27]), np.zeros((1, 2, 2))), 0.3)
         np.testing.assert_allclose(out.mean, [0.181, 0.27], rtol=1e-15)
 
     def test_two_small_steps_equal_one_big(self):
         rng = np.random.default_rng(3)
         state = GaussState(0.0, rng.standard_normal(3), _rand_factor(rng, 3))
-        via_two = predict(predict(state, discrete_transition(2, 0.2)), discrete_transition(2, 0.2))
-        via_one = predict(state, discrete_transition(2, 0.4))
+        via_two = predict(predict(state, 0.2), 0.2)
+        via_one = predict(state, 0.4)
         np.testing.assert_allclose(via_two.mean, via_one.mean, atol=1e-12)
         np.testing.assert_allclose(via_two.cov, via_one.cov, atol=1e-12)
 
     def test_multidimensional_blocks(self):
         state = GaussState(0.0, np.array([1.0, 0.0, 2.0, 0.0]), np.zeros((2, 2, 2)))
-        out = predict(state, discrete_transition(1, 0.5), np.array([1.0, 4.0]))
+        out = predict(state, 0.5, np.array([1.0, 4.0]))
         np.testing.assert_allclose(out.cov[0], loop_q(1, 0.5))
         np.testing.assert_allclose(out.cov[1], 4.0 * loop_q(1, 0.5))
 
@@ -74,17 +71,16 @@ class TestPredict:
     def test_diffusion_scales_validated(self, sigma2):
         state = GaussState(0.0, np.zeros(4), np.zeros((2, 2, 2)))
         with pytest.raises(ValueError):
-            predict(state, discrete_transition(1, 0.5), sigma2)
+            predict(state, 0.5, sigma2)
 
 
 class TestUpdate:
     def _predicted(self, h=0.3):
-        tr = discrete_transition(1, h)
-        return predict(GaussState(0.0, np.array([0.1, 0.27]), np.zeros((1, 2, 2))), tr)
+        return predict(GaussState(0.0, np.array([0.1, 0.27]), np.zeros((1, 2, 2))), h)
 
     def test_zero_residual_keeps_mean_shrinks_cov(self):
         pred = self._predicted()
-        out, resid = update(pred, [0.27], ObservationModel(1))
+        out, resid = update(pred, [0.27], 1)
         assert resid[0] == 0.0
         np.testing.assert_allclose(out.mean, pred.mean, atol=1e-16)
         assert out.cov[0, 1, 1] < pred.cov[0, 1, 1]
@@ -96,29 +92,29 @@ class TestUpdate:
         pred = self._predicted()
         z = 3 * 0.181 * (1 - 0.181)
         assert z == pytest.approx(0.444717, abs=1e-9)
-        out, _ = update(pred, [z], ObservationModel(1))
+        out, _ = update(pred, [z], 1)
         assert out.mean[0] == pytest.approx(0.20720755, abs=1e-10)
         assert out.cov[0, 0, 0] == pytest.approx(0.3**3 / 12, rel=1e-12)
 
     def test_exact_observation_is_interpolated(self):
         rng = np.random.default_rng(7)
         state = GaussState(0.0, rng.standard_normal(3), _rand_factor(rng, 3))
-        out, _ = update(state, [1.23], ObservationModel(1))
+        out, _ = update(state, [1.23], 1)
         assert out.mean[1] == pytest.approx(1.23, abs=1e-14)
         assert abs(out.cov[0, 1, 1]) <= 1e-12 * np.max(np.abs(state.cov))
 
     def test_repeated_update_idempotent(self):
         rng = np.random.default_rng(11)
         state = GaussState(0.0, rng.standard_normal(3), _rand_factor(rng, 3))
-        once, _ = update(state, [0.5], ObservationModel(1))
-        twice, _ = update(once, [0.5], ObservationModel(1))
+        once, _ = update(state, [0.5], 1)
+        twice, _ = update(once, [0.5], 1)
         np.testing.assert_allclose(twice.mean, once.mean, atol=1e-12)
         np.testing.assert_allclose(twice.cov, once.cov, atol=1e-12)
 
     def test_degenerate_direction_skipped(self):
         # Fully-known state: no innovation variance, update is a no-op.
         state = GaussState(0.0, np.array([1.0, 2.0]), np.zeros((1, 2, 2)))
-        out, resid = update(state, [5.0], ObservationModel(1))
+        out, resid = update(state, [5.0], 1)
         np.testing.assert_array_equal(out.mean, state.mean)
         assert resid[0] == 3.0
 
@@ -127,16 +123,16 @@ class TestUpdate:
         # whose variances all sit far below 1 is still conditioned.
         cov = np.array([[[4e-17, 0.0], [0.0, 1e-18]], [[1.0, 0.0], [0.0, 1.0]]])
         state = GaussState(0.0, np.zeros(4), np.sqrt(cov))
-        out, _ = update(state, [0.1, 0.2], ObservationModel(0))
+        out, _ = update(state, [0.1, 0.2], 0)
         np.testing.assert_array_equal(out.mean, [0.1, 0.0, 0.2, 0.0])
         assert out.cov[0, 0, 0] == 0.0 and out.cov[0, 1, 1] == 1e-18
 
     def test_dimension_checks(self):
         state = GaussState(0.0, np.zeros(3), np.zeros((1, 3, 3)))
         with pytest.raises(ValueError):
-            update(state, [1.0, 2.0], ObservationModel(1))
+            update(state, [1.0, 2.0], 1)
         with pytest.raises(ValueError):
-            update(state, [1.0], ObservationModel(5))
+            update(state, [1.0], 5)
 
 
 def _logistic_path(h=0.3, q=2):
@@ -239,8 +235,7 @@ class TestPathViews:
         for i, (unit_before, unit_after) in enumerate(recorded, start=1):
             assert np.array_equal(path.filtered[i].factor, scale * unit_after)
             before = GaussState(path.knots[i - 1], path.filtered[i - 1].mean, unit_before)
-            want = sigma2[:, None, None] * predict(
-                before, discrete_transition(2, path.step_sizes[i - 1])).cov
+            want = sigma2[:, None, None] * predict(before, path.step_sizes[i - 1]).cov
             got = path.predictions[i]
             assert np.array_equal(got.mean, path.columns["pred_mean"][i])
             assert np.max(np.abs(got.cov - want)) <= 1e-14 * np.max(np.abs(want))
@@ -643,9 +638,9 @@ class TestSmooth:
         s0 = GaussState(0.0, np.zeros(4), np.eye(2)[None].repeat(2, axis=0))
         path = SolutionPath(model=m)
         path.append(s0, s0, None)
-        s1 = predict(s0, discrete_transition(1, 0.5))
+        s1 = predict(s0, 0.5)
         path.append(s1, s1, 0.5, np.ones(m.dim))
-        s2 = predict(s1, discrete_transition(1, 0.5))
+        s2 = predict(s1, 0.5)
         # A wrong shape or value fails on append, before the path holds it.
         with pytest.raises(ValueError, match=r"knot 2 \(t=1.0\)"):
             path.append(s2, s2, 0.5, sigma2)
@@ -658,11 +653,11 @@ class TestSmooth:
         path = SolutionPath(model=m)
         s0 = GaussState(0.0, np.array([1.0, 1.0]), np.eye(2)[None])
         path.append(s0, s0, None)
-        s1 = predict(s0, discrete_transition(1, 0.5))
+        s1 = predict(s0, 0.5)
         path.append(s1, s1, 0.5, np.ones(1))
         smooth(path)
         s2 = GaussState(1.0, np.array([1.5, 1.0]), np.zeros((1, 2, 2)))
-        path.append(predict(s1, discrete_transition(1, 0.5)), s2, 0.5, np.ones(1))
+        path.append(predict(s1, 0.5), s2, 0.5, np.ones(1))
         assert path.smoothed is None
         np.testing.assert_allclose(interpolate(path, 1.0 - 1e-9).mean, s2.mean, atol=1e-6)
         _assert_same_state(path.smoothed[2], s2)
@@ -671,11 +666,10 @@ class TestSmooth:
 
     def test_zero_covariance_means_unchanged(self):
         m = make_iwp(1, 1)
-        tr = discrete_transition(m.q, 0.5)
         path = SolutionPath(model=m)
         s0 = GaussState(0.0, np.array([1.0, 2.0]), np.zeros((1, 2, 2)))
         path.append(s0, s0, None)
-        pred = predict(s0, tr)
+        pred = predict(s0, 0.5)
         s1 = GaussState(0.5, np.array([2.5, 3.0]), np.zeros((1, 2, 2)))
         path.append(pred, s1, 0.5, np.ones(m.dim))
         smooth(path)
@@ -731,14 +725,13 @@ class TestSmooth:
             return np.array([p.polyval(t, p.polyder(coef, k)) for k in range(q + 1)])
 
         h = 0.25
-        tr = discrete_transition(m.q, h)
         path = SolutionPath(model=m)
         state = GaussState(0.0, taylor(0.0), np.zeros((1, q + 1, q + 1)))
         path.append(state, state, None)
         for n in range(1, 7):
-            pred = predict(state, tr)
+            pred = predict(state, h)
             z = taylor(n * h)[1]
-            state, resid = update(pred, [z], ObservationModel(1))
+            state, resid = update(pred, [z], 1)
             path.append(pred, state, h, np.ones(m.dim))
             assert abs(resid[0]) < 1e-10
         smooth(path)
@@ -752,7 +745,7 @@ class TestSamplePosterior:
         path = SolutionPath(model=m)
         s0 = GaussState(0.0, np.array([1.0, 2.0]), np.zeros((1, 2, 2)))
         path.append(s0, s0, None)
-        pred = predict(s0, discrete_transition(m.q, 0.5))
+        pred = predict(s0, 0.5)
         s1 = GaussState(0.5, np.array([2.0, 2.0]), np.zeros((1, 2, 2)))
         path.append(pred, s1, 0.5, np.ones(m.dim))
         smooth(path)
@@ -798,6 +791,15 @@ class TestSamplePosterior:
         path = smooth(_logistic_path())
         with pytest.raises(ValueError, match=rf"^count must be >= 1, got {count}$"):
             sample_posterior(path, seed=0, count=count)
+
+    @pytest.mark.parametrize("seed, error", [(None, TypeError), (True, TypeError),
+                                             (2.0, TypeError), (-1, ValueError)])
+    def test_seed_must_be_a_nonnegative_integer(self, seed, error):
+        # None drew fresh OS entropy, so two calls differed; True ran as seed 1;
+        # -1 failed only inside numpy.
+        path = smooth(_logistic_path())
+        with pytest.raises(error, match="seed must be"):
+            sample_posterior(path, seed=seed, count=2)
 
     def test_numpy_integer_count(self):
         path = smooth(_logistic_path())
@@ -855,26 +857,25 @@ class TestInterpolate:
         q = 2
         m = make_iwp(q, 1)
         h = 0.8
-        tr = discrete_transition(m.q, h)
         x0 = np.array([1.0, -0.5, 0.2])
         x1 = np.array([0.7, 0.1, -0.3])
         path = SolutionPath(model=m)
         s0 = GaussState(0.0, x0, np.zeros((1, 3, 3)))
         path.append(s0, s0, None)
-        pred = predict(s0, tr)
+        pred = predict(s0, h)
         path.append(pred, GaussState(h, x1, np.zeros((1, 3, 3))), h, np.ones(m.dim))
         smooth(path)
 
         t = 0.3
         got = interpolate(path, t)
-        a1 = discrete_transition(q, t)
-        a2 = discrete_transition(q, h - t)
-        mid_mean = a1.A @ x0
+        a1, _, _ = discrete_transition(q, t)
+        a2, _, _ = discrete_transition(q, h - t)
+        mid_mean = a1 @ x0
         mid_cov = loop_q(q, t)
-        cross = mid_cov @ a2.A.T
-        end_cov = a2.A @ mid_cov @ a2.A.T + loop_q(q, h - t)
+        cross = mid_cov @ a2.T
+        end_cov = a2 @ mid_cov @ a2.T + loop_q(q, h - t)
         gain = cross @ np.linalg.inv(end_cov)
-        want_mean = mid_mean + gain @ (x1 - a2.A @ mid_mean)
+        want_mean = mid_mean + gain @ (x1 - a2 @ mid_mean)
         want_cov = mid_cov - gain @ cross.T
         np.testing.assert_allclose(got.mean, want_mean, atol=1e-10)
         np.testing.assert_allclose(got.cov[0], want_cov, atol=1e-10)
@@ -892,7 +893,7 @@ class TestInterpolate:
                             SolverConfig(q=q, eps=1e-4, init_mode="rk_starter")).path)
         left, right, s = path.filtered[0], path.smoothed[1], float(path.step_sigma2[0, 0])
         assert left.t < t < right.t and np.max(left.factor) == 1e6
-        at_t = predict(left, discrete_transition(q, t - left.t), path.step_sigma2[0])
+        at_t = predict(left, t - left.t, path.step_sigma2[0])
         got = interpolate(path, t).cov[0]
 
         def mp_cov(F):
@@ -1015,14 +1016,14 @@ class TestDenseOracle:
         for i in sorted(sampled):
             filt, sigma2 = path.filtered[i], path.step_sigma2[i]
             h = path.step_sizes[i]
-            tr, Q = discrete_transition(q, h), loop_q(q, h)
-            pred = predict(filt, tr, sigma2)
-            m_ref, c_ref = _dense_predict(filt.mean, block_diag(*filt.cov), tr.A, Q, sigma2)
+            (A, _, _), Q = discrete_transition(q, h), loop_q(q, h)
+            pred = predict(filt, h, sigma2)
+            m_ref, c_ref = _dense_predict(filt.mean, block_diag(*filt.cov), A, Q, sigma2)
             _assert_rel(pred.mean, m_ref)
             _assert_rel(block_diag(*pred.cov), c_ref)
 
             z = problem.rhs(pred.t, pred.mean[0::q1])
-            upd, _ = update(pred, z, ObservationModel(1))
+            upd, _ = update(pred, z, 1)
             m_ref, c_ref = _dense_update(pred.mean, block_diag(*pred.cov), z, q1)
             _assert_rel(upd.mean, m_ref)
             _assert_rel(block_diag(*upd.cov), c_ref)
@@ -1030,7 +1031,7 @@ class TestDenseOracle:
             sm = path.smoothed[i]
             for k in range(d):
                 m_ref, c_ref = _mp_smooth_block(filt, path.predictions[i + 1],
-                                                path.smoothed[i + 1], tr.A, Q, sigma2, k)
+                                                path.smoothed[i + 1], A, Q, sigma2, k)
                 _assert_rel(sm.mean[k * q1:(k + 1) * q1], m_ref, rel=1e-10)
                 _assert_rel(sm.cov[k], c_ref, rel=1e-10)
 
@@ -1045,7 +1046,7 @@ class TestDenseOracle:
         q1 = path.model.block_size
         for i in range(5):
             filt, sigma2, h = path.filtered[i], path.step_sigma2[i], path.step_sizes[i]
-            A, Q = discrete_transition(4, h).A, loop_q(4, h)
+            A, Q = discrete_transition(4, h)[0], loop_q(4, h)
             for k in range(path.model.dim):
                 m_ref, c_ref = _mp_smooth_block(filt, path.predictions[i + 1], path.smoothed[i + 1],
                                                 A, Q, sigma2, k)
@@ -1099,11 +1100,11 @@ class TestPredictUpdate:
         rng = np.random.default_rng(100 * q + 10 * slot + d)
         factor, sigma2 = self._blocks(rng, q1, d)
         state = GaussState(0.3, rng.standard_normal(d * q1), factor)
-        tr, Q = discrete_transition(q, 0.37), loop_q(q, 0.37)
-        table, powers = priors._constants(q), priors._powers(q, 0.37)
+        (A_slot, _, _), Q = discrete_transition(q, 0.37), loop_q(q, 0.37)
+        table = priors._constants(q)
         z = rng.standard_normal(d)
-        mean = filtering._matvec(tr.A, state.mean)
-        A, Q_sqrt = table.transition(powers, i)
+        mean = filtering._matvec(A_slot, state.mean)
+        A, Q_sqrt, _ = table.transition(0.37, i)
         A = A[1]
         filt = GaussState(0.67, *filtering.predict_update(factor, A, Q_sqrt, sigma2, mean,
                                                           z - mean[i::q1], i))
@@ -1111,7 +1112,7 @@ class TestPredictUpdate:
         pred = GaussState(0.67, mean, filtering._triangularize(
             filtering._stacked(factor, A, Q_sqrt, sigma2)).take(priors._pivot(q1, i)[1], axis=1))
 
-        m_ref, c_ref = _dense_predict(state.mean, block_diag(*state.cov), tr.A, Q, sigma2)
+        m_ref, c_ref = _dense_predict(state.mean, block_diag(*state.cov), A_slot, Q, sigma2)
         _assert_rel(pred.mean, m_ref)
         _assert_rel(block_diag(*pred.cov), c_ref)
         m_ref, c_ref = _dense_update(m_ref, c_ref, z, q1, i)

@@ -7,7 +7,6 @@ import pytest
 from odefilter import solver, stepcontrol
 from odefilter import (
     IvpProblem,
-    ObservationModel,
     SolverConfig,
     StepSizeUnderflowError,
     discrete_transition,
@@ -41,6 +40,16 @@ class TestIvpProblem:
         # after 0 steps, with a RuntimeWarning.
         with pytest.raises(ValueError, match="t0 and T must be finite"):
             IvpProblem("x", 1, t0, T, [1.0], lambda t, y: y)
+
+    @pytest.mark.parametrize("y0, entry", [([1.0, np.nan], r"y0\[1\] = nan"),
+                                           ([np.inf, 2.0], r"y0\[0\] = inf"),
+                                           ([-np.inf, np.nan], r"y0\[0\] = -inf")],
+                             ids=["nan", "inf", "-inf"])
+    def test_rejects_nonfinite_y0(self, y0, entry):
+        # A NaN y0 was accepted, and the solve ran NaN states until "solve
+        # diverged at t = 0.0, h = nan", which named neither y0 nor its entry.
+        with pytest.raises(ValueError, match=rf"^y0 must be finite, got {entry}$"):
+            IvpProblem("x", 2, 0.0, 1.0, y0, lambda t, y: np.ones(2))
 
 
 class TestConfig:
@@ -462,8 +471,8 @@ def _form_problem(name: str) -> IvpProblem:
         g = rng.standard_normal((8, 8))
         M = (g - g.T) / 4.0 - np.diag(rng.uniform(0.5, 1.5, 8))
         return IvpProblem(name, 8, 0.0, 1.0, rng.standard_normal(8), lambda t, y: M @ y)
-    if name == "nan_y0":  # finite readings, whose D is [0, nan] at the first attempt
-        return IvpProblem(name, 2, 0.0, 1.0, [1.0, np.nan], lambda t, y: np.ones(2))
+    if name == "nan_D":  # finite inputs, whose D is [0, inf * 0] = [0, nan] at the first attempt
+        return IvpProblem(name, 2, 0.0, 1.0, [1.0, 1e10], lambda t, y: np.array([1.0, 1e200 * t]))
     if name == "tiny_span":
         p = get_problem("logistic")
         return IvpProblem(name, 1, 0.0, 1e-15, p.y0, p.rhs)
@@ -497,8 +506,8 @@ class TestScoringForms:
         ("brusselator", {"q": 2, "fixed_step": 0.05, "sigma_mode": "global_ml"}),
         ("linear8", {"q": 2, "eps": 1e-3}),
         ("linear8", {"q": 2, "fixed_step": 0.02}),
-        ("nan_y0", {"q": 2, "eps": 1e-3}),  # max() alone would pass the NaN
-        # Q(h)_11, of order h^13, underflows to 0, which as a float divisor raises.
+        ("nan_D", {"q": 2, "eps": 1e-3, "weighting_tau": 1e300}),  # max() alone would pass the NaN
+        # Q(h)_11, of order h^13, underflows to 0: both raise before scoring.
         ("tiny_span", {"q": 7, "eps": 1e-3, "h_init": 1e-27}),
     ])
     def test_forms_agree_bit_for_bit(self, name, kwargs, monkeypatch):
@@ -507,7 +516,7 @@ class TestScoringForms:
             monkeypatch.setattr(solver, "_FLOAT_SCORING_DIM", bound)
             outcomes.append(_solve_outcome(name, config))
         assert outcomes[0] == outcomes[1]
-        if name in ("nan_y0", "tiny_span"):
+        if name in ("nan_D", "tiny_span"):
             assert isinstance(outcomes[0][1], str)  # both raised
 
 
@@ -523,6 +532,26 @@ class TestLoopBranches:
         forced = res.per_step[solver._MAX_REJECTIONS]
         assert forced.accepted and np.max(forced.D) == pytest.approx(1.7146e-3, rel=1e-4)
         assert np.max(forced.D) > cfg.eps
+
+    @pytest.mark.parametrize("name, kwargs, message, nfev", [
+        # Q(h)_11 = h^13 / q11_den underflowed to 0 while h passed the underflow
+        # check; the residual's 0/0 made D and the next h NaN, which no check
+        # caught, and the loop spun to _MAX_STEPS and blamed the tolerance.
+        ("tiny_span", {"q": 7, "eps": 1e-3, "h_init": 1e-27},
+         r"^step size 1e-27 underflowed at t = 0\.0: Q\(h\)_11 is 0$", 1),
+        # A NaN D makes the next h NaN, which "h < bound" let through.
+        ("nan_D", {"q": 2, "eps": 1e-3, "weighting_tau": 1e300},
+         r"^step size nan underflowed at t = 0\.0$", 2),
+    ], ids=["q11_zero", "nan_step"])
+    @pytest.mark.parametrize("bound", _SCORING_FORMS, ids=list(_SCORING_FORMS.values()))
+    def test_underflow_raises_at_once(self, name, kwargs, message, nfev, bound, monkeypatch):
+        monkeypatch.setattr(solver, "_FLOAT_SCORING_DIM", bound)
+        problem = _form_problem(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepSizeUnderflowError, match=message):
+                solve(problem, SolverConfig(**kwargs))
+        assert problem.nfev == nfev  # the start's reading, then at most one attempt's
 
     def test_max_steps_raises(self, monkeypatch):
         monkeypatch.setattr(solver, "_MAX_STEPS", 10)
@@ -607,12 +636,12 @@ class TestStepRecord:
         assert len(reports) == res.steps_accepted + res.steps_rejected
         knot = {t: i for i, t in enumerate(path.knots.tolist())}
         for r in reports:
-            tr = discrete_transition(config.q, r.h)
-            pred_mean = predict(path.filtered[knot[r.t]], tr).mean
+            q11 = discrete_transition(config.q, r.h)[2]
+            pred_mean = predict(path.filtered[knot[r.t]], r.h).mean
             residual = problem.rhs(r.t + r.h, pred_mean[0::q1]) - pred_mean[1::q1]
-            sigma2 = stepcontrol.estimate_sigma2(residual, tr.q11)
+            sigma2 = stepcontrol.estimate_sigma2(residual, q11)
             ebar = config.eps * r.h / r.h
-            D, passed = stepcontrol.local_error_test(sigma2, tr.q11, pred_mean[0::q1],
+            D, passed = stepcontrol.local_error_test(sigma2, q11, pred_mean[0::q1],
                                                      config.weighting_tau, ebar)
             assert r.sigma2_hat.tobytes() == sigma2.tobytes() and r.D.tobytes() == D.tobytes()
             assert r.h_next == stepcontrol.next_step_size(float(D.max()), ebar, r.h, config.q)
@@ -635,7 +664,7 @@ class TestStepRecord:
         assert res.steps_rejected == 0 and len(res.per_step) == len(res.knots) - 1
         weighted = []
         for r, pred_mean in zip(res.per_step, res.path.columns["pred_mean"][1:]):
-            q11 = discrete_transition(config.q, r.h).q11
+            q11 = discrete_transition(config.q, r.h)[2]
             residual = problem.rhs(r.t + r.h, pred_mean[0::3]) - pred_mean[1::3]
             sigma2 = stepcontrol.estimate_sigma2(residual, q11)
             assert r.sigma2_hat.tobytes() == sigma2.tobytes()
@@ -673,23 +702,24 @@ class TestStepRecord:
 
 
 def _count_qr_and_transitions(monkeypatch) -> dict:
-    """Counts of QRs (``filtering._triangularize`` calls) and of built
-    ``DiscreteTransition``s from here on."""
+    """Counts of QRs (``filtering._triangularize`` calls) and of checked
+    transitions (``discrete_transition`` calls, through any module) from here on."""
     from odefilter import filtering, priors
 
     counts = {"qr": 0, "transition": 0}
-    qr, init = filtering._triangularize, priors.DiscreteTransition.__init__
+    qr, checked = filtering._triangularize, priors.discrete_transition
 
     def counting_qr(*args, **kwargs):
         counts["qr"] += 1
         return qr(*args, **kwargs)
 
-    def counting_init(self, *args, **kwargs):
+    def counting_transition(*args, **kwargs):
         counts["transition"] += 1
-        init(self, *args, **kwargs)
+        return checked(*args, **kwargs)
 
     monkeypatch.setattr(filtering, "_triangularize", counting_qr)
-    monkeypatch.setattr(priors.DiscreteTransition, "__init__", counting_init)
+    for module in (priors, filtering, solver):
+        monkeypatch.setattr(module, "discrete_transition", counting_transition)
     return counts
 
 
@@ -697,7 +727,7 @@ class TestAcceptedStepCost:
     @pytest.mark.parametrize("name", ["logistic", "vdp"])
     def test_one_qr_per_accepted_step_and_no_transition_object(self, name, monkeypatch):
         # After the start, an accepted step takes exactly one QR, a rejected
-        # attempt none, and no step builds a DiscreteTransition: the reading
+        # attempt none, and no step calls the checked discrete_transition: the reading
         # of attempt k comes after all of attempt k-1's work.
         counts = _count_qr_and_transitions(monkeypatch)
         problem, config = get_problem(name), SolverConfig(q=2, eps=1e-3)
@@ -745,9 +775,9 @@ class TestStartCost:
         # The closed form of conditioning the diagonal prior on y(t0) and y'(t0).
         problem = get_problem(name)
         path = solver._starter_path(problem, SolverConfig(q=q, init_mode=init_mode))
-        state, _ = update(path.predictions[0], problem.y0, ObservationModel(derivative_index=0))
+        state, _ = update(path.predictions[0], problem.y0, 0)
         slope = problem.eval_rhs(problem.t0, problem.y0)
-        state, _ = update(state, slope, ObservationModel(derivative_index=1))
+        state, _ = update(state, slope, 1)
         pinned = path.filtered[0]
         assert pinned.mean.tobytes() == state.mean.tobytes()
         assert pinned.factor.tobytes() == state.factor.tobytes()

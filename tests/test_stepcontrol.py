@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from odefilter import stepcontrol
 from odefilter import (
     discrete_transition,
-    error_weights,
     estimate_sigma2,
     global_error_factor,
     local_error_test,
@@ -41,33 +40,34 @@ class TestEstimateSigma2:
 
 class TestErrorTest:
     def test_zero_sigma_always_accepted(self):
-        qbar11 = discrete_transition(2, 0.1).q11
+        qbar11 = discrete_transition(2, 0.1)[2]
         D, ok = local_error_test([0.0], qbar11, [1.0], 0.1, 1e-9)
         assert ok and D.tolist() == [0.0]
 
     def test_weights_from_solution_scale(self):
-        w = error_weights([1.5, 3.0], 0.1)
+        w, _ = local_error_test([1.0, 1.0], 1.0, [1.5, 3.0], 0.1, 1.0)
         np.testing.assert_allclose(w, [4.0, 2.5], rtol=1e-14)
 
     def test_weights_use_magnitude(self):
-        np.testing.assert_allclose(error_weights([-1.5], 0.1), error_weights([1.5], 0.1))
+        np.testing.assert_allclose(local_error_test([1.0], 1.0, [-1.5], 0.1, 1.0)[0],
+                                   local_error_test([1.0], 1.0, [1.5], 0.1, 1.0)[0])
 
     def test_hand_rejection(self):
         # tau = 1 and y = 0 give w = 1; the per-unit-step bound is eps*h.
-        qbar11 = discrete_transition(2, 0.1).q11
+        qbar11 = discrete_transition(2, 0.1)[2]
         D, ok = local_error_test([1.0], qbar11, [0.0], 1.0, 1e-2 * 0.1)
         assert D[0] == pytest.approx(np.sqrt(0.1**3 / 3), rel=1e-12)
         assert D[0] == pytest.approx(0.018257, abs=1e-6)
         assert not ok  # 0.01826 > eps*h = 1e-3
 
     def test_per_step_scaling(self):
-        qbar11 = discrete_transition(2, 0.1).q11
+        qbar11 = discrete_transition(2, 0.1)[2]
         _, ok = local_error_test([1.0], qbar11, [0.0], 1.0, 0.02)
         assert ok  # 0.01826 <= eps = 0.02
 
     def test_nonpositive_tau_rejected(self):
         with pytest.raises(ValueError):
-            error_weights([1.0], 0.0)
+            local_error_test([1.0], 1.0, [1.0], 0.0, 1e-6)
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError):
