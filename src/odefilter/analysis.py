@@ -73,7 +73,7 @@ def steady_state(q: int, tol: float = 1e-12, max_iter: int = 10_000) -> SteadySt
     zero, one = np.zeros(q + 1), np.ones(1)
     for it in range(1, max_iter + 1):
         # The filter's own recursion: from mean 0, a unit residual leaves the gain.
-        gain, factor = predict_update(factor, A, Q_sqrt, one, zero, one, 1)
+        gain, factor = predict_update(factor, A, Q_sqrt, one, zero, one)
         c_new = (factor @ factor.swapaxes(1, 2))[0]
         if np.max(np.abs((c_new - c)[mask])) < tol:
             return SteadyState(gain=gain, cov_coeffs=c_new, iterations=it)

@@ -49,7 +49,7 @@ from .priors import IwpModel, _check_int, _constants, _pivot, discrete_transitio
 __all__ = ["GaussState", "SolutionPath", "predict", "update", "smooth", "sample_posterior",
            "interpolate"]
 
-_EPS = float(np.finfo(float).eps)
+_EPS, _TINY = float(np.finfo(float).eps), float(np.finfo(float).tiny)  # tiny: the least normal
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -115,11 +115,9 @@ def _raise_singular(err, flag):
 
 @np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
 def _inv(a: np.ndarray) -> np.ndarray:
-    """``numpy.linalg.inv`` of a float64 stack, bit for bit: its LAPACK gufunc under its error state.
-    A block whose LU breaks down (``[[1e-320, 0, 0], [1, 1e-5, 0], [0, 0, 1]]`` passes
-    ``_backward``'s test and underflows) gets NaNs and the invalid flag, which a bare call only
-    warns of; the error state raises ``LinAlgError``.  As a decorator, its cheapest form, it adds
-    1.5 us to the gufunc's 3.8 on a ``(1, 2, 3, 3)`` stack, a ``with`` block 2.8."""
+    """``numpy.linalg.inv`` of a float64 stack, bit for bit: its LAPACK gufunc under its error state,
+    set by a decorator, the cheapest form.  A block whose LU breaks down gets NaNs and the invalid
+    flag, which a bare call only warns of; the error state raises ``LinAlgError``."""
     return _inv_raw(a, signature="d->d")
 
 
@@ -172,14 +170,13 @@ def update(state: GaussState, z, i: int = 1) -> tuple[GaussState, np.ndarray]:
 
 
 def predict_update(factor: np.ndarray, A: np.ndarray, Q_sqrt: np.ndarray, sigma2: np.ndarray,
-                   mean: np.ndarray, residual: np.ndarray, i: int, out_mean=None,
+                   mean: np.ndarray, residual: np.ndarray, out_mean=None,
                    out_factor=None) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`predict` then :func:`update` of slot ``i`` in one QR, unchecked: the
-    filtered mean and factor (to ``out_mean``, ``out_factor`` if given) from the last
-    ``factor``, the step's unit ``A`` and ``Q_sqrt`` with their rows in slot ``i``'s
-    pivot order, finite ``sigma2 >= 0``, the predicted ``mean`` and the scored
-    residual ``z - H mean``."""
-    return _condition(_triangularize(_stacked(factor, A, Q_sqrt, sigma2)), mean, residual, i,
+    """:func:`predict` then :func:`update` of the derivative slot in one QR, unchecked: the
+    filtered mean and factor (to ``out_mean``, ``out_factor`` if given) from the last ``factor``,
+    the unit ``A`` and ``Q_sqrt`` in that slot's pivot order (index 1 of the table's
+    ``transition``), finite ``sigma2 >= 0``, the predicted ``mean`` and residual ``z - H mean``."""
+    return _condition(_triangularize(_stacked(factor, A, Q_sqrt, sigma2)), mean, residual, 1,
                       out_mean, out_factor)
 
 
@@ -244,13 +241,6 @@ class _Columns:
                 self.arrays[name] = np.concatenate([a, np.empty_like(a, shape=(spare,) + a.shape[1:])])
         self.n = n + 1
         return n
-
-    def append(self, **row):
-        """Copy one value into each column, by name; a missing one raises ``KeyError``."""
-        values = [row[name] for name in self.arrays]
-        n = self.add()
-        for a, value in zip(self.arrays.values(), values):
-            a[n] = value
 
 
 class _Rows(Sequence):
@@ -326,8 +316,8 @@ class SolutionPath:
         if i == 0:
             return self._prior
         q, c = self.model.q, self.columns
-        A, Q_sqrt, _ = _constants(q).transition(float(c["h"][i]), 1)
-        factor = _triangularize(_stacked(c["factor"][i - 1], A[1], Q_sqrt, c["sigma2"][i]))
+        A, Q_sqrt, _ = _constants(q).transition(float(c["h"][i]))
+        factor = _triangularize(_stacked(c["factor"][i - 1], A[1], Q_sqrt[1], c["sigma2"][i]))
         return _built(float(c["t"][i]), c["pred_mean"][i], factor.take(_pivot(q + 1, 1)[1], axis=1))
 
     def append(self, prediction: GaussState, filtered: GaussState, h: float | None, sigma2=None):
@@ -353,8 +343,19 @@ class SolutionPath:
         else:
             self._prior, h, sigma2 = prediction, np.nan, np.nan
         self.smoothed = None
-        self.columns.append(t=t, h=h, sigma2=sigma2, mean=filtered.mean,
-                            factor=filtered.factor, pred_mean=prediction.mean)
+        k, c = self.columns.add(), self.columns.arrays
+        c["t"][k], c["h"][k], c["sigma2"][k], c["pred_mean"][k] = t, h, sigma2, prediction.mean
+        c["mean"][k], c["factor"][k] = filtered.mean, filtered.factor
+
+    def _step(self, t: float, h: float, sigma2: np.ndarray, pred_mean: np.ndarray, A: np.ndarray,
+              Q_sqrt: np.ndarray, residual: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Add the knot ``t``, a step ``h`` after the last, unchecked: from the last factor, the
+        table's ``transition`` pair ``A``, ``Q_sqrt`` (both orders), the diffusions, predicted
+        mean and residual, :func:`predict_update` writes and returns the row's mean and factor."""
+        k, c = self.columns.add(), self.columns.arrays
+        c["t"][k], c["h"][k], c["sigma2"][k], c["pred_mean"][k] = t, h, sigma2, pred_mean
+        return predict_update(c["factor"][k - 1], A[1], Q_sqrt[1], sigma2, pred_mean, residual,
+                              c["mean"][k], c["factor"][k])
 
     def _scale_diffusion(self, sigma2: np.ndarray):
         """Scale every diffusion by ``sigma2`` (one per dimension) and every filtered and
@@ -397,8 +398,8 @@ def _backward(factors: np.ndarray, steps: np.ndarray,
     triangular blocks ``[[L11, 0], [L21, L22]]``: the gain is
     ``S^-1 L21 L11^+ S`` and ``S^-1 L22`` factors the covariance of x_k given
     x_{k+1}.  ``L11`` needs no equilibration in these units; a block with an
-    ``|L11_ii|`` at most 1e-12 times row i's norm (no diffusion) takes ``pinv``,
-    the rest :func:`_inv`.  An interval's knot-to-knot kernel is :func:`_rts_step`.
+    ``|L11_ii|`` at most 1e-12 times row i's norm (no diffusion), or subnormal,
+    takes ``pinv``, the rest :func:`_inv`.  An interval's knot-to-knot kernel is :func:`_rts_step`.
     """
     N, d, n, m = factors.shape
     c = _constants(n - 1)
@@ -411,8 +412,9 @@ def _backward(factors: np.ndarray, steps: np.ndarray,
     joint[..., n:, m:] = 0.0
     L = _triangularize(joint)
     L11 = L[..., :n, :n]
-    # np.linalg.norm(L11, axis=-1) written out, as numpy computes it.
-    flagged = abs(L11.diagonal(0, -2, -1)) <= 1e-12 * np.sqrt(np.add.reduce(L11 * L11, axis=-1))
+    # np.linalg.norm(L11, axis=-1) as numpy computes it; a subnormal diagonal takes pinv too.
+    bound = np.maximum(1e-12 * np.sqrt(np.add.reduce(L11 * L11, axis=-1)), _TINY)
+    flagged = abs(L11.diagonal(0, -2, -1)) <= bound
     if flagged.any():
         singular = flagged.any(axis=-1)
         inv = np.empty_like(L11)
@@ -529,9 +531,9 @@ def interpolate(path: SolutionPath, t: float, allow_extrapolation: bool = False)
 
     i = right - 1
     c, q = path.columns, path.model.q
-    A, Q_sqrt, _ = _constants(q).transition(t - float(knots[i]), 0)
+    A, Q_sqrt, _ = _constants(q).transition(t - float(knots[i]))
     A_fwd, sigma2 = A[0], c["sigma2"][i + 1]
-    at_t = _stacked(c["factor"][i], A_fwd, Q_sqrt, sigma2)
+    at_t = _stacked(c["factor"][i], A_fwd, Q_sqrt[0], sigma2)
     if i == 0:
         # Knot 0 is the prior conditioned on y(t0) and y'(t0) alone; fed to the
         # backward QR untriangularized, a diffuse prior's 1e6 entries there

@@ -15,12 +15,12 @@ both have closed forms.  The filter reads ``A``, the factor
 that triple; the diffusion scales enter in ``filtering.predict_update``.
 
 Everything about ``(A(h), Q(h))`` that does not depend on ``h`` lives in one
-cached table per q.  Its ``transition(h, i)`` raises ``h`` to its powers and
-reads the triple off them, with the rows in the order the solver's QR wants
-for a reading of slot ``i``, so no matrix is permuted per step.  The solve
-loop, the start and the path's rebuilt predictions call it directly;
-:func:`discrete_transition` is its checked view in slot order, on which
-``filtering.predict(state, h, sigma2)`` builds.  In Nordsieck scaling,
+cached table per q.  Its ``transition(h)`` raises ``h`` to its powers and
+reads the triple off them, ``A`` and ``Q(h)^(1/2)`` each in slot order and
+with the derivative slot's row first, the order an accepted step's QR wants,
+so no matrix is permuted per step.  The solver and the path call it
+directly; :func:`discrete_transition` is its checked view in slot order, on
+which ``filtering.predict(state, h, sigma2)`` builds.  In Nordsieck scaling,
 ``B = diag(h^i/i!)``, the table gives constant matrices: ``B A(h) B^-1`` is the Pascal matrix
 (:func:`pascal_matrix`) and ``B Q(h) B = h^(2q+1) Qbar``
 (:func:`nordsieck_qbar`), whose Cholesky factor rescales to
@@ -101,15 +101,15 @@ class _IwpConstants:
     qbar_sqrt``, the powers of ``h`` taken by :meth:`transition`.  ``qbar_sqrt``
     is ``diag(i!)`` times the Cholesky factor of ``qbar``, so it is
     ``Q(1)^(1/2)``; ``a_unit`` is ``A(1)``, ``Q(h)_00 = h^(2q+1) / q00_den``
-    and ``Q(h)_11 = h^(2q-1) / q11_den``.  Entry ``i`` of ``lags``, ``dens``
-    and ``qbar_rows`` serves an observed slot ``i``: :meth:`transition` reads rows in its
-    pivot order (:func:`_pivot`), each the same products as in slot order.
+    and ``Q(h)_11 = h^(2q-1) / q11_den``.  ``lags``, ``dens`` and ``qbar_rows`` hold
+    their rows in two orders, slot order at index 0 and the derivative slot's pivot order
+    (:func:`_pivot`) at index 1; each row is the same products in both.
     """
 
     q: int
-    lags: tuple  # per slot, (3, q+1, q+1): A's lags in slot and pivot order, then each row's q-i
-    dens: tuple  # per slot, the divisors of lags' powers: A's dens, then 1
-    qbar_rows: tuple  # per slot, qbar_sqrt's rows in pivot order
+    lags: np.ndarray  # (2, 2, q+1, q+1): A's lags, then each row's q-i, in both orders
+    dens: np.ndarray  # the divisors of lags' powers: A's dens, then 1
+    qbar_rows: np.ndarray  # (2, q+1, q+1): qbar_sqrt's rows in both orders
     a_unit: np.ndarray
     q00_den: float
     q11_den: float
@@ -117,15 +117,13 @@ class _IwpConstants:
     qbar: np.ndarray
     qbar_sqrt: np.ndarray
 
-    def transition(self, h: float, i: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """``A(h)`` in slot order and in slot ``i``'s pivot order, shape ``(2, q+1, q+1)``,
-        and ``Q(h)^(1/2)`` with its rows in that pivot order, from one take of the powers
-        ``h^0 .. h^(2q+1)`` (and a 0 for ``A`` below the diagonal), then ``Q(h)_11``;
-        unchecked."""
+    def transition(self, h: float) -> tuple[np.ndarray, np.ndarray, float]:
+        """``A(h)`` and ``Q(h)^(1/2)``, rows in slot order, then in the derivative slot's pivot
+        order (shape ``(2, q+1, q+1)`` each), and ``Q(h)_11``: one take of the powers, unchecked."""
         # Python's ** per power: np.power's vectorized loop can differ in the last bit.
         powers = np.array([h**k for k in range(2 * self.q + 2)] + [0.0])
-        lagged = powers.take(self.lags[i]) / self.dens[i]
-        return (lagged[:2], sqrt(powers[1]) * lagged[2] * self.qbar_rows[i],
+        lagged = powers.take(self.lags) / self.dens
+        return (lagged[0], sqrt(powers[1]) * lagged[1] * self.qbar_rows,
                 float(powers[2 * self.q - 1]) / self.q11_den)
 
 
@@ -140,13 +138,12 @@ def _constants(q: int) -> _IwpConstants:
     qbar = 1.0 / (q_den * fact[i] * fact[j])
     a_lag, a_den = np.where(lag >= 0, lag, 2 * q + 2), fact[np.maximum(lag, 0)]
     qbar_sqrt = fact[:, None] * np.linalg.cholesky(qbar)
-    orders = [_pivot(q + 1, slot)[0] for slot in range(q + 1)]
+    orders = np.array([np.arange(q + 1), _pivot(q + 1, 1)[0]])
     tables = _IwpConstants(
         q=q,
-        lags=tuple(np.array([a_lag, a_lag[o], np.broadcast_to((q - o)[:, None], lag.shape)])
-                   for o in orders),
-        dens=tuple(np.array([a_den, a_den[o], np.ones_like(a_den)]) for o in orders),
-        qbar_rows=tuple(qbar_sqrt[o] for o in orders),
+        lags=np.array([a_lag[orders], np.broadcast_to((q - orders)[..., None], (2, q + 1, q + 1))]),
+        dens=np.array([a_den[orders], np.ones((2, q + 1, q + 1))]),
+        qbar_rows=qbar_sqrt[orders],
         a_unit=np.where(lag >= 0, 1.0, 0.0) / a_den,
         q00_den=float(q_den[0, 0]),
         q11_den=float(q_den[1, 1]),
@@ -154,7 +151,7 @@ def _constants(q: int) -> _IwpConstants:
         qbar=qbar,
         qbar_sqrt=qbar_sqrt,
     )
-    for arr in (*tables.lags, *tables.dens, *tables.qbar_rows, tables.a_unit,
+    for arr in (tables.lags, tables.dens, tables.qbar_rows, tables.a_unit,
                 tables.pascal, tables.qbar, tables.qbar_sqrt):
         arr.setflags(write=False)
     return tables
@@ -194,8 +191,8 @@ def discrete_transition(q: int, h: float) -> tuple[np.ndarray, np.ndarray, float
         raise ValueError(f"step size must be finite, got {h}")
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h}")
-    A, Q_sqrt, q11 = _constants(q).transition(h, 0)
-    return A[0], Q_sqrt, q11
+    A, Q_sqrt, q11 = _constants(q).transition(h)
+    return A[0], Q_sqrt[0], q11
 
 
 @lru_cache(maxsize=None)

@@ -1,20 +1,20 @@
 """The IVP solving loop: initialization, model interrogation, predict-update.
 
 One solve is strictly sequential.  An attempted step takes from the per-q
-table ``A(h)`` in slot order and with the derivative slot's row first, the
-rows of ``Q(h)^(1/2)`` in that pivot order and ``Q(h)_11``, once per
-distinct h: a fixed mesh builds them once.  A step below the resolvable
-scale of t, a NaN step, or one whose ``Q(h)_11`` underflows to 0 raises
-``StepSizeUnderflowError`` before its reading.  The attempt predicts the
+table ``A(h)`` and ``Q(h)^(1/2)``, each in slot order and with the
+derivative slot's row first, and ``Q(h)_11``, once per distinct h: a fixed
+mesh builds them once.  A step below the resolvable scale of t, a NaN step,
+or one whose ``Q(h)_11`` underflows to 0 raises ``StepSizeUnderflowError``
+before its reading.  The attempt predicts the
 mean, evaluates the right-hand side there, and scores the residual: on
 Python floats up to ``_FLOAT_SCORING_DIM`` dimensions, where numpy's cost
 per call would outweigh the arithmetic, and in numpy above.  Both forms make
 the same IEEE operations in the same order, so they agree bit for bit.  An
-accepted step runs ``filtering.predict_update``: one QR, whose filtered mean
-and factor it writes straight into the path's next row.  The diffuse start
-steps to its knots the same way, without the scoring.  A reading that is not
-finite is a rejection at half the step, or an error under a fixed step; the
-final step is clamped to land exactly on T.
+accepted step adds its knot by the path's ``_step``: the one QR of
+``filtering.predict_update``, written straight into the path's next row.
+The diffuse start steps to its knots by the same call, without the
+scoring.  A reading that is not finite is a rejection at half the step, or
+an error under a fixed step; the final step is clamped to land exactly on T.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .filtering import (GaussState, SolutionPath, _built, _Columns, _matvec, _Rows, _stacked,
-                        predict_update)
+from .filtering import GaussState, SolutionPath, _built, _Columns, _matvec, _Rows, _stacked
 from .priors import _check_int, _constants, make_iwp
 from .stepcontrol import StepReport, _sigma2, _weighted, next_step_size
 # perfbench's traced run wraps these names here, where neither the loop nor the start calls them.
@@ -284,12 +283,11 @@ def _starter_path(problem: IvpProblem, config: SolverConfig) -> SolutionPath:
         # The step between knot times, not from t, which carries the
         # round-off of the summed steps.
         h = t_next - (problem.t0 + prev * h0)
-        A, Q_sqrt, _ = _constants(q).transition(h, 1)
+        A, Q_sqrt, _ = _constants(q).transition(h)
         pred_mean = _matvec(A[0], mean)
         z = reading(t_next, pred_mean[0::q1])
-        mean, factor = predict_update(factor, A[1], Q_sqrt, unit, pred_mean, z - pred_mean[1::q1], 1)
         t = t + h
-        path.columns.append(t=t, h=h, sigma2=unit, mean=mean, factor=factor, pred_mean=pred_mean)
+        mean, _ = path._step(t, h, unit, pred_mean, A, Q_sqrt, z - pred_mean[1::q1])
     return path
 
 
@@ -331,8 +329,8 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
     model = path.model
     n_start = len(path) - 1
 
-    t = float(path.knots[-1])
-    mean, factor = path.columns["mean"][-1], path.columns["factor"][-1]
+    last = path.filtered[-1]
+    t, mean, factor = last.t, last.mean, last.factor
     d, q, q1, unit = problem.dim, model.q, model.block_size, np.ones(problem.dim)
     table = _constants(q)
     fixed, floats = config.fixed_step is not None, d <= _FLOAT_SCORING_DIM
@@ -356,14 +354,19 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
                 "the tolerance forces an unreasonably fine mesh"
             )
         if not h >= 1e3 * _EPS * max(abs(t), span):  # a NaN h too
+            if isnan(h):  # the controller's answer to the last attempt's NaN D
+                w = [1.0 / (tau * abs(v) + tau) for v in y.tolist()]
+                raise StepSizeUnderflowError(
+                    f"step size nan at t = {t}: the attempt at h = {attempts['h'][-1]} scored "
+                    f"D = {attempts['D'][-1]}; an infinite D_i times a weight 1/(tau*|y_i| + tau) "
+                    f"of 0 is NaN, and the weights were {w} at tau = {tau}")
             raise StepSizeUnderflowError(f"step size {h} underflowed at t = {t}")
         if t + h >= t_clamp:
             # Clamp onto T, absorbing a remainder too short to step over.
             h = t_end - t
 
         if h != h_prev:  # a fixed mesh repeats h on every step but the clamped last
-            # A[1] and Q_sqrt hold slot 1's row first; Q_sqrt[1] is slot 0's row.
-            A, Q_sqrt, q11 = table.transition(h, 1)
+            A, Q_sqrt, q11 = table.transition(h)
             if q11 == 0.0:  # the residual's variance: no reading can be scored against it
                 raise StepSizeUnderflowError(f"step size {h} underflowed at t = {t}: Q(h)_11 is 0")
             h_prev = h
@@ -371,7 +374,7 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
         # A sampled draw's std, under the last accepted diffusion since this step's is
         # not known yet: the norm of row 0 of [A F, sqrt(sigma2) Q^(1/2)], no QR needed.
         std = None if rng is None else np.linalg.norm(
-            _stacked(factor, A[0, :1], Q_sqrt[1:2], sigma2_step)[:, 0], axis=1)
+            _stacked(factor, A[0, :1], Q_sqrt[0, :1], sigma2_step)[:, 0], axis=1)
         y = pred_mean[0::q1]
         z = observe(problem, t + h, y, std, rng=rng)
 
@@ -421,11 +424,8 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
                 raise RuntimeError(f"solve diverged at t = {t}, h = {h}: the accepted step's "
                                    f"diffusion estimate is {sigma2_local}")
             sigma2_step = sigma2_local if config.sigma_mode == "local_ml" else unit
-            k, row, t = path.columns.add(), path.columns.arrays, t + h
-            row["t"][k], row["h"][k], row["sigma2"][k] = t, h, sigma2_step
-            row["pred_mean"][k] = pred_mean
-            mean, factor = predict_update(factor, A[1], Q_sqrt, sigma2_step, pred_mean, residual, 1,
-                                          row["mean"][k], row["factor"][k])
+            t = t + h
+            mean, factor = path._step(t, h, sigma2_step, pred_mean, A, Q_sqrt, residual)
         h = h_next
 
     n_accepted = len(path) - 1 - n_start

@@ -134,6 +134,31 @@ class TestUpdate:
         with pytest.raises(ValueError):
             update(state, [1.0], 5)
 
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_matches_dense_reference_at_every_slot(self, q, d):
+        # The dense update of the oracle tests below.  update() pivots the read slot's
+        # row first and back; slot 1's pivot undoes itself, so only a slot of 2 or more
+        # shows an un-pivot written as the pivot.
+        q1 = q + 1
+        rng = np.random.default_rng(100 * q + d)
+        for i in range(q1):
+            factor, _ = _update_blocks(rng, q1, d)
+            if d == 3:
+                factor[2, i] = 0.0  # block 2 already knows slot i: innovation variance 0
+            state = GaussState(0.3, rng.standard_normal(d * q1), factor)
+            z = rng.standard_normal(d)
+            filt, residual = update(state, z, i)
+            assert np.array_equal(residual, z - state.mean[i::q1])
+            m_ref, c_ref = _dense_update(state.mean, block_diag(*state.cov), z, q1, i)
+            _assert_rel(filt.mean, m_ref)
+            _assert_rel(block_diag(*filt.cov), c_ref)
+            # The state as update re-triangularizes it, rows back in slot order.
+            order, back = priors._pivot(q1, i)
+            kept = GaussState(0.3, state.mean,
+                              filtering._triangularize(factor.take(order, axis=1)).take(back, axis=1))
+            _assert_conditioned(filt, kept, z, i, known={2} if d == 3 else set())
+
 
 def _logistic_path(h=0.3, q=2):
     problem = get_problem("logistic")
@@ -216,16 +241,14 @@ class TestPathViews:
         # estimate then scales the filtered factors and the diffusions the
         # predictions are rebuilt from.  The reference is each accepted
         # step's unit-diffusion factors, recorded as the kernel returns them.
-        from odefilter import solver
-
-        recorded = []
+        recorded, kernel = [], filtering.predict_update
 
         def recording(factor, *args):
-            mean, filtered = filtering.predict_update(factor, *args)
+            mean, filtered = kernel(factor, *args)
             recorded.append((factor.copy(), filtered.copy()))
             return mean, filtered
 
-        monkeypatch.setattr(solver, "predict_update", recording)
+        monkeypatch.setattr(filtering, "predict_update", recording)
         config = SolverConfig(q=2, fixed_step=0.02, sigma_mode="global_ml")
         result = solve(get_problem("vdp"), config)
         path, sigma2 = result.path, result.sigma2_trace[0]
@@ -449,8 +472,9 @@ class TestBackwardInverse:
         self._assert_norm_routing(monkeypatch, L)
 
     def test_lu_breakdown_raises_linalg_error(self, monkeypatch):
-        # This block passes the 1e-12 test (its row-0 threshold underflows to 0), but
-        # LU underflows on it: the wrapper raises, the bare gufunc only warns.
+        # LU underflows on this block: the wrapper raises, the bare gufunc only warns.
+        # It passes the 1e-12 test alone (its row-0 threshold underflows to 0), so
+        # _backward's floor at the smallest normal float routes it to pinv instead.
         block = np.array([[1e-320, 0.0, 0.0], [1.0, 1e-5, 0.0], [0.0, 0.0, 1.0]])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.inv(block)
@@ -462,9 +486,26 @@ class TestBackwardInverse:
         L = np.zeros((1, 1, 6, 6))
         L[0, 0, :3, :3] = block
         assert not _norm_flags(L[..., :3, :3]).any()
-        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
-            self._routed(monkeypatch, L, [])
+        seen = self._pinv_inputs(monkeypatch)
+        assert self._routed(monkeypatch, L, seen).tobytes() == block[None].tobytes()
         assert np.geterr() == before
+
+    @pytest.mark.parametrize("block", [
+        [[5e-324, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
+        [[1e-320, 0.0, 0.0], [1.0, 1e-5, 0.0], [0.0, 0.0, 1.0]],
+        [[1.0, 0.0, 0.0], [1e-300, 1e-310, 0.0], [0.0, 1.0, 1.0]],
+    ], ids=["row0", "lu_breakdown", "row1"])
+    def test_subnormal_diagonal_takes_pinv(self, block, monkeypatch):
+        # A row whose squares underflow has a norm of 0, so 1e-12 times it flags no
+        # subnormal diagonal; the floor at the smallest normal float sends each such
+        # block, and only it, to pinv, and the gain and conditional factor are finite.
+        L = np.tril(np.random.default_rng(5).standard_normal((1, 2, 6, 6)))
+        L[0, 0, :3, :3] = block
+        seen = self._pinv_inputs(monkeypatch)
+        monkeypatch.setattr(filtering, "_triangularize", lambda M: L)
+        G, cond = filtering._backward(np.zeros((1, 2, 3, 3)), np.ones(1), np.ones((1, 2)))
+        assert len(seen) == 1 and seen[0].tobytes() == np.array([block]).tobytes()
+        assert np.isfinite(G).all() and np.isfinite(cond).all()
 
 
 class TestPosteriorQrCounts:
@@ -574,12 +615,19 @@ class TestColumns:
         return dict(t=k / 7.0, v=np.array([k, -k / 3.0]), m=np.arange(6.0).reshape(2, 3) * k / 11.0,
                     ok=k % 3 == 0)
 
+    @classmethod
+    def _add(cls, cols, k):
+        """Count in a row, then write row ``k``'s values into it by index."""
+        n = cols.add()
+        for name, value in cls._row(k).items():
+            cols.arrays[name][n] = value
+
     def test_growth_keeps_every_earlier_row(self):
         # Capacity 16, then growth by half: 24, 36, 54, 81.  Every boundary is
         # crossed, and every row written before it survives bit for bit.
         cols = self._columns()
         for n in range(1, 83):
-            cols.append(**self._row(n - 1))
+            self._add(cols, n - 1)
             assert cols.n == n
             if n in (15, 16, 17, 24, 25, 36, 37, 54, 55, 81, 82):
                 for k in range(n):
@@ -595,28 +643,8 @@ class TestColumns:
                     "ok": ((n,), bool)}
             for name, (shape, dtype) in want.items():
                 assert cols[name].shape == shape and cols[name].dtype == dtype, name
-            cols.append(**self._row(n))
+            self._add(cols, n)
         assert cols["ok"].tolist() == [k % 3 == 0 for k in range(20)]
-
-    def test_a_row_fills_its_columns_by_name(self):
-        cols = self._columns()
-        row = self._row(6)
-        cols.append(**{name: row[name] for name in ("ok", "m", "t", "v")})
-        assert cols["t"][0] == 6 / 7.0 and cols["ok"][0] and cols["v"][0].tolist() == [6, -2.0]
-        assert cols["m"][0].tobytes() == row["m"].tobytes()
-
-    @pytest.mark.parametrize("change", ["missing", "renamed"])
-    def test_a_row_that_does_not_name_every_column_raises(self, change):
-        cols = self._columns()
-        cols.append(**self._row(0))
-        row = self._row(1)
-        if change == "missing":
-            del row["v"]
-        else:
-            row["w"] = row.pop("t")
-        with pytest.raises(KeyError):
-            cols.append(**row)
-        assert cols.n == 1 and cols["t"].tolist() == [0.0]
 
 
 class TestSmooth:
@@ -1076,58 +1104,65 @@ class TestDenseOracle:
             GaussState(0.0, np.zeros(3), np.zeros(cov_shape))
 
 
+def _update_blocks(rng, q1, d):
+    """Factor and diffusion scales of ``d`` blocks.  At d = 3: a block with diffusion, one
+    without, and one that already knows its derivative slot (only slot 0 uncertain, no
+    diffusion), whose innovation variance is exactly 0."""
+    factor = np.concatenate([_rand_factor(rng, q1) for _ in range(d)])
+    sigma2 = rng.uniform(0.5, 2.0, d)
+    if d == 3:
+        sigma2[1:] = 0.0
+        factor[2, 1:] = 0.0
+    return factor, sigma2
+
+
+def _assert_conditioned(filt, pred, z, i, known):
+    """Slot ``i`` read as ``z``: a live block's row ``i`` is exactly 0 and ``H m == z`` up to
+    the rounding of ``m + (z - m)``; a block in ``known`` keeps its prediction bit for bit."""
+    q1, eps = filt.factor.shape[1], np.finfo(float).eps
+    for k in range(len(z)):
+        m, got = pred.mean[k * q1 + i], filt.mean[k * q1 + i]
+        if k in known:
+            assert not pred.factor[k, i].any()
+            assert np.array_equal(filt.factor[k], pred.factor[k])
+            assert np.array_equal(filt.mean[k * q1:(k + 1) * q1], pred.mean[k * q1:(k + 1) * q1])
+        else:
+            assert np.all(filt.factor[k, i] == 0.0)
+            assert abs(got - z[k]) <= eps * (abs(z[k]) + abs(z[k] - m))
+
+
 class TestPredictUpdate:
     """The fused kernel against the dense ``kron`` predict and update above."""
 
-    @staticmethod
-    def _blocks(rng, q1, d):
-        # d = 3: a block with diffusion, one without, and one that already
-        # knows its derivative slot (only slot 0 uncertain, no diffusion),
-        # whose innovation variance is exactly 0.
-        factor = np.concatenate([_rand_factor(rng, q1) for _ in range(d)])
-        sigma2 = rng.uniform(0.5, 2.0, d)
-        if d == 3:
-            sigma2[1:] = 0.0
-            factor[2, 1:] = 0.0
-        return factor, sigma2
-
-    @pytest.mark.parametrize("slot", [1, 2])
+    @pytest.mark.parametrize("steps", [1, 2])
     @pytest.mark.parametrize("d", [1, 3])
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
-    def test_matches_dense_reference(self, q, d, slot):
-        # The solver observes slot 1; slot 2 checks that the pivot is undone.
-        q1, i = q + 1, min(slot, q)
-        rng = np.random.default_rng(100 * q + 10 * slot + d)
-        factor, sigma2 = self._blocks(rng, q1, d)
+    def test_matches_dense_reference(self, q, d, steps):
+        # The kernel reads slot 1, as the solver does.  A second step starts from the
+        # first one's filtered factor, whose zeroed column leaves it untriangular, as
+        # every step of the solve loop does.
+        q1 = q + 1
+        rng = np.random.default_rng(100 * q + 10 * steps + d)
+        factor, sigma2 = _update_blocks(rng, q1, d)
         state = GaussState(0.3, rng.standard_normal(d * q1), factor)
         (A_slot, _, _), Q = discrete_transition(q, 0.37), loop_q(q, 0.37)
-        table = priors._constants(q)
-        z = rng.standard_normal(d)
-        mean = filtering._matvec(A_slot, state.mean)
-        A, Q_sqrt, _ = table.transition(0.37, i)
-        A = A[1]
-        filt = GaussState(0.67, *filtering.predict_update(factor, A, Q_sqrt, sigma2, mean,
-                                                          z - mean[i::q1], i))
-        # The kernel's predicted factor, rows back in slot order.
-        pred = GaussState(0.67, mean, filtering._triangularize(
-            filtering._stacked(factor, A, Q_sqrt, sigma2)).take(priors._pivot(q1, i)[1], axis=1))
+        A, Q_sqrt, _ = priors._constants(q).transition(0.37)
+        for _ in range(steps):
+            z = rng.standard_normal(d)
+            mean = filtering._matvec(A_slot, state.mean)
+            filt = GaussState(state.t + 0.37, *filtering.predict_update(
+                state.factor, A[1], Q_sqrt[1], sigma2, mean, z - mean[1::q1]))
+            # The kernel's predicted factor, rows back in slot order.
+            pred = GaussState(filt.t, mean, filtering._triangularize(filtering._stacked(
+                state.factor, A[1], Q_sqrt[1], sigma2)).take(priors._pivot(q1, 1)[1], axis=1))
 
-        m_ref, c_ref = _dense_predict(state.mean, block_diag(*state.cov), A_slot, Q, sigma2)
-        _assert_rel(pred.mean, m_ref)
-        _assert_rel(block_diag(*pred.cov), c_ref)
-        m_ref, c_ref = _dense_update(m_ref, c_ref, z, q1, i)
-        _assert_rel(filt.mean, m_ref)
-        _assert_rel(block_diag(*filt.cov), c_ref)
-
-        live = [0, 1] if d == 3 else [0]
-        for k in live:
-            # The observed slot's row is exactly 0, and H m == z up to the
-            # rounding of m + (z - m).
-            assert np.all(filt.factor[k, i] == 0.0)
-            eps = np.finfo(float).eps
-            assert abs(filt.mean[k * q1 + i] - z[k]) <= eps * (abs(z[k]) + abs(z[k] - mean[k * q1 + i]))
-        if d == 3:
-            # The block with innovation variance 0 keeps its prediction.
-            assert pred.factor[2, i].tolist() == [0.0] * q1
-            assert np.array_equal(filt.factor[2], pred.factor[2])
-            assert np.array_equal(filt.mean[2 * q1:], pred.mean[2 * q1:])
+            m_ref, c_ref = _dense_predict(state.mean, block_diag(*state.cov), A_slot, Q, sigma2)
+            _assert_rel(pred.mean, m_ref)
+            _assert_rel(block_diag(*pred.cov), c_ref)
+            m_ref, c_ref = _dense_update(m_ref, c_ref, z, q1)
+            _assert_rel(filt.mean, m_ref)
+            _assert_rel(block_diag(*filt.cov), c_ref)
+            known = {k for k in range(d) if not pred.factor[k, 1].any()}
+            assert (2 in known) == (d == 3)  # the block that knows its derivative
+            _assert_conditioned(filt, pred, z, 1, known)
+            state = filt

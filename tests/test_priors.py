@@ -138,21 +138,21 @@ class TestDiscreteTransition:
 
     @pytest.mark.parametrize("q", [1, 2, 3, 4])
     def test_pivoted_rows_are_the_permuted_transition(self, q):
-        # The accepted step stacks these rows as they come; each must be bit for
-        # bit the row of the slot-order transition that the pivot puts there.
-        table = _constants(q)
-        for i in range(q + 1):
-            order = _pivot(q + 1, i)[0]
-            assert order[0] == i and sorted(order) == list(range(q + 1))
-            for h in (1e-9, 3.3e-7, 0.015, 0.37, 1.0, 1.9, 42.0):
-                tr_A, tr_Q_sqrt, _ = discrete_transition(q, h)
-                A, Q_sqrt, _ = table.transition(h, i)
-                assert A.shape == (2, q + 1, q + 1)
-                assert A[0].tobytes() == tr_A.tobytes()
-                assert A[1].tobytes() == tr_A.take(order, axis=0).tobytes()
-                assert Q_sqrt.tobytes() == tr_Q_sqrt.take(order, axis=0).tobytes()
+        # The table holds two row orders: slot order at index 0, which discrete_transition
+        # returns, and the derivative slot's pivot order at index 1, which the accepted
+        # step stacks as it comes; each row must be bit for bit the slot-order row that
+        # the pivot puts there.
+        table, order = _constants(q), _pivot(q + 1, 1)[0]
+        assert order[0] == 1 and sorted(order) == list(range(q + 1))
+        for h in (1e-9, 3.3e-7, 0.015, 0.37, 1.0, 1.9, 42.0):
+            tr_A, tr_Q_sqrt, _ = discrete_transition(q, h)
+            A, Q_sqrt, _ = table.transition(h)
+            assert A.shape == Q_sqrt.shape == (2, q + 1, q + 1)
+            assert A[0].tobytes() == tr_A.tobytes() and Q_sqrt[0].tobytes() == tr_Q_sqrt.tobytes()
+            assert A[1].tobytes() == tr_A.take(order, axis=0).tobytes()
+            assert Q_sqrt[1].tobytes() == tr_Q_sqrt.take(order, axis=0).tobytes()
         assert _constants(q) is table  # built once per q
-        for arr in (*table.lags, *table.dens, *table.qbar_rows, _pivot(q + 1, 1)[0]):
+        for arr in (table.lags, table.dens, table.qbar_rows, order):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 1

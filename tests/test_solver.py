@@ -539,9 +539,11 @@ class TestLoopBranches:
         # caught, and the loop spun to _MAX_STEPS and blamed the tolerance.
         ("tiny_span", {"q": 7, "eps": 1e-3, "h_init": 1e-27},
          r"^step size 1e-27 underflowed at t = 0\.0: Q\(h\)_11 is 0$", 1),
-        # A NaN D makes the next h NaN, which "h < bound" let through.
+        # A NaN D makes the next h NaN, which "h < bound" let through.  The message
+        # names the attempt, its D and the weight of 0 that made D_1 NaN.
         ("nan_D", {"q": 2, "eps": 1e-3, "weighting_tau": 1e300},
-         r"^step size nan underflowed at t = 0\.0$", 2),
+         r"^step size nan at t = 0\.0: the attempt at h = 0\.01 scored D = \[ 0\. nan\]; "
+         r".*weights were \[[^],]+, 0\.0\] at tau = 1e\+300$", 2),
     ], ids=["q11_zero", "nan_step"])
     @pytest.mark.parametrize("bound", _SCORING_FORMS, ids=list(_SCORING_FORMS.values()))
     def test_underflow_raises_at_once(self, name, kwargs, message, nfev, bound, monkeypatch):
