@@ -38,9 +38,7 @@ from .filtering import (
     update,
 )
 from .priors import (
-    IwpModel,
     discrete_transition,
-    make_iwp,
     nordsieck_qbar,
     pascal_matrix,
 )

@@ -335,8 +335,7 @@ def nordsieck_gains(result: SolveResult, dim: int = 0) -> np.ndarray:
     vector of accepted step n for the chosen dimension, directly comparable
     with :func:`steady_state`'s limit.
     """
-    model = result.path.model
-    q1 = model.block_size
+    q1 = result.path.q + 1
     scales = np.array([1.0 / factorial(i) for i in range(q1)])
     out = np.empty((len(result.path.step_sizes), q1))
     for n, h in enumerate(result.path.step_sizes):

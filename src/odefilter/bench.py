@@ -126,8 +126,7 @@ def error_calibration(result: SolveResult, xi: np.ndarray) -> CalibrationTable:
         xi = xi[n_intervals - n_steps:]  # drop initialization intervals
     elif xi.size != n_steps:
         raise ValueError(f"got {xi.size} local errors for {n_steps} accepted steps")
-    model = result.path.model
-    q = model.q
+    q = result.path.q
     hs = np.asarray(result.path.step_sizes[-n_steps:]) if n_steps else np.empty(0)
     qbar00 = hs ** (2 * q + 1) / _constants(q).q00_den
     est = np.sqrt(np.max(result.sigma2_trace, axis=1) * qbar00) if n_steps else np.empty(0)

@@ -135,7 +135,7 @@ def _cmd_solve(args) -> int:
 
         band = global_error_factor(args.lipschitz_star, problem.t0, problem.T)
 
-    q1 = result.path.model.block_size
+    q1 = result.path.q + 1
     rows = []
     samples = None
     if args.samples > 0:

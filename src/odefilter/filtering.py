@@ -37,14 +37,14 @@ one is recomputed from the previous knot when it is asked for.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from math import inf, isfinite
+from math import inf, isfinite, nan
 
 import numpy as np
 from numpy.linalg._umath_linalg import inv as _inv_raw, qr_r_raw as _qr_r_raw  # numpy >= 2.0
 
-from .priors import IwpModel, _check_int, _constants, _pivot, discrete_transition
+from .priors import _check_int, _constants, _pivot, discrete_transition
 
 __all__ = ["GaussState", "SolutionPath", "predict", "update", "smooth", "sample_posterior",
            "interpolate"]
@@ -261,31 +261,38 @@ class _Rows(Sequence):
         return list(self) + list(other)
 
 
-@dataclass(eq=False)
 class SolutionPath:
     """Filtered (and optionally smoothed) states over an increasing mesh.
 
-    Append-only while filtering, written once by smoothing.  ``columns`` holds one row per
-    knot: time ``t``, filtered ``mean`` and ``factor``, predicted mean ``pred_mean``, and the
-    step ``h`` and diffusion scales ``sigma2`` of the interval ending there (unused in row 0).
-    ``knots``, ``step_sizes`` and ``step_sigma2`` view these columns; ``filtered``,
-    ``predictions`` and ``smoothed`` are sequences of :class:`GaussState` views built on
-    access.  ``predictions[0]`` is the prior, kept whole; ``predictions[i]`` rebuilds its
-    factor from knot ``i-1`` by the QR of :func:`predict_update` observing slot 1, as the
-    solver does, bit for bit.
+    Built from knot 0: the ``prior`` and the ``start`` state conditioned from it, at the same
+    finite time and with factors of the same shape ``(d, q+1, q+1)``, q >= 1; ``q`` and ``dim``
+    are read off that shape.  Append-only while filtering, written once by smoothing.
+    ``columns`` holds one row per knot: time ``t``, filtered ``mean`` and ``factor``, predicted
+    mean ``pred_mean``, and the step ``h`` and diffusion scales ``sigma2`` of the interval
+    ending there (NaN in row 0).  ``knots``, ``step_sizes`` and ``step_sigma2`` view these
+    columns; ``filtered``, ``predictions`` and ``smoothed`` are sequences of
+    :class:`GaussState` views built on access.  ``predictions[0]`` is the prior, kept whole;
+    ``predictions[i]`` rebuilds its factor from knot ``i-1`` by the QR of
+    :func:`predict_update` observing slot 1, as the solver does, bit for bit.
     """
 
-    model: IwpModel
-    smoothed: Sequence[GaussState] | None = None
-    columns: _Columns | None = field(default=None, repr=False)
-    _prior: GaussState | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.columns is None:
-            d, q1 = self.model.dim, self.model.block_size
-            self.columns = _Columns(t=np.empty(0), h=np.empty(0), sigma2=np.empty((0, d)),
-                                    mean=np.empty((0, d * q1)), factor=np.empty((0, d, q1, q1)),
-                                    pred_mean=np.empty((0, d * q1)))
+    def __init__(self, prior: GaussState, start: GaussState):
+        t, shape = start.t, start.factor.shape
+        if not isfinite(t):
+            raise ValueError(f"knot 0: time must be finite, got t={t}")
+        if shape[1] < 2:
+            raise ValueError(f"knot 0: the prior needs q >= 1, got a factor of shape {shape}")
+        if prior.factor.shape != shape or prior.t != t:
+            raise ValueError(f"knot 0: the prior (t={prior.t}, factor shape {prior.factor.shape})"
+                             f" does not match the start (t={t}, factor shape {shape})")
+        d, q1, _ = shape
+        self.q, self.dim, self.smoothed, self._prior = q1 - 1, d, None, prior
+        self.columns = _Columns(t=np.empty(0), h=np.empty(0), sigma2=np.empty((0, d)),
+                                mean=np.empty((0, d * q1)), factor=np.empty((0,) + shape),
+                                pred_mean=np.empty((0, d * q1)))
+        k, c = self.columns.add(), self.columns.arrays
+        c["t"][k], c["h"][k], c["sigma2"][k], c["pred_mean"][k] = t, nan, nan, prior.mean
+        c["mean"][k], c["factor"][k] = start.mean, start.factor
 
     def __len__(self) -> int:
         return self.columns.n
@@ -315,33 +322,33 @@ class SolutionPath:
     def _prediction(self, i: int) -> GaussState:
         if i == 0:
             return self._prior
-        q, c = self.model.q, self.columns
+        q, c = self.q, self.columns
         A, Q_sqrt, _ = _constants(q).transition(float(c["h"][i]))
         factor = _triangularize(_stacked(c["factor"][i - 1], A[1], Q_sqrt[1], c["sigma2"][i]))
         return _built(float(c["t"][i]), c["pred_mean"][i], factor.take(_pivot(q + 1, 1)[1], axis=1))
 
-    def append(self, prediction: GaussState, filtered: GaussState, h: float | None, sigma2=None):
-        """Add one knot, checked here once, and drop the stale smoothed states.  ``t`` is
-        finite and follows the last knot's; ``h`` (finite, > 0) and ``sigma2`` (one finite
-        scale >= 0 per dimension) describe the incoming interval and are omitted for the
-        first knot.  Of a later ``prediction`` only the mean is kept."""
+    def append(self, prediction: GaussState, filtered: GaussState, h: float, sigma2):
+        """Add one knot after the last, checked here once, and drop the stale smoothed states.
+        ``t`` is finite and follows the last knot's, ``h`` (finite, > 0) and ``sigma2`` (one
+        finite scale >= 0 per dimension) describe the incoming interval, and both states have
+        the path's shape.  Of ``prediction`` only the mean is kept."""
         n, t = len(self), filtered.t
         if not isfinite(t):
             raise ValueError(f"knot {n}: time must be finite, got t={t}")
-        if h is not None and not 0.0 < h < inf:
+        if h is None or not 0.0 < h < inf:
             raise ValueError(f"knot {n} (t={t}): step size must be finite and > 0, got {h}")
-        if n:
-            if h is None:
-                raise ValueError("interior knots need the incoming step size")
-            t_prev = float(self.knots[-1])
-            if t <= t_prev:
-                raise ValueError(f"knot {n}: knots must increase: {t} after {t_prev}")
-            sigma2 = np.atleast_1d(np.asarray(sigma2, dtype=float))
-            if sigma2.shape != (self.model.dim,) or not np.all((sigma2 >= 0.0) & (sigma2 < np.inf)):
-                raise ValueError(f"knot {n} (t={t}): expected {self.model.dim} "
-                                 f"finite diffusion scales >= 0, got {sigma2}")
-        else:
-            self._prior, h, sigma2 = prediction, np.nan, np.nan
+        t_prev = float(self.knots[-1])
+        if t <= t_prev:
+            raise ValueError(f"knot {n}: knots must increase: {t} after {t_prev}")
+        sigma2 = np.atleast_1d(np.asarray(sigma2, dtype=float))
+        if sigma2.shape != (self.dim,) or not np.all((sigma2 >= 0.0) & (sigma2 < np.inf)):
+            raise ValueError(f"knot {n} (t={t}): expected {self.dim} "
+                             f"finite diffusion scales >= 0, got {sigma2}")
+        shape = self.columns.arrays["factor"].shape[1:]
+        if filtered.factor.shape != shape or prediction.mean.shape != filtered.mean.shape:
+            raise ValueError(f"knot {n} (t={t}): expected states with a factor of shape {shape}, "
+                             f"got {prediction.factor.shape} predicted, {filtered.factor.shape} "
+                             "filtered")
         self.smoothed = None
         k, c = self.columns.add(), self.columns.arrays
         c["t"][k], c["h"][k], c["sigma2"][k], c["pred_mean"][k] = t, h, sigma2, prediction.mean
@@ -430,7 +437,7 @@ def _backward_chunks(path: SolutionPath):
     """``(lo, G, cond)`` of :func:`_backward` for the intervals ``[lo, lo + len(G))``
     of ``path``, one chunk at a time from the end of the path."""
     steps, sigma2, factors = path.step_sizes, path.step_sigma2, path.columns["factor"]
-    for lo, hi in _chunks(len(steps), path.model.dim):
+    for lo, hi in _chunks(len(steps), path.dim):
         yield lo, *_backward(factors[lo:hi], steps[lo:hi], sigma2[lo:hi])
 
 
@@ -450,15 +457,13 @@ def _rts_step(G: np.ndarray, cond: np.ndarray, mean: np.ndarray, pred_mean_next:
 
 def _block_columns(path: SolutionPath, *means: np.ndarray) -> list[np.ndarray]:
     """Views of flat block vectors as ``(..., d, q+1, 1)`` block columns."""
-    return [m.reshape(m.shape[:-1] + (path.model.dim, path.model.block_size, 1)) for m in means]
+    return [m.reshape(m.shape[:-1] + (path.dim, path.q + 1, 1)) for m in means]
 
 
 def smooth(path: SolutionPath) -> SolutionPath:
     """Backward RTS pass filling ``path.smoothed``; idempotent, linear cost, and no new
     right-hand-side evaluations.  The smoothed means and factors are two arrays of the path's
     length, written once; the last knot's smoothed state equals its filtered state exactly."""
-    if not len(path):
-        raise ValueError("cannot smooth an empty path")
     if path.smoothed is not None:
         return path
     c = path.columns
@@ -477,12 +482,10 @@ def sample_posterior(path: SolutionPath, seed: int, count: int) -> np.ndarray:
     """Joint posterior trajectories over the knots by backward sampling, deterministic for a
     fixed seed (an integer >= 0): an array of shape ``(count, n_knots, state_size)``."""
     count, seed = _check_int("count", count), _check_int("seed", seed, low=0)
-    if path.smoothed is None:
-        raise ValueError("smooth the path before sampling")
     rng = np.random.default_rng(seed)
-    out = np.empty((count, len(path), path.model.state_size))
+    out = np.empty((count, len(path), path.dim * (path.q + 1)))
     filt, pred, draws = _block_columns(path, path.columns["mean"], path.columns["pred_mean"], out)
-    step, last = np.empty_like(draws[:, 0]), path.smoothed[-1]
+    step, last = np.empty_like(draws[:, 0]), path.filtered[-1]  # = the smoothed last knot
     draws[:, -1] = last.mean.reshape(step.shape[1:]) + last.factor @ rng.standard_normal(step.shape)
     for lo, G, cond in _backward_chunks(path):
         # One draw per chunk, newest knot first: the same stream as one draw per knot.
@@ -508,8 +511,6 @@ def interpolate(path: SolutionPath, t: float, allow_extrapolation: bool = False)
     raise unless ``allow_extrapolation`` is set, in which case the state is
     predicted forward from the last knot.
     """
-    if not len(path):
-        raise ValueError("cannot interpolate an empty path")
     smooth(path)
     knots = path.knots
     t = float(t)
@@ -530,7 +531,7 @@ def interpolate(path: SolutionPath, t: float, allow_extrapolation: bool = False)
         return predict(path.smoothed[-1], t - float(knots[-1]), sig)
 
     i = right - 1
-    c, q = path.columns, path.model.q
+    c, q = path.columns, path.q
     A, Q_sqrt, _ = _constants(q).transition(t - float(knots[i]))
     A_fwd, sigma2 = A[0], c["sigma2"][i + 1]
     at_t = _stacked(c["factor"][i], A_fwd, Q_sqrt[0], sigma2)

@@ -42,45 +42,7 @@ from math import comb, factorial, sqrt
 
 import numpy as np
 
-__all__ = [
-    "IwpModel",
-    "make_iwp",
-    "discrete_transition",
-    "pascal_matrix",
-    "nordsieck_qbar",
-]
-
-
-@dataclass(frozen=True, eq=False)
-class IwpModel:
-    """Unit-diffusion q-times integrated Wiener process prior over a d-dimensional ODE.
-
-    The diffusion is not part of the prior: the solver estimates it from
-    the residuals and hands it to ``filtering.predict_update`` step by step.
-
-    Attributes
-    ----------
-    q : int
-        Number of integrations; the per-dimension state has q+1 entries.
-    dim : int
-        Number of ODE dimensions, each modeled as an independent block.
-    """
-
-    q: int
-    dim: int
-
-    @property
-    def block_size(self) -> int:
-        return self.q + 1
-
-    @property
-    def state_size(self) -> int:
-        return (self.q + 1) * self.dim
-
-
-def make_iwp(q: int, dim: int) -> IwpModel:
-    """Validate and build an IWP(q) prior over ``dim`` blocks; both are integers >= 1."""
-    return IwpModel(q=_check_int("q", q), dim=_check_int("dim", dim))
+__all__ = ["discrete_transition", "pascal_matrix", "nordsieck_qbar"]
 
 
 def _check_int(name: str, value, low: int = 1) -> int:

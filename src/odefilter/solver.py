@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .filtering import GaussState, SolutionPath, _built, _Columns, _matvec, _Rows, _stacked
-from .priors import _check_int, _constants, make_iwp
+from .priors import _check_int, _constants
 from .stepcontrol import StepReport, _sigma2, _weighted, next_step_size
 # perfbench's traced run wraps these names here, where neither the loop nor the start calls them.
 from .filtering import predict, update  # noqa: F401
@@ -199,7 +199,7 @@ class SolveResult:
 
     def solution_means(self) -> np.ndarray:
         """Filtered solution values (slot 0 of each block) per knot, a view."""
-        return self.path.columns["mean"][:, 0::self.path.model.block_size]
+        return self.path.columns["mean"][:, 0::self.path.q + 1]
 
     def solution_stds(self) -> np.ndarray:
         """Filtered standard deviations of the solution values per knot."""
@@ -235,24 +235,25 @@ def observe(
 def _starter_path(problem: IvpProblem, config: SolverConfig) -> SolutionPath:
     """The initialization knots, as the path the solve loop extends.
 
-    The path's model is the unit-diffusion IWP(config.q) over
-    ``problem.dim`` blocks.  ``init_mode`` picks only the prior covariance.
-    Knot 0 pins that prior to y(t0) = y0 and y'(t0) = f(t0, y0) in closed
-    form, the reading taken at the pinned values; the non-exact modes then
+    The path is built from knot 0 under the unit-diffusion IWP(config.q)
+    prior over ``problem.dim`` blocks, checked by SolverConfig and IvpProblem.
+    ``init_mode`` picks only the prior covariance.  Knot 0 pins that prior
+    to y(t0) = y0 and y'(t0) = f(t0, y0) in closed form, the reading taken
+    at the pinned values, and the path is born there; the non-exact modes then
     take one step to each further starter knot the way the loop takes an
     accepted attempt, under unit diffusion, reading f at the predicted mean.
     Neither ``obs_strategy`` nor ``seed`` enters: under the diffuse prior a
     sampled draw would land far off the trajectory.  A non-finite reading at
     any knot raises: the start cannot step around it.
     """
-    model = make_iwp(config.q, problem.dim)
-    q, q1, unit = model.q, model.block_size, np.ones(problem.dim)
+    q, d = config.q, problem.dim
+    q1, unit = q + 1, np.ones(d)
     exact = config.init_mode == "exact"
     if not exact and q not in _STARTER_KNOTS:
         raise ValueError(f"diffuse start supports q in 1..4, got {q}")
     h0 = config.resolve_h_init(problem)
     slots = np.arange(q1)
-    factor = np.zeros((problem.dim, q1, q1))
+    factor = np.zeros((d, q1, q1))
     factor[:, slots, slots] = (np.sqrt(h0 ** (2 * (q - slots) + 1)) if exact
                                else np.sqrt(_DIFFUSE_VARIANCE))
 
@@ -265,13 +266,11 @@ def _starter_path(problem: IvpProblem, config: SolverConfig) -> SolutionPath:
     # Both priors are diagonal, so exact readings of slots 0 and 1 set those
     # mean slots and zero their rows and columns of the factor, bit for bit
     # what conditioning by QR gives.
-    mean = np.zeros(model.state_size)
+    mean = np.zeros(d * q1)
     mean[0::q1] = problem.y0
     mean[1::q1] = reading(problem.t0, mean[0::q1])
-    prior = _built(problem.t0, np.zeros(model.state_size), factor)
-    factor = factor * (slots >= 2)
-    path = SolutionPath(model=model)
-    path.append(prior, _built(problem.t0, mean, factor), None)
+    prior = _built(problem.t0, np.zeros(d * q1), factor)
+    path = SolutionPath(prior, _built(problem.t0, mean, factor * (slots >= 2)))
     if exact:
         return path
 
@@ -326,12 +325,11 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
     nfev_start = problem.nfev
     span = problem.T - problem.t0
     path = _starter_path(problem, config)
-    model = path.model
     n_start = len(path) - 1
 
     last = path.filtered[-1]
     t, mean, factor = last.t, last.mean, last.factor
-    d, q, q1, unit = problem.dim, model.q, model.block_size, np.ones(problem.dim)
+    d, q, q1, unit = problem.dim, path.q, path.q + 1, np.ones(problem.dim)
     table = _constants(q)
     fixed, floats = config.fixed_step is not None, d <= _FLOAT_SCORING_DIM
     h = config.fixed_step if fixed else config.resolve_h_init(problem)

@@ -1,4 +1,4 @@
-from dataclasses import replace
+import copy
 from functools import lru_cache
 
 import mpmath
@@ -13,7 +13,6 @@ from odefilter import (
     discrete_transition,
     get_problem,
     interpolate,
-    make_iwp,
     predict,
     sample_posterior,
     smooth,
@@ -160,6 +159,11 @@ class TestUpdate:
             _assert_conditioned(filt, kept, z, i, known={2} if d == 3 else set())
 
 
+def _unit_state(t, d, q1):
+    """A zero-mean state at ``t`` with ``d`` identity blocks of size ``q1``."""
+    return GaussState(t, np.zeros(d * q1), np.eye(q1)[None].repeat(d, axis=0))
+
+
 def _logistic_path(h=0.3, q=2):
     problem = get_problem("logistic")
     cfg = SolverConfig(q=q, fixed_step=h, sigma_mode="global_ml")
@@ -168,15 +172,13 @@ def _logistic_path(h=0.3, q=2):
 
 class TestSolutionPath:
     def _one_knot(self):
-        path = SolutionPath(model=make_iwp(1, 1))
         state = GaussState(0.5, np.array([1.0, 0.0]), np.eye(2)[None])
-        path.append(state, state, None)
-        return path, state
+        return SolutionPath(state, state), state
 
     def test_interior_knot_needs_step(self):
         path, state = self._one_knot()
         later = GaussState(1.0, state.mean, state.factor)
-        with pytest.raises(ValueError, match="incoming step size"):
+        with pytest.raises(ValueError, match=r"knot 1 \(t=1.0\): step size"):
             path.append(later, later, None, [1.0])
         assert len(path) == 1
 
@@ -190,21 +192,44 @@ class TestSolutionPath:
 
     @pytest.mark.parametrize("h", [-0.5, np.nan, np.inf])
     def test_bad_step_names_the_knot(self, h):
-        path = SolutionPath(model=make_iwp(1, 1))
-        state = GaussState(0.5, np.array([1.0, 0.0]), np.eye(2)[None])
-        with pytest.raises(ValueError, match=r"knot 0 \(t=0.5\): step size"):
-            path.append(state, state, h)
-        path.append(state, state, None)
+        path, state = self._one_knot()
         later = GaussState(1.0, state.mean, state.factor)
         with pytest.raises(ValueError, match=r"knot 1 \(t=1.0\): step size"):
             path.append(later, later, h, [1.0])
         assert len(path) == 1
 
+    @pytest.mark.parametrize("prior, start, match", [
+        ((0.5, 1, 1), (0.5, 1, 1), "q >= 1"),
+        ((0.5, 1, 3), (0.5, 1, 2), "does not match"),
+        ((0.5, 2, 2), (0.5, 1, 2), "does not match"),
+        ((0.25, 1, 2), (0.5, 1, 2), "does not match"),
+    ], ids=["q0", "other_q", "other_dim", "other_time"])
+    def test_constructor_refuses_a_mismatched_knot_0(self, prior, start, match):
+        with pytest.raises(ValueError, match=f"knot 0: .*{match}"):
+            SolutionPath(_unit_state(*prior), _unit_state(*start))
+
+    def test_append_refuses_a_state_of_another_shape(self):
+        # The row used to be counted before the write failed in numpy's broadcast,
+        # leaving a half-written knot that smooth then ran on.
+        s0 = _unit_state(0.0, 2, 2)
+        path = SolutionPath(s0, s0)
+        small, later = _unit_state(0.5, 1, 2), _unit_state(0.5, 2, 2)
+        for pred, filt in ((small, small), (later, small), (small, later)):
+            with pytest.raises(ValueError, match=r"knot 1 \(t=0.5\): expected states"):
+                path.append(pred, filt, 0.5, np.ones(2))
+        assert len(path) == 1 and len(path.columns["mean"]) == 1
+
+    @pytest.mark.parametrize("q, name", [(1, "logistic"), (3, "brusselator"), (2, "linear8")])
+    def test_q_and_dim_are_the_solves(self, q, name):
+        problem = _seeded_linear() if name == "linear8" else get_problem(name)
+        path = solve(problem, SolverConfig(q=q, eps=1e-2)).path
+        assert (path.q, path.dim) == (q, problem.dim)
+        assert path.columns["factor"].shape[1:] == (problem.dim, q + 1, q + 1)
+
     def test_non_finite_time_names_the_knot(self):
-        path = SolutionPath(model=make_iwp(1, 1))
         state = GaussState(np.nan, np.array([1.0, 0.0]), np.eye(2)[None])
         with pytest.raises(ValueError, match="knot 0: time must be finite"):
-            path.append(state, state, None)
+            SolutionPath(state, state)
         path, first = self._one_knot()
         later = GaussState(np.nan, first.mean, first.factor)
         with pytest.raises(ValueError, match="knot 1: time must be finite"):
@@ -529,7 +554,7 @@ class TestPosteriorQrCounts:
         monkeypatch.setattr(filtering, "_CHUNK_BLOCKS", 8)
         path = solve(get_problem("vdp"), SolverConfig(q=2, eps=1e-2)).path
         n = len(path.step_sizes)
-        chunks = len(list(filtering._chunks(n, path.model.dim)))
+        chunks = len(list(filtering._chunks(n, path.dim)))
         assert chunks > 10
         return path, n, chunks
 
@@ -649,25 +674,17 @@ class TestColumns:
 
 class TestSmooth:
     def test_single_knot_path(self):
-        m = make_iwp(1, 1)
-        path = SolutionPath(model=m)
         state = GaussState(0.0, np.array([1.0, 0.0]), np.eye(2)[None])
-        path.append(state, state, None)
+        path = SolutionPath(state, state)
         smooth(path)
         _assert_same_state(path.smoothed[0], state)
 
-    def test_empty_path_rejected(self):
-        with pytest.raises(ValueError):
-            smooth(SolutionPath(model=make_iwp(1, 1)))
-
     @pytest.mark.parametrize("sigma2", [[1.0, -1.0], [np.nan, 1.0], [1.0, 1.0, 1.0], 1.0])
     def test_bad_diffusion_scales_name_the_knot(self, sigma2):
-        m = make_iwp(1, 2)
         s0 = GaussState(0.0, np.zeros(4), np.eye(2)[None].repeat(2, axis=0))
-        path = SolutionPath(model=m)
-        path.append(s0, s0, None)
+        path = SolutionPath(s0, s0)
         s1 = predict(s0, 0.5)
-        path.append(s1, s1, 0.5, np.ones(m.dim))
+        path.append(s1, s1, 0.5, np.ones(path.dim))
         s2 = predict(s1, 0.5)
         # A wrong shape or value fails on append, before the path holds it.
         with pytest.raises(ValueError, match=r"knot 2 \(t=1.0\)"):
@@ -677,10 +694,8 @@ class TestSmooth:
     def test_knot_appended_to_smoothed_path_is_smoothed(self):
         # A new knot drops the stale smoothed states, so the next reader
         # smooths the whole path again, the new last interval included.
-        m = make_iwp(1, 1)
-        path = SolutionPath(model=m)
         s0 = GaussState(0.0, np.array([1.0, 1.0]), np.eye(2)[None])
-        path.append(s0, s0, None)
+        path = SolutionPath(s0, s0)
         s1 = predict(s0, 0.5)
         path.append(s1, s1, 0.5, np.ones(1))
         smooth(path)
@@ -693,13 +708,11 @@ class TestSmooth:
         assert np.all(draws[:, 2] == s2.mean)
 
     def test_zero_covariance_means_unchanged(self):
-        m = make_iwp(1, 1)
-        path = SolutionPath(model=m)
         s0 = GaussState(0.0, np.array([1.0, 2.0]), np.zeros((1, 2, 2)))
-        path.append(s0, s0, None)
+        path = SolutionPath(s0, s0)
         pred = predict(s0, 0.5)
         s1 = GaussState(0.5, np.array([2.5, 3.0]), np.zeros((1, 2, 2)))
-        path.append(pred, s1, 0.5, np.ones(m.dim))
+        path.append(pred, s1, 0.5, np.ones(path.dim))
         smooth(path)
         np.testing.assert_array_equal(path.smoothed[0].mean, s0.mean)
         np.testing.assert_array_equal(path.smoothed[1].mean, s1.mean)
@@ -745,7 +758,6 @@ class TestSmooth:
         # derivative readings from an exactly-known start: filtering and
         # smoothing keep every knot exact.
         q = 3
-        m = make_iwp(q, 1)
         coef = np.array([1.0, 2.0, 3.0, 0.5])  # p(t) = 1 + 2t + 3t^2 + t^3/2
 
         def taylor(t):
@@ -753,14 +765,13 @@ class TestSmooth:
             return np.array([p.polyval(t, p.polyder(coef, k)) for k in range(q + 1)])
 
         h = 0.25
-        path = SolutionPath(model=m)
         state = GaussState(0.0, taylor(0.0), np.zeros((1, q + 1, q + 1)))
-        path.append(state, state, None)
+        path = SolutionPath(state, state)
         for n in range(1, 7):
             pred = predict(state, h)
             z = taylor(n * h)[1]
             state, resid = update(pred, [z], 1)
-            path.append(pred, state, h, np.ones(m.dim))
+            path.append(pred, state, h, np.ones(path.dim))
             assert abs(resid[0]) < 1e-10
         smooth(path)
         for n, sm in enumerate(path.smoothed):
@@ -769,13 +780,11 @@ class TestSmooth:
 
 class TestSamplePosterior:
     def test_zero_covariance_samples_equal_mean(self):
-        m = make_iwp(1, 1)
-        path = SolutionPath(model=m)
         s0 = GaussState(0.0, np.array([1.0, 2.0]), np.zeros((1, 2, 2)))
-        path.append(s0, s0, None)
+        path = SolutionPath(s0, s0)
         pred = predict(s0, 0.5)
         s1 = GaussState(0.5, np.array([2.0, 2.0]), np.zeros((1, 2, 2)))
-        path.append(pred, s1, 0.5, np.ones(m.dim))
+        path.append(pred, s1, 0.5, np.ones(path.dim))
         smooth(path)
         draws = sample_posterior(path, seed=0, count=4)
         for j in range(4):
@@ -789,23 +798,20 @@ class TestSamplePosterior:
         assert np.array_equal(a, b)
 
     def test_single_knot_monte_carlo_covariance(self):
-        m = make_iwp(1, 1)
-        path = SolutionPath(model=m)
         cov = np.array([[2.0, 0.3], [0.3, 0.5]])
         state = GaussState(0.0, np.array([1.0, -1.0]), np.linalg.cholesky(cov)[None])
-        path.append(state, state, None)
+        path = SolutionPath(state, state)
         smooth(path)
         draws = sample_posterior(path, seed=2024, count=10_000)[:, 0, :]
         emp = np.cov(draws.T)
         assert np.max(np.abs(emp - cov)) <= 0.05 * np.max(np.abs(cov))
 
-    def test_requires_smoothing_and_positive_count(self):
+    def test_unsmoothed_path_draws_as_smoothed(self):
+        # The last knot's smoothed state is its filtered one, the only one read.
         path = _logistic_path()
-        with pytest.raises(ValueError):
-            sample_posterior(path, seed=0, count=0)
-        path.smoothed = None
-        with pytest.raises(ValueError):
-            sample_posterior(path, seed=0, count=1)
+        draws = sample_posterior(path, seed=3, count=4)
+        assert path.smoothed is None
+        assert np.array_equal(draws, sample_posterior(smooth(path), seed=3, count=4))
 
     @pytest.mark.parametrize("count", [2.5, True, "3", None])
     def test_count_must_be_an_integer(self, count):
@@ -832,7 +838,7 @@ class TestSamplePosterior:
     def test_numpy_integer_count(self):
         path = smooth(_logistic_path())
         draws = sample_posterior(path, seed=4, count=np.int64(3))
-        assert draws.shape == (3, len(path), path.model.state_size)
+        assert draws.shape == (3, len(path), path.dim * (path.q + 1))
         assert np.array_equal(draws, sample_posterior(path, seed=4, count=3))
 
     def test_sample_mean_approaches_smoothed_mean(self):
@@ -864,11 +870,6 @@ class TestInterpolate:
         assert out.t == 2.0 and np.isfinite(out.mean).all()
 
     @pytest.mark.parametrize("allow", [False, True])
-    def test_empty_path_rejected(self, allow):
-        with pytest.raises(ValueError, match="empty path"):
-            interpolate(SolutionPath(model=make_iwp(1, 1)), 0.0, allow_extrapolation=allow)
-
-    @pytest.mark.parametrize("allow", [False, True])
     @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
     def test_non_finite_time_rejected(self, t, allow):
         # An infinite t used to hit the end knots through an infinite knot
@@ -883,15 +884,13 @@ class TestInterpolate:
         # prior bridge conditioned on both endpoint states, computed here
         # by explicit joint-Gaussian conditioning.
         q = 2
-        m = make_iwp(q, 1)
         h = 0.8
         x0 = np.array([1.0, -0.5, 0.2])
         x1 = np.array([0.7, 0.1, -0.3])
-        path = SolutionPath(model=m)
         s0 = GaussState(0.0, x0, np.zeros((1, 3, 3)))
-        path.append(s0, s0, None)
+        path = SolutionPath(s0, s0)
         pred = predict(s0, h)
-        path.append(pred, GaussState(h, x1, np.zeros((1, 3, 3))), h, np.ones(m.dim))
+        path.append(pred, GaussState(h, x1, np.zeros((1, 3, 3))), h, np.ones(path.dim))
         smooth(path)
 
         t = 0.3
@@ -1018,10 +1017,17 @@ def _assert_rel(got, want, rel=1e-12):
     assert np.max(np.abs(got - want)) <= rel * max(np.max(np.abs(want)), 1e-300)
 
 
+def _unsmoothed(path):
+    """A shallow copy of ``path`` with no smoothed states; it shares the path's columns."""
+    path = copy.copy(path)
+    path.smoothed = None
+    return path
+
+
 @lru_cache(maxsize=None)
 def _solved(case):
     """Problem and unsmoothed solve result, shared between tests; smooth a
-    ``replace(result.path, smoothed=None)`` copy, never the path itself."""
+    :func:`_unsmoothed` copy, never the path itself."""
     if case == "linear8":
         problem, cfg = _seeded_linear(), SolverConfig(q=2, fixed_step=0.02)
     else:
@@ -1033,8 +1039,8 @@ class TestDenseOracle:
     @pytest.mark.parametrize("case", ["brusselator", "vdp", "linear8"])
     def test_block_steps_match_dense(self, case):
         problem, result = _solved(case)
-        path = smooth(replace(result.path, smoothed=None))
-        d, q = problem.dim, path.model.q
+        path = smooth(_unsmoothed(result.path))
+        d, q = problem.dim, path.q
         q1 = q + 1
         n = len(path.step_sizes)
         # Every 40th knot, and the knots on each side of a chunk boundary
@@ -1071,11 +1077,11 @@ class TestDenseOracle:
         # the block's largest entry; in units of each step, 2.3e-5 and 4.3e-8.
         path = smooth(solve(get_problem(name), SolverConfig(q=4, eps=1e-3,
                                                             init_mode="diffuse_filter")).path)
-        q1 = path.model.block_size
+        q1 = path.q + 1
         for i in range(5):
             filt, sigma2, h = path.filtered[i], path.step_sigma2[i], path.step_sizes[i]
             A, Q = discrete_transition(4, h)[0], loop_q(4, h)
-            for k in range(path.model.dim):
+            for k in range(path.dim):
                 m_ref, c_ref = _mp_smooth_block(filt, path.predictions[i + 1], path.smoothed[i + 1],
                                                 A, Q, sigma2, k)
                 _assert_rel(path.smoothed[i].mean[k * q1:(k + 1) * q1], m_ref, rel=1e-10)
@@ -1086,7 +1092,7 @@ class TestDenseOracle:
         problem, result = _solved(case)
 
         def outputs():
-            path = smooth(replace(result.path, smoothed=None))
+            path = smooth(_unsmoothed(result.path))
             ts = np.random.default_rng(5).uniform(path.knots[0], path.knots[-1], 50)
             states = path.smoothed + [interpolate(path, t) for t in ts]
             return (np.array([s.mean for s in states]), np.array([s.factor for s in states]),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odefilter import discrete_transition, make_iwp, nordsieck_qbar, pascal_matrix
+from odefilter import SolverConfig, discrete_transition, nordsieck_qbar, pascal_matrix
 from odefilter.priors import _constants, _pivot
 from transition_oracle import loop_a, loop_q, matrix_fraction
 
@@ -17,26 +17,6 @@ def _unit_q(Q_sqrt):
 
 def _nordsieck_diag(q, h):
     return np.array([h**i / factorial(i) for i in range(q + 1)])
-
-
-class TestMakeIwp:
-    def test_scalar_model(self):
-        m = make_iwp(2, 1)
-        assert m.q == 2 and m.dim == 1
-        assert m.block_size == 3 and m.state_size == 3
-
-    @pytest.mark.parametrize(
-        "q,dim,error,name",
-        [
-            (0, 1, ValueError, "q"),
-            (2, 0, ValueError, "dim"),
-            (2, 2.5, TypeError, "dim"),
-            (2, True, TypeError, "dim"),
-        ],
-    )
-    def test_rejects_bad_inputs(self, q, dim, error, name):
-        with pytest.raises(error, match=f"{name} must"):
-            make_iwp(q, dim)
 
 
 class TestDiscreteTransition:
@@ -107,7 +87,7 @@ class TestDiscreteTransition:
     @pytest.mark.parametrize(
         "q,error",
         [
-            pytest.param(make_iwp(2, 1), TypeError, id="q0"),
+            pytest.param(SolverConfig(q=2), TypeError, id="q0"),
             pytest.param(0, ValueError, id="0"),
             pytest.param(2.0, TypeError, id="2.0"),
             # bool subclasses int, so True must be refused, not read as q = 1.
@@ -115,7 +95,7 @@ class TestDiscreteTransition:
         ],
     )
     def test_rejects_non_order(self, q, error):
-        # A stale call with the model in place of q must not run either.
+        # A call with a whole config in place of q must not run either.
         with pytest.raises(error, match="q must be"):
             discrete_transition(q, 0.5)
 
