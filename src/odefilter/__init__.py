@@ -10,7 +10,6 @@ estimate, at a cost comparable to a classic multistep method.
 
 from .analysis import (
     OrderFit,
-    StarterCoefficients,
     SteadyState,
     amplification_matrix,
     convergence_order,
@@ -55,7 +54,6 @@ from .solver import (
     SolverConfig,
     StepSizeUnderflowError,
     initialize,
-    observe,
     solve,
 )
 from .stepcontrol import (

@@ -22,7 +22,6 @@ from .solver import IvpProblem, SolveResult, SolverConfig, solve
 
 __all__ = [
     "SteadyState",
-    "StarterCoefficients",
     "OrderFit",
     "steady_state",
     "trapezoid_oracle",
@@ -105,45 +104,19 @@ def trapezoid_oracle(problem: IvpProblem, h: float, n_steps: int) -> np.ndarray:
     return out
 
 
-def _check_starter_params(u: float, v: float):
+def starter_coefficients(u: float, v: float) -> np.ndarray:
+    """Mean weights of the closed-form four-evaluation starter for the q = 4 model, knots
+    (0, u, v, 1): an array of shape (5, 4).
+
+    Row ``s`` holds the dimensionless weights of (z0, z1, z2, z3) in state slot ``s``; slot s
+    additionally carries a factor h^(1-s), and slot 0 adds y0.  The weights interpolate the
+    four derivative readings at the knots (0, u, v, 1)*h, so the slot-0 row is a fourth-order
+    quadrature rule (weights summing to 1) and slot 1 reproduces z3 exactly.
+    """
     if not (0.0 < u < 1.0 and 0.0 < v < 1.0):
         raise ValueError(f"starter knots must lie strictly inside (0, 1), got u={u}, v={v}")
     if u == v:
         raise ValueError("starter knots u and v must be distinct")
-
-
-@dataclass(frozen=True, eq=False)
-class StarterCoefficients:
-    """Closed-form four-evaluation starter for the q = 4 model.
-
-    ``mean_weights[s]`` are the dimensionless weights of (z0, z1, z2, z3) in
-    state slot ``s``; slot s additionally carries a factor h^(1-s), and slot
-    0 adds y0.  The weights interpolate the four derivative readings at the
-    knots (0, u, v, 1)*h, so the slot-0 row is a fourth-order quadrature
-    rule (weights summing to 1) and slot 1 reproduces z3 exactly.
-    """
-
-    u: float
-    v: float
-    mean_weights: np.ndarray  # (5, 4)
-
-    def mean(self, z, y0: float, h: float) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        if z.shape != (4,):
-            raise ValueError(f"need four derivative readings, got shape {z.shape}")
-        out = np.empty(5)
-        for s in range(5):
-            out[s] = h ** (1 - s) * float(self.mean_weights[s] @ z)
-        out[0] += y0
-        return out
-
-    def covariance(self, sigma2: float, h: float) -> np.ndarray:
-        return _starter_covariance(self.u, self.v, sigma2, h)
-
-
-def starter_coefficients(u: float, v: float) -> StarterCoefficients:
-    """Mean weights of the q = 4 starter for knots (0, u, v, 1)."""
-    _check_starter_params(u, v)
     W = np.zeros((5, 4))
     W[0] = [
         (1 - 2 * (u + v) + 6 * u * v) / (12 * u * v),
@@ -170,11 +143,10 @@ def starter_coefficients(u: float, v: float) -> StarterCoefficients:
         -6 / (v * (u - v) * (v - 1)),
         6 / ((u - 1) * (v - 1)),
     ]
-    return StarterCoefficients(u=float(u), v=float(v), mean_weights=W)
+    return W
 
 
 def _starter_covariance(u: float, v: float, sigma2: float, h: float) -> np.ndarray:
-    _check_starter_params(u, v)
     C = np.zeros((5, 5))
     C[0, 0] = sigma2 * h**9 * (
         6*u**6*v**2 - 3*u**6*v + 6*u**5*v**3 - 27*u**5*v**2 + 20*u**5*v
@@ -251,8 +223,15 @@ def rk_starter_q4(u: float, v: float, h: float, sigma2: float, z, y0: float) -> 
     """
     if h <= 0:
         raise ValueError(f"h must be positive, got {h}")
-    coeffs = starter_coefficients(u, v)
-    return coeffs.mean(z, y0, h), coeffs.covariance(sigma2, h)
+    W = starter_coefficients(u, v)
+    z = np.asarray(z, dtype=float)
+    if z.shape != (4,):
+        raise ValueError(f"need four derivative readings, got shape {z.shape}")
+    mean = np.empty(5)
+    for s in range(5):
+        mean[s] = h ** (1 - s) * float(W[s] @ z)
+    mean[0] += y0
+    return mean, _starter_covariance(float(u), float(v), sigma2, h)
 
 
 def amplification_matrix(gain: np.ndarray, zeta) -> np.ndarray:

@@ -73,9 +73,10 @@ def run_benchmark(problems, eps_list, config: SolverConfig | None = None) -> lis
                 problem = get_problem(name) if isinstance(name, str) else name
                 result = solve(problem, replace(config, eps=eps, fixed_step=None,
                                                 sigma_mode="local_ml"))
-                xi = local_errors(problem, result)
-                hs = np.diff(result.knots)
-                cell = dict(problem=problem.name, fevals=result.fevals, steps=result.steps_accepted,
+                n = result.steps_accepted  # the error test never bounded the start's intervals
+                xi, hs = local_errors(problem, result), np.diff(result.knots)
+                xi, hs = xi[len(xi) - n:], hs[len(hs) - n:]
+                cell = dict(problem=problem.name, fevals=result.fevals, steps=n,
                             deceived_fraction=deceived_fraction(xi, hs, eps),
                             max_error_per_unit_step=max_error_per_unit_step(xi, hs, eps))
             except Exception as exc:  # a failed cell must not kill the sweep

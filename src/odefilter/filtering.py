@@ -271,9 +271,11 @@ class SolutionPath:
     mean ``pred_mean``, and the step ``h`` and diffusion scales ``sigma2`` of the interval
     ending there (NaN in row 0).  ``knots``, ``step_sizes`` and ``step_sigma2`` view these
     columns; ``filtered``, ``predictions`` and ``smoothed`` are sequences of
-    :class:`GaussState` views built on access.  ``predictions[0]`` is the prior, kept whole;
-    ``predictions[i]`` rebuilds its factor from knot ``i-1`` by the QR of
-    :func:`predict_update` observing slot 1, as the solver does, bit for bit.
+    :class:`GaussState` views built on access.  ``predictions[0]`` is the prior, kept whole.
+    Both halves of ``predictions[i]`` come from knot ``i-1``, bit for bit as the solver forms
+    them: the mean ``A(h) m``, which :meth:`append` derives (the loop's ``_step`` is handed the
+    one it read f at), and the factor, rebuilt on access by the QR of :func:`predict_update`
+    observing slot 1.
     """
 
     def __init__(self, prior: GaussState, start: GaussState):
@@ -327,11 +329,12 @@ class SolutionPath:
         factor = _triangularize(_stacked(c["factor"][i - 1], A[1], Q_sqrt[1], c["sigma2"][i]))
         return _built(float(c["t"][i]), c["pred_mean"][i], factor.take(_pivot(q + 1, 1)[1], axis=1))
 
-    def append(self, prediction: GaussState, filtered: GaussState, h: float, sigma2):
-        """Add one knot after the last, checked here once, and drop the stale smoothed states.
-        ``t`` is finite and follows the last knot's, ``h`` (finite, > 0) and ``sigma2`` (one
-        finite scale >= 0 per dimension) describe the incoming interval, and both states have
-        the path's shape.  Of ``prediction`` only the mean is kept."""
+    def append(self, filtered: GaussState, h: float, sigma2):
+        """Add the knot ``filtered`` after the last, checked here once, and drop the stale
+        smoothed states.  Its ``t`` is finite and follows the last knot's, ``h`` (finite, > 0)
+        and ``sigma2`` (one finite scale >= 0 per dimension) describe the incoming interval, and
+        the state has the path's shape.  The predicted mean is ``A(h)`` times the last knot's
+        mean, derived here as the solver derives it."""
         n, t = len(self), filtered.t
         if not isfinite(t):
             raise ValueError(f"knot {n}: time must be finite, got t={t}")
@@ -345,13 +348,14 @@ class SolutionPath:
             raise ValueError(f"knot {n} (t={t}): expected {self.dim} "
                              f"finite diffusion scales >= 0, got {sigma2}")
         shape = self.columns.arrays["factor"].shape[1:]
-        if filtered.factor.shape != shape or prediction.mean.shape != filtered.mean.shape:
+        if filtered.factor.shape != shape:
             raise ValueError(f"knot {n} (t={t}): expected states with a factor of shape {shape}, "
-                             f"got {prediction.factor.shape} predicted, {filtered.factor.shape} "
-                             "filtered")
+                             f"got {filtered.factor.shape}")
+        A = _constants(self.q).transition(h)[0]
+        pred_mean = _matvec(A[0], self.columns["mean"][-1])
         self.smoothed = None
         k, c = self.columns.add(), self.columns.arrays
-        c["t"][k], c["h"][k], c["sigma2"][k], c["pred_mean"][k] = t, h, sigma2, prediction.mean
+        c["t"][k], c["h"][k], c["sigma2"][k], c["pred_mean"][k] = t, h, sigma2, pred_mean
         c["mean"][k], c["factor"][k] = filtered.mean, filtered.factor
 
     def _step(self, t: float, h: float, sigma2: np.ndarray, pred_mean: np.ndarray, A: np.ndarray,

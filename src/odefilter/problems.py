@@ -1,9 +1,10 @@
 """Registry of IVP test problems, ground-truth oracle, local-error metric.
 
-Registered right-hand sides broadcast over a leading batch axis so that the
-per-step local-error computation can restart thousands of short sub-problems
-in one vectorized sweep.  Custom problems with polynomial or rational terms
-can be loaded from a JSON file without touching code.
+A right-hand side may be written for one ``(d,)`` vector and a float time.  The
+local-error oracle restarts every step at once when ``rhs`` also broadcasts over a
+leading batch axis, as every registered and loaded one does, and row by row when a
+probe shows it does not.  Custom problems with polynomial or rational terms can be
+loaded from a JSON file without touching code.
 """
 
 from __future__ import annotations
@@ -83,8 +84,7 @@ def _poly(k: int):
     def rhs(t, y):
         t = np.asarray(t, dtype=float)
         out = k * t ** (k - 1) if k >= 1 else np.zeros_like(t)
-        return np.broadcast_to(np.atleast_1d(out)[..., None], np.shape(y)).astype(float) \
-            if np.ndim(y) > 1 else np.atleast_1d(out)
+        return np.broadcast_to(np.asarray(out)[..., None], np.shape(y)).astype(float)
 
     def exact(t):
         return np.atleast_1d(1.0 + t**k)
@@ -157,14 +157,27 @@ _DP_B4 = np.array(
 )
 
 
-def _rhs_batched(problem: IvpProblem, t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.asarray(problem.rhs(t, y), dtype=float)
-    if out.shape != y.shape:
-        # Right-hand side does not broadcast; fall back to a python loop.
-        out = np.stack(
-            [np.atleast_1d(problem.rhs(float(ti), yi)) for ti, yi in zip(t, y)]
-        )
-    return out
+def _batched_rhs(problem: IvpProblem, t: np.ndarray, y: np.ndarray):
+    """``rhs`` over ``(N, d)`` batches: itself when it broadcasts, else one call per row.
+
+    Decided on d + 1 of the restart points ``t``, ``y``, rows repeated when there are fewer:
+    on exactly d rows a rhs that indexes rows (``y[i]``) returns the right shape.  The batch
+    call must return shape ``(d + 1, d)`` and match the rows to 1e-12 of each row's max-norm,
+    since a batched product like ``y @ m.T`` may differ from a row's in its last bits.
+    """
+    def by_rows(t, y):
+        return np.stack([np.atleast_1d(problem.rhs(float(ti), yi)) for ti, yi in zip(t, y)])
+
+    probe = np.arange(problem.dim + 1) % len(t)
+    t, y = t[probe], y[probe]
+    rows = by_rows(t, y)  # outside the try: a rhs that fails per row raises its own error
+    try:
+        batch = np.asarray(problem.rhs(t, y), dtype=float)
+        broadcasts = batch.shape == rows.shape and bool(np.all(
+            abs(batch - rows) <= 1e-12 * abs(rows).max(axis=1, keepdims=True)))
+    except Exception:  # a rhs written for one vector may fail on a batch in any way
+        broadcasts = False
+    return problem.rhs if broadcasts else by_rows
 
 
 def _batch_flow(
@@ -182,6 +195,7 @@ def _batch_flow(
     """
     n = t_start.size
     out = np.empty_like(y_start)
+    rhs = _batched_rhs(problem, t_start, y_start) if n else None
     todo = np.arange(n)
     substeps = 4
     while todo.size:
@@ -195,7 +209,7 @@ def _batch_flow(
                 y_stage = y.copy()
                 for j, a in enumerate(_DP_A[s]):
                     y_stage = y_stage + hs[:, None] * a * k[j]
-                k[s] = _rhs_batched(problem, t + _DP_C[s] * hs, y_stage)
+                k[s] = rhs(t + _DP_C[s] * hs, y_stage)
             incr5 = np.einsum("s,sbd->bd", _DP_B5, k)
             incr4 = np.einsum("s,sbd->bd", _DP_B4, k)
             y = y + hs[:, None] * incr5
@@ -265,9 +279,7 @@ def load_problem_file(path) -> IvpProblem:
             if den:
                 num = num / sum(_term_value(term, t, y) for term in den)
             comps.append(np.broadcast_to(num, y.shape[:-1]))
-        return np.stack(comps, axis=-1) if y.ndim > 1 else np.asarray(
-            [np.asarray(c).item() for c in comps]
-        )
+        return np.stack(comps, axis=-1)
 
     return IvpProblem(
         name=str(spec["name"]),

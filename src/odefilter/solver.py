@@ -40,7 +40,6 @@ __all__ = [
     "SolveResult",
     "StepSizeUnderflowError",
     "initialize",
-    "observe",
     "solve",
 ]
 
@@ -72,10 +71,10 @@ class StepSizeUnderflowError(RuntimeError):
 class IvpProblem:
     """An initial value problem y' = f(t, y), y(t0) = y0 on [t0, T].
 
-    ``rhs(t, y) -> ndarray`` is the vector field; invocations through
-    :meth:`eval_rhs` are counted.  ``exact``, when present, maps a time to
-    the true solution vector and is used by reference and convergence
-    tooling only.
+    ``rhs(t, y) -> ndarray`` is the vector field, which may be written for one
+    ``(d,)`` vector and a float ``t``: the local-error oracle then goes row by row.
+    Invocations through :meth:`eval_rhs` are counted.  ``exact``, when present,
+    maps a time to the true solution vector, for reference and convergence tooling.
     """
 
     name: str
@@ -206,32 +205,6 @@ class SolveResult:
         return np.linalg.norm(self.path.columns["factor"][:, :, 0, :], axis=-1)
 
 
-def observe(
-    problem: IvpProblem,
-    t: float,
-    loc: np.ndarray,
-    std: np.ndarray | None = None,
-    *,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """The derivative observation f(t, y) at a predicted solution value.
-
-    ``loc`` holds the predicted solution means (slot 0 of each block).
-    Without a generator ``y = loc``, the ``mean`` strategy, which every
-    reading of the start takes.  Given the run's generator and the predicted
-    standard deviations ``std``, ``y`` is the draw ``loc + std * xi`` from
-    the predicted solution marginal instead, the ``sampled`` comparison mode
-    of the loop's steps, mimicking perturbed-evaluation solvers that perturb
-    each step but not the initial data; it degenerates to ``mean`` when
-    ``std`` is zero.  Either way this is one evaluation.
-    """
-    if (std is None) != (rng is None):
-        raise ValueError("a sampled observation needs both the predicted std and the run's generator")
-    if rng is not None:
-        loc = loc + std * rng.standard_normal(problem.dim)
-    return problem.eval_rhs(t, loc)
-
-
 def _starter_path(problem: IvpProblem, config: SolverConfig) -> SolutionPath:
     """The initialization knots, as the path the solve loop extends.
 
@@ -258,7 +231,7 @@ def _starter_path(problem: IvpProblem, config: SolverConfig) -> SolutionPath:
                                else np.sqrt(_DIFFUSE_VARIANCE))
 
     def reading(t: float, loc: np.ndarray) -> np.ndarray:
-        z = observe(problem, t, loc)
+        z = problem.eval_rhs(t, loc)
         if not np.all(np.isfinite(z)):
             raise ValueError(f"right-hand side returned non-finite values at starter knot t = {t}")
         return z
@@ -369,12 +342,16 @@ def solve(problem: IvpProblem, config: SolverConfig) -> SolveResult:
                 raise StepSizeUnderflowError(f"step size {h} underflowed at t = {t}: Q(h)_11 is 0")
             h_prev = h
         pred_mean = np.matmul(A[0], mean.reshape(d, q1, 1)).reshape(-1)  # _matvec, inline
-        # A sampled draw's std, under the last accepted diffusion since this step's is
-        # not known yet: the norm of row 0 of [A F, sqrt(sigma2) Q^(1/2)], no QR needed.
-        std = None if rng is None else np.linalg.norm(
-            _stacked(factor, A[0, :1], Q_sqrt[0, :1], sigma2_step)[:, 0], axis=1)
         y = pred_mean[0::q1]
-        z = observe(problem, t + h, y, std, rng=rng)
+        if rng is None:
+            z = problem.eval_rhs(t + h, y)
+        else:
+            # The sampled strategy reads f at a draw from the predicted solution marginal,
+            # mimicking perturbed-evaluation solvers, which perturb each step but not the
+            # initial data.  Its std is under the last accepted diffusion, since this step's
+            # is not known yet: the norm of row 0 of [A F, sqrt(sigma2) Q^(1/2)], no QR needed.
+            std = np.linalg.norm(_stacked(factor, A[0, :1], Q_sqrt[0, :1], sigma2_step)[:, 0], axis=1)
+            z = problem.eval_rhs(t + h, y + std * rng.standard_normal(d))
 
         if all(np.isfinite(z).tolist()):  # cheaper than .all() at small d
             residual = z - pred_mean[1::q1]

@@ -110,11 +110,11 @@ def test_criterion_6_fourth_order_starter():
     with criterion(6, "four-evaluation starter weights and covariance structure", 1.0):
         co = starter_coefficients(1 / 3, 1 / 2)
         np.testing.assert_allclose(
-            co.mean_weights[0], [1 / 6, 0.0, 2 / 3, 1 / 6], atol=1e-12
+            co[0], [1 / 6, 0.0, 2 / 3, 1 / 6], atol=1e-12
         )
         c = np.array([0.0, 1 / 3, 1 / 2, 1.0])
         for k in range(4):
-            assert co.mean_weights[0] @ c**k == pytest.approx(1 / (k + 1), abs=1e-12)
+            assert co[0] @ c**k == pytest.approx(1 / (k + 1), abs=1e-12)
         _, cov = rk_starter_q4(1 / 3, 1 / 2, 0.5, 1.0, [0.27, 0.3, 0.32, 0.4], 0.1)
         np.testing.assert_array_equal(cov, cov.T)
         assert np.max(np.abs(cov[1, :])) == 0.0

@@ -103,10 +103,10 @@ class TestTrapezoidOracle:
 class TestStarter:
     def test_slot0_weights_and_quadrature_conditions(self):
         co = starter_coefficients(1 / 3, 1 / 2)
-        np.testing.assert_allclose(co.mean_weights[0], [1 / 6, 0.0, 2 / 3, 1 / 6], atol=1e-12)
+        np.testing.assert_allclose(co[0], [1 / 6, 0.0, 2 / 3, 1 / 6], atol=1e-12)
         c = np.array([0.0, 1 / 3, 1 / 2, 1.0])
         for k in range(4):
-            assert co.mean_weights[0] @ c**k == pytest.approx(1 / (k + 1), abs=1e-12)
+            assert co[0] @ c**k == pytest.approx(1 / (k + 1), abs=1e-12)
 
     @pytest.mark.parametrize("u,v", [(1 / 3, 1 / 2), (0.25, 0.7), (0.9, 0.2)])
     def test_slot1_returns_last_reading(self, u, v):

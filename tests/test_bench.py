@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -54,8 +56,6 @@ class TestRunBenchmark:
         cfg = SolverConfig(q=2)
         [record] = run_benchmark(["logistic"], [1e-4], cfg)
         p = get_problem("logistic")
-        from dataclasses import replace
-
         res = solve(p, replace(cfg, eps=1e-4))
         xi = local_errors(p, res)
         hs = np.diff(res.knots)
@@ -65,6 +65,19 @@ class TestRunBenchmark:
         assert record.max_error_per_unit_step == pytest.approx(
             max_error_per_unit_step(xi, hs, 1e-4), rel=1e-12
         )
+
+
+    def test_start_intervals_not_scored(self):
+        # The diffuse start's interval is no accepted step: the error test never bounded it.
+        cfg = SolverConfig(q=2, init_mode="diffuse_filter")
+        [record] = run_benchmark(["vdp"], [1e-3], cfg)
+        p = get_problem("vdp")
+        res = solve(p, replace(cfg, eps=1e-3))
+        xi, hs = local_errors(p, res), np.diff(res.knots)
+        n = res.steps_accepted
+        assert record.steps == n < len(xi)
+        assert record.deceived_fraction == deceived_fraction(xi[-n:], hs[-n:], 1e-3)
+        assert record.max_error_per_unit_step == max_error_per_unit_step(xi[-n:], hs[-n:], 1e-3)
 
 
 class TestCalibration:

@@ -179,7 +179,7 @@ class TestSolutionPath:
         path, state = self._one_knot()
         later = GaussState(1.0, state.mean, state.factor)
         with pytest.raises(ValueError, match=r"knot 1 \(t=1.0\): step size"):
-            path.append(later, later, None, [1.0])
+            path.append(later, None, [1.0])
         assert len(path) == 1
 
     @pytest.mark.parametrize("t", [0.5, 0.25])
@@ -187,7 +187,7 @@ class TestSolutionPath:
         path, state = self._one_knot()
         other = GaussState(t, state.mean, state.factor)
         with pytest.raises(ValueError, match="knots must increase"):
-            path.append(other, other, 0.5, [1.0])
+            path.append(other, 0.5, [1.0])
         assert len(path) == 1
 
     @pytest.mark.parametrize("h", [-0.5, np.nan, np.inf])
@@ -195,7 +195,7 @@ class TestSolutionPath:
         path, state = self._one_knot()
         later = GaussState(1.0, state.mean, state.factor)
         with pytest.raises(ValueError, match=r"knot 1 \(t=1.0\): step size"):
-            path.append(later, later, h, [1.0])
+            path.append(later, h, [1.0])
         assert len(path) == 1
 
     @pytest.mark.parametrize("prior, start, match", [
@@ -213,10 +213,8 @@ class TestSolutionPath:
         # leaving a half-written knot that smooth then ran on.
         s0 = _unit_state(0.0, 2, 2)
         path = SolutionPath(s0, s0)
-        small, later = _unit_state(0.5, 1, 2), _unit_state(0.5, 2, 2)
-        for pred, filt in ((small, small), (later, small), (small, later)):
-            with pytest.raises(ValueError, match=r"knot 1 \(t=0.5\): expected states"):
-                path.append(pred, filt, 0.5, np.ones(2))
+        with pytest.raises(ValueError, match=r"knot 1 \(t=0.5\): expected states"):
+            path.append(_unit_state(0.5, 1, 2), 0.5, np.ones(2))
         assert len(path) == 1 and len(path.columns["mean"]) == 1
 
     @pytest.mark.parametrize("q, name", [(1, "logistic"), (3, "brusselator"), (2, "linear8")])
@@ -233,7 +231,7 @@ class TestSolutionPath:
         path, first = self._one_knot()
         later = GaussState(np.nan, first.mean, first.factor)
         with pytest.raises(ValueError, match="knot 1: time must be finite"):
-            path.append(later, later, 0.5, [1.0])
+            path.append(later, 0.5, [1.0])
         assert len(path) == 1
 
 
@@ -260,6 +258,31 @@ class TestPathViews:
             gain[:, 1] = 1.0
             want = pred.mean.reshape(-1, q1) + gain * residual[:, None]
             assert filt.mean.tobytes() == want.reshape(-1).tobytes()
+
+    @pytest.mark.parametrize("config", [
+        SolverConfig(q=2, eps=1e-3),
+        SolverConfig(q=3, eps=1e-3, init_mode="diffuse_filter"),
+        SolverConfig(q=4, eps=1e-3, init_mode="rk_starter"),
+        SolverConfig(q=2, eps=1e-3, obs_strategy="sampled", seed=3),
+        SolverConfig(q=2, fixed_step=0.05, sigma_mode="global_ml"),
+        None,
+    ], ids=["exact", "diffuse", "rk_starter_q4", "sampled", "fixed_global_ml", "appended"])
+    def test_predicted_means_are_the_previous_knots_predicted(self, config):
+        # Every writer of a knot stores A(h) times the last knot's mean, the mean
+        # the step read f at and the backward pass subtracts.
+        if config is None:
+            state = GaussState(0.0, np.array([1.0, 0.5, 0.0, 2.0, -1.0, 0.5]),
+                               np.eye(3)[None].repeat(2, axis=0))
+            path = SolutionPath(state, state)
+            for h in (0.5, 0.25, 0.3):
+                state, _ = update(predict(state, h), [1.0, -2.0])
+                path.append(state, h, [1.0, 2.0])
+        else:
+            path = solve(get_problem("vdp"), config).path
+        assert len(path) > 3
+        for i in range(1, len(path)):
+            want = predict(path.filtered[i - 1], float(path.step_sizes[i - 1])).mean
+            assert path.predictions[i].mean.tobytes() == want.tobytes(), i
 
     def test_global_ml_predictions_are_the_scaled_unit_ones(self, monkeypatch):
         # Under global_ml the loop filters with unit diffusion; the whole-run
@@ -684,11 +707,11 @@ class TestSmooth:
         s0 = GaussState(0.0, np.zeros(4), np.eye(2)[None].repeat(2, axis=0))
         path = SolutionPath(s0, s0)
         s1 = predict(s0, 0.5)
-        path.append(s1, s1, 0.5, np.ones(path.dim))
+        path.append(s1, 0.5, np.ones(path.dim))
         s2 = predict(s1, 0.5)
         # A wrong shape or value fails on append, before the path holds it.
         with pytest.raises(ValueError, match=r"knot 2 \(t=1.0\)"):
-            path.append(s2, s2, 0.5, sigma2)
+            path.append(s2, 0.5, sigma2)
         assert len(path) == 2
 
     def test_knot_appended_to_smoothed_path_is_smoothed(self):
@@ -697,22 +720,35 @@ class TestSmooth:
         s0 = GaussState(0.0, np.array([1.0, 1.0]), np.eye(2)[None])
         path = SolutionPath(s0, s0)
         s1 = predict(s0, 0.5)
-        path.append(s1, s1, 0.5, np.ones(1))
+        path.append(s1, 0.5, np.ones(1))
         smooth(path)
         s2 = GaussState(1.0, np.array([1.5, 1.0]), np.zeros((1, 2, 2)))
-        path.append(predict(s1, 0.5), s2, 0.5, np.ones(1))
+        path.append(s2, 0.5, np.ones(1))
         assert path.smoothed is None
         np.testing.assert_allclose(interpolate(path, 1.0 - 1e-9).mean, s2.mean, atol=1e-6)
         _assert_same_state(path.smoothed[2], s2)
         draws = sample_posterior(path, seed=0, count=8)
         assert np.all(draws[:, 2] == s2.mean)
 
+    def test_appended_knot_moves_the_knot_before(self):
+        # append derives the predicted mean: handed the filtered state as the
+        # prediction, the backward pass saw no innovation and left knot 0 as filtered.
+        s0 = GaussState(0.0, np.array([1.0, 0.5, 0.0]), np.eye(3)[None])
+        s1, _ = update(predict(s0, 0.5), [1.0])
+        path = SolutionPath(s0, s0)
+        path.append(s1, 0.5, [1.0])
+        smooth(path)
+        A, Q_sqrt, _ = discrete_transition(2, 0.5)
+        gain = A.T @ np.linalg.inv(A @ A.T + Q_sqrt @ Q_sqrt.T)  # C0 = I
+        want = s0.mean + gain @ (s1.mean - A @ s0.mean)
+        assert not np.allclose(path.smoothed[0].mean, s0.mean)
+        np.testing.assert_allclose(path.smoothed[0].mean, want, rtol=1e-13, atol=1e-13)
+
     def test_zero_covariance_means_unchanged(self):
         s0 = GaussState(0.0, np.array([1.0, 2.0]), np.zeros((1, 2, 2)))
         path = SolutionPath(s0, s0)
-        pred = predict(s0, 0.5)
         s1 = GaussState(0.5, np.array([2.5, 3.0]), np.zeros((1, 2, 2)))
-        path.append(pred, s1, 0.5, np.ones(path.dim))
+        path.append(s1, 0.5, np.ones(path.dim))
         smooth(path)
         np.testing.assert_array_equal(path.smoothed[0].mean, s0.mean)
         np.testing.assert_array_equal(path.smoothed[1].mean, s1.mean)
@@ -771,7 +807,7 @@ class TestSmooth:
             pred = predict(state, h)
             z = taylor(n * h)[1]
             state, resid = update(pred, [z], 1)
-            path.append(pred, state, h, np.ones(path.dim))
+            path.append(state, h, np.ones(path.dim))
             assert abs(resid[0]) < 1e-10
         smooth(path)
         for n, sm in enumerate(path.smoothed):
@@ -782,9 +818,8 @@ class TestSamplePosterior:
     def test_zero_covariance_samples_equal_mean(self):
         s0 = GaussState(0.0, np.array([1.0, 2.0]), np.zeros((1, 2, 2)))
         path = SolutionPath(s0, s0)
-        pred = predict(s0, 0.5)
         s1 = GaussState(0.5, np.array([2.0, 2.0]), np.zeros((1, 2, 2)))
-        path.append(pred, s1, 0.5, np.ones(path.dim))
+        path.append(s1, 0.5, np.ones(path.dim))
         smooth(path)
         draws = sample_posterior(path, seed=0, count=4)
         for j in range(4):
@@ -889,8 +924,7 @@ class TestInterpolate:
         x1 = np.array([0.7, 0.1, -0.3])
         s0 = GaussState(0.0, x0, np.zeros((1, 3, 3)))
         path = SolutionPath(s0, s0)
-        pred = predict(s0, h)
-        path.append(pred, GaussState(h, x1, np.zeros((1, 3, 3))), h, np.ones(path.dim))
+        path.append(GaussState(h, x1, np.zeros((1, 3, 3))), h, np.ones(path.dim))
         smooth(path)
 
         t = 0.3

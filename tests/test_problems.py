@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from odefilter import (
+    IvpProblem,
     SolverConfig,
     available_problems,
     get_problem,
@@ -165,6 +166,49 @@ class TestLocalErrors:
         xi_f = local_errors(p2, solve(p2, SolverConfig(q=2, fixed_step=0.05, sigma_mode="global_ml")))
         c_fit = np.max(xi_c) / 0.1**3
         assert np.max(xi_f) <= 10 * c_fit * 0.05**3
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rhs_written_for_one_vector_matches_its_broadcast_twin(self, n):
+        # y[i] indexes rows of a batch: fewer than d = 3 rows raised IndexError,
+        # and exactly d returned the right shape with the wrong rows.
+        def by_vector(t, y):
+            return np.array([y[1] * y[2], -y[0] * y[2], -0.51 * y[0] * y[1]])
+
+        def broadcasting(t, y):
+            return np.stack([y[..., 1] * y[..., 2], -y[..., 0] * y[..., 2],
+                             -0.51 * y[..., 0] * y[..., 1]], axis=-1)
+
+        p = IvpProblem("rigid", 3, 0.0, 1.0, np.array([0.0, 1.0, 0.9]), by_vector)
+        res = solve(p, SolverConfig(q=2, fixed_step=1.0 / n))
+        xi = local_errors(p, res)
+        assert xi.shape == (n,)
+        assert xi.tobytes() == local_errors(replace(p, rhs=broadcasting), res).tobytes()
+
+    def test_scalar_rhs_goes_row_by_row_without_a_square_batch(self):
+        # y * cos(t) broadcasts an (N, 1) batch against N times to (N, N).
+        largest = [0]
+
+        def rhs(t, y):
+            out = y * np.cos(t)
+            largest[0] = max(largest[0], np.size(out))
+            return out
+
+        p = IvpProblem("cos", 1, 0.0, 2.0, np.array([1.0]), rhs)
+        res = solve(p, SolverConfig(q=2, fixed_step=1e-3))
+        n = len(res.knots) - 1
+        largest[0] = 0
+        xi = local_errors(p, res)
+        assert n == 2000 and xi.shape == (n,) and 0 < largest[0] <= n
+        y, t = res.solution_means()[:, 0], res.knots  # the flow is y(s) exp(sin t - sin s)
+        flow = y[:-1] * np.exp(np.sin(t[1:]) - np.sin(t[:-1]))
+        np.testing.assert_allclose(xi, np.abs(y[1:] - flow), rtol=0, atol=1e-12)
+
+    def test_rhs_branching_on_a_scalar_time(self):
+        # On a vector t the branch raised numpy's ambiguous-truth-value error.
+        p = IvpProblem("ramp", 1, 0.0, 2.0, np.array([1.0]), lambda t, y: y * min(t, 1.0))
+        res = solve(p, SolverConfig(q=2, fixed_step=0.25))
+        twin = replace(p, rhs=lambda t, y: y * np.minimum(t, 1.0)[..., None])
+        assert local_errors(p, res).tobytes() == local_errors(twin, res).tobytes()
 
     def test_mesh_outside_domain_rejected(self):
         p = get_problem("logistic")

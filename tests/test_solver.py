@@ -12,7 +12,6 @@ from odefilter import (
     discrete_transition,
     get_problem,
     initialize,
-    observe,
     predict,
     reference_solution,
     smooth,
@@ -203,32 +202,13 @@ class TestInitialize:
 class TestObserve:
     def test_logistic_at_start(self):
         p = get_problem("logistic")
-        z = observe(p, 0.0, np.array([0.1]))
+        z = p.eval_rhs(0.0, np.array([0.1]))
         assert z[0] == pytest.approx(0.27, rel=1e-14)
         assert p.nfev == 1
 
     def test_brusselator_value(self):
         p = get_problem("brusselator")
-        np.testing.assert_allclose(observe(p, 0.0, np.array([1.5, 3.0])), [1.75, -2.25], rtol=1e-14)
-
-    def test_sampled_degenerates_to_mean(self):
-        p1, p2 = get_problem("logistic"), get_problem("logistic")
-        loc = np.array([0.1])
-        z_mean = observe(p1, 0.0, loc)
-        z_samp = observe(p2, 0.0, loc, np.zeros(1), rng=np.random.default_rng(0))
-        assert np.array_equal(z_mean, z_samp)
-
-    def test_sampled_needs_rng(self):
-        p = get_problem("logistic")
-        with pytest.raises(ValueError, match="generator"):
-            observe(p, 0.0, np.zeros(1), np.ones(1))
-        assert p.nfev == 0
-
-    def test_sampled_needs_std(self):
-        p = get_problem("logistic")
-        with pytest.raises(ValueError, match="std"):
-            observe(p, 0.0, np.zeros(1), rng=np.random.default_rng(0))
-        assert p.nfev == 0
+        np.testing.assert_allclose(p.eval_rhs(0.0, np.array([1.5, 3.0])), [1.75, -2.25], rtol=1e-14)
 
 
 class TestSolveFixedStep:
