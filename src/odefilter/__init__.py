@@ -8,60 +8,14 @@ calibrated Gaussian posterior over the whole solution rather than a point
 estimate, at a cost comparable to a classic multistep method.
 """
 
-from .analysis import (
-    OrderFit,
-    SteadyState,
-    amplification_matrix,
-    convergence_order,
-    nordsieck_gains,
-    rk_starter_q4,
-    stability_scan,
-    starter_coefficients,
-    steady_state,
-    trapezoid_oracle,
-)
-from .bench import (
-    BenchRecord,
-    CalibrationTable,
-    emit,
-    error_calibration,
-    run_benchmark,
-)
-from .filtering import (
-    GaussState,
-    SolutionPath,
-    interpolate,
-    predict,
-    sample_posterior,
-    smooth,
-    update,
-)
-from .priors import (
-    discrete_transition,
-    nordsieck_qbar,
-    pascal_matrix,
-)
-from .problems import (
-    available_problems,
-    get_problem,
-    load_problem_file,
-    local_errors,
-    reference_solution,
-)
-from .solver import (
-    IvpProblem,
-    SolveResult,
-    SolverConfig,
-    StepSizeUnderflowError,
-    initialize,
-    solve,
-)
-from .stepcontrol import (
-    StepReport,
-    estimate_sigma2,
-    global_error_factor,
-    local_error_test,
-    next_step_size,
-)
+# Each module's __all__ is the one list of its public names; the package
+# republishes them, so a name is added or renamed in its module alone.
+from .analysis import *  # noqa: F403
+from .bench import *  # noqa: F403
+from .filtering import *  # noqa: F403
+from .priors import *  # noqa: F403
+from .problems import *  # noqa: F403
+from .solver import *  # noqa: F403
+from .stepcontrol import *  # noqa: F403
 
 __version__ = "0.1.0"

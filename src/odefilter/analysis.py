@@ -33,6 +33,9 @@ __all__ = [
     "nordsieck_gains",
 ]
 
+_STEADY_TOL = 1e-12  # largest last change of a settled coefficient, (0, 0) excepted
+_STEADY_MAX_ITER = 10_000
+
 
 @dataclass(frozen=True, eq=False)
 class SteadyState:
@@ -52,14 +55,15 @@ class SteadyState:
     iterations: int
 
 
-def steady_state(q: int, tol: float = 1e-12, max_iter: int = 10_000) -> SteadyState:
+def steady_state(q: int) -> SteadyState:
     """Iterate predict/update on the dimensionless covariance of IWP(q).
 
     Starts from C = 0 (the state right after exact initialization; the
     non-stationary prior has no stationary covariance to start from).
     Convergence is tested on every coefficient except the drifting (0, 0)
-    entry.  In these units the result does not depend on h or on the
-    diffusion sigma2, so the prior is the unit-diffusion one.
+    entry, to ``_STEADY_TOL`` within ``_STEADY_MAX_ITER`` iterations.  In
+    these units the result does not depend on h or on the diffusion sigma2,
+    so the prior is the unit-diffusion one.
     """
     q = _check_int("q", q)
     if not 1 <= q <= 4:
@@ -70,14 +74,14 @@ def steady_state(q: int, tol: float = 1e-12, max_iter: int = 10_000) -> SteadySt
     mask[0, 0] = False
     factor, c = np.zeros((1, q + 1, q + 1)), np.zeros((q + 1, q + 1))
     zero, one = np.zeros(q + 1), np.ones(1)
-    for it in range(1, max_iter + 1):
+    for it in range(1, _STEADY_MAX_ITER + 1):
         # The filter's own recursion: from mean 0, a unit residual leaves the gain.
         gain, factor = predict_update(factor, A, Q_sqrt, one, zero, one)
         c_new = (factor @ factor.swapaxes(1, 2))[0]
-        if np.max(np.abs((c_new - c)[mask])) < tol:
+        if np.max(np.abs((c_new - c)[mask])) < _STEADY_TOL:
             return SteadyState(gain=gain, cov_coeffs=c_new, iterations=it)
         c = c_new
-    raise RuntimeError(f"covariance recursion did not settle within {max_iter} iterations")
+    raise RuntimeError(f"covariance recursion did not settle within {_STEADY_MAX_ITER} iterations")
 
 
 def trapezoid_oracle(problem: IvpProblem, h: float, n_steps: int) -> np.ndarray:

@@ -30,12 +30,6 @@ def _out_path(args, default_name: str) -> Path:
     return base / default_name
 
 
-def _load_problem(args):
-    if getattr(args, "problem_file", None):
-        return load_problem_file(args.problem_file)
-    return get_problem(args.problem)
-
-
 def _config_from(args) -> SolverConfig:
     init_mode = {"exact": "exact", "diffuse": "diffuse_filter", "rk": "rk_starter"}[args.init]
     return SolverConfig(
@@ -52,68 +46,62 @@ def _config_from(args) -> SolverConfig:
     )
 
 
-def _add_solver_options(p: argparse.ArgumentParser):
-    p.add_argument("--q", type=int, default=2, help="derivative order of the prior")
-    p.add_argument("--eps", type=float, required=True, help="error-test tolerance")
-    p.add_argument("--fixed-step", type=float, default=None, dest="fixed_step")
-    p.add_argument("--tau", type=float, default=0.1, help="error weighting parameter")
-    p.add_argument("--per-unit-step", action="store_true", dest="per_unit_step",
-                   help="test error per unit step (eps*h) instead of per step (eps)")
-    p.add_argument("--h-init", type=float, default=None, dest="h_init")
-    p.add_argument("--init", choices=["exact", "diffuse", "rk"], default="exact")
-    p.add_argument("--obs", choices=["mean", "sampled"], default="mean")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--global-sigma", action="store_true",
-                   help="constant diffusion with a whole-run estimate (fixed step only)")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    # Options that several subcommands share are declared once, in parent parsers; a flag
+    # that passes its value to a SolverConfig field unchanged takes that field's default.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--q", type=int, default=SolverConfig.q,
+                        help="derivative order of the prior")
+    common.add_argument("--out")
+    weighting = argparse.ArgumentParser(add_help=False)
+    weighting.add_argument("--tau", type=float, default=SolverConfig.weighting_tau,
+                           help="error weighting parameter")
+    weighting.add_argument("--per-unit-step", action="store_true",
+                           help="test error per unit step (eps*h) instead of per step (eps)")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=["csv", "json"], default="csv")
+
     parser = argparse.ArgumentParser(prog="odefilter",
                                      description="Gaussian-filtering ODE solver and benchmark harness")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="solve one problem and emit the posterior trace")
-    p_solve.add_argument("--problem", default=None)
-    p_solve.add_argument("--problem-file", default=None,
-                         help="JSON file describing a custom problem")
-    _add_solver_options(p_solve)
+    p_solve = sub.add_parser("solve", parents=[common, weighting, fmt],
+                             help="solve one problem and emit the posterior trace")
+    p_solve.add_argument("--problem")
+    p_solve.add_argument("--problem-file", help="JSON file describing a custom problem")
+    p_solve.add_argument("--eps", type=float, required=True, help="error-test tolerance")
+    p_solve.add_argument("--fixed-step", type=float)
+    p_solve.add_argument("--h-init", type=float)
+    p_solve.add_argument("--init", choices=["exact", "diffuse", "rk"], default="exact")
+    p_solve.add_argument("--obs", choices=["mean", "sampled"], default=SolverConfig.obs_strategy)
+    p_solve.add_argument("--seed", type=int, default=SolverConfig.seed)
+    p_solve.add_argument("--global-sigma", action="store_true",
+                         help="constant diffusion with a whole-run estimate (fixed step only)")
     p_solve.add_argument("--samples", type=int, default=0,
                          help="also emit this many posterior sample trajectories")
-    p_solve.add_argument("--lipschitz-star", type=float, default=None,
+    p_solve.add_argument("--lipschitz-star", type=float,
                          help="inflate reported bands to global-error scale exp(L*(T-t0))")
-    p_solve.add_argument("--out", default=None)
-    p_solve.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    p_bench = sub.add_parser("bench", help="sweep problems x tolerances with classic quality metrics")
+    p_bench = sub.add_parser("bench", parents=[common, weighting, fmt],
+                             help="sweep problems x tolerances with classic quality metrics")
     p_bench.add_argument("--problems", required=True, help="comma-separated problem names")
     p_bench.add_argument("--eps", required=True, help="comma-separated tolerances")
-    p_bench.add_argument("--q", type=int, default=2)
-    p_bench.add_argument("--tau", type=float, default=0.1)
-    p_bench.add_argument("--per-unit-step", action="store_true", dest="per_unit_step")
     p_bench.add_argument("--timing", action="store_true", help="include wall-clock column")
-    p_bench.add_argument("--out", default=None)
-    p_bench.add_argument("--format", choices=["csv", "json"], default="csv")
 
-    p_stab = sub.add_parser("stability", help="spectral-radius scan of the steady-state method")
-    p_stab.add_argument("--q", type=int, default=2)
+    p_stab = sub.add_parser("stability", parents=[common],
+                            help="spectral-radius scan of the steady-state method")
     p_stab.add_argument("--grid", default="-4,0.5,0,3,400",
                         help="RE0,RE1,IM0,IM1,N for the zeta grid")
-    p_stab.add_argument("--out", default=None)
 
-    p_conv = sub.add_parser("converge", help="empirical order from fixed-step runs")
+    p_conv = sub.add_parser("converge", parents=[common],
+                            help="empirical order from fixed-step runs")
     p_conv.add_argument("--problem", required=True)
-    p_conv.add_argument("--q", type=int, default=2)
-    p_conv.add_argument("--h-list", required=True, dest="h_list",
-                        help="comma-separated step sizes")
-    p_conv.add_argument("--out", default=None)
+    p_conv.add_argument("--h-list", required=True, help="comma-separated step sizes")
 
-    p_cal = sub.add_parser("calibrate", help="local-error calibration table for one run")
+    p_cal = sub.add_parser("calibrate", parents=[common, weighting],
+                           help="local-error calibration table for one run")
     p_cal.add_argument("--problem", required=True)
     p_cal.add_argument("--eps", type=float, required=True)
-    p_cal.add_argument("--q", type=int, default=2)
-    p_cal.add_argument("--tau", type=float, default=0.1)
-    p_cal.add_argument("--per-unit-step", action="store_true", dest="per_unit_step")
-    p_cal.add_argument("--out", default=None)
     return parser
 
 
@@ -124,7 +112,10 @@ def _cmd_solve(args) -> int:
     if args.samples < 0:
         print(f"solve: --samples must be >= 0, got {args.samples}", file=sys.stderr)
         return 2
-    problem = _load_problem(args)
+    if args.problem_file is None:
+        problem = get_problem(args.problem)
+    else:
+        problem = load_problem_file(args.problem_file)
     config = _config_from(args)
     result = solve(problem, config)
     smooth(result.path)
@@ -262,8 +253,9 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (KeyError, ValueError, OSError) as exc:
-        # Bad names or malformed inputs are usage-level problems.
-        msg = exc.args[0] if exc.args else exc
+        # Bad names or malformed inputs are usage-level problems.  str() of a
+        # KeyError quotes its message, and an OSError's first argument is its errno.
+        msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"odefilter {args.command}: {msg}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -25,6 +25,8 @@ __all__ = [
     "load_problem_file",
 ]
 
+_ORACLE_TOL = 1e-13  # rtol = atol of the ground truth and of the local-error restarts
+
 
 def _logistic(r: float = 3.0, big_k: float = 1.0):
     def rhs(t, y):
@@ -121,7 +123,7 @@ def get_problem(name: str) -> IvpProblem:
     )
 
 
-def reference_solution(problem: IvpProblem, t, tol: float = 1e-13) -> np.ndarray:
+def reference_solution(problem: IvpProblem, t, tol: float = _ORACLE_TOL) -> np.ndarray:
     """Ground-truth solution at time(s) t from DOP853 at rtol = atol = tol,
     a high-order adaptive integrator used solely as ground truth."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
@@ -225,13 +227,13 @@ def _batch_flow(
     return out
 
 
-def local_errors(problem: IvpProblem, result: SolveResult, tol: float = 1e-13) -> np.ndarray:
+def local_errors(problem: IvpProblem, result: SolveResult) -> np.ndarray:
     """Per-step local errors: deviation from the exact flow restarted at the
     previous numerical value, measured in the max norm at the step's end.
 
     Depends only on the mesh and the numerical values, never on the
-    posterior covariance.  The restarts are integrated to ``tol``, and their
-    evaluations are not counted against the problem's evaluation budget.
+    posterior covariance.  The restarts are integrated to ``_ORACLE_TOL``, and
+    their evaluations are not counted against the problem's evaluation budget.
     """
     knots = result.knots
     if knots[0] < problem.t0 - 1e-12 or knots[-1] > problem.T + 1e-9:
@@ -239,7 +241,7 @@ def local_errors(problem: IvpProblem, result: SolveResult, tol: float = 1e-13) -
     means = result.solution_means()
     t_start = knots[:-1]
     spans = np.diff(knots)
-    restarted = _batch_flow(problem, t_start, means[:-1], spans, tol)
+    restarted = _batch_flow(problem, t_start, means[:-1], spans, _ORACLE_TOL)
     return np.max(np.abs(means[1:] - restarted), axis=1)
 
 
@@ -265,7 +267,9 @@ def load_problem_file(path) -> IvpProblem:
     """
     with open(path, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
-    dim = int(spec["dim"])
+    dim = spec["dim"]
+    if type(dim) is not int:  # not isinstance: JSON's true loads as a bool, an int subclass
+        raise ValueError(f"dim must be an integer, got {dim!r}")
     rhs_spec = spec["rhs"]
     if len(rhs_spec) != dim:
         raise ValueError(f"rhs has {len(rhs_spec)} components but dim = {dim}")

@@ -123,7 +123,7 @@ class SolverConfig:
     ``q`` (an integer >= 1) is the order of the unit-diffusion IWP prior;
     ``seed`` (an integer >= 0) seeds the ``sampled`` ``obs_strategy``.
     ``init_mode`` picks the start: ``exact``, or the diffuse start, which
-    ``diffuse_filter`` and ``rk_starter`` both name.
+    ``diffuse_filter`` and ``rk_starter`` both name, for q in 1..4 only.
     ``eps`` is the error-test tolerance; ``per_unit_step`` selects whether
     the test bound is eps*h (True, error per unit step) or eps (False, error
     per step, the default).  Shrinking h does not always shrink the tested
@@ -159,6 +159,8 @@ class SolverConfig:
         _check_int("seed", self.seed, low=0)
         if self.init_mode not in ("exact", "diffuse_filter", "rk_starter"):
             raise ValueError(f"unknown init_mode {self.init_mode!r}")
+        if self.init_mode != "exact" and self.q not in _STARTER_KNOTS:
+            raise ValueError(f"diffuse start supports q in 1..4, got {self.q}")
         if self.obs_strategy not in ("mean", "sampled"):
             raise ValueError(f"unknown obs_strategy {self.obs_strategy!r}")
         if self.sigma_mode not in ("local_ml", "global_ml"):
@@ -222,8 +224,6 @@ def _starter_path(problem: IvpProblem, config: SolverConfig) -> SolutionPath:
     q, d = config.q, problem.dim
     q1, unit = q + 1, np.ones(d)
     exact = config.init_mode == "exact"
-    if not exact and q not in _STARTER_KNOTS:
-        raise ValueError(f"diffuse start supports q in 1..4, got {q}")
     h0 = config.resolve_h_init(problem)
     slots = np.arange(q1)
     factor = np.zeros((d, q1, q1))

@@ -53,9 +53,10 @@ class TestSteadyState:
         with pytest.raises(ValueError, match="q"):
             steady_state(q)
 
-    def test_nonconvergence_reported(self):
+    def test_nonconvergence_reported(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_STEADY_MAX_ITER", 2)
         with pytest.raises(RuntimeError):
-            steady_state(2, max_iter=2)
+            steady_state(2)
 
     @settings(max_examples=50, deadline=None)
     @given(a=st.floats(0.0, 50.0), b=st.floats(0.0, 50.0))

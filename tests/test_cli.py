@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import sys
@@ -7,11 +8,80 @@ import numpy as np
 import pytest
 
 from odefilter import SolverConfig, filtering, get_problem
-from odefilter.cli import main
+from odefilter.cli import build_parser, main
 
 
 def run(argv):
     return main(argv)
+
+
+# Every subcommand's options, written out so that regrouping their declarations
+# cannot change a flag: (default, choices, required, kind), where kind is the
+# value's type, or "flag" for an option that takes none.
+CLI_OPTIONS = {
+    "solve": {
+        "--problem": (None, None, False, "str"),
+        "--problem-file": (None, None, False, "str"),
+        "--q": (2, None, False, "int"),
+        "--eps": (None, None, True, "float"),
+        "--fixed-step": (None, None, False, "float"),
+        "--tau": (0.1, None, False, "float"),
+        "--per-unit-step": (False, None, False, "flag"),
+        "--h-init": (None, None, False, "float"),
+        "--init": ("exact", ["exact", "diffuse", "rk"], False, "str"),
+        "--obs": ("mean", ["mean", "sampled"], False, "str"),
+        "--seed": (0, None, False, "int"),
+        "--global-sigma": (False, None, False, "flag"),
+        "--samples": (0, None, False, "int"),
+        "--lipschitz-star": (None, None, False, "float"),
+        "--out": (None, None, False, "str"),
+        "--format": ("csv", ["csv", "json"], False, "str"),
+    },
+    "bench": {
+        "--problems": (None, None, True, "str"),
+        "--eps": (None, None, True, "str"),
+        "--q": (2, None, False, "int"),
+        "--tau": (0.1, None, False, "float"),
+        "--per-unit-step": (False, None, False, "flag"),
+        "--timing": (False, None, False, "flag"),
+        "--out": (None, None, False, "str"),
+        "--format": ("csv", ["csv", "json"], False, "str"),
+    },
+    "stability": {
+        "--q": (2, None, False, "int"),
+        "--grid": ("-4,0.5,0,3,400", None, False, "str"),
+        "--out": (None, None, False, "str"),
+    },
+    "converge": {
+        "--problem": (None, None, True, "str"),
+        "--q": (2, None, False, "int"),
+        "--h-list": (None, None, True, "str"),
+        "--out": (None, None, False, "str"),
+    },
+    "calibrate": {
+        "--problem": (None, None, True, "str"),
+        "--eps": (None, None, True, "float"),
+        "--q": (2, None, False, "int"),
+        "--tau": (0.1, None, False, "float"),
+        "--per-unit-step": (False, None, False, "flag"),
+        "--out": (None, None, False, "str"),
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(CLI_OPTIONS))
+def test_parser_options(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(CLI_OPTIONS)
+    got = {}
+    for action in sub.choices[command]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        (option,) = action.option_strings
+        assert action.dest == option[2:].replace("-", "_")
+        kind = "flag" if action.nargs == 0 else (action.type or str).__name__
+        got[option] = (action.default, action.choices, action.required, kind)
+    assert got == CLI_OPTIONS[command]
 
 
 class TestSolveCommand:
@@ -74,6 +144,18 @@ class TestSolveCommand:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dim", [2.5, True])
+    def test_non_integer_dim_is_usage_error(self, tmp_path, capsys, dim):
+        spec = {"name": "pair", "dim": dim, "t0": 0.0, "T": 1.0, "y0": [1.0, 1.0],
+                "rhs": [{"terms": [{"coef": -1.0, "y_powers": [1, 0]}]},
+                        {"terms": [{"coef": -1.0, "y_powers": [0, 1]}]}]}
+        pfile = tmp_path / "p.json"
+        pfile.write_text(json.dumps(spec))
+        out = tmp_path / "trace.csv"
+        assert run(["solve", "--problem-file", str(pfile), "--eps", "1e-3", "--out", str(out)]) == 2
+        assert f"dim must be an integer, got {dim!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonfinite_y0_is_usage_error(self, tmp_path, capsys):
         spec = {"name": "decay", "dim": 1, "t0": 0.0, "T": 1.0, "y0": [float("nan")],
                 "rhs": [{"terms": [{"coef": -1.0, "y_powers": [1]}]}]}
@@ -133,6 +215,15 @@ class TestSolveCommand:
         code = run(["solve", *source, "--eps", "0.01", "--out", str(out)])
         assert code == 2
         assert "exactly one of --problem / --problem-file" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("path", ["", "missing.json"])
+    def test_unreadable_problem_file_is_usage_error_naming_the_file(self, tmp_path, capsys, path):
+        # An empty path went to get_problem(None) and exited 1, "solver failure";
+        # a missing file printed only its errno, "odefilter solve: 2".
+        out = tmp_path / "x.csv"
+        assert run(["solve", "--problem-file", path, "--eps", "0.01", "--out", str(out)]) == 2
+        assert f"No such file or directory: '{path}'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_required_argument(self, tmp_path):

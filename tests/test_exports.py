@@ -1,5 +1,6 @@
-"""Every name a library module exports must exist and reach the package,
-and every library attribute the benchmark's traced run wraps must exist."""
+"""Every name a library module exports must exist and reach the package, the
+package must publish no other name, and every library attribute the
+benchmark's traced run wraps must exist."""
 
 import ast
 import importlib
@@ -22,6 +23,14 @@ def test_module_exports_exist_and_are_reexported(name):
         assert getattr(odefilter, export, None) is getattr(module, export), (
             f"odefilter does not re-export {name}.{export}"
         )
+
+
+def test_package_publishes_exactly_the_module_exports():
+    exports = {name for m in MODULES for name in importlib.import_module(f"odefilter.{m}").__all__}
+    submodules = {m.name for m in pkgutil.iter_modules(odefilter.__path__)}
+    public = {name for name in vars(odefilter) if not name.startswith("_")}
+    assert public - submodules == exports
+    assert isinstance(odefilter.__version__, str)
 
 
 def _traced_targets():

@@ -155,7 +155,7 @@ class TestLocalErrors:
         means[1:] = truth  # exact values on the same mesh
         for state, y in zip(res.path.filtered[1:], truth):
             state.mean[0] = y[0]
-        xi = local_errors(p, res, tol)
+        xi = local_errors(p, res)
         assert np.max(xi) <= 10 * tol
 
     def test_cubic_local_error_scaling(self):
@@ -263,4 +263,14 @@ class TestProblemFile:
         path.write_text(json.dumps({"name": "bad", "dim": 2, "t0": 0, "T": 1,
                                     "y0": [1, 1], "rhs": [{"terms": []}]}))
         with pytest.raises(ValueError):
+            load_problem_file(path)
+
+    @pytest.mark.parametrize("dim, components", [(2.5, 2), (True, 1)])
+    def test_dim_must_be_a_json_integer(self, tmp_path, dim, components):
+        # int() loaded 2.5 as a 2-dimensional problem and true as a 1-dimensional one.
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"name": "bad", "dim": dim, "t0": 0, "T": 1,
+                                    "y0": [1] * components,
+                                    "rhs": [{"terms": []}] * components}))
+        with pytest.raises(ValueError, match=f"dim must be an integer, got {dim!r}"):
             load_problem_file(path)

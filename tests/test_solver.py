@@ -172,6 +172,11 @@ class TestInitialize:
         with pytest.raises(ValueError, match="diffuse start supports q in 1..4, got 5"):
             initialize(get_problem("logistic"), SolverConfig(q=5, init_mode=mode))
 
+    @pytest.mark.parametrize("mode", ["diffuse_filter", "rk_starter"])
+    def test_diffuse_start_above_q_four_refused_at_construction(self, mode):
+        with pytest.raises(ValueError, match="diffuse start supports q in 1..4, got 5"):
+            SolverConfig(q=5, init_mode=mode)
+
     @pytest.mark.parametrize("q", [2, 3, 4])
     @pytest.mark.parametrize("kwargs", [dict(h_init=10.0, eps=1e-3), dict(fixed_step=3.0)])
     def test_diffuse_start_longer_than_the_span_ends_at_T(self, q, kwargs):
