@@ -286,16 +286,17 @@ class OrderFit:
 def convergence_order(problem: IvpProblem, q: int, h_list) -> OrderFit:
     """Empirical global order of IWP(q) from fixed-step runs at decreasing steps.
 
-    Requires a problem with a known solution.  Each run starts from the
-    diffuse filter and uses a constant diffusion (``global_ml``), which
-    keeps the mean sequence independent of the estimated scale.  Errors at
-    round-off level make the fit meaningless and set the degenerate flag.
+    Requires a problem with a known solution and at least three distinct steps; a repeated
+    step is solved once.  Each run starts from the diffuse filter and uses a constant
+    diffusion (``global_ml``), which keeps the mean sequence independent of the estimated
+    scale.  Errors at round-off level make the fit meaningless and set the degenerate flag.
     """
     if problem.exact is None:
         raise ValueError(f"problem {problem.name!r} has no reference solution")
-    h_list = np.asarray(sorted(h_list, reverse=True), dtype=float)
+    given = [float(h) for h in h_list]
+    h_list = np.unique(given)[::-1]  # each step solved once, largest first
     if h_list.size < 3:
-        raise ValueError("need at least three step sizes for an order fit")
+        raise ValueError(f"need at least three distinct step sizes for an order fit, got {given}")
     errors = np.empty(h_list.size)
     for i, h in enumerate(h_list):
         # The data-driven start keeps the higher derivative slots accurate

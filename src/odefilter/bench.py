@@ -3,8 +3,9 @@
 Solution quality is judged the classic way: per accepted step, the local
 error xi_n (max-norm deviation from the exact flow restarted at the previous
 numerical value) is compared against h_n * eps.  A step with xi_n above that
-bound is a deceived step.  Runtimes are measured but excluded from emitted
-files by default so that identical invocations produce identical bytes.
+bound is a deceived step.  Runtimes are measured, but the CLI writes the
+``runtime`` column only under ``--timing``, so that identical invocations
+produce identical bytes.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,12 +105,6 @@ class CalibrationTable:
     def ecdf_at(self, x: float) -> float:
         return float(np.count_nonzero(self.ratios <= x) / max(self.ratios.size + self.infinite_count, 1))
 
-    def rows(self) -> list[dict]:
-        return [
-            {"ratio": float(r), "ecdf": float(e), "chi1_cdf": float(c)}
-            for r, e, c in zip(self.ratios, self.ecdf, self.chi1_cdf)
-        ]
-
 
 def chi1_cdf(x) -> np.ndarray:
     """CDF of |Z| for standard normal Z."""
@@ -153,39 +148,26 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def _as_rows(obj) -> list[dict]:
-    if isinstance(obj, CalibrationTable):
-        return obj.rows()
-    rows = []
-    for item in obj:
-        if is_dataclass(item):
-            rows.append({f.name: getattr(item, f.name) for f in fields(item)})
-        elif isinstance(item, dict):
-            rows.append(dict(item))
-        else:
-            raise TypeError(f"cannot emit {type(item).__name__}")
-    return rows
+def emit(columns: dict, format: str, path) -> None:
+    """Write a table as CSV or JSON with full round-trip precision.
 
-
-def emit(records_or_table, format: str, path, *, include_runtime: bool = False) -> None:
-    """Write records as CSV or JSON with full round-trip precision.
-
-    Wall-clock columns are dropped unless ``include_runtime`` is set, so
-    repeated runs of the same command emit byte-identical files.
+    ``columns`` maps each column name, in header order, to one value per row, so a
+    table without rows still has its header.  Every column must be as long as the first.
     """
-    rows = _as_rows(records_or_table)
-    if not include_runtime:
-        rows = [{k: v for k, v in row.items() if k != "runtime"} for row in rows]
+    n = len(next(iter(columns.values()), ()))
+    for name, values in columns.items():
+        if len(values) != n:
+            raise ValueError(f"column {name!r} has {len(values)} values, the first column has {n}")
+    names, rows = list(columns), list(zip(*columns.values()))
     if format == "csv":
-        headers = list(rows[0].keys()) if rows else _default_headers(records_or_table, include_runtime)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(headers)
-        for row in rows:
-            writer.writerow([_format_value(row[h]) for h in headers])
+        writer.writerow(names)
+        writer.writerows([_format_value(v) for v in row] for row in rows)
         payload = buf.getvalue()
     elif format == "json":
-        payload = json.dumps({"schema_version": "1", "records": rows}, indent=2, allow_nan=True,
+        records = [dict(zip(names, row)) for row in rows]
+        payload = json.dumps({"schema_version": "1", "records": records}, indent=2, allow_nan=True,
                              default=_numpy_scalar) + "\n"
     else:
         raise ValueError(f"unknown format {format!r}; use 'csv' or 'json'")
@@ -194,13 +176,6 @@ def emit(records_or_table, format: str, path, *, include_runtime: bool = False) 
             fh.write(payload)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
-
-
-def _default_headers(obj, include_runtime: bool) -> list[str]:
-    if isinstance(obj, CalibrationTable):
-        return ["ratio", "ecdf", "chi1_cdf"]
-    names = [f.name for f in fields(BenchRecord)]
-    return names if include_runtime else [n for n in names if n != "runtime"]
 
 
 def _numpy_scalar(v):

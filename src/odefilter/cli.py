@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -126,27 +127,19 @@ def _cmd_solve(args) -> int:
 
         band = global_error_factor(args.lipschitz_star, problem.t0, problem.T)
 
-    q1 = result.path.q + 1
-    rows = []
-    samples = None
+    path, q1 = result.path, result.path.q + 1
+    means = np.array([state.mean for state in path.smoothed])
+    std = np.array([state.std() for state in path.smoothed])
+    columns = {"t": path.knots}
+    for k in range(problem.dim):
+        m, s = means[:, k * q1], band * std[:, k * q1]
+        columns.update({f"mean_{k}": m, f"lo_{k}": m - 2.0 * s, f"hi_{k}": m + 2.0 * s})
     if args.samples > 0:
-        samples = sample_posterior(result.path, seed=args.seed, count=args.samples)
-    for n, state in enumerate(result.path.smoothed):
-        row = {"t": result.path.knots[n]}
-        std = state.std()
-        for k in range(problem.dim):
-            m = state.mean[k * q1]
-            s = band * std[k * q1]
-            row[f"mean_{k}"] = m
-            row[f"lo_{k}"] = m - 2.0 * s
-            row[f"hi_{k}"] = m + 2.0 * s
-        if samples is not None:
-            for j in range(args.samples):
-                for k in range(problem.dim):
-                    row[f"sample{j}_{k}"] = samples[j, n, k * q1]
-        rows.append(row)
+        samples = sample_posterior(path, seed=args.seed, count=args.samples)
+        columns.update({f"sample{j}_{k}": samples[j, :, k * q1]
+                        for j in range(args.samples) for k in range(problem.dim)})
     out = _out_path(args, f"solve_{problem.name}.{args.format}")
-    bench.emit(rows, args.format, out)
+    bench.emit(columns, args.format, out)
     print(f"{problem.name}: {result.steps_accepted} steps "
           f"({result.steps_rejected} rejected), {result.fevals} evaluations -> {out}")
     return 0
@@ -158,7 +151,8 @@ def _cmd_bench(args) -> int:
     eps_list = [float(e) for e in args.eps.split(",") if e]
     records = bench.run_benchmark(problems, eps_list, config)
     out = _out_path(args, f"bench.{args.format}")
-    bench.emit(records, args.format, out, include_runtime=args.timing)
+    bench.emit({f.name: [getattr(r, f.name) for r in records] for f in fields(bench.BenchRecord)
+                if args.timing or f.name != "runtime"}, args.format, out)
     failed = [r for r in records if r.status != "ok"]
     print(f"bench: {len(records)} cells, {len(failed)} failed -> {out}")
     return 0 if not failed else 1
@@ -178,13 +172,9 @@ def _cmd_stability(args) -> int:
     re_grid = np.linspace(re0, re1, n)
     im_grid = np.linspace(im0, im1, n)
     radius, _ = analysis.stability_scan(gain, re_grid, im_grid)
-    rows = [
-        {"re": float(re_grid[b]), "im": float(im_grid[a]), "spectral_radius": float(radius[a, b])}
-        for a in range(n)
-        for b in range(n)
-    ]
     out = _out_path(args, f"stability_q{args.q}.csv")
-    bench.emit(rows, "csv", out)
+    bench.emit({"re": np.tile(re_grid, n), "im": np.repeat(im_grid, n),
+                "spectral_radius": radius.ravel()}, "csv", out)
     print(f"stability: {n * n} grid points -> {out}")
     return 0
 
@@ -193,9 +183,8 @@ def _cmd_converge(args) -> int:
     problem = get_problem(args.problem)
     h_list = [float(h) for h in args.h_list.split(",") if h]
     fit = analysis.convergence_order(problem, args.q, h_list)
-    rows = [{"h": float(h), "error": float(e)} for h, e in zip(fit.h_list, fit.errors)]
     out = _out_path(args, f"converge_{problem.name}_q{args.q}.csv")
-    bench.emit(rows, "csv", out)
+    bench.emit({"h": fit.h_list, "error": fit.errors}, "csv", out)
     order = "degenerate" if fit.degenerate else f"{fit.order:.3f}"
     print(f"converge: fitted order {order} -> {out}")
     return 0
@@ -210,7 +199,7 @@ def _cmd_calibrate(args) -> int:
     table = bench.error_calibration(result, xi)
     hs = np.diff(result.knots)
     out = _out_path(args, f"calibrate_{problem.name}.csv")
-    bench.emit(table, "csv", out)
+    bench.emit({"ratio": table.ratios, "ecdf": table.ecdf, "chi1_cdf": table.chi1_cdf}, "csv", out)
     print(f"calibrate: {result.steps_accepted} steps, "
           f"over-estimated fraction {table.overestimated_fraction:.4f}, "
           f"deceived fraction {bench.deceived_fraction(xi, hs, args.eps):.4f} -> {out}")

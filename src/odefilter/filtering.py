@@ -245,7 +245,7 @@ class _Columns:
 
 class _Rows(Sequence):
     """Read-only sequence of ``n`` items, item ``i`` built by ``at(i)`` on access.  Indices
-    and slices act as on a list; a slice, like ``+``, gives a list."""
+    and slices act as on a list; a slice gives a list."""
 
     def __init__(self, n: int, at: Callable[[int], object]):
         self._n, self._at = n, at
@@ -256,9 +256,6 @@ class _Rows(Sequence):
     def __getitem__(self, i):
         i = range(self._n)[i]  # a list's negative indices, slices and IndexError
         return [self._at(j) for j in i] if isinstance(i, range) else self._at(i)
-
-    def __add__(self, other) -> list:
-        return list(self) + list(other)
 
 
 class SolutionPath:

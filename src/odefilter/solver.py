@@ -131,9 +131,10 @@ class SolverConfig:
     |f(t, y) - y'| * w, the mismatch between the vector field and the
     state's derivative slot, not to 0.  Only an update can repair that slot,
     so after ``_MAX_REJECTIONS`` (8) rejections in a row the step is forced
-    through.  The per-unit-step bound also shrinks with h and stalls sooner,
-    which is why the per-step bound is the default.  ``fixed_step``
-    disables adaptivity.  ``sigma_mode`` chooses between a per-step
+    through.  The per-unit-step bound also shrinks with h, and a solve under
+    it almost always ends in ``StepSizeUnderflowError`` (the README's error
+    test gives the measured grid), so the per-step bound is the default.
+    ``fixed_step`` disables adaptivity.  ``sigma_mode`` chooses between a per-step
     diffusion estimate (``local_ml``) and a constant diffusion with a single
     whole-run estimate applied to the reported covariances afterwards
     (``global_ml``; fixed-step runs only, since the error test requires the

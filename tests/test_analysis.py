@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,8 +227,13 @@ class TestConvergenceOrder:
         assert np.isnan(fit.order)
 
     def test_needs_three_steps(self):
-        with pytest.raises(ValueError):
-            convergence_order(get_problem("logistic"), 2, [0.1, 0.05])
+        # Three distinct steps: [0.1, 0.1, 0.05] would fit a line through two points.
+        for h_list in ([0.1, 0.05], [0.1, 0.1, 0.1], [0.1, 0.1, 0.05]):
+            with pytest.raises(ValueError, match=re.escape(f"three distinct step sizes "
+                                                           f"for an order fit, got {h_list}")):
+                convergence_order(get_problem("logistic"), 2, h_list)
+        fit = convergence_order(get_problem("logistic"), 2, [0.05, 0.1, 0.025, 0.1])
+        assert fit.h_list.tolist() == [0.1, 0.05, 0.025]  # each step solved once
 
     def test_needs_reference(self):
         with pytest.raises(ValueError):

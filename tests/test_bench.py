@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from odefilter import (
-    BenchRecord,
     SolverConfig,
     emit,
     error_calibration,
@@ -140,65 +139,72 @@ class TestCalibration:
 
 
 class TestEmit:
-    def _records(self):
-        return [
-            BenchRecord("logistic", 1e-3, 12, 10, 0.1, 1.5, 0.123),
-            BenchRecord("vdp", 1e-6, 3000, 2900, 0.0, 0.8, 4.5),
-        ]
+    HEADER = "problem,eps,fevals,steps,deceived_fraction,max_error_per_unit_step,status"
+
+    def _columns(self):
+        return {"problem": ["logistic", "vdp"], "eps": [1e-3, 1e-6], "fevals": [12, 3000],
+                "steps": [10, 2900], "deceived_fraction": [0.1, 0.0],
+                "max_error_per_unit_step": np.array([1.5, 0.8]), "status": ["ok", "ok"]}
 
     def test_empty_csv_has_header(self, tmp_path):
         out = tmp_path / "empty.csv"
-        emit([], "csv", out)
+        emit({name: [] for name in self._columns()}, "csv", out)
         lines = out.read_text().splitlines()
-        assert lines == ["problem,eps,fevals,steps,deceived_fraction,max_error_per_unit_step,status"]
+        assert lines == [self.HEADER]
 
     def test_csv_roundtrip(self, tmp_path):
         out = tmp_path / "r.csv"
-        emit(self._records(), "csv", out)
+        emit(self._columns(), "csv", out)
+        assert out.read_text().splitlines()[0] == self.HEADER
         rows = read_back(out, "csv")
         assert rows[0]["problem"] == "logistic"
         assert float(rows[0]["eps"]) == 1e-3
         assert float(rows[1]["max_error_per_unit_step"]) == 0.8
-        assert "runtime" not in rows[0]
-
-    def test_runtime_column_opt_in(self, tmp_path):
-        out = tmp_path / "t.csv"
-        emit(self._records(), "csv", out, include_runtime=True)
-        assert "runtime" in out.read_text().splitlines()[0]
 
     def test_json_schema_and_roundtrip(self, tmp_path):
         out = tmp_path / "r.json"
-        emit(self._records(), "json", out)
+        emit(self._columns(), "json", out)
         import json
 
         doc = json.loads(out.read_text())
         assert doc["schema_version"] == "1"
         rows = doc["records"]
+        assert ",".join(rows[0]) == self.HEADER
         assert rows[0]["eps"] == 1e-3
         assert rows[1]["fevals"] == 3000
+        assert rows[1]["max_error_per_unit_step"] == 0.8
 
     def test_json_takes_numpy_scalars_and_nothing_else(self, tmp_path):
         out = tmp_path / "n.json"
-        emit([{"n": np.int64(3), "x": np.float32(0.5), "y": np.float64(0.1)}], "json", out)
+        emit({"n": [np.int64(3)], "x": [np.float32(0.5)], "y": [np.float64(0.1)]}, "json", out)
         assert read_back(out, "json") == [{"n": 3, "x": 0.5, "y": 0.1}]
         with pytest.raises(TypeError, match="ndarray"):
-            emit([{"a": np.zeros(2)}], "json", tmp_path / "a.json")
+            emit({"a": [np.zeros(2)]}, "json", tmp_path / "a.json")
 
     def test_seventeen_digit_precision(self, tmp_path):
         value = 0.1 + 0.2  # 0.30000000000000004
         out = tmp_path / "p.csv"
-        emit([{"x": value}], "csv", out)
+        emit({"x": [value]}, "csv", out)
         got = float(read_back(out, "csv")[0]["x"])
         assert got == value
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
-            emit(self._records(), "xml", tmp_path / "x")
+            emit(self._columns(), "xml", tmp_path / "x")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unequal_columns_raise_before_writing(self, tmp_path, fmt):
+        out = tmp_path / f"u.{fmt}"
+        with pytest.raises(ValueError, match="column 'b' has 1 values, the first column has 2"):
+            emit({"a": [1, 2], "b": [3], "c": [4, 5, 6]}, fmt, out)
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
+        def table():
+            records = run_benchmark(["logistic"], [1e-3, 1e-4])
+            return {name: [getattr(r, name) for r in records] for name in self.HEADER.split(",")}
+
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        records = run_benchmark(["logistic"], [1e-3, 1e-4])
-        emit(records, "csv", a)
-        records2 = run_benchmark(["logistic"], [1e-3, 1e-4])
-        emit(records2, "csv", b)
+        emit(table(), "csv", a)
+        emit(table(), "csv", b)
         assert a.read_bytes() == b.read_bytes()

@@ -250,6 +250,16 @@ class TestOtherCommands:
                     "--out", str(tmp_path / "b.csv")])
         assert code == 1
 
+    def test_runtime_column_only_under_timing(self, tmp_path):
+        header = "problem,eps,fevals,steps,deceived_fraction,max_error_per_unit_step,{}status"
+        for flags, runtime in (([], ""), (["--timing"], "runtime,")):
+            out = tmp_path / "b.csv"
+            assert run(["bench", "--problems", "logistic", "--eps", "0.01", *flags,
+                        "--out", str(out)]) == 0
+            lines = out.read_text().splitlines()
+            assert lines[0] == header.format(runtime)
+            assert len(lines[1].split(",")) == len(lines[0].split(","))
+
     def test_bench_takes_no_seed(self, tmp_path):
         # bench solves with the mean strategy, which draws nothing.
         code = run(["bench", "--problems", "logistic", "--eps", "0.01", "--seed", "1",
@@ -284,6 +294,15 @@ class TestOtherCommands:
         assert code == 0
         assert "fitted order" in capsys.readouterr().out
         assert out.read_text().splitlines()[0] == "h,error"
+
+    def test_converge_needs_three_distinct_steps(self, tmp_path, capsys):
+        out = tmp_path / "conv.csv"
+        code = run(["converge", "--problem", "logistic", "--h-list", "0.1,0.1,0.05",
+                    "--out", str(out)])
+        assert code == 2
+        assert "three distinct step sizes for an order fit, got [0.1, 0.1, 0.05]" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_calibrate(self, tmp_path, capsys):
         out = tmp_path / "cal.csv"

@@ -14,7 +14,7 @@ smoothed states, posterior samples, and ``interpolate`` at off-mesh times
 inside the span and past its end.  A change to the backward pass alone moves
 only posterior hashes.  A solve that raises hashes its error's type and
 message instead, into the hash of the part it stopped in.
-Then each of the eight reference CLI commands runs in-process in a temporary
+Then each of the nine reference CLI commands runs in-process in a temporary
 directory; its line is the SHA-256 of the file it writes, the command and
 the summary line it prints (or its exit code, when that is not 0).  The
 script exits 1, after printing every line, if any of those commands exits
@@ -59,6 +59,7 @@ CLI_COMMANDS = (
     "--out solve_brusselator_sampled.csv",
     "solve --problem logistic --q 4 --init rk --eps 1e-4 --out solve_logistic_q4_rk.csv",
     "bench --problems logistic,brusselator,vdp --eps 1e-3,1e-6 --out bench.csv",
+    "bench --problems logistic,vdp --eps 1e-3 --format json --out bench.json",
     "stability --q 2 --out stability_q2.csv",
     "converge --problem logistic --q 2 --h-list 0.1,0.05,0.025,0.0125 "
     "--out converge_logistic_q2.csv",
