@@ -16,6 +16,5 @@ from .filtering import *  # noqa: F403
 from .priors import *  # noqa: F403
 from .problems import *  # noqa: F403
 from .solver import *  # noqa: F403
-from .stepcontrol import *  # noqa: F403
 
 __version__ = "0.1.0"

@@ -141,8 +141,6 @@ def error_calibration(result: SolveResult, xi: np.ndarray) -> CalibrationTable:
 
 
 def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
     if isinstance(v, (float, np.floating)):
         return format(float(v), ".17g")
     return str(v)

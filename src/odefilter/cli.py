@@ -123,7 +123,7 @@ def _cmd_solve(args) -> int:
 
     band = 1.0
     if args.lipschitz_star is not None:
-        from .stepcontrol import global_error_factor
+        from .solver import global_error_factor
 
         band = global_error_factor(args.lipschitz_star, problem.t0, problem.T)
 

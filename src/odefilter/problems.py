@@ -85,8 +85,7 @@ def _poly(k: int):
     # y' = k t^(k-1), so y = 1 + t^k: a solution of exact polynomial degree k.
     def rhs(t, y):
         t = np.asarray(t, dtype=float)
-        out = k * t ** (k - 1) if k >= 1 else np.zeros_like(t)
-        return np.broadcast_to(np.asarray(out)[..., None], np.shape(y)).astype(float)
+        return np.broadcast_to(np.asarray(k * t ** (k - 1))[..., None], np.shape(y)).astype(float)
 
     def exact(t):
         return np.atleast_1d(1.0 + t**k)
@@ -110,14 +109,18 @@ def available_problems() -> list[str]:
 
 def get_problem(name: str) -> IvpProblem:
     """Fresh problem instance by name; parametrized families parse their
-    argument, e.g. ``linear(-0.5)`` or ``poly(3)``."""
+    argument, e.g. ``linear(-0.5)`` (a finite rate) or ``poly(3)`` (a degree >= 1)."""
     if name in _REGISTRY:
         return _REGISTRY[name]()
     m = _FAMILY.match(name.replace(" ", ""))
     if m:
-        if m.group(1) == "linear":
-            return _linear(float(m.group(2)))
-        return _poly(int(float(m.group(2))))
+        family, arg = m.group(1), float(m.group(2))
+        if family == "linear" and np.isfinite(arg):
+            return _linear(arg)
+        if family == "poly" and arg.is_integer() and arg >= 1:
+            return _poly(int(arg))
+        need = "a finite rate" if family == "linear" else "an integer degree >= 1"
+        raise ValueError(f"problem {name!r}: {family} takes {need}, got {m.group(2)}")
     raise KeyError(
         f"unknown problem {name!r}; available: {', '.join(available_problems())}"
     )

@@ -154,12 +154,13 @@ class TestEmit:
 
     def test_csv_roundtrip(self, tmp_path):
         out = tmp_path / "r.csv"
-        emit(self._columns(), "csv", out)
-        assert out.read_text().splitlines()[0] == self.HEADER
+        emit({**self._columns(), "passed": [True, np.bool_(False)]}, "csv", out)
+        assert out.read_text().splitlines()[0] == self.HEADER + ",passed"
         rows = read_back(out, "csv")
         assert rows[0]["problem"] == "logistic"
         assert float(rows[0]["eps"]) == 1e-3
         assert float(rows[1]["max_error_per_unit_step"]) == 0.8
+        assert [row["passed"] for row in rows] == ["True", "False"]
 
     def test_json_schema_and_roundtrip(self, tmp_path):
         out = tmp_path / "r.json"

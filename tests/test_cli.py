@@ -304,6 +304,15 @@ class TestOtherCommands:
             capsys.readouterr().err
         assert not out.exists()
 
+    def test_converge_refuses_a_poly_degree_below_one(self, tmp_path, capsys):
+        # poly(0) would fit order 0 against an exact solution its rhs does not have.
+        out = tmp_path / "conv.csv"
+        code = run(["converge", "--problem", "poly(0)", "--h-list", "0.1,0.05,0.025",
+                    "--out", str(out)])
+        assert code == 2
+        assert "poly takes an integer degree >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_calibrate(self, tmp_path, capsys):
         out = tmp_path / "cal.csv"
         code = run(["calibrate", "--problem", "logistic", "--eps", "0.001",

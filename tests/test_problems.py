@@ -48,6 +48,13 @@ class TestRegistry:
         assert p.exact(2.0)[0] == pytest.approx(9.0, rel=1e-14)
         assert p.rhs(2.0, np.array([0.0]))[0] == pytest.approx(12.0)
 
+    @pytest.mark.parametrize("name", ["poly(0)", "poly(2.5)", "poly(-1)", "poly(1e400)",
+                                      "linear(1e400)"])
+    def test_family_argument_outside_its_formula_refused(self, name):
+        family, arg = name[:-1].split("(")
+        with pytest.raises(ValueError, match=rf"{family} takes .*, got {arg}$"):
+            get_problem(name)
+
     def test_unknown_name_lists_available(self):
         with pytest.raises(KeyError, match="logistic"):
             get_problem("nope")

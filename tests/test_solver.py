@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from odefilter import solver, stepcontrol
+from odefilter import solver
 from odefilter import (
     IvpProblem,
     SolverConfig,
@@ -333,7 +333,7 @@ class TestSolveAdaptive:
         res = solve(p, cfg)
         for report in res.per_step:
             ratio = report.h_next / report.h
-            assert stepcontrol._ETA_MIN - 1e-12 <= ratio <= stepcontrol._ETA_MAX + 1e-12
+            assert solver._ETA_MIN - 1e-12 <= ratio <= solver._ETA_MAX + 1e-12
 
     @pytest.mark.parametrize("per_unit_step", [True, False])
     def test_error_bound_follows_per_unit_step(self, per_unit_step):
@@ -348,7 +348,7 @@ class TestSolveAdaptive:
             D = float(np.max(r.D))
             ebar = cfg.eps * r.h if per_unit_step else cfg.eps
             assert r.accepted == (D <= ebar or streak == solver._MAX_REJECTIONS)
-            assert r.h_next == pytest.approx(stepcontrol.next_step_size(D, ebar, r.h, cfg.q), rel=1e-12)
+            assert r.h_next == pytest.approx(solver.next_step_size(D, ebar, r.h, cfg.q), rel=1e-12)
             streak = 0 if r.accepted else streak + 1
             discriminating += cfg.eps * r.h < D <= cfg.eps
         # Attempts the two bounds decide differently exist, so a swapped or
@@ -474,7 +474,7 @@ def _solve_outcome(name: str, config: SolverConfig):
     except Exception as exc:
         return type(exc), str(exc)
     record = [np.array([getattr(r, f.name) for r in res.per_step]).tobytes()
-              for f in fields(stepcontrol.StepReport)]
+              for f in fields(solver.StepReport)]
     columns = res.path.columns
     return record, [columns[col].tobytes() for col in columns.arrays], res.fevals
 
@@ -626,12 +626,12 @@ class TestStepRecord:
             q11 = discrete_transition(config.q, r.h)[2]
             pred_mean = predict(path.filtered[knot[r.t]], r.h).mean
             residual = problem.rhs(r.t + r.h, pred_mean[0::q1]) - pred_mean[1::q1]
-            sigma2 = stepcontrol.estimate_sigma2(residual, q11)
+            sigma2 = solver.estimate_sigma2(residual, q11)
             ebar = config.eps * r.h / r.h
-            D, passed = stepcontrol.local_error_test(sigma2, q11, pred_mean[0::q1],
-                                                     config.weighting_tau, ebar)
+            D, passed = solver.local_error_test(sigma2, q11, pred_mean[0::q1],
+                                                config.weighting_tau, ebar)
             assert r.sigma2_hat.tobytes() == sigma2.tobytes() and r.D.tobytes() == D.tobytes()
-            assert r.h_next == stepcontrol.next_step_size(float(D.max()), ebar, r.h, config.q)
+            assert r.h_next == solver.next_step_size(float(D.max()), ebar, r.h, config.q)
             if r.accepted:
                 assert path.knots[knot[r.t] + 1] == r.t + r.h
         assert sum(r.accepted for r in reports) == res.steps_accepted
@@ -653,12 +653,12 @@ class TestStepRecord:
         for r, pred_mean in zip(res.per_step, res.path.columns["pred_mean"][1:]):
             q11 = discrete_transition(config.q, r.h)[2]
             residual = problem.rhs(r.t + r.h, pred_mean[0::3]) - pred_mean[1::3]
-            sigma2 = stepcontrol.estimate_sigma2(residual, q11)
+            sigma2 = solver.estimate_sigma2(residual, q11)
             assert r.sigma2_hat.tobytes() == sigma2.tobytes()
             assert r.D.tobytes() == np.sqrt(sigma2 * q11).tobytes()
             assert r.accepted and r.h_next == r.h
-            weighted.append(stepcontrol.local_error_test(sigma2, q11, pred_mean[0::3],
-                                                         config.weighting_tau, 1.0)[0])
+            weighted.append(solver.local_error_test(sigma2, q11, pred_mean[0::3],
+                                                    config.weighting_tau, 1.0)[0])
         assert not np.array_equal([r.D for r in res.per_step], weighted)
 
     def test_retained_bytes_per_knot(self):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odefilter import stepcontrol
+from odefilter import solver
 from odefilter import (
     discrete_transition,
     estimate_sigma2,
@@ -102,7 +102,7 @@ class TestController:
         h_hi = next_step_size(lo, 1.0, h, q)
         assert h_lo <= h_hi + 1e-15 * h
         for new in (h_lo, h_hi):
-            assert stepcontrol._ETA_MIN - 1e-12 <= new / h <= stepcontrol._ETA_MAX + 1e-12
+            assert solver._ETA_MIN - 1e-12 <= new / h <= solver._ETA_MAX + 1e-12
 
 
 class TestGlobalRescale:
